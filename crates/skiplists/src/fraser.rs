@@ -48,13 +48,12 @@
 //! deleted nodes' memory for the structure's lifetime. See
 //! EXPERIMENTS.md, correctness note 3, for the full analysis.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
-use reclaim::NodePool;
 use synchro::Backoff;
 
 use crate::level::{random_level, MAX_LEVEL};
+use crate::tower::{self, Header, Towers};
 use crate::{
     assert_user_key, clamp_hi, ConcurrentMap, ConcurrentSet, Key, OrderedMap, Val, HEAD_KEY,
     TAIL_KEY,
@@ -82,29 +81,28 @@ fn unmark(w: usize) -> usize {
 }
 
 /// Insert still linking upper levels (may yet re-publish the node).
-const LINKING: usize = 0;
+const LINKING: u8 = 0;
 /// Insert finished; the node can be retired by its deleter.
-const LINK_DONE: usize = 1;
+const LINK_DONE: u8 = 1;
 /// Delete finished first; retirement is handed to the inserter.
-const RETIRE_HANDOFF: usize = 2;
+const RETIRE_HANDOFF: u8 = 2;
 
+/// Node header (32 bytes); the tower of marked words follows it in the
+/// slot (see [`crate::tower`]).
+#[repr(C)]
 pub(crate) struct Node {
     key: Key,
     /// The binding, or `FROZEN` once removed (see the const docs).
     val: AtomicU64,
-    top_level: usize,
+    /// Intrusive link for the structure's deferred-reclamation list.
+    gc_next: AtomicUsize,
     /// Insert/delete retirement coordination (see the reclamation notes
     /// in the module docs): LINKING → LINK_DONE (normal) or
     /// LINKING → RETIRE_HANDOFF (deleter finished while the inserter was
     /// still linking; the inserter unlinks its own re-publications and
     /// retires).
-    state: AtomicUsize,
-    /// Intrusive link for the structure's deferred-reclamation list.
-    gc_next: AtomicUsize,
-    /// Inline fixed-height tower of marked words (only `0..=top_level` is
-    /// used): keeps the node free of drop glue so it can live in a
-    /// type-stable pool slot.
-    next: [AtomicUsize; MAX_LEVEL],
+    state: AtomicU8,
+    top_level: u8,
 }
 
 impl Node {
@@ -112,13 +110,24 @@ impl Node {
         Node {
             key,
             val: AtomicU64::new(val),
-            top_level,
-            state: AtomicUsize::new(LINKING),
             gc_next: AtomicUsize::new(0),
-            next: std::array::from_fn(|_| AtomicUsize::new(0)),
+            state: AtomicU8::new(LINKING),
+            top_level: top_level as u8,
         }
     }
 }
+
+impl Header for Node {
+    /// A successor pointer with the deletion mark in its LSB.
+    type Link = AtomicUsize;
+
+    #[inline]
+    fn top_level(&self) -> usize {
+        self.top_level as usize
+    }
+}
+
+const SMALL: usize = tower::small_levels::<Node>();
 
 /// Fraser's lock-free skip list.
 pub struct FraserSkipList {
@@ -127,10 +136,11 @@ pub struct FraserSkipList {
     /// on it are never handed back to the pool during the structure's
     /// lifetime).
     garbage: AtomicUsize,
-    /// Type-stable node pool — allocation-only here: the magazine fast
-    /// path serves inserts, but re-publication chains forbid recycling,
-    /// so retired slots wait on `garbage` until the pool drops.
-    pool: Arc<NodePool<Node>>,
+    /// Type-stable node pools (one per tower class) — allocation-only
+    /// here: the magazine fast path serves inserts, but re-publication
+    /// chains forbid recycling, so retired slots wait on `garbage` until
+    /// the pools drop.
+    pool: Towers<Node, SMALL>,
 }
 
 // SAFETY: all mutation is CAS on next words; QSBR + the single-retirer
@@ -141,21 +151,21 @@ unsafe impl Sync for FraserSkipList {}
 impl FraserSkipList {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        Self::from_pool(NodePool::new())
+        Self::from_pool(Towers::new())
     }
 
     /// Creates an empty skip list with an arena-backed node pool.
     pub fn new_arena() -> Self {
-        Self::from_pool(NodePool::arena())
+        Self::from_pool(Towers::new_arena())
     }
 
-    fn from_pool(pool: Arc<NodePool<Node>>) -> Self {
-        let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, MAX_LEVEL - 1));
-        let head = pool.alloc_init(|| Node::make(HEAD_KEY, 0, MAX_LEVEL - 1));
+    fn from_pool(pool: Towers<Node, SMALL>) -> Self {
+        let tail = pool.alloc(Node::make(TAIL_KEY, 0, MAX_LEVEL - 1));
+        let head = pool.alloc(Node::make(HEAD_KEY, 0, MAX_LEVEL - 1));
         // SAFETY: fresh nodes.
         unsafe {
             for l in 0..MAX_LEVEL {
-                (*head).next[l].store(tail as usize, Ordering::Relaxed);
+                tower::next(head, l).store(tail as usize, Ordering::Relaxed);
             }
         }
         Self {
@@ -185,7 +195,7 @@ impl FraserSkipList {
             'retry: loop {
                 let mut pred = self.head;
                 for l in (0..MAX_LEVEL).rev() {
-                    let mut pred_w = (*pred).next[l].load(Ordering::Acquire);
+                    let mut pred_w = tower::next(pred, l).load(Ordering::Acquire);
                     if marked(pred_w) {
                         // pred got deleted under us; restart.
                         continue 'retry;
@@ -193,11 +203,11 @@ impl FraserSkipList {
                     let mut cur = unmark(pred_w) as *mut Node;
                     loop {
                         // Skip over a chain of marked nodes.
-                        let mut cur_w = (*cur).next[l].load(Ordering::Acquire);
+                        let mut cur_w = tower::next(cur, l).load(Ordering::Acquire);
                         synchro::prefetch::read(unmark(cur_w) as *const Node);
                         while marked(cur_w) {
                             cur = unmark(cur_w) as *mut Node;
-                            cur_w = (*cur).next[l].load(Ordering::Acquire);
+                            cur_w = tower::next(cur, l).load(Ordering::Acquire);
                             synchro::prefetch::read(unmark(cur_w) as *const Node);
                         }
                         if (*cur).key < key {
@@ -208,7 +218,7 @@ impl FraserSkipList {
                         }
                         // Settle: snip the marked chain (if any).
                         if unmark(pred_w) != cur as usize
-                            && (*pred).next[l]
+                            && tower::next(pred, l)
                                 .compare_exchange(
                                     pred_w,
                                     cur as usize,
@@ -258,19 +268,19 @@ impl FraserSkipList {
         // SAFETY: per contract; every walked pointer is grace-protected.
         unsafe {
             let key = (*node).key;
-            for l in (0..=(*node).top_level).rev() {
+            for l in (0..=(*node).top_level()).rev() {
                 'level: loop {
                     let mut pred = self.head;
                     loop {
-                        let pred_w = (*pred).next[l].load(Ordering::Acquire);
+                        let pred_w = tower::next(pred, l).load(Ordering::Acquire);
                         let cur = unmark(pred_w) as *mut Node;
                         if cur == node {
-                            let next = unmark((*node).next[l].load(Ordering::Acquire));
+                            let next = unmark(tower::next(node, l).load(Ordering::Acquire));
                             // Keep pred's own mark bit as-is: a marked
                             // pred's pointer may be rewritten (skipping
                             // `node`) but must stay marked.
                             let new_w = next | (pred_w & MARK);
-                            if (*pred).next[l]
+                            if tower::next(pred, l)
                                 .compare_exchange(
                                     pred_w,
                                     new_w,
@@ -345,11 +355,11 @@ impl FraserSkipList {
     unsafe fn help_physical_remove(&self, victim: *mut Node) {
         // SAFETY: per contract.
         unsafe {
-            for l in (0..=(*victim).top_level).rev() {
+            for l in (0..=(*victim).top_level()).rev() {
                 loop {
-                    let w = (*victim).next[l].load(Ordering::Acquire);
+                    let w = tower::next(victim, l).load(Ordering::Acquire);
                     if marked(w)
-                        || (*victim).next[l]
+                        || tower::next(victim, l)
                             .compare_exchange(w, w | MARK, Ordering::AcqRel, Ordering::Acquire)
                             .is_ok()
                     {
@@ -373,7 +383,7 @@ impl FraserSkipList {
             // If the node was deleted while we were linking, some of our
             // links may have re-published it after the deleter's unlink
             // sweep: sweep again before declaring ourselves done.
-            if marked((*node).next[0].load(Ordering::Acquire)) {
+            if marked(tower::next(node, 0).load(Ordering::Acquire)) {
                 self.unlink_node(node);
             }
             if (*node)
@@ -425,10 +435,10 @@ impl FraserSkipList {
         unsafe {
             let mut pred = self.head;
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = unmark((*pred).next[l].load(Ordering::Acquire)) as *mut Node;
+                let mut cur = unmark(tower::next(pred, l).load(Ordering::Acquire)) as *mut Node;
                 synchro::prefetch::read(cur);
                 loop {
-                    let cur_w = (*cur).next[l].load(Ordering::Acquire);
+                    let cur_w = tower::next(cur, l).load(Ordering::Acquire);
                     synchro::prefetch::read(unmark(cur_w) as *const Node);
                     if marked(cur_w) {
                         cur = unmark(cur_w) as *mut Node;
@@ -469,7 +479,7 @@ impl ConcurrentSet for FraserSkipList {
         assert!(val != FROZEN, "u64::MAX is the reserved tombstone value");
         reclaim::quiescent();
         let top_level = random_level(key) - 1;
-        let node = self.pool.alloc_init(|| Node::make(key, val, top_level));
+        let node = self.pool.alloc(Node::make(key, val, top_level));
         let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
         let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
         let mut bo = Backoff::adaptive();
@@ -493,8 +503,8 @@ impl ConcurrentSet for FraserSkipList {
                     self.pool.dealloc_unpublished(node);
                     return false;
                 }
-                (*node).next[0].store(succs[0] as usize, Ordering::Relaxed);
-                if (*preds[0]).next[0]
+                tower::next(node, 0).store(succs[0] as usize, Ordering::Relaxed);
+                if tower::next(preds[0], 0)
                     .compare_exchange(
                         succs[0] as usize,
                         node as usize,
@@ -509,7 +519,7 @@ impl ConcurrentSet for FraserSkipList {
                     // cleanup may already have passed. Clean it ourselves
                     // before this operation ends; QSBR keeps the victim
                     // alive until we quiesce.
-                    if marked((*succs[0]).next[0].load(Ordering::Acquire)) {
+                    if marked(tower::next(succs[0], 0).load(Ordering::Acquire)) {
                         self.cleanup(key);
                     }
                     break;
@@ -521,7 +531,7 @@ impl ConcurrentSet for FraserSkipList {
             while l <= top_level {
                 // Abandon if our node got deleted meanwhile (its level-l
                 // pointer is marked).
-                let w = (*node).next[l].load(Ordering::Acquire);
+                let w = tower::next(node, l).load(Ordering::Acquire);
                 if marked(w) {
                     self.finish_insert(node);
                     return true;
@@ -529,7 +539,7 @@ impl ConcurrentSet for FraserSkipList {
                 let succ = succs[l];
                 // Install our forward pointer for this level; a concurrent
                 // deleter may race to mark it, hence CAS.
-                if (*node).next[l]
+                if tower::next(node, l)
                     .compare_exchange(w, succ as usize, Ordering::AcqRel, Ordering::Acquire)
                     .is_err()
                 {
@@ -537,7 +547,7 @@ impl ConcurrentSet for FraserSkipList {
                     self.finish_insert(node);
                     return true;
                 }
-                if (*preds[l]).next[l]
+                if tower::next(preds[l], l)
                     .compare_exchange(
                         succ as usize,
                         node as usize,
@@ -550,11 +560,11 @@ impl ConcurrentSet for FraserSkipList {
                     // have been deleted while we linked it (late link of a
                     // dead node) — finish_insert sweeps it back out; a
                     // marked successor just gets a helping pass.
-                    if marked((*node).next[l].load(Ordering::Acquire)) {
+                    if marked(tower::next(node, l).load(Ordering::Acquire)) {
                         self.finish_insert(node);
                         return true;
                     }
-                    if marked((*succ).next[l].load(Ordering::Acquire)) {
+                    if marked(tower::next(succ, l).load(Ordering::Acquire)) {
                         self.cleanup((*succ).key);
                     }
                     l += 1;
@@ -620,12 +630,12 @@ impl ConcurrentSet for FraserSkipList {
         // SAFETY: grace period; level-0 walk.
         unsafe {
             let mut n = 0;
-            let mut cur = unmark((*self.head).next[0].load(Ordering::Acquire)) as *mut Node;
+            let mut cur = unmark(tower::next(self.head, 0).load(Ordering::Acquire)) as *mut Node;
             while (*cur).key != TAIL_KEY {
-                if !marked((*cur).next[0].load(Ordering::Acquire)) {
+                if !marked(tower::next(cur, 0).load(Ordering::Acquire)) {
                     n += 1;
                 }
-                cur = unmark((*cur).next[0].load(Ordering::Acquire)) as *mut Node;
+                cur = unmark(tower::next(cur, 0).load(Ordering::Acquire)) as *mut Node;
             }
             n
         }
@@ -721,9 +731,9 @@ impl OrderedMap for FraserSkipList {
             // Read-only descent (upper levels) to a predecessor of `from`.
             let mut pred = self.head;
             for l in (1..MAX_LEVEL).rev() {
-                let mut cur = unmark((*pred).next[l].load(Ordering::Acquire)) as *mut Node;
+                let mut cur = unmark(tower::next(pred, l).load(Ordering::Acquire)) as *mut Node;
                 loop {
-                    let cur_w = (*cur).next[l].load(Ordering::Acquire);
+                    let cur_w = tower::next(cur, l).load(Ordering::Acquire);
                     if marked(cur_w) {
                         cur = unmark(cur_w) as *mut Node;
                         continue;
@@ -737,13 +747,13 @@ impl OrderedMap for FraserSkipList {
                 }
             }
             // Level-0 walk.
-            let mut cur = unmark((*pred).next[0].load(Ordering::Acquire)) as *mut Node;
+            let mut cur = unmark(tower::next(pred, 0).load(Ordering::Acquire)) as *mut Node;
             loop {
                 let key = (*cur).key;
                 if key > hi {
                     return;
                 }
-                let w = (*cur).next[0].load(Ordering::Acquire);
+                let w = tower::next(cur, 0).load(Ordering::Acquire);
                 if marked(w) {
                     // Unlinked (or mid-unlink): skip without deciding.
                     cur = unmark(w) as *mut Node;

@@ -8,30 +8,29 @@
 //! deletion logical before physical.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use reclaim::NodePool;
 use synchro::{Backoff, RawLock, TtasLock};
 
 use crate::level::{random_level, MAX_LEVEL};
+use crate::tower::{self, Header, Towers};
 use crate::{
     assert_user_key, clamp_hi, ConcurrentMap, ConcurrentSet, Key, OrderedMap, Val, HEAD_KEY,
     RANGE_OPTIMISTIC_ATTEMPTS, TAIL_KEY,
 };
 
+/// Node header (24 bytes: the lock is one byte); the tower follows it in
+/// the slot (see [`crate::tower`]).
+#[repr(C)]
 pub(crate) struct Node {
     key: Key,
     /// In-place-updatable binding (the `ConcurrentMap` upsert contract):
     /// swapped under this node's lock, read lock-free.
     val: AtomicU64,
-    /// Highest valid index into `next` (tower height − 1).
-    top_level: usize,
     lock: TtasLock,
+    /// Highest valid tower level (tower height − 1).
+    top_level: u8,
     marked: AtomicBool,
     fully_linked: AtomicBool,
-    /// Inline fixed-height tower (only `0..=top_level` is used): keeps the
-    /// node free of drop glue so it can live in a type-stable pool slot.
-    next: [AtomicPtr<Node>; MAX_LEVEL],
 }
 
 impl Node {
@@ -39,21 +38,32 @@ impl Node {
         Node {
             key,
             val: AtomicU64::new(val),
-            top_level,
             lock: TtasLock::new(),
+            top_level: top_level as u8,
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(linked),
-            next: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
         }
     }
 }
 
+impl Header for Node {
+    type Link = AtomicPtr<Node>;
+
+    #[inline]
+    fn top_level(&self) -> usize {
+        self.top_level as usize
+    }
+}
+
+const SMALL: usize = tower::small_levels::<Node>();
+
 /// The Herlihy et al. optimistic skip list.
 pub struct HerlihySkipList {
     head: *mut Node,
-    /// Type-stable node pool. No pointer survives across operations, so
-    /// recycled slots are plainly re-initialized after their grace period.
-    pool: Arc<NodePool<Node>>,
+    /// Type-stable node pools (one per tower class). No pointer survives
+    /// across operations, so recycled slots are plainly re-initialized
+    /// after their grace period.
+    pool: Towers<Node, SMALL>,
 }
 
 // SAFETY: per-node locks + validation serialize updates; searches read
@@ -64,21 +74,21 @@ unsafe impl Sync for HerlihySkipList {}
 impl HerlihySkipList {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        Self::from_pool(NodePool::new())
+        Self::from_pool(Towers::new())
     }
 
     /// Creates an empty skip list with an arena-backed node pool.
     pub fn new_arena() -> Self {
-        Self::from_pool(NodePool::arena())
+        Self::from_pool(Towers::new_arena())
     }
 
-    fn from_pool(pool: Arc<NodePool<Node>>) -> Self {
-        let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
-        let head = pool.alloc_init(|| Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
+    fn from_pool(pool: Towers<Node, SMALL>) -> Self {
+        let tail = pool.alloc(Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
+        let head = pool.alloc(Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
         // SAFETY: fresh nodes, no concurrency yet.
         unsafe {
             for l in 0..MAX_LEVEL {
-                (*head).next[l].store(tail, Ordering::Relaxed);
+                tower::next(head, l).store(tail, Ordering::Relaxed);
             }
         }
         Self { head, pool }
@@ -101,11 +111,11 @@ impl HerlihySkipList {
             let mut lfound = None;
             let mut pred = self.head;
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = tower::next(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
-                    cur = (*cur).next[l].load(Ordering::Acquire);
+                    cur = tower::next(cur, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if lfound.is_none() && (*cur).key == key {
@@ -163,11 +173,11 @@ impl ConcurrentSet for HerlihySkipList {
             let mut pred = self.head;
             let mut found: *mut Node = std::ptr::null_mut();
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = tower::next(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
-                    cur = (*cur).next[l].load(Ordering::Acquire);
+                    cur = tower::next(cur, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if (*cur).key == key {
@@ -219,7 +229,7 @@ impl ConcurrentSet for HerlihySkipList {
                     }
                     valid = !(*pred).marked.load(Ordering::Acquire)
                         && !(*succ).marked.load(Ordering::Acquire)
-                        && (*pred).next[l].load(Ordering::Acquire) == succ;
+                        && tower::next(pred, l).load(Ordering::Acquire) == succ;
                     if !valid {
                         break;
                     }
@@ -231,14 +241,12 @@ impl ConcurrentSet for HerlihySkipList {
                     bo.backoff();
                     continue;
                 }
-                let newnode = self
-                    .pool
-                    .alloc_init(|| Node::make(key, val, top_level, false));
+                let newnode = self.pool.alloc(Node::make(key, val, top_level, false));
                 for l in 0..=top_level {
-                    (*newnode).next[l].store(succs[l], Ordering::Relaxed);
+                    tower::next(newnode, l).store(succs[l], Ordering::Relaxed);
                 }
                 for l in 0..=top_level {
-                    (*preds[l]).next[l].store(newnode, Ordering::Release);
+                    tower::next(preds[l], l).store(newnode, Ordering::Release);
                 }
                 (*newnode).fully_linked.store(true, Ordering::Release);
                 Self::unlock_preds(&preds, top_level);
@@ -266,7 +274,7 @@ impl ConcurrentSet for HerlihySkipList {
                         Some(lf) => {
                             let c = succs[lf];
                             (*c).fully_linked.load(Ordering::Acquire)
-                                && (*c).top_level == lf
+                                && (*c).top_level() == lf
                                 && !(*c).marked.load(Ordering::Acquire)
                         }
                         None => false,
@@ -276,7 +284,7 @@ impl ConcurrentSet for HerlihySkipList {
                 }
                 if !is_marked {
                     victim = succs[lf.expect("ok && !is_marked implies found")];
-                    top_level = (*victim).top_level;
+                    top_level = (*victim).top_level();
                     (*victim).lock.lock();
                     if (*victim).marked.load(Ordering::Acquire) {
                         // Lost the race to another deleter.
@@ -298,7 +306,7 @@ impl ConcurrentSet for HerlihySkipList {
                         prev_pred = pred;
                     }
                     valid = !(*pred).marked.load(Ordering::Acquire)
-                        && (*pred).next[l].load(Ordering::Acquire) == victim;
+                        && tower::next(pred, l).load(Ordering::Acquire) == victim;
                     if !valid {
                         break;
                     }
@@ -311,8 +319,10 @@ impl ConcurrentSet for HerlihySkipList {
                     continue;
                 }
                 for l in (0..=top_level).rev() {
-                    (*preds[l]).next[l]
-                        .store((*victim).next[l].load(Ordering::Relaxed), Ordering::Release);
+                    tower::next(preds[l], l).store(
+                        tower::next(victim, l).load(Ordering::Relaxed),
+                        Ordering::Release,
+                    );
                 }
                 // Read under the victim's lock: serialized against the
                 // in-place swaps of `ConcurrentMap::put`.
@@ -320,7 +330,7 @@ impl ConcurrentSet for HerlihySkipList {
                 (*victim).lock.unlock();
                 Self::unlock_preds(&preds, top_level);
                 // SAFETY: fully unlinked; sole deleter (we won the marking).
-                reclaim::with_local(|h| self.pool.retire(victim, h));
+                self.pool.retire(victim);
                 return Some(val);
             }
         }
@@ -331,14 +341,14 @@ impl ConcurrentSet for HerlihySkipList {
         // SAFETY: grace period; walk level 0.
         unsafe {
             let mut n = 0;
-            let mut cur = (*self.head).next[0].load(Ordering::Acquire);
+            let mut cur = tower::next(self.head, 0).load(Ordering::Acquire);
             while (*cur).key != TAIL_KEY {
                 if !(*cur).marked.load(Ordering::Relaxed)
                     && (*cur).fully_linked.load(Ordering::Relaxed)
                 {
                     n += 1;
                 }
-                cur = (*cur).next[0].load(Ordering::Acquire);
+                cur = tower::next(cur, 0).load(Ordering::Acquire);
             }
             n
         }
@@ -431,11 +441,11 @@ impl OrderedMap for HerlihySkipList {
                 // Descend to the predecessor of `from`.
                 let mut pred = self.head;
                 for l in (0..MAX_LEVEL).rev() {
-                    let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                    let mut cur = tower::next(pred, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                     while (*cur).key < from {
                         pred = cur;
-                        cur = (*cur).next[l].load(Ordering::Acquire);
+                        cur = tower::next(cur, l).load(Ordering::Acquire);
                         synchro::prefetch::read(cur);
                     }
                 }
@@ -452,7 +462,7 @@ impl OrderedMap for HerlihySkipList {
                         bo.backoff();
                         continue 'restart;
                     }
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = tower::next(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         (*pred).lock.unlock();
@@ -472,7 +482,7 @@ impl OrderedMap for HerlihySkipList {
                 }
                 // Optimistic level-0 walk.
                 loop {
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = tower::next(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         return;
@@ -484,7 +494,7 @@ impl OrderedMap for HerlihySkipList {
                     // still be intact, or the fields above may belong to
                     // a node that was never `cur`'s successor state.
                     if (*pred).marked.load(Ordering::Acquire)
-                        || (*pred).next[0].load(Ordering::Acquire) != cur
+                        || tower::next(pred, 0).load(Ordering::Acquire) != cur
                     {
                         fails += 1;
                         bo.backoff();
@@ -547,14 +557,14 @@ mod tests {
         // Level-0 walk sees everything in order.
         // SAFETY: single-threaded.
         unsafe {
-            let mut cur = (*s.head).next[0].load(Ordering::Relaxed);
+            let mut cur = tower::next(s.head, 0).load(Ordering::Relaxed);
             let mut prev = 0u64;
             let mut count = 0;
             while (*cur).key != TAIL_KEY {
                 assert!((*cur).key > prev);
                 prev = (*cur).key;
                 count += 1;
-                cur = (*cur).next[0].load(Ordering::Relaxed);
+                cur = tower::next(cur, 0).load(Ordering::Relaxed);
             }
             assert_eq!(count, 500);
         }

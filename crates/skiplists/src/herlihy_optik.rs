@@ -13,30 +13,29 @@
 //! aborting ones use `revert`, so versions track modifications exactly.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use optik::{OptikLock, OptikVersioned, Version};
-use reclaim::NodePool;
 use synchro::Backoff;
 
 use crate::level::{random_level, MAX_LEVEL};
+use crate::tower::{self, Header, Towers};
 use crate::{
     assert_user_key, clamp_hi, ConcurrentMap, ConcurrentSet, Key, OrderedMap, Val, HEAD_KEY,
     RANGE_OPTIMISTIC_ATTEMPTS, TAIL_KEY,
 };
 
+/// Node header (32 bytes); the tower follows it in the slot (see
+/// [`crate::tower`]).
+#[repr(C)]
 pub(crate) struct Node {
     key: Key,
     /// In-place-updatable binding: swapped under this node's OPTIK lock,
     /// read lock-free.
     val: AtomicU64,
-    top_level: usize,
     lock: OptikVersioned,
+    top_level: u8,
     marked: AtomicBool,
     fully_linked: AtomicBool,
-    /// Inline fixed-height tower (only `0..=top_level` is used): keeps the
-    /// node free of drop glue so it can live in a type-stable pool slot.
-    next: [AtomicPtr<Node>; MAX_LEVEL],
 }
 
 impl Node {
@@ -44,23 +43,33 @@ impl Node {
         Node {
             key,
             val: AtomicU64::new(val),
-            top_level,
             lock: OptikVersioned::new(),
+            top_level: top_level as u8,
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(linked),
-            next: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
         }
     }
 }
 
+impl Header for Node {
+    type Link = AtomicPtr<Node>;
+
+    #[inline]
+    fn top_level(&self) -> usize {
+        self.top_level as usize
+    }
+}
+
+const SMALL: usize = tower::small_levels::<Node>();
+
 /// Herlihy's skip list with OPTIK-validated predecessor locking.
 pub struct HerlihyOptikSkipList {
     head: *mut Node,
-    /// Type-stable node pool. Deleters bump their victim's version before
-    /// retiring it, and no version read survives across operations, so
-    /// recycled slots (fresh lock included) are plainly re-initialized
-    /// after their grace period.
-    pool: Arc<NodePool<Node>>,
+    /// Type-stable node pools (one per tower class). Deleters bump their
+    /// victim's version before retiring it, and no version read survives
+    /// across operations, so recycled slots (fresh lock included) are
+    /// plainly re-initialized after their grace period.
+    pool: Towers<Node, SMALL>,
 }
 
 // SAFETY: per-node OPTIK locks serialize updates; searches read atomic
@@ -68,30 +77,34 @@ pub struct HerlihyOptikSkipList {
 unsafe impl Send for HerlihyOptikSkipList {}
 unsafe impl Sync for HerlihyOptikSkipList {}
 
-/// Bookkeeping for the set of currently-held predecessor locks.
+/// Bookkeeping for the set of currently-held predecessor locks (on the
+/// stack: an update holds at most one lock per level).
 struct HeldPreds {
     /// Distinct locked nodes in acquisition order, with whether each was
-    /// modified (decides unlock-vs-revert on release).
-    nodes: Vec<(*mut Node, bool)>,
+    /// modified (decides unlock-vs-revert on release); `..len` is live.
+    nodes: [(*mut Node, bool); MAX_LEVEL],
+    len: usize,
 }
 
 impl HeldPreds {
     fn new() -> Self {
         Self {
-            nodes: Vec::with_capacity(MAX_LEVEL),
+            nodes: [(std::ptr::null_mut(), false); MAX_LEVEL],
+            len: 0,
         }
     }
 
     fn holds(&self, p: *mut Node) -> bool {
-        self.nodes.iter().any(|&(n, _)| n == p)
+        self.nodes[..self.len].iter().any(|&(n, _)| n == p)
     }
 
     fn push(&mut self, p: *mut Node) {
-        self.nodes.push((p, false));
+        self.nodes[self.len] = (p, false);
+        self.len += 1;
     }
 
     fn mark_modified(&mut self, p: *mut Node) {
-        if let Some(e) = self.nodes.iter_mut().find(|(n, _)| *n == p) {
+        if let Some(e) = self.nodes[..self.len].iter_mut().find(|(n, _)| *n == p) {
             e.1 = true;
         }
     }
@@ -102,7 +115,7 @@ impl HeldPreds {
     ///
     /// All recorded nodes must be locked by the caller and alive.
     unsafe fn release_all(&mut self) {
-        for &(p, modified) in &self.nodes {
+        for &(p, modified) in &self.nodes[..self.len] {
             // SAFETY: per contract.
             unsafe {
                 if modified {
@@ -112,28 +125,28 @@ impl HeldPreds {
                 }
             }
         }
-        self.nodes.clear();
+        self.len = 0;
     }
 }
 
 impl HerlihyOptikSkipList {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        Self::from_pool(NodePool::new())
+        Self::from_pool(Towers::new())
     }
 
     /// Creates an empty skip list with an arena-backed node pool.
     pub fn new_arena() -> Self {
-        Self::from_pool(NodePool::arena())
+        Self::from_pool(Towers::new_arena())
     }
 
-    fn from_pool(pool: Arc<NodePool<Node>>) -> Self {
-        let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
-        let head = pool.alloc_init(|| Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
+    fn from_pool(pool: Towers<Node, SMALL>) -> Self {
+        let tail = pool.alloc(Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
+        let head = pool.alloc(Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
         // SAFETY: fresh nodes.
         unsafe {
             for l in 0..MAX_LEVEL {
-                (*head).next[l].store(tail, Ordering::Relaxed);
+                tower::next(head, l).store(tail, Ordering::Relaxed);
             }
         }
         Self { head, pool }
@@ -170,12 +183,12 @@ impl HerlihyOptikSkipList {
             let mut pred = self.head;
             let mut predv = (*pred).lock.get_version();
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = tower::next(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
                     predv = (*pred).lock.get_version();
-                    cur = (*pred).next[l].load(Ordering::Acquire);
+                    cur = tower::next(pred, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if lfound.is_none() && (*cur).key == key {
@@ -252,11 +265,11 @@ impl ConcurrentSet for HerlihyOptikSkipList {
             let mut pred = self.head;
             let mut found: *mut Node = std::ptr::null_mut();
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = tower::next(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
-                    cur = (*cur).next[l].load(Ordering::Acquire);
+                    cur = tower::next(cur, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if (*cur).key == key {
@@ -299,7 +312,7 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                     let succ = succs[l];
                     valid = Self::lock_and_validate(&mut held, preds[l], predvs[l], l, |p, l| {
                         !(*succ).marked.load(Ordering::Acquire)
-                            && (*p).next[l].load(Ordering::Acquire) == succ
+                            && tower::next(p, l).load(Ordering::Acquire) == succ
                     });
                     if !valid {
                         break;
@@ -310,14 +323,12 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                     bo.backoff();
                     continue;
                 }
-                let newnode = self
-                    .pool
-                    .alloc_init(|| Node::make(key, val, top_level, false));
+                let newnode = self.pool.alloc(Node::make(key, val, top_level, false));
                 for l in 0..=top_level {
-                    (*newnode).next[l].store(succs[l], Ordering::Relaxed);
+                    tower::next(newnode, l).store(succs[l], Ordering::Relaxed);
                 }
                 for l in 0..=top_level {
-                    (*preds[l]).next[l].store(newnode, Ordering::Release);
+                    tower::next(preds[l], l).store(newnode, Ordering::Release);
                     held.mark_modified(preds[l]);
                 }
                 (*newnode).fully_linked.store(true, Ordering::Release);
@@ -346,7 +357,7 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                         Some(lf) => {
                             let c = succs[lf];
                             (*c).fully_linked.load(Ordering::Acquire)
-                                && (*c).top_level == lf
+                                && (*c).top_level() == lf
                                 && !(*c).marked.load(Ordering::Acquire)
                         }
                         None => false,
@@ -356,7 +367,7 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                 }
                 if !is_marked {
                     victim = succs[lf.expect("found")];
-                    top_level = (*victim).top_level;
+                    top_level = (*victim).top_level();
                     (*victim).lock.lock();
                     if (*victim).marked.load(Ordering::Acquire) {
                         // Not modified by us: revert.
@@ -370,7 +381,7 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                 let mut valid = true;
                 for l in 0..=top_level {
                     valid = Self::lock_and_validate(&mut held, preds[l], predvs[l], l, |p, l| {
-                        (*p).next[l].load(Ordering::Acquire) == victim
+                        tower::next(p, l).load(Ordering::Acquire) == victim
                     });
                     if !valid {
                         break;
@@ -382,8 +393,10 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                     continue;
                 }
                 for l in (0..=top_level).rev() {
-                    (*preds[l]).next[l]
-                        .store((*victim).next[l].load(Ordering::Relaxed), Ordering::Release);
+                    tower::next(preds[l], l).store(
+                        tower::next(victim, l).load(Ordering::Relaxed),
+                        Ordering::Release,
+                    );
                     held.mark_modified(preds[l]);
                 }
                 // Read under the victim's lock: serialized against the
@@ -393,7 +406,7 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                 (*victim).lock.unlock();
                 held.release_all();
                 // SAFETY: fully unlinked; sole deleter.
-                reclaim::with_local(|h| self.pool.retire(victim, h));
+                self.pool.retire(victim);
                 return Some(val);
             }
         }
@@ -404,14 +417,14 @@ impl ConcurrentSet for HerlihyOptikSkipList {
         // SAFETY: grace period.
         unsafe {
             let mut n = 0;
-            let mut cur = (*self.head).next[0].load(Ordering::Acquire);
+            let mut cur = tower::next(self.head, 0).load(Ordering::Acquire);
             while (*cur).key != TAIL_KEY {
                 if !(*cur).marked.load(Ordering::Relaxed)
                     && (*cur).fully_linked.load(Ordering::Relaxed)
                 {
                     n += 1;
                 }
-                cur = (*cur).next[0].load(Ordering::Acquire);
+                cur = tower::next(cur, 0).load(Ordering::Acquire);
             }
             n
         }
@@ -502,12 +515,12 @@ impl OrderedMap for HerlihyOptikSkipList {
                 let mut pred = self.head;
                 let mut predv = (*pred).lock.get_version();
                 for l in (0..MAX_LEVEL).rev() {
-                    let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                    let mut cur = tower::next(pred, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                     while (*cur).key < from {
                         pred = cur;
                         predv = (*pred).lock.get_version();
-                        cur = (*pred).next[l].load(Ordering::Acquire);
+                        cur = tower::next(pred, l).load(Ordering::Acquire);
                         synchro::prefetch::read(cur);
                     }
                 }
@@ -524,7 +537,7 @@ impl OrderedMap for HerlihyOptikSkipList {
                         bo.backoff();
                         continue 'restart;
                     }
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = tower::next(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         (*pred).lock.revert();
@@ -543,7 +556,7 @@ impl OrderedMap for HerlihyOptikSkipList {
                     continue 'restart;
                 }
                 loop {
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = tower::next(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         return;

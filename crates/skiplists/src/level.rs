@@ -5,8 +5,11 @@ use std::cell::Cell;
 
 /// Number of levels in every skip list (towers use `1..=MAX_LEVEL`).
 ///
-/// With p = 1/2 geometric heights, 24 levels comfortably cover the paper's
-/// largest structure (65536 elements).
+/// With p = 1/2 geometric heights a list of n elements uses about
+/// log2(n) levels, so 24 leaves headroom up to ~2^24 elements: the paper's
+/// largest structure holds 2^16, the `ordered_scan_mixed` benchmark 2^17
+/// (2^14 per partition). Only the two sentinels and the towers taller than
+/// the one-line class pay for all 24 slots (see `tower.rs`).
 pub const MAX_LEVEL: usize = 24;
 
 #[cfg(not(optik_explore))]

@@ -27,6 +27,7 @@ mod herlihy;
 mod herlihy_optik;
 mod level;
 mod optik_sl;
+mod tower;
 
 pub use fraser::FraserSkipList;
 pub use herlihy::HerlihySkipList;
@@ -66,14 +67,30 @@ mod cross_tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Every list, on boxed-chunk pools (`new`) and arena pools
+    /// (`new_arena`), as trait objects of the caller's choosing.
+    macro_rules! every_list {
+        () => {
+            vec![
+                ("herlihy", Arc::new(HerlihySkipList::new())),
+                ("herl-optik", Arc::new(HerlihyOptikSkipList::new())),
+                ("optik1", Arc::new(OptikSkipList1::new())),
+                ("optik2", Arc::new(OptikSkipList2::new())),
+                ("fraser", Arc::new(FraserSkipList::new())),
+                ("herlihy/arena", Arc::new(HerlihySkipList::new_arena())),
+                (
+                    "herl-optik/arena",
+                    Arc::new(HerlihyOptikSkipList::new_arena()),
+                ),
+                ("optik1/arena", Arc::new(OptikSkipList1::new_arena())),
+                ("optik2/arena", Arc::new(OptikSkipList2::new_arena())),
+                ("fraser/arena", Arc::new(FraserSkipList::new_arena())),
+            ]
+        };
+    }
+
     fn implementations() -> Vec<(&'static str, Arc<dyn ConcurrentSet>)> {
-        vec![
-            ("herlihy", Arc::new(HerlihySkipList::new())),
-            ("herl-optik", Arc::new(HerlihyOptikSkipList::new())),
-            ("optik1", Arc::new(OptikSkipList1::new())),
-            ("optik2", Arc::new(OptikSkipList2::new())),
-            ("fraser", Arc::new(FraserSkipList::new())),
-        ]
+        every_list!()
     }
 
     #[test]
@@ -176,13 +193,7 @@ mod cross_tests {
     }
 
     fn ordered_implementations() -> Vec<(&'static str, Arc<dyn OrderedMap>)> {
-        vec![
-            ("herlihy", Arc::new(HerlihySkipList::new())),
-            ("herl-optik", Arc::new(HerlihyOptikSkipList::new())),
-            ("optik1", Arc::new(OptikSkipList1::new())),
-            ("optik2", Arc::new(OptikSkipList2::new())),
-            ("fraser", Arc::new(FraserSkipList::new())),
-        ]
+        every_list!()
     }
 
     #[test]
@@ -230,6 +241,44 @@ mod cross_tests {
             let mut each = Vec::new();
             m.for_each(&mut |k, v| each.push((k, v)));
             assert_eq!(each, want, "{name} for_each");
+        }
+    }
+
+    /// 2^15 resident keys put about 2048 towers above the one-line class
+    /// (height 5+), so puts, removes and range walks cross between small
+    /// and tall nodes, and removed slots of both classes are recycled.
+    #[test]
+    fn large_map_matches_btreemap_across_tower_classes() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const RESIDENT: u64 = 1 << 15;
+        const KEYS: u64 = 1 << 16;
+        for (name, m) in ordered_implementations() {
+            let mut rng = StdRng::seed_from_u64(0x70E5);
+            let mut model = std::collections::BTreeMap::new();
+            while (model.len() as u64) < RESIDENT {
+                let k = rng.gen_range(1..=KEYS);
+                assert_eq!(m.put(k, k * 3), model.insert(k, k * 3), "{name} fill {k}");
+            }
+            // A quarter of the fill: fraser's identity-based unlink walks
+            // level 0 from the head, so its removes are O(n) here.
+            for i in 0..RESIDENT / 4 {
+                let k = rng.gen_range(1..=KEYS);
+                if rng.gen_range(0..2) == 0 {
+                    assert_eq!(m.put(k, k + i), model.insert(k, k + i), "{name} put {k}");
+                } else {
+                    assert_eq!(m.remove(k), model.remove(&k), "{name} remove {k}");
+                }
+                if i % 64 == 0 {
+                    let lo = rng.gen_range(1..=KEYS);
+                    let hi = lo + rng.gen_range(0..512u64);
+                    let want: Vec<(u64, u64)> =
+                        model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
+                    assert_eq!(m.range_collect(lo, hi), want, "{name} range [{lo}, {hi}]");
+                }
+            }
+            let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(m.range_collect(1, u64::MAX - 1), want, "{name} full range");
+            assert_eq!(ConcurrentMap::len(m.as_ref()), model.len(), "{name} len");
         }
     }
 

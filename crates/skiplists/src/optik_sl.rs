@@ -23,30 +23,29 @@
 //!   simpler, and the faster of the two under skew in the paper.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use optik::{OptikLock, OptikVersioned, Version};
-use reclaim::NodePool;
 use synchro::Backoff;
 
 use crate::level::{random_level, MAX_LEVEL};
+use crate::tower::{self, Header, Towers};
 use crate::{
     assert_user_key, clamp_hi, ConcurrentMap, ConcurrentSet, Key, OrderedMap, Val, HEAD_KEY,
     RANGE_OPTIMISTIC_ATTEMPTS, TAIL_KEY,
 };
 
+/// Node header (32 bytes); the tower follows it in the slot (see
+/// [`crate::tower`]).
+#[repr(C)]
 pub(crate) struct Node {
     key: Key,
     /// In-place-updatable binding: swapped while holding this node's OPTIK
     /// lock, read lock-free.
     val: AtomicU64,
-    top_level: usize,
     lock: OptikVersioned,
+    top_level: u8,
     marked: AtomicBool,
     fully_linked: AtomicBool,
-    /// Inline fixed-height tower (only `0..=top_level` is used): keeps the
-    /// node free of drop glue so it can live in a type-stable pool slot.
-    next: [AtomicPtr<Node>; MAX_LEVEL],
 }
 
 impl Node {
@@ -54,25 +53,35 @@ impl Node {
         Node {
             key,
             val: AtomicU64::new(val),
-            top_level,
             lock: OptikVersioned::new(),
+            top_level: top_level as u8,
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(linked),
-            next: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
         }
     }
 }
+
+impl Header for Node {
+    type Link = AtomicPtr<Node>;
+
+    #[inline]
+    fn top_level(&self) -> usize {
+        self.top_level as usize
+    }
+}
+
+const SMALL: usize = tower::small_levels::<Node>();
 
 /// Shared implementation; `FINE` selects the optik1 (fine re-validation)
 /// or optik2 (immediate restart) behaviour.
 pub struct OptikSkipList<const FINE: bool> {
     head: *mut Node,
-    /// Type-stable node pool. A deleted victim's lock is held *forever*,
-    /// but no validation spans operations (versions are read on arrival
-    /// within the op), so after a grace period nobody can still validate
-    /// against it and the slot — fresh, unlocked lock included — is
-    /// plainly re-initialized.
-    pool: Arc<NodePool<Node>>,
+    /// Type-stable node pools (one per tower class). A deleted victim's
+    /// lock is held *forever*, but no validation spans operations
+    /// (versions are read on arrival within the op), so after a grace
+    /// period nobody can still validate against it and the slot — fresh,
+    /// unlocked lock included — is plainly re-initialized.
+    pool: Towers<Node, SMALL>,
 }
 
 /// The *optik1* variant: fine-grained re-validation on version failure.
@@ -88,21 +97,21 @@ unsafe impl<const FINE: bool> Sync for OptikSkipList<FINE> {}
 impl<const FINE: bool> OptikSkipList<FINE> {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        Self::from_pool(NodePool::new())
+        Self::from_pool(Towers::new())
     }
 
     /// Creates an empty skip list with an arena-backed node pool.
     pub fn new_arena() -> Self {
-        Self::from_pool(NodePool::arena())
+        Self::from_pool(Towers::new_arena())
     }
 
-    fn from_pool(pool: Arc<NodePool<Node>>) -> Self {
-        let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
-        let head = pool.alloc_init(|| Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
+    fn from_pool(pool: Towers<Node, SMALL>) -> Self {
+        let tail = pool.alloc(Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
+        let head = pool.alloc(Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
         // SAFETY: fresh nodes.
         unsafe {
             for l in 0..MAX_LEVEL {
-                (*head).next[l].store(tail, Ordering::Relaxed);
+                tower::next(head, l).store(tail, Ordering::Relaxed);
             }
         }
         Self { head, pool }
@@ -138,12 +147,12 @@ impl<const FINE: bool> OptikSkipList<FINE> {
             let mut pred = self.head;
             let mut predv = (*pred).lock.get_version();
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = tower::next(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
                     predv = (*pred).lock.get_version();
-                    cur = (*pred).next[l].load(Ordering::Acquire);
+                    cur = tower::next(pred, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if lfound.is_none() && (*cur).key == key {
@@ -205,7 +214,7 @@ impl<const FINE: bool> OptikSkipList<FINE> {
             }
             let ok = !(*pred).marked.load(Ordering::Acquire)
                 && !(*succ).marked.load(Ordering::Acquire)
-                && (*pred).next[level].load(Ordering::Acquire) == succ;
+                && tower::next(pred, level).load(Ordering::Acquire) == succ;
             if ok {
                 return true;
             }
@@ -230,11 +239,11 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
             let mut pred = self.head;
             let mut found: *mut Node = std::ptr::null_mut();
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = tower::next(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
-                    cur = (*cur).next[l].load(Ordering::Acquire);
+                    cur = tower::next(cur, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if (*cur).key == key {
@@ -284,9 +293,7 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
                         continue;
                     }
                     if node.is_null() {
-                        node = self
-                            .pool
-                            .alloc_init(|| Node::make(key, val, top_level, false));
+                        node = self.pool.alloc(Node::make(key, val, top_level, false));
                     }
                 }
                 // Link level by level, eagerly.
@@ -297,12 +304,12 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
                     let succ = succs[l];
                     // Prepare the node's own pointer first; level `l` is
                     // not yet reachable, so a plain store is fine.
-                    (*node).next[l].store(succ, Ordering::Relaxed);
+                    tower::next(node, l).store(succ, Ordering::Relaxed);
                     if !Self::acquire_level(pred, predvs[l], succ, l) {
                         progressed = false;
                         break;
                     }
-                    (*pred).next[l].store(node, Ordering::Release);
+                    tower::next(pred, l).store(node, Ordering::Release);
                     (*pred).lock.unlock();
                     l += 1;
                     start_level = l;
@@ -343,7 +350,7 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
                     // checks, so claiming validates them.
                     let candv = (*cand).lock.get_version();
                     if !(*cand).fully_linked.load(Ordering::Acquire)
-                        || (*cand).top_level != lf
+                        || (*cand).top_level() != lf
                         || (*cand).marked.load(Ordering::Acquire)
                     {
                         return None;
@@ -356,18 +363,19 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
                     }
                     (*cand).marked.store(true, Ordering::Release);
                     victim = cand;
-                    top_level = (*victim).top_level;
+                    top_level = (*victim).top_level();
                     claimed = true;
                     // Re-parse so preds reflect the claimed victim.
                     continue;
                 }
                 // Acquire every distinct predecessor (bottom-up), each with
                 // the version of its *highest* (earliest-read) level.
-                let mut acquired: Vec<*mut Node> = Vec::with_capacity(top_level + 1);
+                let mut acquired = [std::ptr::null_mut::<Node>(); MAX_LEVEL];
+                let mut held = 0usize;
                 let mut valid = true;
                 for l in 0..=top_level {
                     let pred = preds[l];
-                    if acquired.contains(&pred) {
+                    if acquired[..held].contains(&pred) {
                         // Same pred covers this level; version validated at
                         // its first-seen (higher) level... levels are
                         // scanned bottom-up here, so validate equality.
@@ -387,10 +395,11 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
                         valid = false;
                         break;
                     }
-                    acquired.push(pred);
+                    acquired[held] = pred;
+                    held += 1;
                 }
                 if !valid {
-                    for p in acquired {
+                    for &p in &acquired[..held] {
                         (*p).lock.revert();
                     }
                     bo.backoff();
@@ -399,10 +408,12 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
                 // Unlink top-down under all pred locks; the victim's own
                 // next pointers are frozen (its lock is held by us).
                 for l in (0..=top_level).rev() {
-                    (*preds[l]).next[l]
-                        .store((*victim).next[l].load(Ordering::Relaxed), Ordering::Release);
+                    tower::next(preds[l], l).store(
+                        tower::next(victim, l).load(Ordering::Relaxed),
+                        Ordering::Release,
+                    );
                 }
-                for p in acquired {
+                for &p in &acquired[..held] {
                     (*p).lock.unlock();
                 }
                 // Read while holding the victim's lock (claimed forever):
@@ -411,7 +422,7 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
                 let val = (*victim).val.load(Ordering::Relaxed);
                 // The victim's lock is never released ("locked forever").
                 // SAFETY: fully unlinked; sole claimer retires.
-                reclaim::with_local(|h| self.pool.retire(victim, h));
+                self.pool.retire(victim);
                 return Some(val);
             }
         }
@@ -422,14 +433,14 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
         // SAFETY: grace period.
         unsafe {
             let mut n = 0;
-            let mut cur = (*self.head).next[0].load(Ordering::Acquire);
+            let mut cur = tower::next(self.head, 0).load(Ordering::Acquire);
             while (*cur).key != TAIL_KEY {
                 if !(*cur).marked.load(Ordering::Relaxed)
                     && (*cur).fully_linked.load(Ordering::Relaxed)
                 {
                     n += 1;
                 }
-                cur = (*cur).next[0].load(Ordering::Acquire);
+                cur = tower::next(cur, 0).load(Ordering::Acquire);
             }
             n
         }
@@ -523,12 +534,12 @@ impl<const FINE: bool> OrderedMap for OptikSkipList<FINE> {
                 let mut pred = self.head;
                 let mut predv = (*pred).lock.get_version();
                 for l in (0..MAX_LEVEL).rev() {
-                    let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                    let mut cur = tower::next(pred, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                     while (*cur).key < from {
                         pred = cur;
                         predv = (*pred).lock.get_version();
-                        cur = (*pred).next[l].load(Ordering::Acquire);
+                        cur = tower::next(pred, l).load(Ordering::Acquire);
                         synchro::prefetch::read(cur);
                     }
                 }
@@ -551,7 +562,7 @@ impl<const FINE: bool> OrderedMap for OptikSkipList<FINE> {
                         bo.backoff();
                         continue 'restart;
                     }
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = tower::next(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         (*pred).lock.revert();
@@ -573,7 +584,7 @@ impl<const FINE: bool> OrderedMap for OptikSkipList<FINE> {
                     continue 'restart;
                 }
                 loop {
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = tower::next(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         return;
@@ -631,7 +642,7 @@ mod tests {
         let s = OptikSkipList2::new();
         assert!(s.insert(7, 70));
         // Grab the node before deletion.
-        let node = unsafe { (*s.head).next[0].load(Ordering::Relaxed) };
+        let node = unsafe { tower::next(s.head, 0).load(Ordering::Relaxed) };
         assert_eq!(s.delete(7), Some(70));
         // SAFETY: we have not quiesced since the retire.
         let v = unsafe { (*node).lock.get_version() };

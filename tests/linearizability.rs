@@ -26,7 +26,7 @@ use optik_bench::scenarios;
 use optik_suite::harness::api::{ConcurrentMap, Key, OrderedMap, Val};
 use optik_suite::harness::linearize::{
     check, check_history, FifoSpec, HistoryRecorder, LifoSpec, MapOp, MapSpec, QueueOp,
-    RangeMapSpec, RangeOp, Recorder, SetOp, StackOp, TtlMapSpec, TtlOp, RANGE_KEYS,
+    RangeMapSpec, RangeOp, Recorder, SetOp, StackOp, Timed, TtlMapSpec, TtlOp, RANGE_KEYS,
 };
 use optik_suite::harness::scenario::Subject;
 use optik_suite::harness::{ConcurrentQueue, ConcurrentSet, ConcurrentStack};
@@ -53,6 +53,48 @@ impl ConcurrentMap for OrderedAsMap {
     fn for_each(&self, f: &mut dyn FnMut(Key, Val)) {
         self.0.for_each(f)
     }
+}
+
+/// Fails the test on a non-linearizable verdict — after writing what a
+/// diagnosis needs to a file under the test target's tmp dir: the active
+/// `STRESS_SEED`, the subject, the round and the full recorded history
+/// (one timed op per line, sorted by invocation). The panic message names
+/// the file and the seed.
+fn require_linearizable<O: std::fmt::Debug + Copy>(
+    linearizable: bool,
+    name: &str,
+    kind: &str,
+    round: usize,
+    history: &[Timed<O>],
+) {
+    if linearizable {
+        return;
+    }
+    let seed = synchro::stress::seed();
+    let mut ops = history.to_vec();
+    ops.sort_by_key(|o| o.invoke);
+    let mut dump = format!(
+        "STRESS_SEED={seed:#x}\nsubject: {name}\nverdict: non-linearizable {kind} history\n\
+         round: {round}\nops: {}\n",
+        ops.len()
+    );
+    for o in &ops {
+        use std::fmt::Write;
+        let _ = writeln!(dump, "{} {} {:?}", o.invoke, o.response, o.op);
+    }
+    let file = format!(
+        "linearizability-{}-round{round}.txt",
+        name.replace(|c: char| !c.is_ascii_alphanumeric(), "_")
+    );
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+    let saved = match std::fs::write(&path, &dump) {
+        Ok(()) => format!("history saved to {}", path.display()),
+        Err(e) => format!("history could not be saved ({e}):\n{dump}"),
+    };
+    panic!(
+        "{name}: non-linearizable {kind} history (round {round}); \
+         STRESS_SEED={seed:#x}; {saved}"
+    );
 }
 
 /// Single-key set history: 4 threads × 12 ops on one key (48 ops keeps the
@@ -91,9 +133,12 @@ fn check_set_rounds(
             }
         });
         let history = all.lock().unwrap().clone();
-        assert!(
+        require_linearizable(
             check_history(&history, false),
-            "{name}: non-linearizable single-key history (round {round})"
+            name,
+            "single-key",
+            round,
+            &history,
         );
     }
 }
@@ -134,10 +179,7 @@ fn check_queue_rounds(
             }
         });
         let history = all.lock().unwrap().clone();
-        assert!(
-            check(&FifoSpec, &history),
-            "{name}: non-linearizable FIFO history (round {round})"
-        );
+        require_linearizable(check(&FifoSpec, &history), name, "FIFO", round, &history);
     }
 }
 
@@ -176,10 +218,7 @@ fn check_stack_rounds(
             }
         });
         let history = all.lock().unwrap().clone();
-        assert!(
-            check(&LifoSpec, &history),
-            "{name}: non-linearizable LIFO history (round {round})"
-        );
+        require_linearizable(check(&LifoSpec, &history), name, "LIFO", round, &history);
     }
 }
 
@@ -224,9 +263,12 @@ fn check_map_rounds(
             }
         });
         let history = all.lock().unwrap().clone();
-        assert!(
+        require_linearizable(
             check(&MapSpec::default(), &history),
-            "{name}: non-linearizable single-key map history (round {round})"
+            name,
+            "single-key map",
+            round,
+            &history,
         );
     }
 }
@@ -299,9 +341,12 @@ fn check_range_rounds(
             }
         });
         let history = all.lock().unwrap().clone();
-        assert!(
+        require_linearizable(
             check(&RangeMapSpec::default(), &history),
-            "{name}: non-linearizable range-observing history (round {round})"
+            name,
+            "range-observing",
+            round,
+            &history,
         );
     }
 }
@@ -442,9 +487,12 @@ fn check_ttl_rounds<B: ConcurrentMap + 'static>(
             }
         });
         let history = all.lock().unwrap().clone();
-        assert!(
+        require_linearizable(
             check(&TtlMapSpec::default(), &history),
-            "{name}: non-linearizable TTL history (round {round})"
+            name,
+            "TTL",
+            round,
+            &history,
         );
     }
 }
@@ -542,9 +590,12 @@ fn check_rebalance_rounds(rounds: usize, shifts_per_round: u64) {
             rebalancer.join().unwrap();
         });
         let history = all.lock().unwrap().clone();
-        assert!(
+        require_linearizable(
             check(&MapSpec::default(), &history),
-            "kv/rebalance: non-linearizable history across migrations (round {round})"
+            "kv/rebalance",
+            "across-migration",
+            round,
+            &history,
         );
     }
 }
@@ -630,9 +681,12 @@ fn check_multiget_rebalance_rounds(rounds: usize, shifts_per_round: u64) {
             rebalancer.join().unwrap();
         });
         let history = all.lock().unwrap().clone();
-        assert!(
+        require_linearizable(
             check(&RangeMapSpec::default(), &history),
-            "kv/multiget-rebalance: non-linearizable grouped multi_get history (round {round})"
+            "kv/multiget-rebalance",
+            "grouped multi_get",
+            round,
+            &history,
         );
     }
 }
