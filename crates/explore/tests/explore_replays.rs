@@ -13,6 +13,8 @@
 //! the ignored `print_fresh_pin_candidates` generator and paste the new
 //! token — the failure message of `replay` says which invariant moved.
 
+mod qsbr_model;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use optik_explore::traced::{yield_now, TracedU64};
@@ -187,6 +189,30 @@ fn print_fresh_pin_candidates() {
         let out = run_counter(trial);
         println!("outcome={out} token={}", trial.token());
     });
+}
+
+/// The QSBR pin: the schedule on which a reader that announces *before*
+/// its last use loses its node (model and families in `qsbr_model/` and
+/// `explore_qsbr.rs`). The reader finds the node; the writer unlinks,
+/// seals, announces and starts polling; the reader loads the new epoch
+/// and announces it; the writer sees the grace period over and reuses the
+/// memory; the reader's use reads the poison. Statically pinned: if the
+/// model's trap sequence moves, or the protocol changes so that this
+/// interleaving no longer frees under the early announcer, the replay
+/// says so.
+#[test]
+fn qsbr_early_announcement_schedule_replays() {
+    let token: Token = "x1.3.0011111111110011110.0429297a"
+        .parse()
+        .expect("pinned token must parse");
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        replay(cfg(), &token, |trial| {
+            qsbr_model::run(trial, qsbr_model::Reader::AnnouncesBeforeLastUse);
+        });
+    }))
+    .expect_err("the pinned schedule reuses the node under the reader");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("use after free"), "failed differently: {msg}");
 }
 
 /// The pool-level pin: a magazine⇄depot exchange schedule over the real

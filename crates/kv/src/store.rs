@@ -159,7 +159,11 @@ pub(crate) struct Shard<B> {
     /// On TTL stores the same version covers the companion `deadlines`
     /// table, so a validated read can never pair a fresh value with a
     /// stale deadline.
-    pub(crate) lock: OptikVersioned,
+    ///
+    /// On its own lines: every writer CASes this word twice, and the
+    /// `map`/`deadlines` headers below are what every lock-free `get`
+    /// dereferences — they must stay in readers' caches across writes.
+    pub(crate) lock: CachePadded<OptikVersioned>,
     pub(crate) map: B,
     /// Companion deadline table (`key → absolute expiry tick`), present
     /// exactly when the store was built with a clock. Same backend type
@@ -189,6 +193,15 @@ pub(crate) struct Shard<B> {
     /// stores, contention past [`ENGAGE_LEVEL`]); the plain write path
     /// never touches it beyond one `pending()` head read.
     pub(crate) combine: PubList<CombineOp, Option<Val>>,
+}
+
+impl<B> Shard<B> {
+    /// The lock word shares no 128-byte block with the backend headers.
+    const LAYOUT: () = {
+        let lock = std::mem::offset_of!(Self, lock) / 128;
+        assert!(std::mem::offset_of!(Self, map) / 128 != lock);
+        assert!(std::mem::offset_of!(Self, deadlines) / 128 != lock);
+    };
 }
 
 impl<B: ConcurrentMap> Shard<B> {
@@ -364,11 +377,12 @@ impl<B: ConcurrentMap> KvStore<B> {
         let shards = policy.num_shards();
         assert!(shards > 0, "need at least one shard");
         let dynamic = policy.is_dynamic();
+        let () = Shard::<B>::LAYOUT;
         Self {
             shards: (0..shards)
                 .map(|i| {
                     CachePadded::new(Shard {
-                        lock: OptikVersioned::new(),
+                        lock: CachePadded::new(OptikVersioned::new()),
                         map: make(i),
                         deadlines: clock.is_some().then(|| make(i)),
                         ops: CachePadded::new(AtomicU64::new(0)),

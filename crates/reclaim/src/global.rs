@@ -3,7 +3,10 @@
 //! Data-structure crates use these helpers so their public APIs need no
 //! explicit guard/handle arguments: every operation runs inside
 //! [`with_local`], and the benchmark loops (like the paper's) announce
-//! quiescence once per iteration via [`quiescent`].
+//! quiescence once per iteration via [`quiescent`]. An announcement is a
+//! load of the domain's grace-period counter and a compare with the
+//! thread's cached copy; the thread's own word is stored to only when a
+//! seal has moved the counter since (see the `domain` module docs).
 
 use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
@@ -36,8 +39,8 @@ pub fn quiescent() {
     with_local(|h| h.quiescent());
 }
 
-/// Marks the calling thread offline in the global domain: reclamation no
-/// longer waits for it. Call before blocking (joins, sleeps, I/O) while
+/// Marks the calling thread offline in the global domain: grace periods
+/// opened from now on do not wait for it, and those already open stop. Call before blocking (joins, sleeps, I/O) while
 /// holding no references into any protected structure; pair with
 /// [`online`]. Performing operations while offline is forbidden.
 pub fn offline() {

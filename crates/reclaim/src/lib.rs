@@ -9,7 +9,11 @@
 //!   [`QsbrHandle::quiescent`], and defer frees with [`QsbrHandle::retire`].
 //!   A retired object is dropped only after every registered, online thread
 //!   has passed through a quiescent point, so oblivious readers (the paper's
-//!   searches never synchronize) can never touch freed memory.
+//!   searches never synchronize) can never touch freed memory. Quiescent
+//!   points are detected liburcu-style: sealing a batch of retired objects
+//!   bumps one global epoch, and a thread copies the epoch into its own
+//!   word only when it has changed — a steady-state announcement writes
+//!   nothing.
 //! - [`NodePool`] — a type-stable arena: slots are recycled but their memory
 //!   is never returned to the OS while the pool lives. This is what makes
 //!   the paper's *node caching* (§5.1) safe: a stale cached pointer always

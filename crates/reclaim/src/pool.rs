@@ -30,10 +30,14 @@
 //!
 //! Recycling still goes through QSBR: [`NodePool::retire`] hands the slot
 //! to the domain, and only the post-grace reclamation callback pushes it
-//! into the collecting thread's magazine (`in_grace` tracks the slots in
-//! flight). A slot is therefore always in exactly one place: live, in one
-//! thread's magazine, in the depot, or awaiting grace — the conservation
-//! ledger the property tests check.
+//! into the collecting thread's magazine. A slot is therefore always in
+//! exactly one place: live, in one thread's magazine, in the depot, or
+//! awaiting grace — the conservation ledger the property tests check.
+//! The ledger has no shared counter: the retiring thread counts the slot
+//! in its own magazine's `retired`, the collecting thread (possibly
+//! another one) in its own `graced`, and `in_grace` is the difference of
+//! the two sums. Likewise a limbo batch holds one reference to each pool
+//! it carries slots of, not one per slot.
 //!
 //! # Contract for pooled node types
 //!
@@ -50,8 +54,8 @@
 //!   [`NodePool::dealloc_unpublished`] is allowed.
 
 use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::mem::{offset_of, MaybeUninit};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use synchro::{shim, CachePadded, Lock, TtasLock};
@@ -64,7 +68,7 @@ use synchro::{shim, CachePadded, Lock, TtasLock};
 use optik_probe::thread_index;
 
 use crate::arena::{ArenaStats, FreeStore, Slab};
-use crate::domain::{QsbrHandle, RetireCtx, MAX_THREADS};
+use crate::domain::{bump, QsbrHandle, RetireCtx, MAX_THREADS};
 
 /// Default number of node slots per chunk.
 pub const DEFAULT_CHUNK_CAPACITY: usize = 1024;
@@ -91,6 +95,10 @@ struct MagazineSlot<T> {
     slow: AtomicU64,
     /// Slots currently parked in `cache` (all three stacks).
     cached: AtomicU64,
+    /// Slots this thread handed to QSBR ([`NodePool::retire`]).
+    retired: AtomicU64,
+    /// Retired slots whose grace period ended on this thread.
+    graced: AtomicU64,
 }
 
 // SAFETY: `cache` is only accessed by the registry-index owner (exclusive
@@ -122,21 +130,15 @@ impl<T> MagazineSlot<T> {
             recycled: AtomicU64::new(0),
             slow: AtomicU64::new(0),
             cached: AtomicU64::new(0),
+            retired: AtomicU64::new(0),
+            graced: AtomicU64::new(0),
         }
     }
 }
 
-/// Owner-exclusive counter bump: a plain load+store instead of a locked
-/// RMW — the whole point of the magazine layer is that the hit path never
-/// executes a `lock`-prefixed instruction.
-#[inline]
-fn bump(counter: &AtomicU64, delta: u64) {
-    counter.store(
-        counter.load(Ordering::Relaxed).wrapping_add(delta),
-        Ordering::Relaxed,
-    );
-}
-
+/// Owner-exclusive counter decrement: like [`bump`], a plain load+store
+/// instead of a locked RMW — the whole point of the magazine layer is that
+/// the hit path never executes a `lock`-prefixed instruction.
 #[inline]
 fn debit(counter: &AtomicU64, delta: u64) {
     counter.store(
@@ -240,20 +242,23 @@ unsafe impl<T: Send> Send for PoolInner<T> {}
 /// A type-stable arena allocator for concurrent data-structure nodes, with
 /// per-thread magazine caches (see the module docs).
 pub struct NodePool<T> {
-    inner: Lock<PoolInner<T>, TtasLock>,
+    /// The depot, behind the pool lock. On its own lines: the lock word is
+    /// written by every exchange, the header below is read by every
+    /// allocation.
+    inner: CachePadded<Lock<PoolInner<T>, TtasLock>>,
     /// Whether this pool was built in arena mode (aligned slabs +
     /// address-ordered refills); fixed at construction.
     arena_mode: bool,
     /// Per-thread magazines, keyed by registry index, allocated lazily by
     /// their owning thread. Readers (stats) only load the pointers.
     mags: Box<[AtomicPtr<CachePadded<MagazineSlot<T>>>]>,
+    /// One past the highest registry index that ever built a magazine
+    /// here; bounds the ledger's walk over `mags`.
+    mags_hwm: AtomicUsize,
     magazine_capacity: usize,
-    /// Retired slots whose grace period has not elapsed yet.
-    in_grace: AtomicU64,
-    /// Allocations served by the no-magazine fallback (thread teardown).
-    direct_allocs: AtomicU64,
-    /// Fallback allocations that returned a recycled slot.
-    direct_recycled: AtomicU64,
+    /// The no-magazine fallback's ledger (thread teardown, where the
+    /// thread-index TLS is already gone).
+    direct: CachePadded<DirectLedger>,
     /// Bumped around every magazine⇄depot exchange. A schedulable shim
     /// word: under `--cfg optik_explore` the explorer interleaves depot
     /// traffic with concurrent retires and grace-period advances at this
@@ -261,6 +266,18 @@ pub struct NodePool<T> {
     /// `magazine_capacity` operations. Padded so the slow path does not
     /// dirty the `mags` table's cache lines.
     exchange_epoch: CachePadded<shim::AtomicU64>,
+}
+
+/// Shared counters for operations that find no magazine to count in.
+#[derive(Default)]
+struct DirectLedger {
+    /// Allocations served by the fallback.
+    allocs: AtomicU64,
+    /// Fallback allocations that returned a recycled slot.
+    recycled: AtomicU64,
+    /// Slots retired minus slots graced through the fallback, wrapping: a
+    /// slot retired from a magazine and graced here counts as `-1`.
+    in_grace: AtomicU64,
 }
 
 // SAFETY: `inner` is lock-protected; magazines are owner-exclusive (see
@@ -381,6 +398,16 @@ impl<T: Send + Sync + 'static> NodePool<T> {
         Self::build(chunk_capacity, magazine_capacity, true)
     }
 
+    /// The read-only header (`mags`, `magazine_capacity`) shares no
+    /// 128-byte block with the depot lock or the fallback counters.
+    const LAYOUT: () = {
+        let header = offset_of!(Self, mags) / 128;
+        assert!(offset_of!(Self, magazine_capacity) / 128 == header);
+        assert!(offset_of!(Self, inner) / 128 != header);
+        assert!(offset_of!(Self, direct) / 128 != header);
+        assert!(offset_of!(Self, exchange_epoch) / 128 != header);
+    };
+
     fn build(chunk_capacity: usize, magazine_capacity: usize, arena: bool) -> Arc<Self> {
         assert!(
             !std::mem::needs_drop::<T>(),
@@ -388,8 +415,9 @@ impl<T: Send + Sync + 'static> NodePool<T> {
         );
         assert!(chunk_capacity > 0, "chunk capacity must be positive");
         assert!(magazine_capacity > 0, "magazine capacity must be positive");
+        let () = Self::LAYOUT;
         Arc::new(Self {
-            inner: Lock::new(PoolInner {
+            inner: CachePadded::new(Lock::new(PoolInner {
                 chunks: Vec::new(),
                 arena: arena.then(|| ArenaDepot {
                     slabs: Vec::new(),
@@ -402,15 +430,14 @@ impl<T: Send + Sync + 'static> NodePool<T> {
                 bump: chunk_capacity,
                 handed_out: 0,
                 chunk_capacity,
-            }),
+            })),
             arena_mode: arena,
             mags: (0..MAX_THREADS)
                 .map(|_| AtomicPtr::new(std::ptr::null_mut()))
                 .collect(),
+            mags_hwm: AtomicUsize::new(0),
             magazine_capacity: magazine_capacity.min(chunk_capacity),
-            in_grace: AtomicU64::new(0),
-            direct_allocs: AtomicU64::new(0),
-            direct_recycled: AtomicU64::new(0),
+            direct: CachePadded::new(DirectLedger::default()),
             exchange_epoch: CachePadded::new(shim::AtomicU64::new(0)),
         })
     }
@@ -439,6 +466,7 @@ impl<T: Send + Sync + 'static> NodePool<T> {
     #[cold]
     fn magazine_init(&self, idx: usize) -> &CachePadded<MagazineSlot<T>> {
         let fresh = Box::into_raw(Box::new(CachePadded::new(MagazineSlot::new())));
+        self.mags_hwm.fetch_max(idx + 1, Ordering::Release);
         // Only the index owner stores here, so the CAS cannot lose; it is
         // still a CAS (not a blind store) to keep stats readers safe if
         // that invariant ever breaks.
@@ -578,7 +606,7 @@ impl<T: Send + Sync + 'static> NodePool<T> {
     #[cold]
     fn alloc_direct(&self) -> PooledPtr<T> {
         optik_probe::count(optik_probe::Event::MagazineMiss);
-        self.direct_allocs.fetch_add(1, Ordering::Relaxed);
+        self.direct.allocs.fetch_add(1, Ordering::Relaxed);
         self.exchange_epoch.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
         if self.arena_mode {
@@ -590,7 +618,7 @@ impl<T: Send + Sync + 'static> NodePool<T> {
                 .pop_one();
             if let Some(ptr) = popped {
                 inner.depot_slots -= 1;
-                self.direct_recycled.fetch_add(1, Ordering::Relaxed);
+                self.direct.recycled.fetch_add(1, Ordering::Relaxed);
                 return PooledPtr {
                     ptr,
                     recycled: true,
@@ -604,7 +632,7 @@ impl<T: Send + Sync + 'static> NodePool<T> {
         }
         if let Some(ptr) = inner.loose.pop() {
             inner.depot_slots -= 1;
-            self.direct_recycled.fetch_add(1, Ordering::Relaxed);
+            self.direct.recycled.fetch_add(1, Ordering::Relaxed);
             return PooledPtr {
                 ptr,
                 recycled: true,
@@ -617,7 +645,7 @@ impl<T: Send + Sync + 'static> NodePool<T> {
                 inner.spares.push(empty);
             }
             inner.depot_slots -= 1;
-            self.direct_recycled.fetch_add(1, Ordering::Relaxed);
+            self.direct.recycled.fetch_add(1, Ordering::Relaxed);
             return PooledPtr {
                 ptr,
                 recycled: true,
@@ -631,9 +659,10 @@ impl<T: Send + Sync + 'static> NodePool<T> {
     }
 
     /// Returns a free (already-recycled or never-published) slot to the
-    /// calling thread's magazine, overflowing whole magazines to the depot.
-    fn release_slot(&self, ptr: *mut T) {
-        let Some(mag) = self.magazine() else {
+    /// calling thread's magazine `mag` (`None` during thread teardown),
+    /// overflowing whole magazines to the depot.
+    fn release_into(&self, mag: Option<&CachePadded<MagazineSlot<T>>>, ptr: *mut T) {
+        let Some(mag) = mag else {
             // Thread teardown: park the slot under the pool lock.
             let mut inner = self.inner.lock();
             match inner.arena.as_mut() {
@@ -717,24 +746,38 @@ impl<T: Send + Sync + 'static> NodePool<T> {
     /// [`NodePool::alloc_init`], must be unreachable to *new* readers
     /// (unlinked), and must not be retired twice.
     pub unsafe fn retire(self: &Arc<Self>, ptr: *mut T, handle: &QsbrHandle) {
-        unsafe fn recycle<T: Send + Sync + 'static>(p: *mut u8, ctx: Option<RetireCtx>) {
+        unsafe fn recycle<T: Send + Sync + 'static>(p: *mut u8, ctx: Option<&RetireCtx>) {
             let pool = ctx
                 .expect("pool retire always carries ctx")
-                .downcast::<NodePool<T>>()
+                .downcast_ref::<NodePool<T>>()
                 .expect("ctx is the originating pool");
-            pool.in_grace.fetch_sub(1, Ordering::Relaxed);
-            pool.release_slot(p.cast::<T>());
+            let mag = pool.magazine();
+            match mag {
+                Some(mag) => bump(&mag.graced, 1),
+                None => {
+                    pool.direct.in_grace.fetch_sub(1, Ordering::Release);
+                }
+            }
+            pool.release_into(mag, p.cast::<T>());
         }
-        self.in_grace.fetch_add(1, Ordering::Relaxed);
+        match self.magazine() {
+            Some(mag) => bump(&mag.retired, 1),
+            None => {
+                self.direct.in_grace.fetch_add(1, Ordering::Release);
+            }
+        }
         // SAFETY: after the grace period the slot has no in-operation
         // readers with *liveness* expectations; parking it in a magazine
         // does not overwrite its contents, so even stale cached pointers
-        // (node caching) keep reading a valid `T`.
+        // (node caching) keep reading a valid `T`. The address is this
+        // pool's, which the context keeps alive.
         unsafe {
             handle.retire_with(
                 ptr.cast::<u8>(),
                 recycle::<T>,
-                Some(Arc::clone(self) as RetireCtx),
+                Some((Arc::as_ptr(self) as usize, &|| {
+                    Arc::clone(self) as RetireCtx
+                })),
             )
         };
     }
@@ -747,19 +790,19 @@ impl<T: Send + Sync + 'static> NodePool<T> {
     /// [`NodePool::alloc_init`] and must never have been made reachable
     /// from any shared structure.
     pub unsafe fn dealloc_unpublished(&self, ptr: *mut T) {
-        self.release_slot(ptr);
+        self.release_into(self.magazine(), ptr);
     }
 
     /// Total slots handed out (fresh + recycled) so far.
     pub fn allocations(&self) -> u64 {
         self.sum_mags(|m| &m.allocs)
-            .wrapping_add(self.direct_allocs.load(Ordering::Relaxed))
+            .wrapping_add(self.direct.allocs.load(Ordering::Relaxed))
     }
 
     /// How many allocations were served from recycled slots.
     pub fn recycle_hits(&self) -> u64 {
         self.sum_mags(|m| &m.recycled)
-            .wrapping_add(self.direct_recycled.load(Ordering::Relaxed))
+            .wrapping_add(self.direct.recycled.load(Ordering::Relaxed))
     }
 
     /// Free slots currently parked in the pool (per-thread magazines plus
@@ -791,10 +834,10 @@ impl<T: Send + Sync + 'static> NodePool<T> {
             recycle_hits: self.recycle_hits(),
             slow_allocs: self
                 .sum_mags(|m| &m.slow)
-                .wrapping_add(self.direct_allocs.load(Ordering::Relaxed)),
+                .wrapping_add(self.direct.allocs.load(Ordering::Relaxed)),
             cached: self.sum_mags(|m| &m.cached),
             depot,
-            in_grace: self.in_grace.load(Ordering::Relaxed),
+            in_grace: self.in_grace(),
             capacity,
             unallocated,
         }
@@ -819,14 +862,30 @@ impl<T: Send + Sync + 'static> NodePool<T> {
             free_store: a.store.len() as u64,
         })
     }
+}
+
+impl<T> NodePool<T> {
+    /// Retired slots whose grace period has not elapsed yet: retires
+    /// minus grace completions over all magazines, plus the fallback word.
+    /// Exact at rest, like the rest of the ledger; read in an order
+    /// (completions, fallback, retires — a completion is published after
+    /// the retire it answers) that keeps a racy snapshot from going
+    /// negative.
+    fn in_grace(&self) -> u64 {
+        let graced = self.sum_mags(|m| &m.graced);
+        let direct = self.direct.in_grace.load(Ordering::Acquire);
+        self.sum_mags(|m| &m.retired)
+            .wrapping_sub(graced)
+            .wrapping_add(direct)
+    }
 
     fn sum_mags(&self, field: impl Fn(&MagazineSlot<T>) -> &AtomicU64) -> u64 {
         let mut total = 0u64;
-        for slot in self.mags.iter() {
+        for slot in &self.mags[..self.mags_hwm.load(Ordering::Acquire)] {
             let p = slot.load(Ordering::Acquire);
             if !p.is_null() {
                 // SAFETY: published magazine boxes live as long as the pool.
-                total = total.wrapping_add(field(unsafe { &**p }).load(Ordering::Relaxed));
+                total = total.wrapping_add(field(unsafe { &**p }).load(Ordering::Acquire));
             }
         }
         total
@@ -849,7 +908,7 @@ impl<T> Drop for NodePool<T> {
 impl<T> std::fmt::Debug for NodePool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodePool")
-            .field("in_grace", &self.in_grace.load(Ordering::Relaxed))
+            .field("in_grace", &self.in_grace())
             .field("magazine_capacity", &self.magazine_capacity)
             .finish()
     }
@@ -1063,6 +1122,83 @@ mod tests {
         // Recycling must have happened (the pool would otherwise hold
         // THREADS*OPS slots).
         assert!(pool.capacity() < THREADS * OPS);
+    }
+
+    #[test]
+    fn in_grace_is_exact_when_grace_ends_on_another_thread() {
+        // Thread A retires and exits with the coordinator still silent, so
+        // its batch is orphaned; the coordinator then completes the grace
+        // period and recycles the slots into *its* magazine. The retire was
+        // counted in A's magazine, the completion in the coordinator's.
+        let domain = Qsbr::new();
+        let pool: Arc<NodePool<Node>> = NodePool::new();
+        let h = domain.register();
+        const N: u64 = 70; // one sealed batch and a partial one
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let a = domain.register();
+                for _ in 0..N {
+                    let p = pool.alloc(Node::default);
+                    // SAFETY: never published, retired once.
+                    unsafe { pool.retire(p.ptr, &a) };
+                }
+            });
+        });
+        let mid = pool.stats();
+        assert_eq!(mid.in_grace, N, "{mid:?}");
+        assert_eq!(mid.live(), 0, "{mid:?}");
+
+        drop(h); // goes offline and collects the orphans
+        let end = pool.stats();
+        assert_eq!(end.in_grace, 0, "{end:?}");
+        assert_eq!(end.live(), 0, "{end:?}");
+        assert_eq!(
+            end.capacity,
+            end.unallocated + end.cached + end.depot,
+            "{end:?}"
+        );
+        let q = domain.stats();
+        assert_eq!((q.retired, q.freed), (N, N));
+    }
+
+    #[test]
+    fn pool_references_are_per_batch_not_per_node() {
+        let domain = Qsbr::new();
+        let h = domain.register();
+        let stalled = domain.register(); // holds every batch in limbo
+        let pool: Arc<NodePool<Node>> = NodePool::new();
+        let other: Arc<NodePool<Node>> = NodePool::new();
+        const N: usize = 1_000;
+        for i in 0..N {
+            let p = pool.alloc(Node::default);
+            // SAFETY: never published, retired once.
+            unsafe { pool.retire(p.ptr, &h) };
+            if i % 100 == 0 {
+                let p = other.alloc(Node::default);
+                // SAFETY: as above.
+                unsafe { other.retire(p.ptr, &h) };
+            }
+        }
+        assert_eq!(pool.stats().in_grace, N as u64);
+        // One reference per batch that carries one of the pool's nodes
+        // (sealed ones plus the pending one), plus ours.
+        let batches = (N + N / 100).div_ceil(64);
+        assert!(
+            Arc::strong_count(&pool) <= 1 + batches,
+            "{} references for {batches} batches",
+            Arc::strong_count(&pool)
+        );
+        assert!(Arc::strong_count(&other) <= 1 + N / 100);
+
+        drop(stalled);
+        h.flush();
+        h.quiescent();
+        h.collect();
+        assert_eq!(Arc::strong_count(&pool), 1);
+        assert_eq!(Arc::strong_count(&other), 1);
+        assert_eq!(pool.stats().in_grace, 0);
+        assert_eq!(other.stats().in_grace, 0);
+        drop(h);
     }
 
     #[test]

@@ -300,3 +300,154 @@ fn offline_sections_do_not_break_operations() {
     assert_eq!(list.search(1), Some(10));
     assert_eq!(list.delete(1), Some(10));
 }
+
+// ---------------------------------------------------------------------------
+// Use-after-recycle stress: a reader's nodes keep their identity until the
+// reader's own quiescent point.
+// ---------------------------------------------------------------------------
+
+/// A direct-mapped table of pooled nodes, churned by every thread. Each
+/// node carries a generation that is re-stamped on every allocation, so a
+/// slot recycled while a reader still holds it cannot go unnoticed: the
+/// reader re-checks `(key, generation)` of everything it reached right
+/// before it announces quiescence. Threads also go offline, come back,
+/// and drop and re-register their handles mid-run, which is where a
+/// grace period has to get the coming-online race right.
+fn readers_never_see_a_recycled_node(threads: u64) {
+    use reclaim::{NodePool, Qsbr};
+    use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+
+    #[derive(Default)]
+    struct Node {
+        key: AtomicU64,
+        generation: AtomicU64,
+    }
+
+    const BUCKETS: u64 = 64;
+    /// Nodes a reader holds before it re-checks them and quiesces.
+    const HELD: usize = 6;
+
+    let seed = synchro::stress::seed();
+    eprintln!("stress seed: {seed:#018x} (set STRESS_SEED={seed:#x} to reproduce)");
+    let ops = synchro::stress::ops(2_000_000);
+
+    let domain = Qsbr::new();
+    // Small chunks and magazines: freed slots come back within a few ops.
+    let pool: Arc<NodePool<Node>> = NodePool::with_config(32, 4);
+    let table: Vec<AtomicPtr<Node>> = (0..BUCKETS).map(|_| AtomicPtr::default()).collect();
+
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (domain, pool, table) = (&domain, &pool, &table);
+            s.spawn(move || {
+                let mut h = domain.register();
+                let mut x = (seed ^ (t + 1).wrapping_mul(0x9E3779B97F4A7C15)) | 1;
+                let mut stamped = 0u64;
+                let mut held: Vec<(*mut Node, u64, u64)> = Vec::with_capacity(HELD);
+                for op in 0..ops {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let bucket = x % BUCKETS;
+                    let cell = &table[bucket as usize];
+                    if x >> 32 & 1 == 0 {
+                        // Replace the bucket's node; the old one is unlinked
+                        // by the swap and retired by whoever swapped it out.
+                        stamped += 1;
+                        let generation = (t + 1) << 48 | stamped;
+                        let key = x >> 8 & !(BUCKETS - 1) | bucket;
+                        let fresh = pool.alloc(Node::default).ptr;
+                        // SAFETY: ours until published; the fields are
+                        // atomics, as the pool contract wants for nodes that
+                        // stale pointers may inspect.
+                        unsafe {
+                            (*fresh).key.store(key, Ordering::Relaxed);
+                            (*fresh).generation.store(generation, Ordering::Relaxed);
+                        }
+                        let old = cell.swap(fresh, Ordering::AcqRel);
+                        if !old.is_null() {
+                            // SAFETY: came from this pool, unreachable since
+                            // the swap, and only the swapper retires it.
+                            unsafe { pool.retire(old, &h) };
+                        }
+                    }
+                    let p = cell.load(Ordering::Acquire);
+                    if !p.is_null() {
+                        // SAFETY: pool slots are type-stable; whether the
+                        // node is still *this* node is what is being tested.
+                        let (key, generation) = unsafe {
+                            (
+                                (*p).key.load(Ordering::Relaxed),
+                                (*p).generation.load(Ordering::Relaxed),
+                            )
+                        };
+                        assert_eq!(
+                            key % BUCKETS,
+                            bucket,
+                            "bucket {bucket} reached a node of another; STRESS_SEED={seed:#x}"
+                        );
+                        held.push((p, key, generation));
+                    }
+                    if held.len() < HELD {
+                        continue;
+                    }
+                    for (p, key, generation) in held.drain(..) {
+                        // SAFETY: as above.
+                        let now = unsafe {
+                            (
+                                (*p).key.load(Ordering::Relaxed),
+                                (*p).generation.load(Ordering::Relaxed),
+                            )
+                        };
+                        assert_eq!(
+                            now,
+                            (key, generation),
+                            "thread {t} op {op}: node recycled under a reader that had not \
+                             quiesced; STRESS_SEED={seed:#x}"
+                        );
+                    }
+                    h.quiescent();
+                    match x >> 40 & 0xff {
+                        0 => {
+                            h.offline();
+                            std::thread::yield_now();
+                            h.online();
+                        }
+                        1 => {
+                            drop(h);
+                            h = domain.register();
+                        }
+                        2 => h.flush(),
+                        _ => {}
+                    }
+                }
+            });
+        }
+    });
+
+    // Every handle is gone: retire what the table still holds and check
+    // that both ledgers close.
+    let h = domain.register();
+    for cell in &table {
+        let p = cell.swap(std::ptr::null_mut(), Ordering::AcqRel);
+        if !p.is_null() {
+            // SAFETY: unlinked by the swap, retired once.
+            unsafe { pool.retire(p, &h) };
+        }
+    }
+    drop(h);
+    let (qsbr, slots) = (domain.stats(), pool.stats());
+    assert_eq!(qsbr.retired, qsbr.freed, "{qsbr:?}; STRESS_SEED={seed:#x}");
+    assert_eq!(slots.in_grace, 0, "{slots:?}; STRESS_SEED={seed:#x}");
+    assert_eq!(slots.live(), 0, "{slots:?}; STRESS_SEED={seed:#x}");
+}
+
+#[test]
+fn readers_never_see_a_recycled_node_2_threads() {
+    readers_never_see_a_recycled_node(2);
+}
+
+#[test]
+fn readers_never_see_a_recycled_node_4_threads() {
+    readers_never_see_a_recycled_node(4);
+}
