@@ -11,7 +11,7 @@
 //! RUSTFLAGS='--cfg optik_explore' cargo test -p optik-explore --test explore_kv
 //! ```
 //!
-//! Three interleaving families, one per dynamic behaviour the stress
+//! Four interleaving families, one per dynamic behaviour the stress
 //! tier can only sample:
 //!
 //! 1. **TTL expiry vs put** — a `FakeClock` advance racing reads and
@@ -21,6 +21,9 @@
 //!    ([`MapSpec`]).
 //! 3. **`range_scan` vs rebalance** — a cross-shard window scan racing
 //!    a boundary migration plus a write ([`RangeMapSpec`]).
+//! 4. **lock-free `remove` miss vs put / `multi_put`** — the infeasible
+//!    remove returns without the shard lock, racing a single-key writer
+//!    and a batch writer that hold it ([`MapSpec`]).
 //!
 //! Every enumerated schedule replays the ops against the sequential
 //! spec with the Wing–Gong checker; a failure message always carries
@@ -36,6 +39,7 @@
 #![cfg(optik_explore)]
 
 use std::collections::BTreeSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use optik_explore::{explore, Config, Hist, Trial};
@@ -45,6 +49,7 @@ use optik_harness::linearize::{
 use optik_hashtables::StripedOptikHashTable;
 use optik_kv::{FakeClock, KvStore};
 use optik_skiplists::OptikSkipList2;
+use synchro::shim;
 
 /// Exploration bounds shared by the kv families. Two preemptions is the
 /// classic CHESS sweet spot; the per-family tests assert the tree was
@@ -405,5 +410,90 @@ fn range_scan_races_rebalance_and_put() {
     assert!(
         scans.contains(&[Some(1), Some(22), Some(3)]),
         "no scan linearized after the put: {scans:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Family 4: the lock-free remove miss vs a put and a batch put.
+// ---------------------------------------------------------------------------
+
+/// The tracked key and a bystander the batch writes first, so the
+/// remover can run while the batch is half applied. One shard, so both
+/// land under the same lock.
+const MISS_KEY: u64 = 7;
+const MISS_BYSTANDER: u64 = 8;
+
+#[test]
+fn remove_miss_races_put_and_multi_put() {
+    let mut removed: BTreeSet<Option<u64>> = BTreeSet::new();
+    let stats = explore(kv_config(2), |trial| {
+        // Statically routed, no TTL: the store on which a `remove` that
+        // finds nothing returns without touching the shard lock. The key
+        // starts absent, so the remover misses unless a writer got there
+        // first — and then it must take the lock and find the key again.
+        let store: KvStore<StripedOptikHashTable> =
+            KvStore::with_shards(1, |_| StripedOptikHashTable::new(16, 2));
+        let hist: Hist<MapOp> = Hist::new();
+        // Completion barrier on a shim word (see `explore_pool.rs`): the
+        // writers allocate chain nodes in-run, and a thread that exits
+        // early would hand its registry index — and with it its magazine —
+        // to a later starter, at a time the scheduler does not control.
+        let done = shim::AtomicU64::new(0);
+        let arrive_and_wait = || {
+            done.fetch_add(1, Ordering::AcqRel);
+            while done.load(Ordering::Acquire) < 3 {
+                synchro::relax();
+            }
+        };
+        trial.run(&[
+            &|| {
+                let i = trial.now();
+                let gone = store.remove(MISS_KEY);
+                hist.push(i, trial.now(), MapOp::Remove(gone));
+                arrive_and_wait();
+            },
+            &|| {
+                let i = trial.now();
+                let prev = store.put(MISS_KEY, 2);
+                hist.push(i, trial.now(), MapOp::Put(2, prev));
+                arrive_and_wait();
+            },
+            &|| {
+                let i = trial.now();
+                let prevs = store.multi_put(&[(MISS_BYSTANDER, 9), (MISS_KEY, 3)]);
+                hist.push(i, trial.now(), MapOp::Put(3, prevs[1]));
+                arrive_and_wait();
+            },
+        ]);
+        // The binding left behind is part of the history: a remove that
+        // reported a miss but unlinked something, or a hit that removed
+        // nothing, shows here.
+        let end = trial.now() + 1;
+        hist.push(end, end, MapOp::Get(store.get(MISS_KEY)));
+        let h = timed(&hist);
+        removed.extend(h.iter().filter_map(|t| match t.op {
+            MapOp::Remove(gone) => Some(gone),
+            _ => None,
+        }));
+        assert!(
+            check(&MapSpec { initial: None }, &h),
+            "remove-miss-vs-writers: non-linearizable history {h:?}; replay with schedule token {}",
+            trial.token()
+        );
+        assert_eq!(
+            store.get(MISS_BYSTANDER),
+            Some(9),
+            "the batch lost its other key; replay with schedule token {}",
+            trial.token()
+        );
+    });
+    eprintln!("explore_kv::remove_miss_races_put_and_multi_put: {stats}");
+    assert!(!stats.truncated, "tree not exhausted: {stats}");
+    // The tree must contain the lock-free miss and a locked hit on each
+    // writer's value.
+    assert_eq!(
+        removed,
+        BTreeSet::from([None, Some(2), Some(3)]),
+        "the remover did not land on every side of the writers"
     );
 }

@@ -506,3 +506,81 @@ fn kv_ttl_expiry_schedule_replays() {
         });
     }
 }
+
+/// The remove-miss pin: a schedule over a statically routed store (see
+/// `explore_kv.rs` family 4) in which the put lands first, the batch
+/// overwrites it, and the remover — whose lock-free lookup found the key,
+/// so it went on to the locked path — takes out the batch's value.
+/// Recorded and replayed byte-exactly within the run. Guards the shape of
+/// the OPTIK-style `remove`: a hit must find the key again under the shard
+/// lock (the value it saw while unlocked may be gone), and the lock-free
+/// probe in front must stay off the shim words (a miss is not a yield
+/// point), or this schedule stops being reproducible.
+#[cfg(optik_explore)]
+#[test]
+fn kv_remove_miss_schedule_replays() {
+    use std::sync::atomic::Ordering;
+
+    use optik_hashtables::StripedOptikHashTable;
+    use optik_kv::KvStore;
+
+    let kv_cfg = Config {
+        max_steps: 20_000,
+        max_schedules: 400_000,
+        preemptions: Some(2),
+        sleep_sets: true,
+    };
+    /// `(remover's reply, put's prev, batch's prev for the key, binding
+    /// left behind)` after the schedule.
+    type Outcome = (Option<u64>, Option<u64>, Option<u64>, Option<u64>);
+    let run = |trial: &Trial| -> Outcome {
+        let store: KvStore<StripedOptikHashTable> =
+            KvStore::with_shards(1, |_| StripedOptikHashTable::new(16, 2));
+        let got = std::sync::Mutex::new((None, None, None));
+        // Completion barrier on a shim word (see
+        // `pool_exchange_schedule_replays`): the writers allocate in-run.
+        let done = synchro::shim::AtomicU64::new(0);
+        let arrive_and_wait = || {
+            done.fetch_add(1, Ordering::AcqRel);
+            while done.load(Ordering::Acquire) < 3 {
+                synchro::relax();
+            }
+        };
+        trial.run(&[
+            &|| {
+                let gone = store.remove(7);
+                got.lock().unwrap().0 = gone;
+                arrive_and_wait();
+            },
+            &|| {
+                let prev = store.put(7, 2);
+                got.lock().unwrap().1 = prev;
+                arrive_and_wait();
+            },
+            &|| {
+                let prevs = store.multi_put(&[(8, 9), (7, 3)]);
+                got.lock().unwrap().2 = prevs[1];
+                arrive_and_wait();
+            },
+        ]);
+        let g = got.lock().unwrap();
+        (g.0, g.1, g.2, store.get(7))
+    };
+    let mut pinned: Option<(Token, Outcome)> = None;
+    explore(kv_cfg, |trial| {
+        let out = run(trial);
+        if out == (Some(3), None, Some(2), None) && pinned.is_none() {
+            pinned = Some((trial.token(), out));
+        }
+    });
+    let (token, outcome) = pinned.expect("some schedule removes the batch's overwrite");
+    for _ in 0..2 {
+        replay(kv_cfg, &token, |trial| {
+            let out = run(trial);
+            assert_eq!(
+                out, outcome,
+                "kv replay of {token} changed the observable outcome"
+            );
+        });
+    }
+}

@@ -77,6 +77,21 @@ impl<S: ConcurrentSet + ?Sized> SetHandle for &S {
 /// safety under concurrent deletion is the implementor's responsibility
 /// (the workspace backends retire nodes through QSBR, so a traversal by a
 /// registered, non-quiescing thread never touches freed memory).
+///
+/// # Single-writer entry points
+///
+/// A caller that already serializes every *writer* of the map under a lock
+/// of its own (the kv store's per-shard OPTIK lock) pays for the backend's
+/// internal write synchronization a second time, and that inner lock can
+/// never contend. `put_exclusive` / `remove_exclusive` are the same
+/// operations under a stronger precondition: **the caller excludes every
+/// other writer of this map for the duration of the call**. Lock-free
+/// readers (`get`, `for_each`, [`OrderedMap::range`]) may run concurrently
+/// and must observe exactly what they observe next to `put`/`remove`: the
+/// same publication order of links and values, the same QSBR retirement.
+/// The defaults forward to `put`/`remove`, which is always correct; a
+/// backend overrides the pair only when its readers never consult the
+/// write-side lock words it would skip.
 pub trait ConcurrentMap: Send + Sync {
     /// Looks up `key`, returning its current value if present.
     fn get(&self, key: Key) -> Option<Val>;
@@ -91,6 +106,26 @@ pub trait ConcurrentMap: Send + Sync {
     fn put(&self, key: Key, val: Val) -> Option<Val>;
     /// Removes `key`, returning its value if it was present.
     fn remove(&self, key: Key) -> Option<Val>;
+    /// [`ConcurrentMap::put`] for a caller that is the map's only writer
+    /// (see "Single-writer entry points" in the trait docs). Defaults to
+    /// `put`.
+    ///
+    /// # Safety
+    ///
+    /// For the duration of the call no other thread may be inside `put`,
+    /// `remove`, `put_exclusive` or `remove_exclusive` on this map.
+    unsafe fn put_exclusive(&self, key: Key, val: Val) -> Option<Val> {
+        self.put(key, val)
+    }
+    /// [`ConcurrentMap::remove`] for a caller that is the map's only
+    /// writer. Defaults to `remove`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`ConcurrentMap::put_exclusive`].
+    unsafe fn remove_exclusive(&self, key: Key) -> Option<Val> {
+        self.remove(key)
+    }
     /// Number of entries (O(n); exact only in quiescence).
     fn len(&self) -> usize;
     /// Whether the map is empty (see [`ConcurrentMap::len`]).

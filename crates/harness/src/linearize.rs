@@ -69,12 +69,15 @@ impl<O> HistoryRecorder<O> {
         Self::default()
     }
 
-    /// Times `f` with [`synchro::cycles::now`] and records `to_op` of its
-    /// outcome.
+    /// Times `f` with [`synchro::cycles::now_ordered`] and records `to_op`
+    /// of its outcome. The ordered read matters: the checker derives
+    /// real-time precedence from these stamps, so `invoke` must not be
+    /// taken after `f`'s first load nor `response` before its last store
+    /// is visible — a bare `rdtsc` guarantees neither.
     pub fn record<R>(&mut self, f: impl FnOnce() -> R, to_op: impl FnOnce(R) -> O) {
-        let invoke = synchro::cycles::now();
+        let invoke = synchro::cycles::now_ordered();
         let outcome = f();
-        let response = synchro::cycles::now();
+        let response = synchro::cycles::now_ordered();
         self.ops.push(Timed {
             invoke,
             response,
@@ -200,7 +203,8 @@ impl Recorder {
         Self::default()
     }
 
-    /// Times `f` with [`synchro::cycles::now`] and records its outcome.
+    /// Times `f` with [`synchro::cycles::now_ordered`] and records its
+    /// outcome.
     pub fn record(&mut self, make_op: impl FnOnce(bool) -> SetOp, f: impl FnOnce() -> bool) {
         self.inner.record(f, make_op);
     }

@@ -12,8 +12,10 @@
 //! | `java-optik`| [`StripedOptikHashTable`] | striping + OPTIK: infeasible updates never lock; validated updates skip the second bucket traversal |
 //! | `java-resize` (extension) | [`ResizableStripedHashTable`] | striping with the per-segment resizing half of CHM's design: each segment grows independently under its own lock |
 //!
-//! Buckets are selected by `key % num_buckets` (as in ASCYLIB); the paper
-//! sets `num_buckets == initial size` so each bucket holds ~1 element.
+//! Buckets are selected by `key % num_buckets` (as in ASCYLIB; a
+//! power-of-two `num_buckets` computes it with a mask — the same bucket,
+//! without the division); the paper sets `num_buckets == initial size` so
+//! each bucket holds ~1 element.
 
 #![warn(missing_docs)]
 
@@ -36,9 +38,17 @@ pub use optik_harness::api::{ConcurrentMap, ConcurrentSet, Key, Val};
 /// modify the table".
 pub const DEFAULT_SEGMENTS: usize = 128;
 
+/// `key % buckets`, as in ASCYLIB. A power-of-two `buckets` takes the
+/// mask, which is the same function without the 64-bit division; both
+/// arms select the same bucket for every key.
 #[inline]
 pub(crate) fn bucket_of(key: Key, buckets: usize) -> usize {
-    (key % buckets as u64) as usize
+    let n = buckets as u64;
+    if n.is_power_of_two() {
+        (key & (n - 1)) as usize
+    } else {
+        (key % n) as usize
+    }
 }
 
 #[cfg(test)]
@@ -61,6 +71,16 @@ mod cross_tests {
                 Arc::new(StripedOptikHashTable::new(buckets, 16)),
             ),
         ]
+    }
+
+    #[test]
+    fn bucket_of_is_the_modulo_for_every_bucket_count() {
+        // The mask arm must select the bucket `%` selects, so no key moves.
+        for n in [1usize, 2, 3, 8, 24, 64, 100, 2048, 1 << 20] {
+            for k in (1..=5_000u64).chain([u64::MAX - 1, 1 << 63, 0x9E37_79B9_7F4A_7C15]) {
+                assert_eq!(bucket_of(k, n), (k % n as u64) as usize, "{k} % {n}");
+            }
+        }
     }
 
     #[test]

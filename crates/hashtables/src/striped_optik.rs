@@ -77,7 +77,7 @@ impl StripedOptikHashTable {
 
     #[inline]
     fn segment(&self, bucket: usize) -> &OptikVersioned {
-        &self.segments[bucket % self.segments.len()]
+        &self.segments[bucket_of(bucket as Key, self.segments.len())]
     }
 
     /// Read-only bucket traversal returning the matching node (if any).
@@ -122,12 +122,47 @@ impl StripedOptikHashTable {
         }
     }
 
-    /// Unlinks `cur` (with predecessor `prev`, null = bucket head) and
-    /// retires it.
+    /// Applies an upsert to `bucket` given what a traversal found: swaps
+    /// the value of `hit` in place, or links a fresh node at the head.
+    /// Returns the previous value. The one write sequence behind both
+    /// `put` (under the segment lock) and `put_exclusive` (under the
+    /// caller's lock), so readers see the same publication either way.
     ///
     /// # Safety
     ///
-    /// Caller holds the segment lock; `(prev, cur)` must be currently
+    /// Caller excludes every other writer of `bucket` (segment lock, or the
+    /// `put_exclusive` contract); `hit` must be what a traversal of
+    /// `bucket` for `key` finds under that exclusion.
+    #[inline]
+    unsafe fn upsert_at(
+        &self,
+        bucket: usize,
+        hit: Option<*mut Node>,
+        key: Key,
+        val: Val,
+    ) -> Option<Val> {
+        // SAFETY: per contract.
+        unsafe {
+            match hit {
+                Some(n) => Some((*n).val.swap(val, Ordering::AcqRel)),
+                None => {
+                    let head = self.buckets[bucket].load(Ordering::Relaxed);
+                    let node = self.pool.alloc_init(|| Node::make(key, val, head));
+                    self.buckets[bucket].store(node, Ordering::Release);
+                    None
+                }
+            }
+        }
+    }
+
+    /// Unlinks `cur` (with predecessor `prev`, null = bucket head) and
+    /// retires it. Shared by `delete` and `remove_exclusive`, like
+    /// [`Self::upsert_at`].
+    ///
+    /// # Safety
+    ///
+    /// Caller excludes every other writer of `bucket` (segment lock, or the
+    /// `remove_exclusive` contract); `(prev, cur)` must be currently
     /// linked in `bucket`.
     unsafe fn unlink(&self, bucket: usize, prev: *mut Node, cur: *mut Node) -> Val {
         // SAFETY: per contract.
@@ -266,15 +301,7 @@ impl crate::ConcurrentMap for StripedOptikHashTable {
             } else {
                 self.find_node(b, key)
             };
-            match node {
-                Some(n) => Some((*n).val.swap(val, Ordering::AcqRel)),
-                None => {
-                    let head = self.buckets[b].load(Ordering::Relaxed);
-                    let node = self.pool.alloc_init(|| Node::make(key, val, head));
-                    self.buckets[b].store(node, Ordering::Release);
-                    None
-                }
-            }
+            self.upsert_at(b, node, key, val)
         };
         seg.unlock();
         prev
@@ -282,6 +309,34 @@ impl crate::ConcurrentMap for StripedOptikHashTable {
 
     fn remove(&self, key: Key) -> Option<Val> {
         ConcurrentSet::delete(self, key)
+    }
+
+    /// The upsert with the stripe lock elided: one traversal, then the
+    /// same in-place swap or head link as `put`. Sound because `get` and
+    /// `for_each` never consult the stripe versions — they only follow the
+    /// release-published links — and the caller's lock orders this write
+    /// against every other writer. Stripe versions are left untouched.
+    unsafe fn put_exclusive(&self, key: Key, val: Val) -> Option<Val> {
+        reclaim::quiescent();
+        let b = bucket_of(key, self.buckets.len());
+        // SAFETY: grace period; the caller excludes other writers, so the
+        // traversal's finding is current when it is applied.
+        unsafe {
+            let hit = self.find_node(b, key);
+            self.upsert_at(b, hit, key, val)
+        }
+    }
+
+    /// The removal with the stripe lock elided (see `put_exclusive`).
+    unsafe fn remove_exclusive(&self, key: Key) -> Option<Val> {
+        reclaim::quiescent();
+        let b = bucket_of(key, self.buckets.len());
+        // SAFETY: grace period; the caller excludes other writers, so
+        // `(prev, cur)` is still linked when it is unlinked.
+        unsafe {
+            let (prev, cur) = self.find_with_pred(b, key)?;
+            Some(self.unlink(b, prev, cur))
+        }
     }
 
     fn len(&self) -> usize {
@@ -326,6 +381,26 @@ mod tests {
             t.segments[0].get_version(),
             v,
             "read-only paths must not synchronize"
+        );
+        // The single-writer pair never touches the stripe at all, feasible
+        // or not: its exclusion is the caller's lock.
+        // SAFETY: single-threaded test — no other writer exists.
+        unsafe {
+            use crate::ConcurrentMap as Map;
+            assert_eq!(Map::remove_exclusive(&t, 2), None, "absent key");
+            assert_eq!(Map::put_exclusive(&t, 1, 11), Some(10), "in-place swap");
+            assert_eq!(
+                Map::put_exclusive(&t, 5, 50),
+                None,
+                "fresh link, same bucket"
+            );
+            assert_eq!(Map::remove_exclusive(&t, 5), Some(50), "head unlink");
+        }
+        assert_eq!(t.search(1), Some(11));
+        assert_eq!(
+            t.segments[0].get_version(),
+            v,
+            "exclusive writes must leave the stripe versions untouched"
         );
     }
 
@@ -388,5 +463,197 @@ mod tests {
         let net: i64 =
             reclaim::offline_while(|| handles.into_iter().map(|h| h.join().unwrap()).sum());
         assert_eq!(t.len() as i64, net);
+    }
+}
+
+/// The single-writer entry points (`put_exclusive` / `remove_exclusive`)
+/// against the concurrent pair and against lock-free readers.
+#[cfg(test)]
+mod exclusive_tests {
+    use super::StripedOptikHashTable;
+    use crate::{ConcurrentMap, Key, Val};
+    use optik::OptikLock;
+    use std::sync::atomic::Ordering;
+
+    /// Sorted `(key, value)` contents via `for_each`.
+    fn contents(t: &StripedOptikHashTable) -> Vec<(Key, Val)> {
+        let mut out = Vec::new();
+        t.for_each(&mut |k, v| out.push((k, v)));
+        out.sort_unstable();
+        out
+    }
+
+    /// Seals the calling thread's retire bag and waits until every node
+    /// `t` retired has been through its grace period (other tests share
+    /// the global domain, so it can take a few rounds).
+    fn grace(t: &StripedOptikHashTable, seed: u64) {
+        reclaim::with_local(|h| {
+            h.flush();
+            for _ in 0..1_000_000 {
+                h.quiescent();
+                h.collect();
+                if t.pool.stats().in_grace == 0 {
+                    return;
+                }
+                std::thread::yield_now();
+            }
+            panic!("grace period never elapsed; STRESS_SEED={seed:#x}");
+        });
+    }
+
+    #[test]
+    fn exclusive_pair_is_observably_the_concurrent_pair() {
+        // One seeded op stream through `put`/`remove` on one table and
+        // through the single-writer pair on its twin: same replies, same
+        // final contents, same `len`. Both reductions (mask and `%`).
+        let seed = synchro::stress::seed();
+        for (buckets, segments) in [(16, 4), (24, 3)] {
+            let locked = StripedOptikHashTable::new(buckets, segments);
+            let exclusive = StripedOptikHashTable::new(buckets, segments);
+            let mut x = seed | 1;
+            for i in 0..synchro::stress::ops(200_000) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let k = x % 96 + 1;
+                // SAFETY: single-threaded test — no other writer exists.
+                let (want, got) = if x >> 32 & 1 == 0 {
+                    (locked.put(k, i), unsafe { exclusive.put_exclusive(k, i) })
+                } else {
+                    (locked.remove(k), unsafe { exclusive.remove_exclusive(k) })
+                };
+                assert_eq!(
+                    got, want,
+                    "op {i} on key {k} ({buckets} buckets); STRESS_SEED={seed:#x}"
+                );
+            }
+            assert_eq!(
+                contents(&exclusive),
+                contents(&locked),
+                "{buckets} buckets; STRESS_SEED={seed:#x}"
+            );
+            assert_eq!(
+                exclusive.len(),
+                locked.len(),
+                "{buckets} buckets; STRESS_SEED={seed:#x}"
+            );
+            assert!(
+                exclusive.segments.iter().all(|s| s.get_version() == 0),
+                "an exclusive write touched a stripe; STRESS_SEED={seed:#x}"
+            );
+        }
+    }
+
+    /// One writer on the single-writer pair against `readers` lock-free
+    /// readers. Values carry their key and the writer's op index, so a
+    /// torn or foreign value, or one that goes back in time, fails; the
+    /// writer checks every reply against its own model (it is the only
+    /// writer, so replies are deterministic); the pool's ledger must close
+    /// once the table is drained.
+    fn exclusive_writer_races_lock_free_readers(readers: u64) {
+        use std::sync::atomic::AtomicBool;
+        const KEYS: u64 = 128;
+        let tag = |k: Key, i: u64| k << 32 | i;
+        let seed = synchro::stress::seed();
+        eprintln!("stress seed: {seed:#018x} (set STRESS_SEED={seed:#x} to reproduce)");
+        // 64 buckets for 128 keys: chains of two, so interior unlinks run.
+        let t = StripedOptikHashTable::new(64, 4);
+        let stop = AtomicBool::new(false);
+        let mut model = vec![None; KEYS as usize + 1];
+        std::thread::scope(|s| {
+            let mut handles = Vec::new();
+            for r in 0..readers {
+                let (t, stop) = (&t, &stop);
+                handles.push(s.spawn(move || {
+                    let mut x = (seed ^ (r + 2).wrapping_mul(0x9E3779B97F4A7C15)) | 1;
+                    let mut newest = vec![0u64; KEYS as usize + 1];
+                    let mut round = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let k = x % KEYS + 1;
+                        let mut check = |k: Key, v: Val| {
+                            assert_eq!(
+                                v >> 32,
+                                k,
+                                "reader {r}: foreign or torn value {v:#x} at key {k}; \
+                                 STRESS_SEED={seed:#x}"
+                            );
+                            let i = v & 0xffff_ffff;
+                            assert!(
+                                i >= newest[k as usize],
+                                "reader {r}: key {k} went back from op {} to op {i}; \
+                                 STRESS_SEED={seed:#x}",
+                                newest[k as usize]
+                            );
+                            newest[k as usize] = i;
+                        };
+                        if let Some(v) = t.get(k) {
+                            check(k, v);
+                        }
+                        round += 1;
+                        if round % 64 == 0 {
+                            t.for_each(&mut check);
+                        }
+                    }
+                }));
+            }
+            let mut x = seed | 1;
+            for i in 1..=synchro::stress::ops(400_000) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let k = x % KEYS + 1;
+                // SAFETY: this thread is the table's only writer.
+                let (got, next) = if x >> 32 & 1 == 0 {
+                    (unsafe { t.put_exclusive(k, tag(k, i)) }, Some(tag(k, i)))
+                } else {
+                    (unsafe { t.remove_exclusive(k) }, None)
+                };
+                assert_eq!(
+                    got, model[k as usize],
+                    "writer op {i} on key {k}; STRESS_SEED={seed:#x}"
+                );
+                model[k as usize] = next;
+            }
+            stop.store(true, Ordering::Relaxed);
+            reclaim::offline_while(|| {
+                for h in handles {
+                    h.join().expect("reader panicked");
+                }
+            });
+        });
+        let want: Vec<(Key, Val)> = (1..=KEYS)
+            .filter_map(|k| model[k as usize].map(|v| (k, v)))
+            .collect();
+        assert_eq!(contents(&t), want, "STRESS_SEED={seed:#x}");
+        assert_eq!(t.len(), want.len(), "STRESS_SEED={seed:#x}");
+        assert!(
+            t.segments.iter().all(|s| s.get_version() == 0),
+            "an exclusive write touched a stripe; STRESS_SEED={seed:#x}"
+        );
+        for &(k, v) in &want {
+            // SAFETY: every other thread has been joined.
+            assert_eq!(unsafe { t.remove_exclusive(k) }, Some(v));
+        }
+        // Both ledgers, as far as this table can see them: the global QSBR
+        // domain is shared with every other test of the binary, so its
+        // closure is "nothing this table retired is still in grace", and
+        // the pool's is "no slot is live".
+        grace(&t, seed);
+        let slots = t.pool.stats();
+        assert_eq!(slots.in_grace, 0, "{slots:?}; STRESS_SEED={seed:#x}");
+        assert_eq!(slots.live(), 0, "{slots:?}; STRESS_SEED={seed:#x}");
+    }
+
+    #[test]
+    fn exclusive_writer_races_lock_free_readers_2_readers() {
+        exclusive_writer_races_lock_free_readers(2);
+    }
+
+    #[test]
+    fn exclusive_writer_races_lock_free_readers_4_readers() {
+        exclusive_writer_races_lock_free_readers(4);
     }
 }

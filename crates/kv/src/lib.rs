@@ -35,8 +35,10 @@
 //!
 //! The OPTIK pattern (§3 of the paper) appears at *three* granularities:
 //!
-//! - **shards** — single-key writes lock their shard; reads never lock;
-//!   batched multi-key operations acquire the involved shard locks in
+//! - **shards** — single-key writes lock their shard and take no lock
+//!   inside it (the backend is written through its single-writer entry
+//!   points); a `remove` that finds nothing returns without locking;
+//!   reads never lock; batched multi-key operations acquire the involved shard locks in
 //!   ascending shard order (deadlock-free by total-order acquisition) and
 //!   commit atomically across shards; multi-gets and scans are
 //!   optimistic (read versions, read data, validate) with a bounded

@@ -138,7 +138,14 @@ impl ShardPolicy for HashPolicy {
     }
     #[inline]
     fn route(&self, key: Key) -> usize {
-        ((spread(key) >> 32) % self.shards as u64) as usize
+        let (h, n) = (spread(key) >> 32, self.shards as u64);
+        // A power-of-two shard count reduces with the mask: the same
+        // shard as `%` for every key, without the 64-bit division.
+        if n.is_power_of_two() {
+            (h & (n - 1)) as usize
+        } else {
+            (h % n) as usize
+        }
     }
 }
 
@@ -269,6 +276,17 @@ impl ShardPolicy for RangePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hash_policy_mask_routes_exactly_like_the_modulo() {
+        for shards in [1usize, 2, 3, 4, 7, 8, 12, 64] {
+            let p = HashPolicy::new(shards);
+            for k in (1..=5_000u64).chain([u64::MAX - 1, 1 << 63]) {
+                let want = ((spread(k) >> 32) % shards as u64) as usize;
+                assert_eq!(p.route(k), want, "key {k}, {shards} shards");
+            }
+        }
+    }
 
     #[test]
     fn hash_policy_routes_in_range_and_spreads() {

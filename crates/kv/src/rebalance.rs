@@ -252,12 +252,17 @@ impl<B: OrderedMap> KvStore<B> {
             };
             (batch, next)
         };
+        donor_shard.debug_assert_locked();
+        recv_shard.debug_assert_locked();
         // Copy first (values, then any TTL deadlines)…
         for &(k, v) in batch {
-            recv_shard.map.put(k, v);
-            if let (Some(dd), Some(rd)) = (&donor_shard.deadlines, &recv_shard.deadlines) {
-                if let Some(d) = dd.get(k) {
-                    rd.put(k, d);
+            // SAFETY: shard lock held — both, taken by `shift_boundary`.
+            unsafe {
+                recv_shard.map.put_exclusive(k, v);
+                if let (Some(dd), Some(rd)) = (&donor_shard.deadlines, &recv_shard.deadlines) {
+                    if let Some(d) = dd.get(k) {
+                        rd.put_exclusive(k, d);
+                    }
                 }
             }
         }
@@ -266,9 +271,12 @@ impl<B: OrderedMap> KvStore<B> {
         rp.shift(a, next);
         // …then retire the originals from the donor.
         for &(k, _) in batch {
-            donor_shard.map.remove(k);
-            if let Some(dd) = &donor_shard.deadlines {
-                dd.remove(k);
+            // SAFETY: shard lock held, as above.
+            unsafe {
+                donor_shard.map.remove_exclusive(k);
+                if let Some(dd) = &donor_shard.deadlines {
+                    dd.remove_exclusive(k);
+                }
             }
         }
         stats.moved += take as u64;
@@ -478,5 +486,37 @@ mod tests {
         );
         assert!(s.range_scan(1, 400).is_empty());
         assert_eq!(ConcurrentMap::len(&s), 0);
+    }
+
+    #[test]
+    fn deadlines_migrate_with_their_entries() {
+        // `shift_boundary` writes both shards' data maps and deadline tables
+        // through the single-writer entry points; the (value, deadline) pairs
+        // must arrive intact on the other side, in both directions.
+        let clock = std::sync::Arc::new(crate::ttl::FakeClock::new());
+        let s: KvStore<OptikSkipList2> =
+            KvStore::with_ordered_shards_ttl(2, 100, clock.clone(), |_| OptikSkipList2::new());
+        for k in 1..=100u64 {
+            if k % 2 == 0 {
+                s.put_with_ttl(k, k * 3, k);
+            } else {
+                s.put(k, k * 3);
+            }
+        }
+        let moved = s.shift_boundary(0, 20).expect("legal shift").moved;
+        assert_eq!(moved, 30, "keys 21..=50 change shards");
+        let moved = s.shift_boundary(0, 80).expect("legal shift").moved;
+        assert_eq!(moved, 60, "keys 21..=80 change shards");
+        assert_eq!(s.len(), 100);
+        // Even keys expire at tick == key: after 40 ticks exactly the even
+        // keys up to 40 are gone, wherever they live now.
+        clock.advance(40);
+        let want: Vec<(u64, u64)> = (1..=100u64)
+            .filter(|k| k % 2 == 1 || *k > 40)
+            .map(|k| (k, k * 3))
+            .collect();
+        assert_eq!(s.snapshot(), want);
+        assert_eq!(s.sweep_expired(1024), 20);
+        assert_eq!(s.len(), 80);
     }
 }

@@ -205,6 +205,16 @@ impl<B> Shard<B> {
 }
 
 impl<B: ConcurrentMap> Shard<B> {
+    /// Debug check in front of the single-writer backend calls
+    /// ([`ConcurrentMap::put_exclusive`] / `remove_exclusive`), which are
+    /// sound only while this shard's lock excludes every other writer of
+    /// `map` and `deadlines`. Compiled out under the explorer, where
+    /// reading the lock word would add a yield point to every write.
+    #[inline]
+    pub(crate) fn debug_assert_locked(&self) {
+        debug_assert!(cfg!(optik_explore) || self.lock.is_locked());
+    }
+
     /// Under the shard lock: the full upsert sequence shared by `put`
     /// and `multi_put` — normalize an expired previous binding, upsert,
     /// and clear any deadline (a plain put lives forever). Returns the
@@ -213,13 +223,18 @@ impl<B: ConcurrentMap> Shard<B> {
         if let Some(now) = now {
             self.drop_expired(key, now);
         }
-        let prev = self.map.put(key, val);
-        if prev.is_some() {
-            if let Some(dl) = &self.deadlines {
-                dl.remove(key);
+        self.debug_assert_locked();
+        // SAFETY: shard lock held — every writer of `map` and `deadlines`
+        // takes it first.
+        unsafe {
+            let prev = self.map.put_exclusive(key, val);
+            if prev.is_some() {
+                if let Some(dl) = &self.deadlines {
+                    dl.remove_exclusive(key);
+                }
             }
+            prev
         }
-        prev
     }
 
     /// Under the shard lock: physically drops `key` if its deadline has
@@ -230,8 +245,12 @@ impl<B: ConcurrentMap> Shard<B> {
             return false;
         };
         if dl.get(key).is_some_and(|d| d <= now) {
-            self.map.remove(key);
-            dl.remove(key);
+            self.debug_assert_locked();
+            // SAFETY: shard lock held.
+            unsafe {
+                self.map.remove_exclusive(key);
+                dl.remove_exclusive(key);
+            }
             true
         } else {
             false
@@ -239,16 +258,22 @@ impl<B: ConcurrentMap> Shard<B> {
     }
 
     /// Under the shard lock: the full removal sequence shared by
-    /// `remove` and the combiner — normalize an expired binding, remove,
-    /// clear the deadline. Returns `(removed live value, modified)`.
+    /// `remove`, `multi_remove` and the combiner — normalize an expired
+    /// binding, remove, clear the deadline. Returns `(removed live value,
+    /// modified)`.
     pub(crate) fn remove_live(&self, key: Key, now: Option<u64>) -> (Option<Val>, bool) {
         let dropped = now.is_some_and(|now| self.drop_expired(key, now));
-        let prev = self.map.remove(key);
-        if prev.is_some() {
-            if let Some(dl) = &self.deadlines {
-                dl.remove(key);
+        self.debug_assert_locked();
+        // SAFETY: shard lock held.
+        let prev = unsafe {
+            let prev = self.map.remove_exclusive(key);
+            if prev.is_some() {
+                if let Some(dl) = &self.deadlines {
+                    dl.remove_exclusive(key);
+                }
             }
-        }
+            prev
+        };
         (prev, dropped || prev.is_some())
     }
 
@@ -295,8 +320,11 @@ impl<B: ConcurrentMap> Shard<B> {
 ///   (value, deadline) pair and treats a passed deadline as a miss;
 /// - [`KvStore::put`] / [`KvStore::remove`] run under their shard's lock
 ///   (re-checking the route once locked, so a migration cannot strand a
-///   write in a shard that no longer owns the key), so shard versions
-///   count completed writes;
+///   write in a shard that no longer owns the key) — the only lock they
+///   take: the backend is written through its single-writer entry points
+///   ([`ConcurrentMap::put_exclusive`]) — so shard versions count
+///   completed writes. A `remove` that cannot change anything (static
+///   routing, no TTL, key absent) returns without locking;
 /// - batched operations ([`KvStore::multi_put`], [`KvStore::multi_remove`])
 ///   acquire every involved shard lock **in ascending shard order** —
 ///   the classic total-order claim that makes overlapping batches
@@ -439,7 +467,9 @@ impl<B: ConcurrentMap> KvStore<B> {
 
     /// The backend map of shard `i` (read-only introspection — e.g.
     /// capacity reporting; going around the store's locks for *writes*
-    /// voids every consistency claim above).
+    /// voids every consistency claim above: the store's own writes use the
+    /// backend's single-writer entry points and rely on the shard lock as
+    /// the only writer exclusion).
     pub fn backend(&self, i: usize) -> &B {
         &self.shards[i].map
     }
@@ -758,14 +788,32 @@ impl<B: ConcurrentMap> KvStore<B> {
         self.write_shard(key, |shard, now| (shard.put_live(key, val, now), true))
     }
 
-    /// Removes `key` under the shard lock, returning its **live** value
-    /// (an expired binding reports `None` and is physically dropped).
+    /// Removes `key`, returning its **live** value (an expired binding
+    /// reports `None` and is physically dropped).
     ///
-    /// A miss releases with `revert`: the critical section modified
-    /// nothing, so optimistic readers must not see a version bump.
+    /// OPTIK-shaped: on a statically routed store without TTL the
+    /// operation first looks the key up lock-free, and a miss — the
+    /// infeasible update — returns `None` without reading or writing the
+    /// shard lock and without publishing to the combiner. It linearizes
+    /// where the backend read does, exactly like a [`KvStore::get`] miss
+    /// (so, like a get, it may fall inside a `multi_put`'s application).
+    /// A hit goes on to the locked path, which finds the key again under
+    /// the lock. TTL stores always lock (an expired binding still has to
+    /// be dropped), and so do dynamically routed ones (the route is only
+    /// stable under the lock).
+    ///
+    /// A locked miss releases with `revert`: the critical section
+    /// modified nothing, so optimistic readers must not see a version
+    /// bump.
     pub fn remove(&self, key: Key) -> Option<Val> {
-        if self.combinable() {
-            return self.write_combining(self.policy.route(key), CombineOp::Remove { key });
+        if !self.dynamic {
+            let s = self.policy.route(key);
+            if self.ttl.is_none() && self.shards[s].map.get(key).is_none() {
+                return None;
+            }
+            if self.combine_mode != CombineMode::Off {
+                return self.write_combining(s, CombineOp::Remove { key });
+            }
         }
         self.write_shard(key, |shard, now| shard.remove_live(key, now))
     }
@@ -1156,18 +1204,9 @@ impl<B: ConcurrentMap> KvStore<B> {
             .iter()
             .map(|&k| {
                 let s = self.policy.route(k);
-                let shard = &self.shards[s];
                 let slot = ids.binary_search(&s).expect("shard id collected above");
-                if now.is_some_and(|now| shard.drop_expired(k, now)) {
-                    modified[slot] = true;
-                }
-                let removed = shard.map.remove(k);
-                if removed.is_some() {
-                    if let Some(dl) = &shard.deadlines {
-                        dl.remove(k);
-                    }
-                    modified[slot] = true;
-                }
+                let (removed, m) = self.shards[s].remove_live(k, now);
+                modified[slot] |= m;
                 removed
             })
             .collect();
@@ -1661,7 +1700,15 @@ mod tests {
     fn combining_failed_ops_still_release_with_revert() {
         // The combined remove-miss must preserve the no-false-conflict
         // guarantee the plain path has (`failed_remove_does_not_bump_...`).
-        let s = striped_store(1).with_combine_mode(CombineMode::Eager);
+        // On a TTL store: there a miss still takes the lock (an expired
+        // binding would have to be dropped), so it still reaches the
+        // combiner — without TTL it returns before publishing anything.
+        use crate::ttl::FakeClock;
+        let mut s: KvStore<StripedOptikHashTable> =
+            KvStore::with_shards_ttl(1, Arc::new(FakeClock::new()), |_| {
+                StripedOptikHashTable::new(64, 8)
+            });
+        s.set_combine_mode(CombineMode::Eager);
         s.put(1, 10);
         let v = s.shards[0].lock.get_version();
         assert_eq!(s.remove(999), None);
@@ -1669,6 +1716,54 @@ mod tests {
             s.shards[0].lock.get_version(),
             v,
             "a drained batch of misses must not signal a conflict"
+        );
+    }
+
+    #[test]
+    fn remove_miss_leaves_every_lock_word_alone() {
+        // The infeasible update leaves the shard version alone in every
+        // combine mode (that it takes no lock at all is counted in
+        // `tests/one_lock_per_write.rs`); a hit bumps it exactly once.
+        for mode in [CombineMode::Off, CombineMode::Adaptive, CombineMode::Eager] {
+            let s = striped_store(1).with_combine_mode(mode);
+            s.put(1, 10);
+            let v = s.shards[0].lock.get_version();
+            assert_eq!(s.remove(999), None, "{mode:?}");
+            assert_eq!(s.shards[0].lock.get_version(), v, "{mode:?}: miss");
+            assert_eq!(s.remove(1), Some(10), "{mode:?}");
+            assert_eq!(s.shards[0].lock.get_version(), v + 2, "{mode:?}: hit");
+            assert_eq!(s.remove(1), None, "{mode:?}: now absent");
+            assert_eq!(s.shards[0].lock.get_version(), v + 2, "{mode:?}: miss");
+        }
+    }
+
+    #[test]
+    fn remove_miss_still_locks_where_the_lock_decides() {
+        // TTL: the expired binding is logically absent, but the remove
+        // must still take the lock to drop it physically.
+        use crate::ttl::FakeClock;
+        let clock = Arc::new(FakeClock::new());
+        let s: KvStore<StripedOptikHashTable> =
+            KvStore::with_shards_ttl(1, clock.clone(), |_| StripedOptikHashTable::new(64, 8));
+        s.put_with_ttl(1, 10, 5);
+        clock.advance(5);
+        let v = s.shards[0].lock.get_version();
+        assert_eq!(s.remove(1), None, "expired is a miss");
+        assert_eq!(s.len(), 0, "but the physical entry is dropped");
+        assert_ne!(s.shards[0].lock.get_version(), v, "under the lock");
+        // Dynamic routing: the route is only stable under the lock; a
+        // miss reverts.
+        let o: KvStore<OptikSkipList2> =
+            KvStore::with_ordered_shards(2, 100, |_| OptikSkipList2::new());
+        o.put(60, 6);
+        let loads = o.shard_loads()[1];
+        let v = o.shards[1].lock.get_version();
+        assert_eq!(o.remove(70), None);
+        assert_eq!(o.shards[1].lock.get_version(), v);
+        assert_eq!(
+            o.shard_loads()[1],
+            loads + 1,
+            "the locked write path counts the op"
         );
     }
 

@@ -149,12 +149,17 @@ impl<B: ConcurrentMap> KvStore<B> {
             let now = now.expect("ttl store always passes now");
             let deadline = now.saturating_add(ttl).min(u64::MAX - 1);
             shard.drop_expired(key, now);
-            let prev = shard.map.put(key, val);
-            shard
+            let dl = shard
                 .deadlines
                 .as_ref()
-                .expect("ttl state implies deadline tables")
-                .put(key, deadline);
+                .expect("ttl state implies deadline tables");
+            shard.debug_assert_locked();
+            // SAFETY: shard lock held (`write_shard`).
+            let prev = unsafe {
+                let prev = shard.map.put_exclusive(key, val);
+                dl.put_exclusive(key, deadline);
+                prev
+            };
             (prev, true)
         })
     }
@@ -174,11 +179,13 @@ impl<B: ConcurrentMap> KvStore<B> {
             let deadline = now.saturating_add(ttl).min(u64::MAX - 1);
             let dropped = shard.drop_expired(key, now);
             if shard.map.get(key).is_some() {
-                shard
+                let dl = shard
                     .deadlines
                     .as_ref()
-                    .expect("ttl state implies deadline tables")
-                    .put(key, deadline);
+                    .expect("ttl state implies deadline tables");
+                shard.debug_assert_locked();
+                // SAFETY: shard lock held (`write_shard`).
+                unsafe { dl.put_exclusive(key, deadline) };
                 (true, true)
             } else {
                 (false, dropped)
@@ -247,8 +254,12 @@ impl<B: ConcurrentMap> KvStore<B> {
                     // by a racing sweeper, or migrated away since the
                     // collection pass.
                     if dl.get(k).is_some_and(|d| d <= now) {
-                        shard.map.remove(k);
-                        dl.remove(k);
+                        shard.debug_assert_locked();
+                        // SAFETY: shard lock held (taken above).
+                        unsafe {
+                            shard.map.remove_exclusive(k);
+                            dl.remove_exclusive(k);
+                        }
                         modified = true;
                         removed += 1;
                     }

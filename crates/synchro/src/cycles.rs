@@ -25,6 +25,43 @@ pub fn now() -> u64 {
     Instant::now().duration_since(epoch).as_nanos() as u64
 }
 
+/// [`now`], ordered against the calling thread's own memory accesses: every
+/// earlier store is globally visible and every earlier load has completed
+/// before the counter is read, and no later access starts before it has
+/// been. For stamps that order operations *across* threads (the
+/// linearizability recorder's invoke/response instants): a bare `rdtsc` may
+/// execute while the operation's last store still sits in the store buffer,
+/// or after its first load, so "responded before the other was invoked" can
+/// be claimed of two operations that overlapped. Costs a full fence — not
+/// for latency sampling.
+#[inline]
+#[cfg(target_arch = "x86_64")]
+pub fn now_ordered() -> u64 {
+    use core::arch::x86_64::{_mm_lfence, _rdtsc};
+    std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+    // SAFETY: `lfence` (SSE2, baseline on x86_64) and `rdtsc` have no
+    // preconditions. The pair of `lfence`s keeps `rdtsc`, which is not a
+    // serializing instruction, between the accesses on either side of it.
+    unsafe {
+        _mm_lfence();
+        let t = _rdtsc();
+        _mm_lfence();
+        t
+    }
+}
+
+/// [`now`], ordered against the calling thread's own memory accesses (see
+/// the x86_64 variant; the clock call itself is not reordered here, so the
+/// fence is all it takes).
+#[inline]
+#[cfg(not(target_arch = "x86_64"))]
+pub fn now_ordered() -> u64 {
+    std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+    let t = now();
+    std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+    t
+}
+
 /// Returns the elapsed ticks between two [`now`] readings.
 ///
 /// Saturates at zero if the counter appears to run backwards (possible
@@ -49,6 +86,17 @@ mod tests {
         std::hint::black_box(x);
         let b = now();
         assert!(b >= a, "timestamp went backwards: {a} -> {b}");
+    }
+
+    #[test]
+    fn now_ordered_reads_the_same_counter() {
+        let a = now();
+        let b = now_ordered();
+        let c = now();
+        assert!(
+            a <= b && b <= c,
+            "not between two plain readings: {a} {b} {c}"
+        );
     }
 
     #[test]
