@@ -11,7 +11,7 @@
 //! RUSTFLAGS='--cfg optik_explore' cargo test -p optik-explore --test explore_kv
 //! ```
 //!
-//! Four interleaving families, one per dynamic behaviour the stress
+//! Five interleaving families, one per dynamic behaviour the stress
 //! tier can only sample:
 //!
 //! 1. **TTL expiry vs put** — a `FakeClock` advance racing reads and
@@ -24,6 +24,10 @@
 //! 4. **lock-free `remove` miss vs put / `multi_put`** — the infeasible
 //!    remove returns without the shard lock, racing a single-key writer
 //!    and a batch writer that hold it ([`MapSpec`]).
+//! 5. **`multi_get` vs writers on two shards** — the cross-shard batch
+//!    read, whose repair rounds re-probe only the shard that moved, racing
+//!    single-key puts and a `multi_put` of the same two keys
+//!    (`multi_get_model::PairSpec`).
 //!
 //! Every enumerated schedule replays the ops against the sequential
 //! spec with the Wing–Gong checker; a failure message always carries
@@ -37,6 +41,8 @@
 //! enumeration is exhaustive — `Stats::truncated` is asserted false.
 
 #![cfg(optik_explore)]
+
+mod multi_get_model;
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
@@ -496,4 +502,40 @@ fn remove_miss_races_put_and_multi_put() {
         BTreeSet::from([None, Some(2), Some(3)]),
         "the remover did not land on every side of the writers"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Family 5: one cross-shard multi_get vs single-key puts and a batch put.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn multi_get_races_writers_on_two_shards() {
+    use multi_get_model::{run, PairSpec, INITIAL};
+    let mut reads: BTreeSet<[Option<u64>; 2]> = BTreeSet::new();
+    let mut lookups: BTreeSet<usize> = BTreeSet::new();
+    let stats = explore(kv_config(2), |trial| {
+        let out = run(trial);
+        reads.insert(out.read);
+        lookups.insert(out.lookups);
+        let h = out.timed();
+        assert!(
+            check(&PairSpec { initial: INITIAL }, &h),
+            "multi_get-vs-writers: non-linearizable history {h:?} ({} lookups); \
+             replay with schedule token {}",
+            out.lookups,
+            trial.token()
+        );
+    });
+    eprintln!("explore_kv::multi_get_races_writers_on_two_shards: {stats}");
+    eprintln!("  reads seen: {reads:?}; reader lookups seen: {lookups:?}");
+    assert!(!stats.truncated, "tree not exhausted: {stats}");
+    // The read must land before every write, after the batch, and between
+    // the two single-key puts; the spec check above is what rejects the
+    // torn pairs (the batch's A with the B from before it, and so on).
+    for want in [INITIAL, [Some(21), Some(22)], [Some(11), Some(2)]] {
+        assert!(reads.contains(&want), "no read saw {want:?}: {reads:?}");
+    }
+    // The tree must hold the clean pass and a repair round of one shard.
+    assert!(lookups.contains(&2), "no clean pass: {lookups:?}");
+    assert!(lookups.contains(&3), "no repair round: {lookups:?}");
 }

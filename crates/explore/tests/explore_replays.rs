@@ -13,6 +13,8 @@
 //! the ignored `print_fresh_pin_candidates` generator and paste the new
 //! token — the failure message of `replay` says which invariant moved.
 
+#[cfg(optik_explore)]
+mod multi_get_model;
 mod qsbr_model;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -579,6 +581,49 @@ fn kv_remove_miss_schedule_replays() {
             let out = run(trial);
             assert_eq!(
                 out, outcome,
+                "kv replay of {token} changed the observable outcome"
+            );
+        });
+    }
+}
+
+/// The repair-round pin: a schedule of `explore_kv.rs` family 5 in which a
+/// single-key put lands inside the `multi_get`'s window on one shard, so
+/// the read re-reads that shard's version and looks that shard's key up
+/// again — three backend lookups for two keys — while keeping the other
+/// shard's value. Recorded and replayed byte-exactly within the run.
+/// Guards the repair protocol's shape: the re-probe must happen inside the
+/// same routing window (no full retry: that would be four lookups), and
+/// the interleaved lookups must stay off the shim words, or the schedule
+/// stops being reproducible.
+#[cfg(optik_explore)]
+#[test]
+fn kv_multi_get_repair_round_schedule_replays() {
+    use multi_get_model::{run, Outcome, PairSpec, INITIAL};
+    use optik_harness::linearize::check;
+
+    let kv_cfg = Config {
+        max_steps: 20_000,
+        max_schedules: 400_000,
+        preemptions: Some(2),
+        sleep_sets: true,
+    };
+    let mut pinned: Option<(Token, Outcome)> = None;
+    explore(kv_cfg, |trial| {
+        let out = run(trial);
+        // One repaired shard, and the repair is why the read is current:
+        // it returns the single-key writer's A next to the untouched B.
+        if out.lookups == 3 && out.read == [Some(11), Some(2)] && pinned.is_none() {
+            pinned = Some((trial.token(), out));
+        }
+    });
+    let (token, outcome) = pinned.expect("some schedule repairs shard 0 after put(A)");
+    assert!(check(&PairSpec { initial: INITIAL }, &outcome.timed()));
+    for _ in 0..2 {
+        replay(kv_cfg, &token, |trial| {
+            assert_eq!(
+                run(trial),
+                outcome,
                 "kv replay of {token} changed the observable outcome"
             );
         });

@@ -92,6 +92,25 @@ impl<S: ConcurrentSet + ?Sized> SetHandle for &S {
 /// The defaults forward to `put`/`remove`, which is always correct; a
 /// backend overrides the pair only when its readers never consult the
 /// write-side lock words it would skip.
+///
+/// # Batched lookups
+///
+/// A lookup in a pointer-chasing structure is a chain of dependent loads,
+/// so a caller with several keys in hand that runs them one `get` after
+/// another waits out every cache miss of every chain in sequence. The
+/// chains of *different* keys are independent: [`ConcurrentMap::get_each`]
+/// takes the whole batch — each probe names its own map, because the kv
+/// store's batch has one key-ordered map per shard — so that a backend
+/// can advance them side by side and have several misses in flight. The
+/// contract is per probe and no stronger than `get`'s: `out[i]` is a value
+/// `probes[i].0.get(probes[i].1)` could have returned at some instant
+/// inside the call. The probes are **independent**: nothing is promised
+/// across them (no snapshot, no atomicity, no order — a caller that needs
+/// a common instant brackets the call with validation windows of its own,
+/// as the store does with its shard versions), and a backend may announce
+/// QSBR quiescence **once**, before it holds any pointer, instead of once
+/// per key. The default is the per-probe `get` loop, which is always
+/// correct; a backend overrides it only when overlapping the walks pays.
 pub trait ConcurrentMap: Send + Sync {
     /// Looks up `key`, returning its current value if present.
     fn get(&self, key: Key) -> Option<Val>;
@@ -125,6 +144,23 @@ pub trait ConcurrentMap: Send + Sync {
     /// As for [`ConcurrentMap::put_exclusive`].
     unsafe fn remove_exclusive(&self, key: Key) -> Option<Val> {
         self.remove(key)
+    }
+    /// Looks up `probes[i].1` in `probes[i].0` for every `i`, writing the
+    /// result to `out[i]` (see "Batched lookups" in the trait docs: the
+    /// probes are independent `get`s, possibly on different maps).
+    /// Defaults to the per-probe [`ConcurrentMap::get`] loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probes` and `out` differ in length.
+    fn get_each(probes: &[(&Self, Key)], out: &mut [Option<Val>])
+    where
+        Self: Sized,
+    {
+        assert_eq!(probes.len(), out.len(), "one result slot per probe");
+        for (&(map, key), slot) in probes.iter().zip(out) {
+            *slot = map.get(key);
+        }
     }
     /// Number of entries (O(n); exact only in quiescence).
     fn len(&self) -> usize;

@@ -42,7 +42,11 @@
 //!   ascending shard order (deadlock-free by total-order acquisition) and
 //!   commit atomically across shards; multi-gets and scans are
 //!   optimistic (read versions, read data, validate) with a bounded
-//!   fallback to locking. Failed (read-only) critical sections release
+//!   fallback to locking. Over key-ordered shards the batched calls take
+//!   their cache misses overlapped and outside the locks: a multi-get is
+//!   one batched backend lookup that reads again only the shards that
+//!   moved under it, and the batch writers walk their keys before they
+//!   lock. Failed (read-only) critical sections release
 //!   with `revert`, so they never signal conflicts to other optimistic
 //!   readers. Under hot-key contention the write path engages **flat
 //!   combining** ([`CombineMode`]): writers whose adaptive-backoff EWMA

@@ -22,6 +22,11 @@ use crate::ttl::{Clock, TtlState};
 /// (multi-get, scan, range scan) falls back to taking the shard lock(s).
 pub(crate) const OPTIMISTIC_ATTEMPTS: usize = 8;
 
+/// Probes handed to one [`ConcurrentMap::get_each`] call: the batched
+/// paths route their keys into a stack array of this many `(map, key)`
+/// pairs, so a batch of any length allocates nothing for its lookups.
+const PROBE_CHUNK: usize = 16;
+
 /// Per-call scratch for [`KvStore::multi_get`]'s shard grouping: the
 /// routed probes, the distinct-shard set, and the per-shard versions.
 /// Allocated once per call and reused across optimistic attempts and
@@ -34,7 +39,9 @@ pub(crate) const OPTIMISTIC_ATTEMPTS: usize = 8;
 /// involved shard is the property that matters, and a hashed backend
 /// scatters keys regardless of probe order). Contiguous-partition
 /// stores additionally counting-sort the probes by shard and key-sort
-/// within each shard so ordered backends are walked front-to-back.
+/// within each shard so ordered backends are walked front-to-back — and
+/// so that each shard's probes are one span, which is what a repair
+/// round re-probes.
 struct ProbePlan {
     /// `(shard, key, input index)` in shard-then-key order (grouped
     /// mode; unused in flat mode).
@@ -57,6 +64,9 @@ struct ProbePlan {
     spans: Vec<(usize, usize)>,
     /// Shard versions, parallel to `shards_hit`.
     versions: Vec<optik::Version>,
+    /// Whether each shard's window failed the last validation pass,
+    /// parallel to `shards_hit` (see `KvStore::repair_windows`).
+    broken: Vec<bool>,
 }
 
 impl ProbePlan {
@@ -70,6 +80,7 @@ impl ProbePlan {
             shards_hit: Vec::new(),
             spans: Vec::new(),
             versions: Vec::new(),
+            broken: Vec::new(),
         }
     }
 }
@@ -328,10 +339,15 @@ impl<B: ConcurrentMap> Shard<B> {
 /// - batched operations ([`KvStore::multi_put`], [`KvStore::multi_remove`])
 ///   acquire every involved shard lock **in ascending shard order** —
 ///   the classic total-order claim that makes overlapping batches
-///   deadlock-free — and apply the whole batch atomically;
+///   deadlock-free — and apply the whole batch atomically; over
+///   key-ordered shards they walk their keys *before* locking, so the
+///   cache misses of the batch are taken outside its critical section;
 /// - [`KvStore::multi_get`] and [`KvStore::scan`] are optimistic: read the
 ///   routing and shard versions, read the data, validate — retrying (and
-///   eventually falling back to sorted locking) on interference.
+///   eventually falling back to sorted locking) on interference. A
+///   `multi_get` over key-ordered shards looks its keys up as one
+///   batched [`ConcurrentMap::get_each`] and, when a shard moved under
+///   it, reads only that shard again.
 ///   Traversal safety under concurrent removal comes from the workspace's
 ///   QSBR domain (`reclaim`): scanning threads are registered
 ///   participants and do not announce quiescence mid-scan, so retired
@@ -927,21 +943,55 @@ impl<B: ConcurrentMap> KvStore<B> {
         }
     }
 
-    /// Probes one shard-group (already under a validated window or the
-    /// shard lock), scattering results back to input order.
-    fn probe_group(
-        &self,
-        shard: &Shard<B>,
-        probes: &[(usize, Key, u32)],
-        now: Option<u64>,
-        out: &mut [Option<Val>],
-    ) {
-        for &(_, k, i) in probes {
-            let val = shard.map.get(k);
-            out[i as usize] = match (now, &shard.deadlines) {
-                (Some(now), Some(dl)) => val.filter(|_| !dl.get(k).is_some_and(|d| d <= now)),
-                _ => val,
+    /// Looks every `(map, key)` of `probes` up through
+    /// [`ConcurrentMap::get_each`], [`PROBE_CHUNK`] at a time from a stack
+    /// array, and hands `sink` each probe's position and result.
+    fn get_each_chunked<'a>(
+        probes: impl Iterator<Item = (&'a B, Key)>,
+        mut sink: impl FnMut(usize, Option<Val>),
+    ) where
+        B: 'a,
+    {
+        let mut probes = probes.peekable();
+        let mut base = 0;
+        while let Some(&first) = probes.peek() {
+            let mut routed = [first; PROBE_CHUNK];
+            let mut n = 0;
+            for (slot, probe) in routed.iter_mut().zip(&mut probes) {
+                *slot = probe;
+                n += 1;
+            }
+            let mut vals = [None; PROBE_CHUNK];
+            B::get_each(&routed[..n], &mut vals[..n]);
+            for (i, &val) in vals[..n].iter().enumerate() {
+                sink(base + i, val);
+            }
+            base += n;
+        }
+    }
+
+    /// Probes a run of the grouped plan (already under validated windows
+    /// or the shard locks) as one batched lookup, scattering results back
+    /// to input order. The run may cross shards: that is what puts the
+    /// lanes of an interleaving backend to work. TTL stores send the
+    /// `deadlines` tables through the same call.
+    fn probe_span(&self, probes: &[(usize, Key, u32)], now: Option<u64>, out: &mut [Option<Val>]) {
+        Self::get_each_chunked(
+            probes.iter().map(|&(s, k, _)| (&self.shards[s].map, k)),
+            |p, val| out[probes[p].2 as usize] = val,
+        );
+        if let Some(now) = now {
+            let deadlines = |s: usize| {
+                self.shards[s]
+                    .deadlines
+                    .as_ref()
+                    .expect("a clock implies deadline tables")
             };
+            Self::get_each_chunked(probes.iter().map(|&(s, k, _)| (deadlines(s), k)), |p, d| {
+                if d.is_some_and(|d| d <= now) {
+                    out[probes[p].2 as usize] = None;
+                }
+            });
         }
     }
 
@@ -975,9 +1025,53 @@ impl<B: ConcurrentMap> KvStore<B> {
                 }
             }
         } else {
-            for (&s, &(a, b)) in plan.shards_hit.iter().zip(&plan.spans) {
-                self.probe_group(&self.shards[s], &plan.probes[a..b], now, out);
+            self.probe_span(&plan.probes, now, out);
+        }
+    }
+
+    /// One repair round of [`KvStore::multi_get`] on a grouped plan: for
+    /// every shard whose window broke, re-reads the shard's version and
+    /// re-probes **that shard's span only**; the values of the other
+    /// shards were read inside windows that still hold and are therefore
+    /// still current. A TTL store treats every window as broken: its one
+    /// clock sample has to sit inside all of them, so it is taken again
+    /// after all the versions.
+    fn repair_windows(&self, plan: &mut ProbePlan, now: &mut Option<u64>, out: &mut [Option<Val>]) {
+        let ProbePlan {
+            probes,
+            shards_hit,
+            spans,
+            versions,
+            broken,
+            ..
+        } = plan;
+        let ttl = self.ttl.is_some();
+        broken.clear();
+        for (&s, v) in shards_hit.iter().zip(versions.iter_mut()) {
+            let lock = &self.shards[s].lock;
+            let b = ttl || !lock.validate(*v);
+            if b {
+                *v = lock.get_version_wait();
+                optik_probe::count(optik_probe::Event::ReadRepair);
             }
+            broken.push(b);
+        }
+        if ttl {
+            *now = self.now_opt();
+        }
+        // Spans tile `probes` in shard order, so a run of broken shards is
+        // one contiguous run of probes: one batched lookup per run.
+        let mut j = 0;
+        while j < broken.len() {
+            if !broken[j] {
+                j += 1;
+                continue;
+            }
+            let start = spans[j].0;
+            while j < broken.len() && broken[j] {
+                j += 1;
+            }
+            self.probe_span(&probes[start..spans[j - 1].1], *now, out);
         }
     }
 
@@ -985,21 +1079,44 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// linearization point, even across shards.
     ///
     /// Locality-aware and optimistic (no locks) in the common case: keys
-    /// are routed once, one shard version is read per *involved shard*
-    /// — all before the first value read — the probes run (clustered by
-    /// shard and key-sorted on contiguous-partition stores, in arrival
-    /// order on hash-routed stores; see `group_probes`), and every
-    /// shard's window is validated after the last read. All value reads
-    /// therefore fall inside every involved shard's `[version read,
-    /// validate]` window, so any instant between the last version read
-    /// and the first validation is a common linearization point. After
-    /// eight failed rounds it degrades to locking the involved shards in
-    /// ascending order (read-only, released with `revert`) and probing
-    /// the same plan under the locks, re-validating the shard set
-    /// against racing migrations.
+    /// are routed once, one shard version is read per *involved shard*,
+    /// the probes run (on contiguous-partition stores clustered by shard,
+    /// key-sorted and handed to the backend as **one batched lookup**,
+    /// [`ConcurrentMap::get_each`], so that a pointer-chasing backend
+    /// overlaps the cache misses of different keys; in arrival order on
+    /// hash-routed stores; see `group_probes`), and every shard's window
+    /// is validated after the last read.
     ///
-    /// Planning scratch lives in a thread-local (`PROBE_PLAN`), so a
-    /// steady-state call allocates only the result vector.
+    /// **Repair rounds** (contiguous-partition stores). When some windows
+    /// broke, the values read in the windows that still hold are still
+    /// current, so only the broken shards are read again: their versions
+    /// are re-read, their spans re-probed, and then *all* shards are
+    /// validated again — up to eight rounds inside one routing-version
+    /// window, before the whole read is retried. The argument for one
+    /// linearization point is the snapshot object's: in the pass that
+    /// succeeds, every shard's values were read inside that shard's own
+    /// last `[version read, validate]` window, and all of that pass's
+    /// validations follow all probes of all rounds; so the instant just
+    /// before its first validation lies inside every shard's window, and
+    /// at that instant every returned value is the shard's current one.
+    /// It is *not* the case that every version is read before the first
+    /// value read — a repaired shard's version is read after other
+    /// shards' values — and it does not need to be: a window only has to
+    /// enclose its own shard's reads and reach the common instant. A TTL
+    /// store compares every deadline with **one** clock sample, which has
+    /// to lie inside all windows: there a broken window breaks them all
+    /// (all versions re-read, the clock sampled again, everything
+    /// re-probed — the full retry, through the same loop). A moved route
+    /// invalidates the plan rather than a window and retries in full.
+    ///
+    /// After eight failed full rounds the read degrades to locking the
+    /// involved shards in ascending order (read-only, released with
+    /// `revert`) and probing the same plan under the locks, re-validating
+    /// the shard set against racing migrations.
+    ///
+    /// Planning scratch lives in a thread-local (`PROBE_PLAN`) and the
+    /// batched lookups go through a stack array, so a steady-state call
+    /// allocates only the result vector.
     pub fn multi_get(&self, keys: &[Key]) -> Vec<Option<Val>> {
         if keys.is_empty() {
             return Vec::new();
@@ -1036,24 +1153,39 @@ impl<B: ConcurrentMap> KvStore<B> {
             // Clock sample inside the validated window (see
             // `read_entry`): all (value, deadline) pairs are stable
             // until `validate`, so the batch linearizes at this tick.
-            let now = self.now_opt();
+            let mut now = self.now_opt();
             self.probe_plan(keys, plan, now, &mut out);
-            if self.policy.validate(rv)
-                && plan
-                    .shards_hit
-                    .iter()
-                    .zip(&plan.versions)
-                    .all(|(&s, &v)| self.shards[s].lock.validate(v))
-            {
-                if dynamic {
-                    for &s in &plan.shards_hit {
-                        self.shards[s].ops.fetch_add(1, Ordering::Relaxed);
+            // Validate; while it is only shard windows that break, read
+            // those shards again in place (`multi_get`'s docs argue why
+            // the result still has one linearization point).
+            let mut repairs = 0;
+            loop {
+                let routed = self.policy.validate(rv);
+                if routed
+                    && plan
+                        .shards_hit
+                        .iter()
+                        .zip(&plan.versions)
+                        .all(|(&s, &v)| self.shards[s].lock.validate(v))
+                {
+                    if dynamic {
+                        for &s in &plan.shards_hit {
+                            self.shards[s].ops.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
+                    if retried {
+                        record_retry_loop(t0);
+                    }
+                    return out;
                 }
-                if retried {
-                    record_retry_loop(t0);
+                // A moved route invalidates the plan itself, and a flat
+                // plan has no spans to re-probe: both retry in full.
+                if !routed || plan.spans.is_empty() || repairs == OPTIMISTIC_ATTEMPTS {
+                    break;
                 }
-                return out;
+                repairs += 1;
+                retried = true;
+                self.repair_windows(plan, &mut now, &mut out);
             }
             optik_probe::count(optik_probe::Event::ReadRetry);
             retried = true;
@@ -1147,6 +1279,27 @@ impl<B: ConcurrentMap> KvStore<B> {
         }
     }
 
+    /// The batch writers' pre-lock walk (key-ordered stores only): looks
+    /// every key of the batch up, overlapped, and throws the results away.
+    /// The lookups pull the nodes the locked applies are about to traverse
+    /// into this core's cache **before** the shard locks are taken — the
+    /// paper's traversal outside the critical section, applied to a batch
+    /// — so the applies, which find every key again, miss less while
+    /// readers and writers of up to all shards wait. Only a hint: routes
+    /// are unvalidated and nothing read here is used, so whatever races
+    /// the walk (a write, a boundary migration) costs a cold descent
+    /// under the lock and nothing else.
+    fn warm_batch(&self, keys: impl Iterator<Item = Key>) {
+        if self.policy.key_ordered_shards() {
+            Self::get_each_chunked(
+                keys.map(|k| (&self.shards[self.policy.route(k)].map, k)),
+                |_, val| {
+                    std::hint::black_box(val);
+                },
+            );
+        }
+    }
+
     /// Atomically applies every `(key, val)` upsert, returning the
     /// previous **live** value per entry. Entries with duplicate keys
     /// apply in order (the later previous-value observes the earlier
@@ -1160,6 +1313,18 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// sees a partially applied batch. Lock-free single-key gets do not
     /// validate shard versions and may observe a batch mid-application —
     /// per-key atomicity is the most a single-key read can claim.
+    ///
+    /// On a contiguous-partition store the batch's keys are first looked
+    /// up, overlapped and **before any lock is taken** (`warm_batch`): the
+    /// descents, where the cache misses are, happen outside the critical
+    /// section, and the locked applies — unchanged, each finding its key
+    /// again — run over warm lines, so everything that waits on up to all
+    /// of the store's shard locks waits for less. The walk promises
+    /// nothing: its routes and results are unvalidated and unused, it
+    /// takes part in no linearization argument, and a write or a boundary
+    /// migration between walk and lock costs a cold descent under the
+    /// lock, never a wrong answer. The caller pays for it with a slightly
+    /// longer call of its own.
     pub fn multi_put(&self, entries: &[(Key, Val)]) -> Vec<Option<Val>> {
         // Hot-batch fast path: a batch whose keys all route to one shard
         // (the common shape under key affinity) publishes as a single
@@ -1181,6 +1346,17 @@ impl<B: ConcurrentMap> KvStore<B> {
                 return prevs;
             }
         }
+        self.warm_batch(entries.iter().map(|&(k, _)| k));
+        self.multi_put_locked(entries)
+    }
+
+    /// [`KvStore::multi_put`] past its single-shard fast path and its
+    /// walk: sorted acquisition, the applies, release. Out of line on
+    /// purpose: sharing a function with the walk's call site changed how
+    /// the apply loop is laid out, and a batch put on a hash store — which
+    /// never walks — measured 72 → 79 ns per key (`kv.multi_put8`).
+    #[inline(never)]
+    fn multi_put_locked(&self, entries: &[(Key, Val)]) -> Vec<Option<Val>> {
         let ids = self.lock_batch(&|| self.shard_ids(entries.iter().map(|&(k, _)| k)));
         let now = self.now_opt();
         let out = entries
@@ -1195,8 +1371,12 @@ impl<B: ConcurrentMap> KvStore<B> {
 
     /// Atomically removes every key, returning the removed **live** value
     /// per key (expired bindings report `None` and are dropped). Shards
-    /// whose maps end up unmodified release with `revert`.
+    /// whose maps end up unmodified release with `revert`. Like
+    /// [`KvStore::multi_put`], a contiguous-partition store walks the keys
+    /// before it locks — present or not: the walk is a hint and does not
+    /// look at what it finds.
     pub fn multi_remove(&self, keys: &[Key]) -> Vec<Option<Val>> {
+        self.warm_batch(keys.iter().copied());
         let ids = self.lock_batch(&|| self.shard_ids(keys.iter().copied()));
         let now = self.now_opt();
         let mut modified = vec![false; ids.len()];

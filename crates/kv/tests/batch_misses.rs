@@ -1,0 +1,376 @@
+//! Where a batch takes its misses: which backend lookups the batched calls
+//! of a store make, and when.
+//!
+//! The backends are wrapped in [`Tapped`], which logs every lookup and
+//! write the store asks of a shard and can fire a hook on the first lookup
+//! of a chosen shard — a write or a boundary shift landing exactly inside
+//! a `multi_get`'s windows, on the calling thread, without a race to win.
+//!
+//! The `ReadRepair` / `ReadRetry` / `LockAcquire` counts come from the
+//! probe's process-wide counters, so everything runs inside **one** test
+//! function (as in `one_lock_per_write.rs`). Without `--features probe`
+//! the counters read zero; the lookup logs and the replies are checked
+//! either way.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+
+use optik_hashtables::StripedOptikHashTable;
+use optik_kv::{ConcurrentMap, FakeClock, Key, KvStore, OrderedMap, Val};
+use optik_probe::{Event, Snapshot};
+use optik_skiplists::OptikSkipList2;
+
+/// What the store asked of a backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Call {
+    /// `get`, or one probe of a `get_each`.
+    Probe,
+    /// `put`, `remove` or their single-writer twins.
+    Write,
+}
+
+/// One logged backend call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    shard: usize,
+    /// Whether the call went to the shard's deadline table.
+    deadlines: bool,
+    call: Call,
+    key: Key,
+    /// The process's `LockAcquire` count when the call was made.
+    locks: u64,
+}
+
+type Hook = Box<dyn FnOnce() + Send>;
+
+/// The log and the hook shared by all of one store's backends.
+#[derive(Default)]
+struct Tap {
+    log: Mutex<Vec<Entry>>,
+    /// Fires once, before the first lookup in this shard's data map.
+    hook: Mutex<Option<(usize, Hook)>>,
+    /// Set while the hook runs and during set-up: what those ask of the
+    /// backends is not the call under test.
+    muted: AtomicBool,
+}
+
+impl Tap {
+    fn arm(&self, shard: usize, hook: impl FnOnce() + Send + 'static) {
+        *self.hook.lock().unwrap() = Some((shard, Box::new(hook)));
+    }
+
+    fn quietly<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.muted.store(true, Ordering::Relaxed);
+        let out = f();
+        self.muted.store(false, Ordering::Relaxed);
+        out
+    }
+
+    /// The calls logged during `f`, with the probe deltas
+    /// `(ReadRepair, ReadRetry, LockAcquire)`; `locks` of each entry is
+    /// rebased to the start of `f`.
+    fn during<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<Entry>, [u64; 3]) {
+        self.log.lock().unwrap().clear();
+        let before = Snapshot::take();
+        let out = f();
+        let d = Snapshot::take().delta_since(&before);
+        let base = before.get(Event::LockAcquire);
+        let log = std::mem::take(&mut *self.log.lock().unwrap())
+            .into_iter()
+            .map(|e| Entry {
+                locks: e.locks - base,
+                ..e
+            })
+            .collect();
+        let counts = [Event::ReadRepair, Event::ReadRetry, Event::LockAcquire].map(|e| d.get(e));
+        (out, log, counts)
+    }
+}
+
+/// A backend that reports to a [`Tap`] before it forwards.
+struct Tapped<B> {
+    inner: B,
+    shard: usize,
+    deadlines: bool,
+    tap: Arc<Tap>,
+}
+
+impl<B> Tapped<B> {
+    fn note(&self, call: Call, key: Key) {
+        if self.tap.muted.load(Ordering::Relaxed) {
+            return;
+        }
+        if call == Call::Probe && !self.deadlines {
+            let mut armed = self.tap.hook.lock().unwrap();
+            if armed
+                .as_ref()
+                .is_some_and(|&(shard, _)| shard == self.shard)
+            {
+                let (_, hook) = armed.take().expect("checked above");
+                drop(armed);
+                self.tap.quietly(hook);
+            }
+        }
+        self.tap.log.lock().unwrap().push(Entry {
+            shard: self.shard,
+            deadlines: self.deadlines,
+            call,
+            key,
+            locks: Snapshot::take().get(Event::LockAcquire),
+        });
+    }
+}
+
+impl<B: ConcurrentMap> ConcurrentMap for Tapped<B> {
+    fn get(&self, key: Key) -> Option<Val> {
+        self.note(Call::Probe, key);
+        self.inner.get(key)
+    }
+    fn get_each(probes: &[(&Self, Key)], out: &mut [Option<Val>]) {
+        for &(map, key) in probes {
+            map.note(Call::Probe, key);
+        }
+        let inner: Vec<(&B, Key)> = probes.iter().map(|&(map, key)| (&map.inner, key)).collect();
+        B::get_each(&inner, out);
+    }
+    fn put(&self, key: Key, val: Val) -> Option<Val> {
+        self.note(Call::Write, key);
+        self.inner.put(key, val)
+    }
+    fn remove(&self, key: Key) -> Option<Val> {
+        self.note(Call::Write, key);
+        self.inner.remove(key)
+    }
+    unsafe fn put_exclusive(&self, key: Key, val: Val) -> Option<Val> {
+        self.note(Call::Write, key);
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { self.inner.put_exclusive(key, val) }
+    }
+    unsafe fn remove_exclusive(&self, key: Key) -> Option<Val> {
+        self.note(Call::Write, key);
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { self.inner.remove_exclusive(key) }
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn for_each(&self, f: &mut dyn FnMut(Key, Val)) {
+        self.inner.for_each(f);
+    }
+}
+
+impl<B: OrderedMap> OrderedMap for Tapped<B> {
+    fn range(&self, lo: Key, hi: Key, f: &mut dyn FnMut(Key, Val)) {
+        self.inner.range(lo, hi, f);
+    }
+}
+
+/// A `make` closure for the store constructors: the first backend built
+/// for a shard is its data map, the second its deadline table.
+fn tapped<B>(tap: &Arc<Tap>, mut make: impl FnMut() -> B) -> impl FnMut(usize) -> Tapped<B> {
+    let tap = Arc::clone(tap);
+    let mut built = Vec::new();
+    move |shard| {
+        let deadlines = built.contains(&shard);
+        built.push(shard);
+        Tapped {
+            inner: make(),
+            shard,
+            deadlines,
+            tap: Arc::clone(&tap),
+        }
+    }
+}
+
+/// Asserts a probe counter when the hooks are live.
+fn assert_count(got: u64, want: u64, what: &str) {
+    if optik_probe::enabled() {
+        assert_eq!(got, want, "{what}");
+    } else {
+        assert_eq!(got, 0, "{what}: hooks are compiled out");
+    }
+}
+
+/// The `(shard, key)` of the logged lookups in `table`, in order.
+fn probes(log: &[Entry], deadlines: bool) -> Vec<(usize, Key)> {
+    log.iter()
+        .filter(|e| e.call == Call::Probe && e.deadlines == deadlines)
+        .map(|e| (e.shard, e.key))
+        .collect()
+}
+
+/// Four partitions of a hundred keys; two keys of each, in no order.
+const KEYS: [Key; 8] = [350, 50, 250, 150, 260, 60, 360, 160];
+/// [`KEYS`] as the grouped plan probes them: by shard, then by key.
+const PLANNED: [(usize, Key); 8] = [
+    (0, 50),
+    (0, 60),
+    (1, 150),
+    (1, 160),
+    (2, 250),
+    (2, 260),
+    (3, 350),
+    (3, 360),
+];
+
+type Ordered = KvStore<Tapped<OptikSkipList2>>;
+
+fn filled(store: Ordered, tap: &Tap) -> Arc<Ordered> {
+    tap.quietly(|| {
+        for k in (10..=400).step_by(10) {
+            store.put(k, k * 10);
+        }
+    });
+    Arc::new(store)
+}
+
+fn ordered_store(tap: &Arc<Tap>) -> Arc<Ordered> {
+    let make = tapped(tap, OptikSkipList2::new);
+    filled(KvStore::with_ordered_shards(4, 400, make), tap)
+}
+
+#[test]
+fn batched_calls_take_their_misses_overlapped_and_before_the_locks() {
+    let want = |patch: &[(Key, Option<Val>)]| -> Vec<Option<Val>> {
+        KEYS.iter()
+            .map(|&k| {
+                patch
+                    .iter()
+                    .find(|&&(p, _)| p == k)
+                    .map_or(Some(k * 10), |&(_, v)| v)
+            })
+            .collect()
+    };
+
+    // (a) A write to one shard inside a `multi_get`'s windows: that
+    // shard's keys are looked up again, nobody else's, and the reply is
+    // the snapshot after the write.
+    let tap = Arc::new(Tap::default());
+    let store = ordered_store(&tap);
+    assert!(!store.backend(0).deadlines, "`backend` is the data map");
+    let (got, log, counts) = tap.during(|| store.multi_get(&KEYS));
+    assert_eq!(got, want(&[]));
+    assert_eq!(
+        probes(&log, false),
+        PLANNED,
+        "undisturbed: one lookup per key"
+    );
+    assert_eq!(counts, [0; 3], "undisturbed: no repair, no retry, no lock");
+    let writer = Arc::clone(&store);
+    tap.arm(2, move || {
+        writer.put(250, 7);
+    });
+    let (got, log, [repairs, retries, _]) = tap.during(|| store.multi_get(&KEYS));
+    assert_eq!(got, want(&[(250, Some(7))]), "the snapshot after the write");
+    let mut expect = PLANNED.to_vec();
+    expect.extend([(2, 250), (2, 260)]);
+    assert_eq!(
+        probes(&log, false),
+        expect,
+        "shard 2 again, and only shard 2"
+    );
+    assert_count(repairs, 1, "one shard repaired");
+    assert_eq!(retries, 0, "no full retry");
+
+    // (b) A TTL store samples one clock for the whole batch, inside every
+    // window: one broken window breaks them all.
+    let tap = Arc::new(Tap::default());
+    let clock = Arc::new(FakeClock::new());
+    let make = tapped(&tap, OptikSkipList2::new);
+    let store = filled(
+        KvStore::with_ordered_shards_ttl(4, 400, clock.clone(), make),
+        &tap,
+    );
+    assert!(!store.backend(0).deadlines, "`backend` is the data map");
+    tap.quietly(|| store.put_with_ttl(150, 1, 5));
+    clock.advance(5);
+    let writer = Arc::clone(&store);
+    tap.arm(2, move || {
+        writer.put(250, 7);
+    });
+    let (got, log, [repairs, retries, _]) = tap.during(|| store.multi_get(&KEYS));
+    assert_eq!(got, want(&[(250, Some(7)), (150, None)]));
+    let twice = [PLANNED, PLANNED].concat();
+    assert_eq!(probes(&log, false), twice, "every value again");
+    assert_eq!(probes(&log, true), twice, "and every deadline");
+    assert_count(repairs, 4, "all four windows re-opened");
+    assert_eq!(retries, 0, "inside the repair loop, not around it");
+
+    // (c) A boundary shift inside the windows invalidates the plan, not a
+    // window: the full retry, re-routed (key 60 now lives in shard 1).
+    let tap = Arc::new(Tap::default());
+    let store = ordered_store(&tap);
+    let mover = Arc::clone(&store);
+    tap.arm(2, move || {
+        let moved = mover.shift_boundary(0, 55).expect("legal shift").moved;
+        assert_eq!(moved, 5, "keys 60..=100");
+    });
+    let (got, log, [repairs, retries, _]) = tap.during(|| store.multi_get(&KEYS));
+    assert_eq!(got, want(&[]));
+    let mut expect = PLANNED.to_vec();
+    expect.extend(PLANNED.map(|(s, k)| (if k == 60 { 1 } else { s }, k)));
+    assert_eq!(probes(&log, false), expect);
+    assert_eq!(
+        repairs, 0,
+        "nothing to repair in a plan that no longer routes"
+    );
+    assert_count(retries, 1, "one full retry");
+
+    // (d) Batch writers on a key-ordered store look every key up once
+    // before they take their first lock; the locked applies follow.
+    let tap = Arc::new(Tap::default());
+    let store = ordered_store(&tap);
+    let entries = KEYS.map(|k| (k, k + 1));
+    let walk_then_apply = |log: &[Entry], what: &str| {
+        let (walk, apply) = log.split_at(KEYS.len());
+        let routed = |e: &Entry| (e.key, e.shard, e.deadlines);
+        let home = KEYS.map(|k| (k, store.shard_of(k), false));
+        assert_eq!(walk.iter().map(routed).collect::<Vec<_>>(), home, "{what}");
+        assert_eq!(apply.iter().map(routed).collect::<Vec<_>>(), home, "{what}");
+        assert!(
+            walk.iter().all(|e| e.call == Call::Probe),
+            "{what}: {log:?}"
+        );
+        assert!(
+            apply.iter().all(|e| e.call == Call::Write),
+            "{what}: {log:?}"
+        );
+        assert!(
+            walk.iter().all(|e| e.locks == 0),
+            "{what}: a lock before the walk ended: {log:?}"
+        );
+        // All four shard locks, then the first apply (the skip list's own
+        // node locks come after it).
+        assert_count(apply[0].locks, 4, what);
+    };
+    let (prevs, log, _) = tap.during(|| store.multi_put(&entries));
+    assert_eq!(prevs, want(&[]));
+    walk_then_apply(&log, "multi_put");
+    let (gone, log, _) = tap.during(|| store.multi_remove(&KEYS));
+    assert_eq!(gone, KEYS.map(|k| Some(k + 1)));
+    walk_then_apply(&log, "multi_remove");
+    // A miss is walked all the same: the walk does not know.
+    let (gone, log, _) = tap.during(|| store.multi_remove(&KEYS));
+    assert!(gone.iter().all(Option::is_none));
+    walk_then_apply(&log, "multi_remove of absent keys");
+
+    // On a hash-routed store nothing is walked: a hashed backend has no
+    // descent to warm, and its batch writers keep the code they had.
+    let tap = Arc::new(Tap::default());
+    let make = tapped(&tap, || StripedOptikHashTable::new(64, 8));
+    let hashed: KvStore<Tapped<StripedOptikHashTable>> = KvStore::with_shards(4, make);
+    let (prevs, log, _) = tap.during(|| hashed.multi_put(&entries));
+    assert!(prevs.iter().all(Option::is_none));
+    assert!(probes(&log, false).is_empty(), "multi_put walked: {log:?}");
+    assert_eq!(log.len(), KEYS.len(), "one write per key: {log:?}");
+    let (got, log, _) = tap.during(|| hashed.multi_get(&KEYS));
+    assert_eq!(got, KEYS.map(|k| Some(k + 1)));
+    let arrival = KEYS.map(|k| (hashed.shard_of(k), k));
+    assert_eq!(probes(&log, false), arrival, "the flat plan: arrival order");
+    let (gone, log, _) = tap.during(|| hashed.multi_remove(&KEYS));
+    assert_eq!(gone, KEYS.map(|k| Some(k + 1)));
+    assert!(
+        probes(&log, false).is_empty(),
+        "multi_remove walked: {log:?}"
+    );
+}

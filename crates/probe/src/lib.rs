@@ -155,10 +155,15 @@ pub enum Event {
     ArenaRunRefill = 19,
     /// Software prefetch issued one hop ahead of a traversal.
     PrefetchIssued = 20,
+    /// Shard re-probed by a kv `multi_get` repair round: its window broke,
+    /// its version was re-read and its keys looked up again while the
+    /// other shards' values were kept (a round that retries everything
+    /// counts as [`Event::ReadRetry`] instead).
+    ReadRepair = 21,
 }
 
 /// Number of [`Event`] kinds.
-pub const EVENT_COUNT: usize = 21;
+pub const EVENT_COUNT: usize = 22;
 
 impl Event {
     /// All events, in counter order.
@@ -184,6 +189,7 @@ impl Event {
         Event::ArenaSlabAlloc,
         Event::ArenaRunRefill,
         Event::PrefetchIssued,
+        Event::ReadRepair,
     ];
 
     /// Stable snake_case key (report/JSON field name).
@@ -210,6 +216,7 @@ impl Event {
             Event::ArenaSlabAlloc => "arena_slab_allocs",
             Event::ArenaRunRefill => "arena_run_refills",
             Event::PrefetchIssued => "prefetch_issued",
+            Event::ReadRepair => "read_repair",
         }
     }
 }
@@ -707,6 +714,7 @@ impl Snapshot {
             (Event::ArenaSlabAlloc, "arena_slab_allocs"),
             (Event::ArenaRunRefill, "arena_run_refills"),
             (Event::PrefetchIssued, "prefetch_issued"),
+            (Event::ReadRepair, "read_repairs"),
         ] {
             if self.get(e) > 0 {
                 out.push((label.into(), self.get(e) as f64));

@@ -72,6 +72,34 @@ impl Header for Node {
 
 const SMALL: usize = tower::small_levels::<Node>();
 
+/// Probes one [`ConcurrentMap::get_each`] round advances side by side: as
+/// many independent misses as a core keeps in flight before its line-fill
+/// buffers, not the walk, are the limit.
+const LANES: usize = 8;
+
+/// Levels below this one are walked interleaved by `get_each`; the levels
+/// from it up are walked per key, in `search`'s tight loop. A level-`l`
+/// node is one in `2^l`, so the towers that reach level 6 stay
+/// cache-resident under any traffic (256 of them in a 2^14-entry list)
+/// and interleaving there only adds the lanes' bookkeeping; the misses
+/// are in the bottom levels, whose nodes are the other 63 in 64.
+const SPLIT: usize = 6;
+
+/// One in-flight probe of [`ConcurrentMap::get_each`]'s interleaved walk:
+/// `search`'s loop variables, parked between turns.
+#[derive(Clone, Copy)]
+struct Lane {
+    key: Key,
+    /// Last node with a smaller key: where a descent continues from.
+    pred: *mut Node,
+    /// `next(pred, level)`, hinted on the lane's previous turn and
+    /// compared on this one.
+    cur: *mut Node,
+    level: usize,
+    /// Position of the probe's result in the round's slice of `out`.
+    slot: usize,
+}
+
 /// Shared implementation; `FINE` selects the optik1 (fine re-validation)
 /// or optik2 (immediate restart) behaviour.
 pub struct OptikSkipList<const FINE: bool> {
@@ -129,6 +157,40 @@ impl<const FINE: bool> OptikSkipList<FINE> {
         self.len() == 0
     }
 
+    /// The binding of a node whose key matched, as a lookup reports it:
+    /// `None` while the node is still being linked or once it is claimed.
+    ///
+    /// # Safety
+    ///
+    /// QSBR grace period required.
+    #[inline(always)]
+    unsafe fn read_live(found: *mut Node) -> Option<Val> {
+        // SAFETY: per contract.
+        unsafe {
+            ((*found).fully_linked.load(Ordering::Acquire)
+                && !(*found).marked.load(Ordering::Acquire))
+            .then(|| (*found).val.load(Ordering::Acquire))
+        }
+    }
+
+    /// Hints the node a descent from `pred` at level `l` compares next.
+    /// Issued before the comparison at level `l` is decided: its pointer
+    /// sits in `pred`'s line, which the walk has already loaded, so the
+    /// line needed after a *failed* comparison is in flight during the
+    /// miss that decides it. (The successor at level `l` itself needs no
+    /// hint: the next instruction loads it.)
+    ///
+    /// # Safety
+    ///
+    /// QSBR grace period required; `l <= (*pred).top_level()`.
+    #[inline(always)]
+    unsafe fn prefetch_below(pred: *mut Node, l: usize) {
+        if l > 0 {
+            // SAFETY: per contract.
+            synchro::prefetch::read(unsafe { tower::next(pred, l - 1).load(Ordering::Relaxed) });
+        }
+    }
+
     /// Traversal with per-level predecessor version tracking.
     ///
     /// # Safety
@@ -148,12 +210,12 @@ impl<const FINE: bool> OptikSkipList<FINE> {
             let mut predv = (*pred).lock.get_version();
             for l in (0..MAX_LEVEL).rev() {
                 let mut cur = tower::next(pred, l).load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
+                Self::prefetch_below(pred, l);
                 while (*cur).key < key {
                     pred = cur;
                     predv = (*pred).lock.get_version();
                     cur = tower::next(pred, l).load(Ordering::Acquire);
-                    synchro::prefetch::read(cur);
+                    Self::prefetch_below(pred, l);
                 }
                 if lfound.is_none() && (*cur).key == key {
                     lfound = Some(l);
@@ -240,21 +302,22 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
             let mut found: *mut Node = std::ptr::null_mut();
             for l in (0..MAX_LEVEL).rev() {
                 let mut cur = tower::next(pred, l).load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
+                Self::prefetch_below(pred, l);
                 while (*cur).key < key {
                     pred = cur;
                     cur = tower::next(cur, l).load(Ordering::Acquire);
-                    synchro::prefetch::read(cur);
+                    Self::prefetch_below(pred, l);
                 }
                 if (*cur).key == key {
                     found = cur;
                     break;
                 }
             }
-            (!found.is_null()
-                && (*found).fully_linked.load(Ordering::Acquire)
-                && !(*found).marked.load(Ordering::Acquire))
-            .then(|| (*found).val.load(Ordering::Acquire))
+            if found.is_null() {
+                None
+            } else {
+                Self::read_live(found)
+            }
         }
     }
 
@@ -452,6 +515,107 @@ impl<const FINE: bool> ConcurrentMap for OptikSkipList<FINE> {
         ConcurrentSet::search(self, key)
     }
 
+    /// `search` for a batch, with the cache misses of different probes
+    /// overlapped. A lookup is a chain of dependent loads, about a dozen
+    /// right-moves of which most miss once the list outgrows the cache; the
+    /// chains of different keys share nothing, so up to [`LANES`] of them
+    /// advance round-robin, one comparison per turn, and each turn ends by
+    /// hinting the node the lane compares on its next turn — which is then
+    /// being fetched while the other lanes take theirs. Only the bottom
+    /// [`SPLIT`] levels are walked that way; above them every probe runs
+    /// `search`'s own loop to its end first.
+    ///
+    /// Each probe performs exactly `search`'s reads in `search`'s order
+    /// (the hit is decided by the shared `read_live`), only interleaved
+    /// with other probes' reads, so each result is one `get` could have
+    /// returned during the call. One quiescence announcement covers the
+    /// batch: it precedes the first pointer load, and no lane announces
+    /// again while any lane holds a pointer.
+    fn get_each(probes: &[(&Self, Key)], out: &mut [Option<Val>]) {
+        assert_eq!(probes.len(), out.len(), "one result slot per probe");
+        reclaim::quiescent();
+        for (probes, out) in probes.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            let mut lanes = [Lane {
+                key: 0,
+                pred: std::ptr::null_mut(),
+                cur: std::ptr::null_mut(),
+                level: 0,
+                slot: 0,
+            }; LANES];
+            let mut live = 0;
+            // SAFETY: grace period (see above): every pointer below was
+            // loaded after the announcement and is dropped before the next.
+            unsafe {
+                'probe: for (slot, &(list, key)) in probes.iter().enumerate() {
+                    assert_user_key(key);
+                    let mut pred = list.head;
+                    for l in (SPLIT..MAX_LEVEL).rev() {
+                        let mut cur = tower::next(pred, l).load(Ordering::Acquire);
+                        while (*cur).key < key {
+                            pred = cur;
+                            cur = tower::next(cur, l).load(Ordering::Acquire);
+                        }
+                        if (*cur).key == key {
+                            out[slot] = Self::read_live(cur);
+                            continue 'probe;
+                        }
+                    }
+                    let cur = tower::next(pred, SPLIT - 1).load(Ordering::Acquire);
+                    synchro::prefetch::read(cur);
+                    lanes[live] = Lane {
+                        key,
+                        pred,
+                        cur,
+                        level: SPLIT - 1,
+                        slot,
+                    };
+                    live += 1;
+                }
+                while live > 0 {
+                    let mut i = 0;
+                    while i < live {
+                        let lane = &mut lanes[i];
+                        let cur_key = (*lane.cur).key;
+                        // The probe's result, once this turn decides it.
+                        let decided = if cur_key < lane.key {
+                            lane.pred = lane.cur;
+                            lane.cur = tower::next(lane.cur, lane.level).load(Ordering::Acquire);
+                            None
+                        } else if cur_key == lane.key {
+                            Some(Self::read_live(lane.cur))
+                        } else {
+                            // Descend. A level whose successor is the node
+                            // just compared has its comparison decided too.
+                            loop {
+                                if lane.level == 0 {
+                                    break Some(None);
+                                }
+                                lane.level -= 1;
+                                let below =
+                                    tower::next(lane.pred, lane.level).load(Ordering::Acquire);
+                                if below != lane.cur {
+                                    lane.cur = below;
+                                    break None;
+                                }
+                            }
+                        };
+                        match decided {
+                            None => {
+                                synchro::prefetch::read(lane.cur);
+                                i += 1;
+                            }
+                            Some(result) => {
+                                out[lane.slot] = result;
+                                live -= 1;
+                                lanes[i] = lanes[live];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// In-place upsert, OPTIK style: the node's version is read before the
     /// liveness checks and the swap happens only after a successful
     /// `try_lock_version` against it — acquisition *is* revalidation. A
@@ -535,12 +699,12 @@ impl<const FINE: bool> OrderedMap for OptikSkipList<FINE> {
                 let mut predv = (*pred).lock.get_version();
                 for l in (0..MAX_LEVEL).rev() {
                     let mut cur = tower::next(pred, l).load(Ordering::Acquire);
-                    synchro::prefetch::read(cur);
+                    Self::prefetch_below(pred, l);
                     while (*cur).key < from {
                         pred = cur;
                         predv = (*pred).lock.get_version();
                         cur = tower::next(pred, l).load(Ordering::Acquire);
-                        synchro::prefetch::read(cur);
+                        Self::prefetch_below(pred, l);
                     }
                 }
                 if fails >= RANGE_OPTIMISTIC_ATTEMPTS {
@@ -706,5 +870,188 @@ mod tests {
         let net: i64 =
             reclaim::offline_while(|| handles.into_iter().map(|h| h.join().unwrap()).sum());
         assert_eq!(s.len() as i64, net);
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// `get_each` against the per-key `get` on quiescent lists: every batch
+    /// length around the lane count, probes spread over four lists (one of
+    /// them empty), both ends of the user key space, a repeated probe.
+    fn get_each_is_observably_the_per_key_get<const FINE: bool>() {
+        use optik_harness::api::{MAX_USER_KEY, MIN_USER_KEY};
+        const KEYS: u64 = 4096;
+        let seed = synchro::stress::seed();
+        let lists: [OptikSkipList<FINE>; 4] = std::array::from_fn(|_| OptikSkipList::new());
+        let mut x = seed | 1;
+        for (i, list) in lists[..3].iter().enumerate() {
+            // About 1600 distinct keys per list: towers up to height 11,
+            // so hits and right-moves occur above and below `SPLIT`.
+            for _ in 0..2_000 {
+                let k = xorshift(&mut x) % KEYS + 1;
+                list.put(k, k << 8 | i as u64);
+            }
+        }
+        lists[0].put(MIN_USER_KEY, 7);
+        lists[1].put(MAX_USER_KEY, 9);
+        for len in [0usize, 1, 7, 8, 9, 64] {
+            for round in 0..synchro::stress::ops(400) {
+                let mut probes: Vec<(&OptikSkipList<FINE>, Key)> = (0..len)
+                    .map(|_| {
+                        let r = xorshift(&mut x);
+                        let key = match r % 16 {
+                            0 => MIN_USER_KEY,
+                            1 => MAX_USER_KEY,
+                            _ => (r >> 8) % KEYS + 1,
+                        };
+                        (&lists[(r >> 40) as usize % lists.len()], key)
+                    })
+                    .collect();
+                if len >= 2 {
+                    probes[len - 1] = probes[0];
+                }
+                // Poisoned, so a slot the call leaves unwritten shows.
+                let mut got = vec![Some(u64::MAX); len];
+                OptikSkipList::get_each(&probes, &mut got);
+                let want: Vec<Option<Val>> = probes.iter().map(|&(l, k)| l.get(k)).collect();
+                assert_eq!(
+                    got, want,
+                    "batch of {len}, round {round}; STRESS_SEED={seed:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn get_each_is_observably_the_per_key_get_optik1() {
+        get_each_is_observably_the_per_key_get::<true>();
+    }
+
+    #[test]
+    fn get_each_is_observably_the_per_key_get_optik2() {
+        get_each_is_observably_the_per_key_get::<false>();
+    }
+
+    /// One reader batching lookups over three lists while `writers`
+    /// threads put and remove. Key `k` lives in list `k % 3` and has one
+    /// writer, which tags every value `k << 32 | op index`: a value under
+    /// the wrong key, a torn one, or one older than the reader has already
+    /// seen for that key fails. Afterwards both ledgers close.
+    fn get_each_races_writers(writers: u64) {
+        use std::sync::atomic::AtomicBool;
+        const KEYS: u64 = 192;
+        let tag = |k: Key, i: u64| k << 32 | i;
+        let seed = synchro::stress::seed();
+        eprintln!("stress seed: {seed:#018x} (set STRESS_SEED={seed:#x} to reproduce)");
+        let lists: [OptikSkipList2; 3] = std::array::from_fn(|_| OptikSkipList2::new());
+        let list_of = |k: Key| &lists[(k % 3) as usize];
+        let stop = AtomicBool::new(false);
+        let model: Vec<Option<Val>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..writers)
+                .map(|w| {
+                    let (stop, list_of) = (&stop, &list_of);
+                    s.spawn(move || {
+                        let mut x = (seed ^ (w + 2).wrapping_mul(0x9E3779B97F4A7C15)) | 1;
+                        let mut model = vec![None; KEYS as usize + 1];
+                        let mut i = 0u64;
+                        while !stop.load(Ordering::Relaxed) {
+                            i += 1;
+                            let r = xorshift(&mut x);
+                            // This writer's keys: `k / 3 % writers == w`.
+                            let k =
+                                (r % (KEYS / 3 / writers) * writers + w) * 3 + (r >> 20) % 3 + 1;
+                            let (got, next) = if r >> 32 & 1 == 0 {
+                                (list_of(k).put(k, tag(k, i)), Some(tag(k, i)))
+                            } else {
+                                (list_of(k).remove(k), None)
+                            };
+                            assert_eq!(
+                                got, model[k as usize],
+                                "writer {w} op {i} on key {k}; STRESS_SEED={seed:#x}"
+                            );
+                            model[k as usize] = next;
+                        }
+                        model
+                    })
+                })
+                .collect();
+            let mut x = seed | 1;
+            let mut newest = vec![0u64; KEYS as usize + 1];
+            for round in 0..synchro::stress::ops(60_000) {
+                let len = (xorshift(&mut x) % 24) as usize + 1;
+                let probes: Vec<(&OptikSkipList2, Key)> = (0..len)
+                    .map(|_| {
+                        let k = xorshift(&mut x) % KEYS + 1;
+                        (list_of(k), k)
+                    })
+                    .collect();
+                let mut got = vec![None; len];
+                OptikSkipList::get_each(&probes, &mut got);
+                for (&(_, k), v) in probes.iter().zip(got) {
+                    let Some(v) = v else { continue };
+                    assert_eq!(
+                        v >> 32,
+                        k,
+                        "round {round}: foreign or torn value {v:#x} at key {k}; \
+                         STRESS_SEED={seed:#x}"
+                    );
+                    let i = v & 0xffff_ffff;
+                    assert!(
+                        i >= newest[k as usize],
+                        "round {round}: key {k} went back from op {} to op {i}; \
+                         STRESS_SEED={seed:#x}",
+                        newest[k as usize]
+                    );
+                    newest[k as usize] = i;
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            // The writers' key sets are disjoint: their models add up.
+            reclaim::offline_while(|| {
+                let mut all = vec![None; KEYS as usize + 1];
+                for h in handles {
+                    for (slot, v) in all.iter_mut().zip(h.join().expect("writer panicked")) {
+                        *slot = slot.or(v);
+                    }
+                }
+                all
+            })
+        });
+        for k in 1..=KEYS {
+            assert_eq!(
+                list_of(k).get(k),
+                model[k as usize],
+                "key {k}; STRESS_SEED={seed:#x}"
+            );
+        }
+        // Both ledgers, as far as these lists can see them (the QSBR
+        // domain is shared with the binary's other tests): nothing they
+        // retired is still in grace, and the live slots are the model's
+        // entries plus each list's two sentinels.
+        assert!(
+            Towers::grace_elapses(&lists.each_ref().map(|l| &l.pool)),
+            "grace period never elapsed; STRESS_SEED={seed:#x}"
+        );
+        let live: u64 = lists
+            .iter()
+            .flat_map(|l| l.pool.stats())
+            .map(|s| s.live())
+            .sum();
+        let want = model.iter().flatten().count() as u64 + 2 * lists.len() as u64;
+        assert_eq!(live, want, "STRESS_SEED={seed:#x}");
+    }
+
+    #[test]
+    fn get_each_races_writers_2() {
+        get_each_races_writers(2);
+    }
+
+    #[test]
+    fn get_each_races_writers_4() {
+        get_each_races_writers(4);
     }
 }

@@ -161,6 +161,35 @@ impl<H: Header, const S: usize> Towers<H, S> {
         }
     }
 
+    /// The `[small, tall]` slot ledgers, for tests that close them.
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> [reclaim::PoolStats; 2] {
+        [self.small.stats(), self.tall.stats()]
+    }
+
+    /// Seals the calling thread's retire bag and waits until nothing any of
+    /// `towers` retired is still in grace (other tests share the global
+    /// domain, so it can take a few rounds); `false` if that never happens.
+    #[cfg(test)]
+    pub(crate) fn grace_elapses(towers: &[&Self]) -> bool {
+        reclaim::with_local(|h| {
+            h.flush();
+            for _ in 0..1_000_000 {
+                h.quiescent();
+                h.collect();
+                if towers
+                    .iter()
+                    .flat_map(|t| t.stats())
+                    .all(|s| s.in_grace == 0)
+                {
+                    return true;
+                }
+                std::thread::yield_now();
+            }
+            false
+        })
+    }
+
     /// Returns `p`'s slot to its class's pool after a grace period.
     ///
     /// # Safety
@@ -233,24 +262,6 @@ mod tests {
         (t.small.stats().live(), t.tall.stats().live())
     }
 
-    /// Seals the calling thread's retire bag and waits out the grace
-    /// period (other tests share the global domain, so it can take a few
-    /// rounds).
-    fn grace(t: &Towers<Hdr, S>) {
-        reclaim::with_local(|h| {
-            h.flush();
-            for _ in 0..1_000_000 {
-                h.quiescent();
-                h.collect();
-                if t.small.stats().in_grace + t.tall.stats().in_grace == 0 {
-                    return;
-                }
-                std::thread::yield_now();
-            }
-            panic!("grace period never elapsed");
-        });
-    }
-
     #[test]
     fn a_32_byte_header_leaves_four_levels_in_the_line() {
         assert_eq!(size_of::<Hdr>(), 32);
@@ -310,7 +321,7 @@ mod tests {
                 }
                 t.retire(p);
             }
-            grace(&t);
+            assert!(Towers::grace_elapses(&[&t]), "grace period never elapsed");
             assert_eq!(live(&t), (0, 2), "height {height}: back to the sentinels");
             // The freed slot is what its class hands out next.
             let q = t.alloc(hdr(0, top));
