@@ -134,8 +134,7 @@ pub fn group_blurb(group: &str) -> &'static str {
         "kv.multiget" => {
             "kv multi-get heavy (8192 entries, uniform, 50% 16-key multi-gets + 10% writes, \
              8 shards): shard-grouped multi_get (route once, one validated OPTIK window per \
-             involved shard, allocation-free planning) vs `-perkey` re-route-every-key \
-             twins (A/B with --ab)"
+             involved shard, allocation-free planning)"
         }
         "kv.shards" => {
             "kv shard-count ablation (striped-optik backend, read-heavy zipf, 1..32 shards)"
@@ -1078,16 +1077,12 @@ fn kv(r: &mut Registry) {
     ));
 
     // Multi-get–heavy: half the issued ops are 16-key multi-gets, with a
-    // 10% single-key write stream keeping shard versions moving. Each
-    // backend gets a `-perkey` twin that routes batched gets through the
-    // pre-grouping `multi_get_per_key` baseline; compare interleaved with
-    //   bench_all --ab kv.multiget.striped-perkey,kv.multiget.striped
+    // 10% single-key write stream keeping shard versions moving.
     let about = "kv multi-get heavy: 50% 16-key multi-gets under 10% writes; \
-                 grouped path routes once, validates one OPTIK window per \
+                 the read routes once, validates one OPTIK window per \
                  involved shard, and plans without allocating (probes \
-                 key-clustered only on contiguous-partition stores); \
-                 `-perkey` twins re-route every key (A/B with --ab)";
-    let grouped = KvWorkload::new(
+                 key-clustered only on contiguous-partition stores)";
+    let w = KvWorkload::new(
         SIZE,
         false,
         KvMix {
@@ -1098,43 +1093,38 @@ fn kv(r: &mut Registry) {
             ..KvMix::default()
         },
     );
-    let mut per_key = grouped.clone();
-    per_key.mix.per_key_multiget = true;
-    for (series, w) in [("", &grouped), ("-perkey", &per_key)] {
-        let name = |backend: &str| format!("kv.multiget.{backend}{series}");
-        r.register(kv_scenario(
-            &name("optik-map"),
-            about,
-            "kv/optik-map",
-            SHARDS,
-            w.clone(),
-            move |_| OptikMapHashTable::with_bucket_capacity(span.max(16), 16),
-        ));
-        r.register(kv_scenario(
-            &name("striped"),
-            about,
-            "kv/striped",
-            SHARDS,
-            w.clone(),
-            move |_| StripedHashTable::new(span.max(16), 16),
-        ));
-        r.register(kv_scenario(
-            &name("striped-optik"),
-            about,
-            "kv/striped-optik",
-            SHARDS,
-            w.clone(),
-            move |_| StripedOptikHashTable::new(span.max(16), 16),
-        ));
-        r.register(kv_scenario(
-            &name("resizable"),
-            about,
-            "kv/resizable",
-            SHARDS,
-            w.clone(),
-            move |_| ResizableStripedHashTable::new(16, 8),
-        ));
-    }
+    r.register(kv_scenario(
+        "kv.multiget.optik-map",
+        about,
+        "kv/optik-map",
+        SHARDS,
+        w.clone(),
+        move |_| OptikMapHashTable::with_bucket_capacity(span.max(16), 16),
+    ));
+    r.register(kv_scenario(
+        "kv.multiget.striped",
+        about,
+        "kv/striped",
+        SHARDS,
+        w.clone(),
+        move |_| StripedHashTable::new(span.max(16), 16),
+    ));
+    r.register(kv_scenario(
+        "kv.multiget.striped-optik",
+        about,
+        "kv/striped-optik",
+        SHARDS,
+        w.clone(),
+        move |_| StripedOptikHashTable::new(span.max(16), 16),
+    ));
+    r.register(kv_scenario(
+        "kv.multiget.resizable",
+        about,
+        "kv/resizable",
+        SHARDS,
+        w,
+        move |_| ResizableStripedHashTable::new(16, 8),
+    ));
 
     // Shard-count ablation: same backend, same workload, 1..32 shards.
     // Expectation: single-shard ~= the bare backend plus lock overhead;

@@ -11,7 +11,7 @@
 //! RUSTFLAGS='--cfg optik_explore' cargo test -p optik-explore --test explore_kv
 //! ```
 //!
-//! Five interleaving families, one per dynamic behaviour the stress
+//! Six interleaving families, one per dynamic behaviour the stress
 //! tier can only sample:
 //!
 //! 1. **TTL expiry vs put** — a `FakeClock` advance racing reads and
@@ -28,6 +28,10 @@
 //!    read, whose repair rounds re-probe only the shard that moved, racing
 //!    single-key puts and a `multi_put` of the same two keys
 //!    (`multi_get_model::PairSpec`).
+//! 6. **`range_scan` vs writers on two hash shards** — the cross-shard
+//!    window read, all of whose shards sit inside one windowed read,
+//!    racing a put, a remove and a `multi_put` ([`RangeMapSpec`]; model in
+//!    `range_scan_model`).
 //!
 //! Every enumerated schedule replays the ops against the sequential
 //! spec with the Wing–Gong checker; a failure message always carries
@@ -43,6 +47,7 @@
 #![cfg(optik_explore)]
 
 mod multi_get_model;
+mod range_scan_model;
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
@@ -538,4 +543,41 @@ fn multi_get_races_writers_on_two_shards() {
     // The tree must hold the clean pass and a repair round of one shard.
     assert!(lookups.contains(&2), "no clean pass: {lookups:?}");
     assert!(lookups.contains(&3), "no repair round: {lookups:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Family 6: one range_scan over two hash shards vs a put, a remove and a
+// batch put.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn range_scan_races_writers_on_two_hash_shards() {
+    use range_scan_model::{run, Scan, INITIAL};
+    let mut scans: BTreeSet<[Option<u64>; 3]> = BTreeSet::new();
+    let stats = explore(kv_config(2), |trial| {
+        let out = run(trial, Scan::Snapshot);
+        scans.insert(out.seen);
+        assert!(
+            out.linearizable(),
+            "range_scan-vs-writers: non-linearizable history {:?}; \
+             replay with schedule token {}",
+            out.timed(),
+            trial.token()
+        );
+    });
+    eprintln!("explore_kv::range_scan_races_writers_on_two_hash_shards: {stats}");
+    eprintln!("  scans seen: {scans:?}");
+    assert!(!stats.truncated, "tree not exhausted: {stats}");
+    // The scan must land before every write, after the batch, and between
+    // the single-key writer's put and its remove; the spec check above is
+    // what rejects the torn windows (shard 0 from before the writers with
+    // shard 1 from after them, and so on).
+    for want in [
+        INITIAL,
+        [Some(21), Some(22), None],
+        [Some(11), Some(2), None],
+        [Some(11), None, None],
+    ] {
+        assert!(scans.contains(&want), "no scan saw {want:?}: {scans:?}");
+    }
 }

@@ -16,6 +16,8 @@
 #[cfg(optik_explore)]
 mod multi_get_model;
 mod qsbr_model;
+#[cfg(optik_explore)]
+mod range_scan_model;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -626,6 +628,57 @@ fn kv_multi_get_repair_round_schedule_replays() {
                 outcome,
                 "kv replay of {token} changed the observable outcome"
             );
+        });
+    }
+}
+
+/// The torn-window pin: `explore_kv.rs` family 6 with the reader swapped
+/// for `Scan::Stitched` — one validated read per shard, one after the
+/// other, which is what `range_scan` did until it became one windowed
+/// read. On that code the family itself fails, first on
+///
+/// ```text
+/// x1.3.0000000000111111111111111111111111022222222222222222222000000001122.ff4a42b0
+/// ```
+///
+/// (`Range([Some(1), Some(22), None])` next to `Put(0, 11, Some(1))`,
+/// `Remove(1, Some(2))` and `MultiPut([(21, Some(11)), (22, None)])`:
+/// shard 0 as it was before every write, shard 1 as it was after all of
+/// them). That token names trap points of code that no longer exists, so
+/// the pin is recorded here and replayed byte-exactly within the run: the
+/// first schedule on which the stitched reader pairs shard 0 from before
+/// the writers with shard 1 from after one. It guards the family's teeth —
+/// the model, `RangeMapSpec` and the checker still reject a read made of
+/// per-shard windows — which is what makes family 6 exhausting clean a
+/// statement about `range_scan`. One preemption is all a torn window
+/// needs: the reader loses the processor between its two reads.
+#[cfg(optik_explore)]
+#[test]
+fn kv_range_scan_torn_window_schedule_replays() {
+    use range_scan_model::{run, Outcome, Scan};
+
+    let kv_cfg = Config {
+        max_steps: 20_000,
+        max_schedules: 400_000,
+        preemptions: Some(1),
+        sleep_sets: true,
+    };
+    let mut pinned: Option<(Token, Outcome)> = None;
+    explore(kv_cfg, |trial| {
+        let out = run(trial, Scan::Stitched);
+        if !out.linearizable() && pinned.is_none() {
+            pinned = Some((trial.token(), out));
+        }
+    });
+    let (token, outcome) = pinned.expect("some schedule fits a writer between the two reads");
+    for _ in 0..2 {
+        replay(kv_cfg, &token, |trial| {
+            let out = run(trial, Scan::Stitched);
+            assert_eq!(
+                out, outcome,
+                "kv replay of {token} changed the observable outcome"
+            );
+            assert!(!out.linearizable(), "the checker accepted a torn window");
         });
     }
 }

@@ -20,6 +20,18 @@ use optik::{OptikLock, OptikVersioned};
 use optik_explore::{explore, replay, Config, Token, Trial};
 use optik_probe::{Event, Snapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Every test here compares deltas of the **process-wide** probe snapshot
+/// with what one schedule did, so a schedule of another test running at
+/// the same time shows up in the delta. The tests take turns on this lock
+/// and pass under the default test-thread count.
+static SNAPSHOT: Mutex<()> = Mutex::new(());
+
+fn snapshot_turn() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the others still get their turn.
+    SNAPSHOT.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn cfg() -> Config {
     Config {
@@ -65,6 +77,7 @@ fn contended_pair(trial: &Trial) -> (u64, u64) {
 /// interleaving — and the ledger invariants must hold exactly.
 #[test]
 fn counters_match_ground_truth_on_every_schedule() {
+    let _turn = snapshot_turn();
     let mut contended: Option<(Token, u64, u64)> = None;
     let mut fail_counts = std::collections::BTreeSet::new();
     let stats = explore(cfg(), |trial: &Trial| {
@@ -137,6 +150,7 @@ fn counters_match_ground_truth_on_every_schedule() {
 /// chunk, every slot in exactly one place) holding at rest.
 #[test]
 fn arena_ledger_balances_on_every_schedule() {
+    let _turn = snapshot_turn();
     use reclaim::{NodePool, Qsbr};
     use std::sync::Arc;
     use synchro::shim;
@@ -243,6 +257,7 @@ fn arena_ledger_balances_on_every_schedule() {
 /// conservation rule the stress tier can only spot-check.
 #[test]
 fn combine_ledger_balances_on_every_schedule() {
+    let _turn = snapshot_turn();
     use optik_hashtables::StripedOptikHashTable;
     use optik_kv::{CombineMode, KvStore};
 

@@ -467,6 +467,9 @@ pub enum RangeOp {
     Remove(usize, Option<u64>),
     /// `get(keys[i])` returning the observed value.
     Get(usize, Option<u64>),
+    /// One batch upsert, applied at one point: per tracked key, `None`
+    /// (not in the batch) or `Some((new, prev))`.
+    MultiPut([Option<(u64, Option<u64>)>; RANGE_KEYS]),
     /// One `range` traversal covering all tracked keys: the observed
     /// binding per tracked key, in key order.
     Range([Option<u64>; RANGE_KEYS]),
@@ -503,6 +506,18 @@ impl SeqSpec for RangeMapSpec {
                 s
             }),
             RangeOp::Get(i, seen) => (state[i] == seen).then_some(*state),
+            RangeOp::MultiPut(batch) => {
+                let mut s = *state;
+                for (slot, put) in s.iter_mut().zip(batch) {
+                    if let Some((new, prev)) = put {
+                        if *slot != prev {
+                            return None;
+                        }
+                        *slot = Some(new);
+                    }
+                }
+                Some(s)
+            }
             RangeOp::Range(seen) => (seen == *state).then_some(*state),
         }
     }
@@ -970,6 +985,29 @@ mod tests {
             rop(1, 9, RangeOp::Range([None, Some(20), None])),
         ];
         assert!(check(&RangeMapSpec::default(), &h), "range after the put");
+    }
+
+    #[test]
+    fn range_must_not_split_a_batch_put() {
+        // The batch binds keys 0 and 1 at one point; no range can sit
+        // between its two halves, however the windows overlap.
+        let batch = RangeOp::MultiPut([Some((10, None)), Some((20, None)), None]);
+        for (seen, legal) in [
+            ([None, None, None], true),
+            ([Some(10), Some(20), None], true),
+            ([Some(10), None, None], false),
+            ([None, Some(20), None], false),
+        ] {
+            let h = [rop(0, 10, batch), rop(1, 9, RangeOp::Range(seen))];
+            assert_eq!(check(&RangeMapSpec::default(), &h), legal, "{seen:?}");
+        }
+        // A batch whose reported previous values never coexisted is itself
+        // illegal.
+        let h = [
+            rop(0, 1, RangeOp::Put(0, 5, None)),
+            rop(2, 3, RangeOp::MultiPut([Some((10, None)), None, None])),
+        ];
+        assert!(!check(&RangeMapSpec::default(), &h));
     }
 
     #[test]

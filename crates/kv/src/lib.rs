@@ -40,12 +40,12 @@
 //!   points); a `remove` that finds nothing returns without locking;
 //!   reads never lock; batched multi-key operations acquire the involved shard locks in
 //!   ascending shard order (deadlock-free by total-order acquisition) and
-//!   commit atomically across shards; multi-gets and scans are
-//!   optimistic (read versions, read data, validate) with a bounded
-//!   fallback to locking. Over key-ordered shards the batched calls take
-//!   their cache misses overlapped and outside the locks: a multi-get is
-//!   one batched backend lookup that reads again only the shards that
-//!   moved under it, and the batch writers walk their keys before they
+//!   commit atomically across shards; multi-gets, range scans and scans
+//!   are one optimistic loop (read versions, read data, validate, read
+//!   again only the shards that moved) with a bounded fallback to
+//!   locking. Over key-ordered shards the batched calls take their cache
+//!   misses overlapped and outside the locks: a multi-get is one batched
+//!   backend lookup, and the batch writers walk their keys before they
 //!   lock. Failed (read-only) critical sections release
 //!   with `revert`, so they never signal conflicts to other optimistic
 //!   readers. Under hot-key contention the write path engages **flat
@@ -66,9 +66,9 @@
 //!
 //! Ordered backends (the skip lists and BSTs, via
 //! `optik_harness::api::OrderedMap`) additionally serve **range scans**:
-//! [`KvStore::range_scan`] collects a `[lo, hi]` window per shard with the
-//! same optimistic validate-then-lock-fallback discipline as full scans,
-//! and [`KvStore::with_ordered_shards`] switches the store from hash
+//! [`KvStore::range_scan`] collects a `[lo, hi]` window from every shard
+//! it touches inside one validated read — a snapshot across shards — and
+//! [`KvStore::with_ordered_shards`] switches the store from hash
 //! sharding to contiguous key partitions so a range touches only the
 //! shards it intersects.
 //!

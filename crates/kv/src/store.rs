@@ -18,20 +18,46 @@ use optik_harness::api::{ConcurrentMap, Key, OrderedMap, Val};
 use crate::policy::{home_shard, HashPolicy, RangePolicy, ShardPolicy};
 use crate::ttl::{Clock, TtlState};
 
-/// Optimistic attempts per shard before a cross-shard read operation
-/// (multi-get, scan, range scan) falls back to taking the shard lock(s).
-pub(crate) const OPTIMISTIC_ATTEMPTS: usize = 8;
+/// Optimistic attempts before a windowed read falls back to taking its
+/// shard locks, and repair rounds inside one attempt before it starts
+/// over (see `KvStore::read_windows`).
+const OPTIMISTIC_ATTEMPTS: usize = 8;
 
 /// Probes handed to one [`ConcurrentMap::get_each`] call: the batched
 /// paths route their keys into a stack array of this many `(map, key)`
 /// pairs, so a batch of any length allocates nothing for its lookups.
 const PROBE_CHUNK: usize = 16;
 
+/// One shard's `[version read, validate]` window of a validated read (see
+/// `KvStore::read_windows`).
+#[derive(Clone, Copy)]
+struct Window {
+    shard: usize,
+    /// The shard version this window's reads have to sit inside.
+    version: optik::Version,
+    /// Whether the read's body still has to read this shard: true from
+    /// planning, and again whenever a validation finds the window broken.
+    stale: bool,
+    /// The caller's share for this shard, in the caller's own terms: the
+    /// probe run of a grouped `multi_get`, the output segment of a scan.
+    span: (usize, usize),
+}
+
+impl Window {
+    fn new(shard: usize) -> Self {
+        Window {
+            shard,
+            version: 0,
+            stale: true,
+            span: (0, 0),
+        }
+    }
+}
+
 /// Per-call scratch for [`KvStore::multi_get`]'s shard grouping: the
-/// routed probes, the distinct-shard set, and the per-shard versions.
-/// Allocated once per call and reused across optimistic attempts and
-/// the lock fallback — the grouped read path does no per-attempt
-/// allocation.
+/// routed probes and one [`Window`] per distinct shard. Reused across
+/// optimistic attempts, repair rounds and the lock fallback — the grouped
+/// read path does no per-attempt allocation.
 ///
 /// Two planning modes share this scratch. Hash-routed stores keep the
 /// probes in arrival order and only deduplicate the shard set (an
@@ -47,7 +73,7 @@ struct ProbePlan {
     /// mode; unused in flat mode).
     probes: Vec<(usize, Key, u32)>,
     /// Routed shard per input key, parallel to `keys` (flat mode; the
-    /// whole plan is this 4-byte-per-key array plus the shard set).
+    /// whole plan is this 4-byte-per-key array plus the windows).
     flat: Vec<u32>,
     /// Counting-sort input (grouped mode only), arrival order.
     routed: Vec<(usize, Key, u32)>,
@@ -57,16 +83,9 @@ struct ProbePlan {
     /// Bumped per plan; `stamp[s] == epoch` means shard `s` is involved
     /// (saves re-zeroing `stamp` on every attempt).
     epoch: u64,
-    /// Distinct involved shards; with `spans`, the probe range of each.
-    shards_hit: Vec<usize>,
-    /// `(start, end)` probe range per involved shard (grouped mode;
-    /// empty in flat mode, where probes are taken in arrival order).
-    spans: Vec<(usize, usize)>,
-    /// Shard versions, parallel to `shards_hit`.
-    versions: Vec<optik::Version>,
-    /// Whether each shard's window failed the last validation pass,
-    /// parallel to `shards_hit` (see `KvStore::repair_windows`).
-    broken: Vec<bool>,
+    /// One window per distinct involved shard; in grouped mode its `span`
+    /// is the shard's run of `probes`, and the windows ascend by shard.
+    windows: Vec<Window>,
 }
 
 impl ProbePlan {
@@ -77,11 +96,28 @@ impl ProbePlan {
             routed: Vec::new(),
             stamp: Vec::new(),
             epoch: 0,
-            shards_hit: Vec::new(),
-            spans: Vec::new(),
-            versions: Vec::new(),
-            broken: Vec::new(),
+            windows: Vec::new(),
         }
+    }
+}
+
+impl AsMut<[Window]> for ProbePlan {
+    fn as_mut(&mut self) -> &mut [Window] {
+        &mut self.windows
+    }
+}
+
+/// The shards a scan walked, and what it found in each: `windows[j].span`
+/// is shard `j`'s segment of `entries` (see `KvStore::collect`).
+#[derive(Default)]
+struct Collected {
+    windows: Vec<Window>,
+    entries: Vec<(Key, Val)>,
+}
+
+impl AsMut<[Window]> for Collected {
+    fn as_mut(&mut self) -> &mut [Window] {
+        &mut self.windows
     }
 }
 
@@ -192,7 +228,7 @@ pub(crate) struct Shard<B> {
     /// pick a different shard to split, never corrupt data.
     ///
     /// Padded onto its own line: under dynamic routing this counter is
-    /// RMW'd by *readers* too (`get_dynamic`), and sharing a line with
+    /// RMW'd by *readers* too (`read_windows`), and sharing a line with
     /// the lock word would have every counted read invalidate the
     /// validators' cached copy of the version — exactly the ping-pong
     /// the OPTIK read path exists to avoid.
@@ -224,6 +260,17 @@ impl<B: ConcurrentMap> Shard<B> {
     #[inline]
     pub(crate) fn debug_assert_locked(&self) {
         debug_assert!(cfg!(optik_explore) || self.lock.is_locked());
+    }
+
+    /// The binding of `key` that is live at tick `now`: the raw lookup a
+    /// validated read makes inside its window (or under the shard lock).
+    #[inline]
+    fn live_get(&self, key: Key, now: Option<u64>) -> Option<Val> {
+        let val = self.map.get(key);
+        match (now, &self.deadlines) {
+            (Some(now), Some(dl)) => val.filter(|_| !dl.get(key).is_some_and(|d| d <= now)),
+            _ => val,
+        }
     }
 
     /// Under the shard lock: the full upsert sequence shared by `put`
@@ -342,12 +389,15 @@ impl<B: ConcurrentMap> Shard<B> {
 ///   deadlock-free — and apply the whole batch atomically; over
 ///   key-ordered shards they walk their keys *before* locking, so the
 ///   cache misses of the batch are taken outside its critical section;
-/// - [`KvStore::multi_get`] and [`KvStore::scan`] are optimistic: read the
-///   routing and shard versions, read the data, validate — retrying (and
-///   eventually falling back to sorted locking) on interference. A
-///   `multi_get` over key-ordered shards looks its keys up as one
-///   batched [`ConcurrentMap::get_each`] and, when a shard moved under
-///   it, reads only that shard again.
+/// - every read that is more than one backend lookup — a `get` that has a
+///   deadline or a route to validate, [`KvStore::multi_get`],
+///   [`KvStore::range_scan`], [`KvStore::scan`] — is the same optimistic
+///   loop: read the routing and shard versions, read the data, validate,
+///   read only the shards that moved again, and eventually fall back to
+///   sorted locking. `multi_get` and `range_scan` put all their shards
+///   into one such read and return a snapshot; `scan` takes one per shard
+///   and is per-shard-consistent. A `multi_get` over key-ordered shards
+///   looks its keys up as one batched [`ConcurrentMap::get_each`].
 ///   Traversal safety under concurrent removal comes from the workspace's
 ///   QSBR domain (`reclaim`): scanning threads are registered
 ///   participants and do not announce quiescence mid-scan, so retired
@@ -510,14 +560,26 @@ impl<B: ConcurrentMap> KvStore<B> {
         self.ttl.as_ref().map(|t| t.clock.now())
     }
 
-    /// Drops entries of `buf` whose deadline (in `shard`'s companion
-    /// table) has passed. Call inside the same validated section that
-    /// collected `buf`, so value and deadline belong to one version.
-    fn filter_expired(&self, shard: &Shard<B>, buf: &mut Vec<(Key, Val)>, now: Option<u64>) {
+    /// Drops the entries of `buf[from..]` whose deadline (in `shard`'s
+    /// companion table) has passed. Call inside the same validated section
+    /// that collected them, so value and deadline belong to one version —
+    /// and after the walk that collected them has returned: a backend
+    /// lookup announces quiescence, which a traversal in flight must not.
+    fn filter_expired(
+        &self,
+        shard: &Shard<B>,
+        buf: &mut Vec<(Key, Val)>,
+        from: usize,
+        now: Option<u64>,
+    ) {
         let (Some(now), Some(dl)) = (now, &shard.deadlines) else {
             return;
         };
-        buf.retain(|&(k, _)| !dl.get(k).is_some_and(|d| d <= now));
+        let mut seen = 0;
+        buf.retain(|&(k, _)| {
+            seen += 1;
+            seen <= from || !dl.get(k).is_some_and(|d| d <= now)
+        });
     }
 
     /// One locked single-key critical section with route re-validation:
@@ -698,99 +760,146 @@ impl<B: ConcurrentMap> KvStore<B> {
         }
     }
 
-    /// Looks up `key`. Lock-free: delegates to the backend; TTL stores
-    /// validate the (value, deadline) pair against the shard version and
-    /// report expired entries as misses; dynamically-routed stores
-    /// validate the routing version and retry across migrations.
+    /// The store's one validated read. Every read that is more than a
+    /// single backend lookup is this loop and differs only in its shard
+    /// set (`plan`) and in what it reads there (`body`); DESIGN.md, "One
+    /// windowed read", argues why the result has one linearization point.
+    ///
+    /// An attempt reads the routing version and lets `plan` fill `read`'s
+    /// windows, one per involved shard, each born stale. A round then
+    /// opens every stale window (`get_version_wait`), samples the clock,
+    /// runs `body` over the stale windows, and validates the route and
+    /// **every** window. All intact: done. Only shard windows broken: they
+    /// alone are stale now and the next round *repairs* them — the reads
+    /// of the windows that held are still current. On a TTL store a broken
+    /// window re-opens them all, because the one clock sample has to sit
+    /// inside every window. A moved route voids the plan, a set of one
+    /// window has no intact read to keep, and [`OPTIMISTIC_ATTEMPTS`]
+    /// repairs are enough: each of these backs off and starts the next
+    /// attempt. After `OPTIMISTIC_ATTEMPTS` attempts the shard set is
+    /// locked in ascending order (`lock_batch`, which pins the plan against
+    /// migrations), `body` runs once more, and the locks are released with
+    /// `revert`.
+    ///
+    /// `body` reads the shards of the stale windows through raw backend
+    /// calls, leaves what it read for the others alone, and may run any
+    /// number of times. `versioned: false` is for a body that is one
+    /// backend lookup, linearizable by itself: only its route is validated
+    /// and no shard version is read. Under dynamic routing a completed read
+    /// counts one op on each of its shards.
+    fn read_windows<R: AsMut<[Window]>>(
+        &self,
+        read: &mut R,
+        versioned: bool,
+        mut plan: impl FnMut(&mut R),
+        mut body: impl FnMut(&mut R, Option<u64>),
+    ) {
+        let mut bo = Backoff::adaptive();
+        let t0 = optik_probe::now();
+        let mut opened = t0;
+        let mut retried = false;
+        for _ in 0..OPTIMISTIC_ATTEMPTS {
+            // Static policies have no routing version: skip the virtual calls.
+            let rv = if self.dynamic {
+                self.policy.version()
+            } else {
+                0
+            };
+            plan(read);
+            for repairs in 0..=OPTIMISTIC_ATTEMPTS {
+                if versioned {
+                    for w in read.as_mut().iter_mut().filter(|w| w.stale) {
+                        w.version = self.shards[w.shard].lock.get_version_wait();
+                    }
+                }
+                // The clock is sampled inside every window: the values and
+                // deadlines `body` reads are stable until `validate`, so
+                // the read linearizes at this tick. A sample from before
+                // the windows can pair fresh bindings with a stale `now`
+                // and resurrect an expiry another reader already saw.
+                let now = self.now_opt();
+                body(read, now);
+                let windows = read.as_mut();
+                let routed = !self.dynamic || self.policy.validate(rv);
+                let mut broken = 0;
+                if routed && versioned {
+                    for w in windows.iter_mut() {
+                        w.stale = !self.shards[w.shard].lock.validate(w.version);
+                        broken += usize::from(w.stale);
+                    }
+                }
+                if routed && broken == 0 {
+                    if self.dynamic {
+                        for w in windows.iter() {
+                            self.shards[w.shard].ops.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    optik_probe::record(
+                        optik_probe::HistKind::ValidationWindow,
+                        optik_probe::elapsed(opened, optik_probe::now()),
+                    );
+                    if retried {
+                        record_retry_loop(t0);
+                    }
+                    return;
+                }
+                if !routed || windows.len() == 1 || repairs == OPTIMISTIC_ATTEMPTS {
+                    break;
+                }
+                retried = true;
+                if self.ttl.is_some() {
+                    broken = windows.len();
+                    windows.iter_mut().for_each(|w| w.stale = true);
+                }
+                optik_probe::count_n(optik_probe::Event::ReadRepair, broken as u64);
+            }
+            optik_probe::count(optik_probe::Event::ReadRetry);
+            retried = true;
+            bo.backoff();
+            opened = optik_probe::now();
+        }
+        record_retry_loop(t0);
+        let ids = self.lock_batch(&mut || {
+            plan(read);
+            let mut ids: Vec<usize> = read.as_mut().iter().map(|w| w.shard).collect();
+            ids.sort_unstable();
+            ids
+        });
+        body(read, self.now_opt());
+        for &i in ids.iter().rev() {
+            self.shards[i].lock.revert(); // read-only critical section
+        }
+    }
+
+    /// Looks up `key`. Lock-free: on a statically routed store without
+    /// TTL, one backend lookup. Otherwise a windowed read of the key's one
+    /// shard: a TTL store validates the (value, deadline, clock) triple
+    /// against the shard version and reports an expired entry as a miss; a
+    /// dynamically routed one validates the route and retries across
+    /// migrations (and reads no shard version unless it has deadlines to
+    /// pair: the lookup is linearizable by itself).
     #[inline]
     pub fn get(&self, key: Key) -> Option<Val> {
-        if self.dynamic {
-            self.get_dynamic(key)
-        } else {
-            self.read_entry(&self.shards[self.policy.route(key)], key)
+        if !self.dynamic {
+            let shard = &self.shards[self.policy.route(key)];
+            if shard.deadlines.is_none() {
+                return shard.map.get(key);
+            }
         }
+        self.get_windowed(key)
     }
 
-    /// Validated single-shard lookup (see [`KvStore::get`]). Plain
-    /// stores read the backend directly; TTL stores run the read-side
-    /// OPTIK pattern over the (value, deadline) pair.
-    ///
-    /// The clock is sampled **inside** the validated section: the
-    /// (value, deadline) pair is stable across `[version read,
-    /// validate]`, so pairing it with a clock tick from the same window
-    /// makes the sample instant the read's linearization point. A sample
-    /// taken before the window can pair a fresh pair with a stale `now`
-    /// across a retry and resurrect an expiry another reader already
-    /// observed.
-    fn read_entry(&self, shard: &Shard<B>, key: Key) -> Option<Val> {
-        let Some(dl) = &shard.deadlines else {
-            return shard.map.get(key);
-        };
-        let mut bo = Backoff::adaptive();
-        let t0 = optik_probe::now();
-        let mut retried = false;
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            let v = shard.lock.get_version_wait();
-            let val = shard.map.get(key);
-            let deadline = dl.get(key);
-            let now = self.now_opt().expect("deadline table implies a clock");
-            if shard.lock.validate(v) {
-                if retried {
-                    record_retry_loop(t0);
-                }
-                return val.filter(|_| !deadline.is_some_and(|d| d <= now));
-            }
-            optik_probe::count(optik_probe::Event::ReadRetry);
-            retried = true;
-            bo.backoff();
-        }
-        shard.lock.lock();
-        let val = shard.map.get(key);
-        let deadline = dl.get(key);
-        let now = self.now_opt().expect("deadline table implies a clock");
-        shard.lock.revert(); // read-only critical section
-        record_retry_loop(t0);
-        val.filter(|_| !deadline.is_some_and(|d| d <= now))
-    }
-
-    /// [`KvStore::get`] under a dynamic routing policy: optimistic
-    /// route-read-validate, with a shard-lock fallback whose route
-    /// re-check pins the key (a migration needs that shard's lock).
-    fn get_dynamic(&self, key: Key) -> Option<Val> {
-        self.shards[self.policy.route(key)]
-            .ops
-            .fetch_add(1, Ordering::Relaxed);
-        let mut bo = Backoff::adaptive();
-        let t0 = optik_probe::now();
-        let mut retried = false;
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            let rv = self.policy.version();
-            let out = self.read_entry(&self.shards[self.policy.route(key)], key);
-            if self.policy.validate(rv) {
-                if retried {
-                    record_retry_loop(t0);
-                }
-                return out;
-            }
-            optik_probe::count(optik_probe::Event::ReadRetry);
-            retried = true;
-            bo.backoff();
-        }
-        record_retry_loop(t0);
-        loop {
-            let s = self.policy.route(key);
-            let shard = &self.shards[s];
-            shard.lock.lock();
-            if self.policy.route(key) != s {
-                shard.lock.revert();
-                continue;
-            }
-            let val = shard.map.get(key);
-            let deadline = shard.deadlines.as_ref().and_then(|dl| dl.get(key));
-            let now = self.now_opt();
-            shard.lock.revert(); // read-only critical section
-            return val.filter(|_| !now.is_some_and(|now| deadline.is_some_and(|d| d <= now)));
-        }
+    /// [`KvStore::get`] where it takes a window: the engine over the
+    /// key's one shard, the set on the stack.
+    fn get_windowed(&self, key: Key) -> Option<Val> {
+        let mut out = None;
+        self.read_windows(
+            &mut [Window::new(0)],
+            self.ttl.is_some(),
+            |w| w[0] = Window::new(self.policy.route(key)),
+            |w, now| out = self.shards[w[0].shard].live_get(key, now),
+        );
+        out
     }
 
     /// Inserts or atomically updates `key → val` under the shard lock,
@@ -843,16 +952,6 @@ impl<B: ConcurrentMap> KvStore<B> {
         ids
     }
 
-    /// Raw per-key lookup used inside already-validated batched reads.
-    fn read_raw(&self, key: Key, now: Option<u64>) -> Option<Val> {
-        let shard = &self.shards[self.policy.route(key)];
-        let val = shard.map.get(key);
-        match (now, &shard.deadlines) {
-            (Some(now), Some(dl)) => val.filter(|_| !dl.get(key).is_some_and(|d| d <= now)),
-            _ => val,
-        }
-    }
-
     /// Routes every key once and plans the batch: the distinct shard
     /// set (one OPTIK window each) plus the probe order. Hash-routed
     /// stores get the flat plan — probes stay in arrival order, because
@@ -875,15 +974,12 @@ impl<B: ConcurrentMap> KvStore<B> {
             routed,
             stamp,
             epoch,
-            shards_hit,
-            spans,
-            ..
+            windows,
         } = plan;
         if stamp.len() < ns {
             stamp.resize(ns, 0);
         }
-        shards_hit.clear();
-        spans.clear();
+        windows.clear();
         probes.clear();
         flat.clear();
         if !self.policy.key_ordered_shards() {
@@ -896,7 +992,7 @@ impl<B: ConcurrentMap> KvStore<B> {
                 let s = self.policy.route(k);
                 if stamp[s] != e {
                     stamp[s] = e;
-                    shards_hit.push(s);
+                    windows.push(Window::new(s));
                 }
                 s as u32
             }));
@@ -920,8 +1016,10 @@ impl<B: ConcurrentMap> KvStore<B> {
         for (s, c) in stamp[..ns].iter_mut().enumerate() {
             let cnt = *c as usize;
             if cnt > 0 {
-                shards_hit.push(s);
-                spans.push((acc, acc + cnt));
+                windows.push(Window {
+                    span: (acc, acc + cnt),
+                    ..Window::new(s)
+                });
             }
             *c = acc as u64;
             acc += cnt;
@@ -938,8 +1036,8 @@ impl<B: ConcurrentMap> KvStore<B> {
         for c in stamp[..ns].iter_mut() {
             *c = 0;
         }
-        for &(a, b) in spans.iter() {
-            probes[a..b].sort_unstable_by_key(|&(_, k, _)| k);
+        for w in windows.iter() {
+            probes[w.span.0..w.span.1].sort_unstable_by_key(|&(_, k, _)| k);
         }
     }
 
@@ -995,9 +1093,10 @@ impl<B: ConcurrentMap> KvStore<B> {
         }
     }
 
-    /// Runs every planned probe against its pre-routed shard (already
-    /// under validated windows or the shard locks): flat arrival order
-    /// when the plan is flat, shard-clustered otherwise.
+    /// The body of [`KvStore::multi_get`]: probes the keys of the plan's
+    /// stale windows (already inside their windows or under the shard
+    /// locks) — in flat arrival order when the plan is flat, else one
+    /// batched lookup per run of stale shards.
     fn probe_plan(
         &self,
         keys: &[Key],
@@ -1005,78 +1104,37 @@ impl<B: ConcurrentMap> KvStore<B> {
         now: Option<u64>,
         out: &mut [Option<Val>],
     ) {
+        let windows = &plan.windows;
         if !plan.flat.is_empty() {
-            if now.is_none() {
-                // No TTL: the zipped loop is bounds-check-free and
-                // writes `out` sequentially.
-                for ((&k, &s), slot) in keys.iter().zip(&plan.flat).zip(out.iter_mut()) {
-                    *slot = self.shards[s as usize].map.get(k);
-                }
-            } else {
-                for ((&k, &s), slot) in keys.iter().zip(&plan.flat).zip(out.iter_mut()) {
-                    let shard = &self.shards[s as usize];
-                    let val = shard.map.get(k);
-                    *slot = match (now, &shard.deadlines) {
-                        (Some(now), Some(dl)) => {
-                            val.filter(|_| !dl.get(k).is_some_and(|d| d <= now))
-                        }
-                        _ => val,
-                    };
+            let all = windows.iter().all(|w| w.stale);
+            for ((&k, &s), slot) in keys.iter().zip(&plan.flat).zip(out.iter_mut()) {
+                let s = s as usize;
+                if all || windows.iter().any(|w| w.stale && w.shard == s) {
+                    *slot = self.shards[s].live_get(k, now);
                 }
             }
-        } else {
-            self.probe_span(&plan.probes, now, out);
+            return;
         }
-    }
-
-    /// One repair round of [`KvStore::multi_get`] on a grouped plan: for
-    /// every shard whose window broke, re-reads the shard's version and
-    /// re-probes **that shard's span only**; the values of the other
-    /// shards were read inside windows that still hold and are therefore
-    /// still current. A TTL store treats every window as broken: its one
-    /// clock sample has to sit inside all of them, so it is taken again
-    /// after all the versions.
-    fn repair_windows(&self, plan: &mut ProbePlan, now: &mut Option<u64>, out: &mut [Option<Val>]) {
-        let ProbePlan {
-            probes,
-            shards_hit,
-            spans,
-            versions,
-            broken,
-            ..
-        } = plan;
-        let ttl = self.ttl.is_some();
-        broken.clear();
-        for (&s, v) in shards_hit.iter().zip(versions.iter_mut()) {
-            let lock = &self.shards[s].lock;
-            let b = ttl || !lock.validate(*v);
-            if b {
-                *v = lock.get_version_wait();
-                optik_probe::count(optik_probe::Event::ReadRepair);
-            }
-            broken.push(b);
-        }
-        if ttl {
-            *now = self.now_opt();
-        }
-        // Spans tile `probes` in shard order, so a run of broken shards is
-        // one contiguous run of probes: one batched lookup per run.
+        // Spans tile `probes` in shard order, so a run of stale shards is
+        // one contiguous run of probes: one batched lookup per run (the
+        // first pass is a single run over everything).
         let mut j = 0;
-        while j < broken.len() {
-            if !broken[j] {
+        while j < windows.len() {
+            if !windows[j].stale {
                 j += 1;
                 continue;
             }
-            let start = spans[j].0;
-            while j < broken.len() && broken[j] {
+            let start = windows[j].span.0;
+            while j < windows.len() && windows[j].stale {
                 j += 1;
             }
-            self.probe_span(&probes[start..spans[j - 1].1], *now, out);
+            self.probe_span(&plan.probes[start..windows[j - 1].span.1], now, out);
         }
     }
 
     /// Atomically reads every key: the returned values coexisted at one
-    /// linearization point, even across shards.
+    /// linearization point, even across shards (DESIGN.md, "One windowed
+    /// read").
     ///
     /// Locality-aware and optimistic (no locks) in the common case: keys
     /// are routed once, one shard version is read per *involved shard*,
@@ -1085,179 +1143,28 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// [`ConcurrentMap::get_each`], so that a pointer-chasing backend
     /// overlaps the cache misses of different keys; in arrival order on
     /// hash-routed stores; see `group_probes`), and every shard's window
-    /// is validated after the last read.
-    ///
-    /// **Repair rounds** (contiguous-partition stores). When some windows
-    /// broke, the values read in the windows that still hold are still
-    /// current, so only the broken shards are read again: their versions
-    /// are re-read, their spans re-probed, and then *all* shards are
-    /// validated again — up to eight rounds inside one routing-version
-    /// window, before the whole read is retried. The argument for one
-    /// linearization point is the snapshot object's: in the pass that
-    /// succeeds, every shard's values were read inside that shard's own
-    /// last `[version read, validate]` window, and all of that pass's
-    /// validations follow all probes of all rounds; so the instant just
-    /// before its first validation lies inside every shard's window, and
-    /// at that instant every returned value is the shard's current one.
-    /// It is *not* the case that every version is read before the first
-    /// value read — a repaired shard's version is read after other
-    /// shards' values — and it does not need to be: a window only has to
-    /// enclose its own shard's reads and reach the common instant. A TTL
-    /// store compares every deadline with **one** clock sample, which has
-    /// to lie inside all windows: there a broken window breaks them all
-    /// (all versions re-read, the clock sampled again, everything
-    /// re-probed — the full retry, through the same loop). A moved route
-    /// invalidates the plan rather than a window and retries in full.
-    ///
-    /// After eight failed full rounds the read degrades to locking the
-    /// involved shards in ascending order (read-only, released with
-    /// `revert`) and probing the same plan under the locks, re-validating
-    /// the shard set against racing migrations.
+    /// is validated after the last read. When a shard moved under the
+    /// read, only that shard's keys are looked up again.
     ///
     /// Planning scratch lives in a thread-local (`PROBE_PLAN`) and the
     /// batched lookups go through a stack array, so a steady-state call
     /// allocates only the result vector.
     pub fn multi_get(&self, keys: &[Key]) -> Vec<Option<Val>> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        PROBE_PLAN.with(|cell| {
-            let mut plan = cell.borrow_mut();
-            self.multi_get_planned(keys, &mut plan)
-        })
-    }
-
-    fn multi_get_planned(&self, keys: &[Key], plan: &mut ProbePlan) -> Vec<Option<Val>> {
-        let dynamic = self.dynamic;
-        let mut bo = Backoff::adaptive();
-        let t0 = optik_probe::now();
-        let mut retried = false;
         let mut out = vec![None; keys.len()];
-        // Static routing cannot move a key between shards, so the
-        // grouping survives any number of attempts; dynamic routing is
-        // re-grouped per attempt under the `policy.version()` guard.
-        if !dynamic {
-            self.group_probes(keys, plan);
-        }
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            let rv = self.policy.version();
-            if dynamic {
-                self.group_probes(keys, plan);
-            }
-            plan.versions.clear();
-            plan.versions.extend(
-                plan.shards_hit
-                    .iter()
-                    .map(|&s| self.shards[s].lock.get_version_wait()),
+        PROBE_PLAN.with(|cell| {
+            self.read_windows(
+                &mut *cell.borrow_mut(),
+                true,
+                |plan| self.group_probes(keys, plan),
+                |plan, now| self.probe_plan(keys, plan, now, &mut out),
             );
-            // Clock sample inside the validated window (see
-            // `read_entry`): all (value, deadline) pairs are stable
-            // until `validate`, so the batch linearizes at this tick.
-            let mut now = self.now_opt();
-            self.probe_plan(keys, plan, now, &mut out);
-            // Validate; while it is only shard windows that break, read
-            // those shards again in place (`multi_get`'s docs argue why
-            // the result still has one linearization point).
-            let mut repairs = 0;
-            loop {
-                let routed = self.policy.validate(rv);
-                if routed
-                    && plan
-                        .shards_hit
-                        .iter()
-                        .zip(&plan.versions)
-                        .all(|(&s, &v)| self.shards[s].lock.validate(v))
-                {
-                    if dynamic {
-                        for &s in &plan.shards_hit {
-                            self.shards[s].ops.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    if retried {
-                        record_retry_loop(t0);
-                    }
-                    return out;
-                }
-                // A moved route invalidates the plan itself, and a flat
-                // plan has no spans to re-probe: both retry in full.
-                if !routed || plan.spans.is_empty() || repairs == OPTIMISTIC_ATTEMPTS {
-                    break;
-                }
-                repairs += 1;
-                retried = true;
-                self.repair_windows(plan, &mut now, &mut out);
-            }
-            optik_probe::count(optik_probe::Event::ReadRetry);
-            retried = true;
-            bo.backoff();
-        }
-        record_retry_loop(t0);
-        // Contended fallback: sorted acquisition, guaranteed progress
-        // (lock_batch revalidates the shard set against racing
-        // migrations and maintains the load counters). Routing is frozen
-        // under the locks, so the groups rebuilt here stay accurate.
-        let ids = self.lock_batch(&|| self.shard_ids(keys.iter().copied()));
-        self.group_probes(keys, plan);
-        let now = self.now_opt();
-        self.probe_plan(keys, plan, now, &mut out);
-        for &i in ids.iter().rev() {
-            self.shards[i].lock.revert();
-        }
-        out
-    }
-
-    /// The pre-grouping [`KvStore::multi_get`]: re-routes every key on
-    /// every probe and validates the involved shard set collected by
-    /// `KvStore::shard_ids`. Same results and the same atomicity
-    /// guarantee — kept as the A-side of the `kv.multiget.*` interleaved
-    /// benchmark twins, so the grouped path's gain stays measurable.
-    pub fn multi_get_per_key(&self, keys: &[Key]) -> Vec<Option<Val>> {
-        let dynamic = self.dynamic;
-        let mut bo = Backoff::adaptive();
-        let t0 = optik_probe::now();
-        let mut retried = false;
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            let rv = self.policy.version();
-            let ids = self.shard_ids(keys.iter().copied());
-            let versions: Vec<optik::Version> = ids
-                .iter()
-                .map(|&i| self.shards[i].lock.get_version_wait())
-                .collect();
-            let now = self.now_opt();
-            let out: Vec<Option<Val>> = keys.iter().map(|&k| self.read_raw(k, now)).collect();
-            if self.policy.validate(rv)
-                && ids
-                    .iter()
-                    .zip(&versions)
-                    .all(|(&i, &v)| self.shards[i].lock.validate(v))
-            {
-                if dynamic {
-                    for &i in &ids {
-                        self.shards[i].ops.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                if retried {
-                    record_retry_loop(t0);
-                }
-                return out;
-            }
-            optik_probe::count(optik_probe::Event::ReadRetry);
-            retried = true;
-            bo.backoff();
-        }
-        record_retry_loop(t0);
-        let ids = self.lock_batch(&|| self.shard_ids(keys.iter().copied()));
-        let now = self.now_opt();
-        let out = keys.iter().map(|&k| self.read_raw(k, now)).collect();
-        for &i in ids.iter().rev() {
-            self.shards[i].lock.revert();
-        }
+        });
         out
     }
 
     /// Locks every shard of `ids` ascending, re-validating the shard set
     /// for `keys` under dynamic routing. Returns the stable shard set.
-    fn lock_batch(&self, keys_of: &dyn Fn() -> Vec<usize>) -> Vec<usize> {
+    fn lock_batch(&self, keys_of: &mut dyn FnMut() -> Vec<usize>) -> Vec<usize> {
         let dynamic = self.dynamic;
         loop {
             let ids = keys_of();
@@ -1357,7 +1264,7 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// never walks — measured 72 → 79 ns per key (`kv.multi_put8`).
     #[inline(never)]
     fn multi_put_locked(&self, entries: &[(Key, Val)]) -> Vec<Option<Val>> {
-        let ids = self.lock_batch(&|| self.shard_ids(entries.iter().map(|&(k, _)| k)));
+        let ids = self.lock_batch(&mut || self.shard_ids(entries.iter().map(|&(k, _)| k)));
         let now = self.now_opt();
         let out = entries
             .iter()
@@ -1377,7 +1284,7 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// look at what it finds.
     pub fn multi_remove(&self, keys: &[Key]) -> Vec<Option<Val>> {
         self.warm_batch(keys.iter().copied());
-        let ids = self.lock_batch(&|| self.shard_ids(keys.iter().copied()));
+        let ids = self.lock_batch(&mut || self.shard_ids(keys.iter().copied()));
         let now = self.now_opt();
         let mut modified = vec![false; ids.len()];
         let out: Vec<Option<Val>> = keys
@@ -1400,83 +1307,84 @@ impl<B: ConcurrentMap> KvStore<B> {
         out
     }
 
-    /// One shard's entries as a version-consistent snapshot: optimistic
-    /// collect-and-validate, falling back to the shard lock. TTL stores
-    /// filter expired entries inside the validated section.
-    fn shard_snapshot(&self, i: usize, buf: &mut Vec<(Key, Val)>) {
-        let shard = &self.shards[i];
-        let mut bo = Backoff::adaptive();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            buf.clear();
-            let v = shard.lock.get_version_wait();
-            shard.map.for_each(&mut |k, val| buf.push((k, val)));
-            // Clock sample inside the validated window (see
-            // `read_entry`): the snapshot linearizes at this tick.
-            self.filter_expired(shard, buf, self.now_opt());
-            if shard.lock.validate(v) {
-                return;
-            }
-            bo.backoff();
-        }
-        buf.clear();
-        shard.lock.lock();
-        shard.map.for_each(&mut |k, val| buf.push((k, val)));
-        self.filter_expired(shard, buf, self.now_opt());
-        shard.lock.revert(); // read-only critical section
+    /// The windowed read behind the scans: walks every shard of `cover()`
+    /// (an inclusive index pair, asked inside the routing window) with
+    /// `walk` and leaves what the walks found, expired entries dropped, in
+    /// `got.entries`, shard after shard. All of `cover()` is **one**
+    /// windowed read, so the entries coexisted at one instant; a shard
+    /// whose window broke is walked again alone and its segment replaced.
+    fn collect(
+        &self,
+        got: &mut Collected,
+        cover: impl Fn() -> (usize, usize),
+        walk: impl Fn(&B, &mut dyn FnMut(Key, Val)),
+    ) {
+        self.read_windows(
+            got,
+            true,
+            |got| {
+                let (first, last) = cover();
+                got.entries.clear();
+                got.windows.clear();
+                got.windows.extend((first..=last).map(Window::new));
+            },
+            |Collected { windows, entries }, now| {
+                let mut at = 0;
+                for w in windows.iter_mut() {
+                    let mut len = w.span.1 - w.span.0;
+                    if w.stale {
+                        // The walk appends: the segments after this one
+                        // step aside (none in a first pass, which walks
+                        // the shards in order) and come back behind it.
+                        let after = entries.split_off(at + len);
+                        entries.truncate(at);
+                        let shard = &self.shards[w.shard];
+                        walk(&shard.map, &mut |k, v| entries.push((k, v)));
+                        self.filter_expired(shard, entries, at, now);
+                        len = entries.len() - at;
+                        entries.extend_from_slice(&after);
+                    }
+                    w.span = (at, at + len);
+                    at += len;
+                }
+            },
+        );
     }
 
-    /// Streams every entry, shard by shard. Each shard's entries form a
-    /// consistent snapshot (no torn writes, no half-applied batches within
-    /// the shard); the store-wide view is per-shard sequential, like a
-    /// QSBR-epoch scan — shards visited earlier may have mutated by the
-    /// time later shards are read. Under a dynamic routing policy the
-    /// whole walk additionally validates the routing version (so a
-    /// concurrent boundary migration cannot show a moving key twice or
-    /// not at all), falling back to locking every shard.
+    /// Streams every entry, shard by shard. **Per-shard-consistent**, and
+    /// deliberately no more: each shard's entries are one validated
+    /// snapshot of that shard (no torn writes, no half-applied batch
+    /// within it), but the shards are read one after the other — one
+    /// windowed read each — so a shard visited earlier may have changed
+    /// by the time a later one is read. A store-wide snapshot would need
+    /// every window to hold at once, which a walk over a large store
+    /// under writes never gets without locking every shard;
+    /// [`KvStore::range_scan`] over the whole key space is that read, for
+    /// callers who want it. Under a dynamic routing policy the routing
+    /// version is validated across the whole walk, so a boundary
+    /// migration cannot show a moving key twice or not at all: a walk it
+    /// raced is taken again as one windowed read of all shards.
     pub fn scan(&self, mut f: impl FnMut(Key, Val)) {
-        let mut buf = Vec::new();
+        let walk = |map: &B, sink: &mut dyn FnMut(Key, Val)| map.for_each(sink);
+        let mut got = Collected::default();
         if !self.dynamic {
             for i in 0..self.shards.len() {
-                self.shard_snapshot(i, &mut buf);
-                for &(k, v) in &buf {
+                self.collect(&mut got, || (i, i), walk);
+                for &(k, v) in &got.entries {
                     f(k, v);
                 }
             }
             return;
         }
-        let mut all: Vec<(Key, Val)> = Vec::new();
-        let mut bo = Backoff::adaptive();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            all.clear();
-            let rv = self.policy.version();
-            for i in 0..self.shards.len() {
-                self.shard_snapshot(i, &mut buf);
-                all.append(&mut buf);
-            }
-            if self.policy.validate(rv) {
-                for &(k, v) in &all {
-                    f(k, v);
-                }
-                return;
-            }
-            bo.backoff();
+        let rv = self.policy.version();
+        let mut all = Vec::new();
+        for i in 0..self.shards.len() {
+            self.collect(&mut got, || (i, i), walk);
+            all.append(&mut got.entries);
         }
-        // Migration storm: lock every shard (ascending — the same total
-        // order as every other batch path, and the rebalancer's own
-        // acquisition order, so no deadlock) and collect exactly.
-        let now = self.now_opt();
-        all.clear();
-        for s in self.shards.iter() {
-            s.lock.lock();
-        }
-        for s in self.shards.iter() {
-            buf.clear();
-            s.map.for_each(&mut |k, val| buf.push((k, val)));
-            self.filter_expired(s, &mut buf, now);
-            all.append(&mut buf);
-        }
-        for s in self.shards.iter().rev() {
-            s.lock.revert();
+        if !self.policy.validate(rv) {
+            self.collect(&mut got, || (0, self.shards.len() - 1), walk);
+            all = got.entries;
         }
         for &(k, v) in &all {
             f(k, v);
@@ -1577,105 +1485,39 @@ impl<B: OrderedMap> KvStore<B> {
         )
     }
 
-    /// One shard's `[lo, hi]` window as a version-consistent snapshot:
-    /// optimistic collect-and-validate, falling back to the shard lock
-    /// (under which the backend's range pass is exact — writers are
-    /// excluded, so the backend traversal sees a quiescent structure).
-    fn shard_range(&self, i: usize, lo: Key, hi: Key, buf: &mut Vec<(Key, Val)>) {
-        let shard = &self.shards[i];
-        let mut bo = Backoff::adaptive();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            buf.clear();
-            let t0 = optik_probe::now();
-            let v = shard.lock.get_version_wait();
-            shard.map.range(lo, hi, &mut |k, val| buf.push((k, val)));
-            // Clock sample inside the validated window (see
-            // `read_entry`): the window scan linearizes at this tick.
-            self.filter_expired(shard, buf, self.now_opt());
-            if shard.lock.validate(v) {
-                optik_probe::record(
-                    optik_probe::HistKind::ValidationWindow,
-                    optik_probe::elapsed(t0, optik_probe::now()),
-                );
-                return;
-            }
-            optik_probe::count(optik_probe::Event::ReadRetry);
-            bo.backoff();
-        }
-        buf.clear();
-        shard.lock.lock();
-        shard.map.range(lo, hi, &mut |k, val| buf.push((k, val)));
-        self.filter_expired(shard, buf, self.now_opt());
-        shard.lock.revert(); // read-only critical section
-    }
-
-    /// Collects every entry with key in `[lo, hi]`, sorted by key, each
-    /// shard's contribution a version-consistent snapshot (the same
-    /// guarantee as [`KvStore::scan`], restricted to the window).
+    /// Collects every entry with key in `[lo, hi]`, sorted by key: a
+    /// **snapshot** — the entries coexisted at one linearization point,
+    /// across shards, because every shard the window touches is walked
+    /// inside one windowed read (DESIGN.md, "One windowed read").
     ///
     /// Under ordered sharding only the shards intersecting the window are
-    /// visited, in key order, so the result is a concatenation — and the
-    /// routing version is validated across the whole walk, so a window
-    /// raced by a boundary migration retries rather than missing or
-    /// double-counting migrated keys (after eight failed rounds: lock
-    /// every shard, under which routing is frozen and the passes are
-    /// exact). Under hash sharding every shard is visited and the result
-    /// is sorted afterwards.
+    /// visited, in key order, so the result is a concatenation, and a
+    /// window inside one partition reads and validates one shard version.
+    /// The cover is computed inside the routing window, so a scan raced
+    /// by a boundary migration retries rather than missing or
+    /// double-counting migrated keys. Under hash sharding every shard is
+    /// visited and the result is sorted afterwards.
     pub fn range_scan(&self, lo: Key, hi: Key) -> Vec<(Key, Val)> {
-        let mut out = Vec::new();
+        let mut got = Collected::default();
         if lo > hi {
-            return out;
+            return got.entries;
         }
-        let mut buf = Vec::new();
+        let everywhere = (0, self.shards.len() - 1);
+        self.collect(
+            &mut got,
+            // A cover read while a boundary moves can come out inverted;
+            // the routing validation rejects it, but the lock fallback has
+            // to hold *some* shard to pin the next one, so it widens.
+            || match self.policy.range_cover(lo, hi) {
+                Some((first, last)) if first <= last => (first, last),
+                _ => everywhere,
+            },
+            |map, sink| map.range(lo, hi, sink),
+        );
         if self.policy.range_cover(lo, hi).is_none() {
-            for i in 0..self.shards.len() {
-                self.shard_range(i, lo, hi, &mut buf);
-                out.append(&mut buf);
-            }
-            out.sort_unstable();
-            return out;
+            got.entries.sort_unstable();
         }
-        let mut bo = Backoff::adaptive();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            out.clear();
-            let rv = self.policy.version();
-            let (first, last) = self
-                .policy
-                .range_cover(lo, hi)
-                .expect("contiguous policy stays contiguous");
-            for i in first..=last {
-                self.shard_range(i, lo, hi, &mut buf);
-                out.append(&mut buf);
-            }
-            if self.policy.validate(rv) {
-                return out;
-            }
-            optik_probe::count(optik_probe::Event::ReadRetry);
-            bo.backoff();
-        }
-        // Migration storm: lock every shard — routing is frozen and the
-        // backend passes are exact.
-        out.clear();
-        for s in self.shards.iter() {
-            s.lock.lock();
-        }
-        let now = self.now_opt();
-        let (first, last) = self
-            .policy
-            .range_cover(lo, hi)
-            .expect("contiguous policy stays contiguous");
-        for i in first..=last {
-            buf.clear();
-            self.shards[i]
-                .map
-                .range(lo, hi, &mut |k, v| buf.push((k, v)));
-            self.filter_expired(&self.shards[i], &mut buf, now);
-            out.append(&mut buf);
-        }
-        for s in self.shards.iter().rev() {
-            s.lock.revert();
-        }
-        out
+        got.entries
     }
 }
 
@@ -1760,6 +1602,7 @@ mod tests {
         assert_eq!(s.len(), 10);
         // Misses come back as None, in input order.
         assert_eq!(s.multi_get(&[5, 15, 7]), vec![Some(500), None, Some(700)]);
+        assert!(s.multi_get(&[]).is_empty());
     }
 
     #[test]

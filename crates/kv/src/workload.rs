@@ -61,11 +61,6 @@ pub struct KvMix {
     /// Permille of load-driven rebalance rounds (`rebalance_round`,
     /// ordered stores only; hash-sharded rounds are no-ops).
     pub rebalance_pm: u32,
-    /// Route batched gets through [`KvStore::multi_get_per_key`] (the
-    /// pre-grouping baseline) instead of the shard-grouped
-    /// [`KvStore::multi_get`]. Only the `kv.multiget.*-perkey` A/B twin
-    /// scenarios set this.
-    pub per_key_multiget: bool,
 }
 
 impl KvMix {
@@ -409,12 +404,7 @@ fn run_kv_inner<B: ConcurrentMap>(
             } else if p < t_batch_get {
                 keybuf.clear();
                 keybuf.extend((0..mix.batch).map(|_| workload.sample_key(&mut rng)));
-                let n = if mix.per_key_multiget {
-                    store.multi_get_per_key(&keybuf).len() as u64
-                } else {
-                    store.multi_get(&keybuf).len() as u64
-                };
-                counts.batch_get_keys += n;
+                counts.batch_get_keys += store.multi_get(&keybuf).len() as u64;
             } else if p < t_batch_write {
                 // Alternate put/remove batches so the store size holds.
                 batch_write_flip += 1;

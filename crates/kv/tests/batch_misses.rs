@@ -1,16 +1,16 @@
 //! Where a batch takes its misses: which backend lookups the batched calls
 //! of a store make, and when.
 //!
-//! The backends are wrapped in [`Tapped`], which logs every lookup and
-//! write the store asks of a shard and can fire a hook on the first lookup
-//! of a chosen shard — a write or a boundary shift landing exactly inside
-//! a `multi_get`'s windows, on the calling thread, without a race to win.
+//! The backends are wrapped in [`Tapped`], which logs every lookup, range
+//! walk and write the store asks of a shard and can fire a hook on the
+//! first lookup or walk of a chosen shard — a write or a boundary shift
+//! landing exactly inside the windows of a `multi_get` or a `range_scan`,
+//! on the calling thread, without a race to win.
 //!
 //! The `ReadRepair` / `ReadRetry` / `LockAcquire` counts come from the
-//! probe's process-wide counters, so everything runs inside **one** test
-//! function (as in `one_lock_per_write.rs`). Without `--features probe`
-//! the counters read zero; the lookup logs and the replies are checked
-//! either way.
+//! probe's process-wide counters, so the two tests take turns on
+//! [`COUNTERS`]. Without `--features probe` the counters read zero; the
+//! lookup logs and the replies are checked either way.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -20,11 +20,16 @@ use optik_kv::{ConcurrentMap, FakeClock, Key, KvStore, OrderedMap, Val};
 use optik_probe::{Event, Snapshot};
 use optik_skiplists::OptikSkipList2;
 
+/// Held by a test while it reads deltas of the process-wide probe counters.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
 /// What the store asked of a backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Call {
     /// `get`, or one probe of a `get_each`.
     Probe,
+    /// `range`; the logged key is the window's lower end.
+    Walk,
     /// `put`, `remove` or their single-writer twins.
     Write,
 }
@@ -47,7 +52,7 @@ type Hook = Box<dyn FnOnce() + Send>;
 #[derive(Default)]
 struct Tap {
     log: Mutex<Vec<Entry>>,
-    /// Fires once, before the first lookup in this shard's data map.
+    /// Fires once, before the first lookup or walk in this shard's data map.
     hook: Mutex<Option<(usize, Hook)>>,
     /// Set while the hook runs and during set-up: what those ask of the
     /// backends is not the call under test.
@@ -100,7 +105,7 @@ impl<B> Tapped<B> {
         if self.tap.muted.load(Ordering::Relaxed) {
             return;
         }
-        if call == Call::Probe && !self.deadlines {
+        if call != Call::Write && !self.deadlines {
             let mut armed = self.tap.hook.lock().unwrap();
             if armed
                 .as_ref()
@@ -161,6 +166,7 @@ impl<B: ConcurrentMap> ConcurrentMap for Tapped<B> {
 
 impl<B: OrderedMap> OrderedMap for Tapped<B> {
     fn range(&self, lo: Key, hi: Key, f: &mut dyn FnMut(Key, Val)) {
+        self.note(Call::Walk, lo);
         self.inner.range(lo, hi, f);
     }
 }
@@ -199,6 +205,14 @@ fn probes(log: &[Entry], deadlines: bool) -> Vec<(usize, Key)> {
         .collect()
 }
 
+/// The shards whose data maps were range-walked, in order.
+fn walks(log: &[Entry]) -> Vec<usize> {
+    log.iter()
+        .filter(|e| e.call == Call::Walk && !e.deadlines)
+        .map(|e| e.shard)
+        .collect()
+}
+
 /// Four partitions of a hundred keys; two keys of each, in no order.
 const KEYS: [Key; 8] = [350, 50, 250, 150, 260, 60, 360, 160];
 /// [`KEYS`] as the grouped plan probes them: by shard, then by key.
@@ -215,10 +229,15 @@ const PLANNED: [(usize, Key); 8] = [
 
 type Ordered = KvStore<Tapped<OptikSkipList2>>;
 
+/// What [`filled`] puts into a store.
+fn fill() -> impl Iterator<Item = (Key, Val)> {
+    (10..=400).step_by(10).map(|k| (k, k * 10))
+}
+
 fn filled(store: Ordered, tap: &Tap) -> Arc<Ordered> {
     tap.quietly(|| {
-        for k in (10..=400).step_by(10) {
-            store.put(k, k * 10);
+        for (k, v) in fill() {
+            store.put(k, v);
         }
     });
     Arc::new(store)
@@ -231,6 +250,7 @@ fn ordered_store(tap: &Arc<Tap>) -> Arc<Ordered> {
 
 #[test]
 fn batched_calls_take_their_misses_overlapped_and_before_the_locks() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let want = |patch: &[(Key, Option<Val>)]| -> Vec<Option<Val>> {
         KEYS.iter()
             .map(|&k| {
@@ -373,4 +393,103 @@ fn batched_calls_take_their_misses_overlapped_and_before_the_locks() {
         probes(&log, false).is_empty(),
         "multi_remove walked: {log:?}"
     );
+}
+
+/// The same four interferences inside a `range_scan`'s windows: every
+/// shard the window touches is walked inside **one** windowed read, so a
+/// write into one of them re-walks that shard alone and the reply is one
+/// snapshot.
+#[test]
+fn range_scans_walk_every_shard_inside_one_windowed_read() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    // `fill()` with `patch` applied: `Some(v)` rebinds, `None` drops.
+    let want = |patch: &[(Key, Option<Val>)]| -> Vec<(Key, Val)> {
+        fill()
+            .filter_map(|(k, v)| match patch.iter().find(|&&(p, _)| p == k) {
+                Some(&(_, patched)) => patched.map(|v| (k, v)),
+                None => Some((k, v)),
+            })
+            .collect()
+    };
+    // A key of `fill()` that hash-routes to shard 2.
+    let in_shard_2 = |store: &Ordered| {
+        fill()
+            .map(|(k, _)| k)
+            .find(|&k| store.shard_of(k) == 2)
+            .expect("40 keys over 4 shards")
+    };
+
+    // (a) Hash-sharded: the window touches all four shards. A write into
+    // shard 2 inside the windows: shard 2 is walked again, nobody else.
+    let tap = Arc::new(Tap::default());
+    let store = filled(
+        KvStore::with_shards(4, tapped(&tap, OptikSkipList2::new)),
+        &tap,
+    );
+    let (got, log, counts) = tap.during(|| store.range_scan(1, 400));
+    assert_eq!(got, want(&[]));
+    assert_eq!(walks(&log), [0, 1, 2, 3], "undisturbed: one walk per shard");
+    assert_eq!(counts, [0; 3], "undisturbed: no repair, no retry, no lock");
+    let hit = in_shard_2(&store);
+    let writer = Arc::clone(&store);
+    tap.arm(2, move || {
+        writer.put(hit, 7);
+    });
+    let (got, log, [repairs, retries, _]) = tap.during(|| store.range_scan(1, 400));
+    assert_eq!(got, want(&[(hit, Some(7))]), "the snapshot after the write");
+    assert_eq!(
+        walks(&log),
+        [0, 1, 2, 3, 2],
+        "shard 2 again, and only shard 2"
+    );
+    assert_count(repairs, 1, "one shard repaired");
+    assert_eq!(retries, 0, "no full retry");
+
+    // (b) A TTL store filters every shard's walk with one clock sample,
+    // inside every window: one broken window re-opens them all, and the
+    // clock is read again — the entry that expires between the two samples
+    // is gone from the reply.
+    let tap = Arc::new(Tap::default());
+    let clock = Arc::new(FakeClock::new());
+    let make = tapped(&tap, OptikSkipList2::new);
+    let store = filled(KvStore::with_shards_ttl(4, clock.clone(), make), &tap);
+    let hit = in_shard_2(&store);
+    let dying = fill().map(|(k, _)| k).find(|&k| k != hit).unwrap();
+    tap.quietly(|| store.put_with_ttl(dying, 1, 5));
+    let (writer, ticker) = (Arc::clone(&store), Arc::clone(&clock));
+    tap.arm(2, move || {
+        writer.put(hit, 7);
+        ticker.advance(5);
+    });
+    let (got, log, [repairs, retries, _]) = tap.during(|| store.range_scan(1, 400));
+    assert_eq!(got, want(&[(hit, Some(7)), (dying, None)]));
+    assert_eq!(walks(&log), [0, 1, 2, 3, 0, 1, 2, 3], "every shard again");
+    assert_count(repairs, 4, "all four windows re-opened");
+    assert_eq!(retries, 0, "inside the repair loop, not around it");
+
+    // (c) A boundary shift inside the windows voids the cover, not a
+    // window: the full retry.
+    let tap = Arc::new(Tap::default());
+    let store = ordered_store(&tap);
+    let mover = Arc::clone(&store);
+    tap.arm(2, move || {
+        mover.shift_boundary(0, 55).expect("legal shift");
+    });
+    let (got, log, [repairs, retries, _]) = tap.during(|| store.range_scan(1, 400));
+    assert_eq!(got, want(&[]));
+    assert_eq!(walks(&log), [0, 1, 2, 3, 0, 1, 2, 3]);
+    assert_eq!(repairs, 0, "nothing to repair under a cover that moved");
+    assert_count(retries, 1, "one full retry");
+
+    // (d) A window inside one partition pays for one shard: one walk, one
+    // version read and validated (a second window would show as a second
+    // walk), no lock.
+    let (got, log, counts) = tap.during(|| store.range_scan(110, 190));
+    let inside: Vec<(Key, Val)> = want(&[])
+        .into_iter()
+        .filter(|&(k, _)| (110..=190).contains(&k))
+        .collect();
+    assert_eq!(got, inside);
+    assert_eq!(walks(&log), [1], "exactly one range walk");
+    assert_eq!(counts, [0; 3], "no repair, no retry, no lock");
 }

@@ -155,10 +155,10 @@ pub enum Event {
     ArenaRunRefill = 19,
     /// Software prefetch issued one hop ahead of a traversal.
     PrefetchIssued = 20,
-    /// Shard re-probed by a kv `multi_get` repair round: its window broke,
-    /// its version was re-read and its keys looked up again while the
-    /// other shards' values were kept (a round that retries everything
-    /// counts as [`Event::ReadRetry`] instead).
+    /// Shard window re-opened by a repair round of a kv windowed read
+    /// (`multi_get`, `range_scan`): it broke, its version was re-read and
+    /// its share read again while the other shards' reads were kept (an
+    /// attempt that starts over counts as [`Event::ReadRetry`] instead).
     ReadRepair = 21,
 }
 
@@ -230,7 +230,9 @@ pub enum HistKind {
     RetryLoop = 0,
     /// Versioned-lock hold time (acquisition to unlock/revert).
     LockHold = 1,
-    /// Duration of one successful per-shard `range` validation window.
+    /// Duration of one validated kv windowed read: first version read of
+    /// the attempt that succeeded to its validation (reported as
+    /// `range_window`, after its first user).
     ValidationWindow = 2,
     /// QSBR grace latency: limbo batch seal to batch free.
     GraceLatency = 3,

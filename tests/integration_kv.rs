@@ -274,7 +274,7 @@ fn grouped_multiget_matches_per_key<B: ConcurrentMap + 'static>(
         }));
     }
     let mut readers = Vec::new();
-    for r in 0..2u64 {
+    for _ in 0..2 {
         let s = Arc::clone(&s);
         let keys = keys.clone();
         let stop = Arc::clone(&stop);
@@ -283,12 +283,7 @@ fn grouped_multiget_matches_per_key<B: ConcurrentMap + 'static>(
             // Check-after-work, as in `batch_atomicity`: every run must
             // observe at least one batch even if writers finish first.
             loop {
-                // Alternate paths so both stay under churn in one run.
-                let vals = if (observed + r) % 2 == 0 {
-                    s.multi_get(&keys)
-                } else {
-                    s.multi_get_per_key(&keys)
-                };
+                let vals = s.multi_get(&keys);
                 assert_eq!(vals.len(), keys.len(), "{name}: result not scattered 1:1");
                 for (i, v) in vals.iter().enumerate() {
                     if let Some(v) = v {
@@ -329,14 +324,9 @@ fn grouped_multiget_matches_per_key<B: ConcurrentMap + 'static>(
             assert!(h.join().unwrap() > 0, "{name}: readers made no progress");
         }
     });
-    // Quiesced: all three read paths must agree exactly.
+    // Quiesced: the batch and the single gets must agree exactly.
     let grouped = s.multi_get(&keys);
-    let per_key = s.multi_get_per_key(&keys);
     let singles: Vec<Option<u64>> = keys.iter().map(|&k| s.get(k)).collect();
-    assert_eq!(
-        grouped, per_key,
-        "{name}: grouped vs per-key batch diverged at rest"
-    );
     assert_eq!(
         grouped, singles,
         "{name}: grouped batch vs single gets diverged at rest"
@@ -641,21 +631,28 @@ fn kv_range_scans_stay_sorted_and_complete_under_churn_full() {
     range_scans_under_churn(2_000);
 }
 
-/// Writers rewrite a *single-partition* working set wholesale (batched:
-/// all keys → one tag, or all removed) while scanners take bounded range
-/// scans over exactly that window. Because the working set lives in one
-/// ordered shard and `range_scan` validates per shard, every returned
-/// window must show the working set complete-with-one-tag or entirely
-/// absent — the range analogue of `scan_consistency`.
-fn range_scan_snapshot_consistency(rounds: u64) {
-    // span = 64: keys 11..=18 are colocated in shard 0.
-    let s = Arc::new(KvStore::with_ordered_shards(4, 256, |_| {
-        OptikSkipList2::new()
-    }));
-    let keys: Vec<u64> = (11..=18).collect();
-    assert!(
-        keys.iter().all(|&k| s.shard_of(k) == 0),
-        "working set must be colocated for the test to mean anything"
+/// Writers rewrite a working set wholesale (batched: all keys → one tag,
+/// or all removed) while scanners take bounded range scans over exactly
+/// that window. `range_scan` is a snapshot across every shard its window
+/// touches, so every returned window must show the working set
+/// complete-with-one-tag or entirely absent — wherever its keys live: in
+/// one partition (`shards_touched == 1`), across a partition boundary, or
+/// scattered over every shard of a hash-routed store.
+fn range_scan_snapshot_consistency(
+    rounds: u64,
+    s: Arc<KvStore<OptikSkipList2>>,
+    keys: std::ops::RangeInclusive<u64>,
+    shards_touched: usize,
+) {
+    let (lo, hi) = (*keys.start(), *keys.end());
+    let keys: Vec<u64> = keys.collect();
+    assert_eq!(
+        keys.iter()
+            .map(|&k| s.shard_of(k))
+            .collect::<std::collections::HashSet<_>>()
+            .len(),
+        shards_touched,
+        "working set must sit where the case says"
     );
     s.multi_put(&keys.iter().map(|&k| (k, 1)).collect::<Vec<_>>());
     let stop = Arc::new(AtomicBool::new(false));
@@ -682,7 +679,7 @@ fn range_scan_snapshot_consistency(rounds: u64) {
             // Check-after-work: at least one window per run even if the
             // writer finishes before this thread is first scheduled.
             loop {
-                let win = s.range_scan(11, 18);
+                let win = s.range_scan(lo, hi);
                 assert!(
                     win.is_empty() || win.len() == keys.len(),
                     "partial working set in range window: {} of {} keys",
@@ -713,15 +710,29 @@ fn range_scan_snapshot_consistency(rounds: u64) {
     });
 }
 
+fn range_scan_snapshot_rounds(rounds: u64) {
+    // span = 64: keys 11..=18 are colocated in shard 0, 61..=68 straddle
+    // the boundary between shards 0 and 1.
+    let ordered = || {
+        Arc::new(KvStore::with_ordered_shards(4, 256, |_| {
+            OptikSkipList2::new()
+        }))
+    };
+    range_scan_snapshot_consistency(rounds, ordered(), 11..=18, 1);
+    range_scan_snapshot_consistency(rounds, ordered(), 61..=68, 2);
+    let hashed = Arc::new(KvStore::with_shards(4, |_| OptikSkipList2::new()));
+    range_scan_snapshot_consistency(rounds, hashed, 11..=18, 4);
+}
+
 #[test]
 fn kv_range_windows_are_consistent_snapshots_under_batch_writes() {
-    range_scan_snapshot_consistency(synchro::stress::ops(3_000));
+    range_scan_snapshot_rounds(synchro::stress::ops(3_000));
 }
 
 #[test]
 #[ignore = "full-strength kv range-snapshot tier; run in CI via --ignored"]
 fn kv_range_windows_are_consistent_snapshots_under_batch_writes_full() {
-    range_scan_snapshot_consistency(15_000);
+    range_scan_snapshot_rounds(15_000);
 }
 
 // ---------------------------------------------------------------------------
