@@ -34,12 +34,14 @@
 
 #![cfg(optik_explore)]
 
+mod support;
+
 use std::collections::BTreeSet;
-use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 use optik::{OptikLock, OptikVersioned};
 use optik_explore::{explore, Config, Trial};
+use support::arrive_and_wait;
 use synchro::{shim, PubList};
 
 fn cfg() -> Config {
@@ -48,17 +50,6 @@ fn cfg() -> Config {
         max_schedules: 400_000,
         preemptions: Some(2),
         sleep_sets: true,
-    }
-}
-
-/// Completion barrier on a shim word (see `explore_pool.rs`): neither
-/// trial OS thread exits while the other still touches the list, so the
-/// probe thread-index registry — which keys the publication slots —
-/// stays stable for the whole schedule.
-fn arrive_and_wait(done: &shim::AtomicU64, n: u64) {
-    done.fetch_add(1, Ordering::AcqRel);
-    while done.load(Ordering::Acquire) < n {
-        synchro::relax();
     }
 }
 

@@ -11,7 +11,7 @@
 //! RUSTFLAGS='--cfg optik_explore' cargo test -p optik-explore --test explore_kv
 //! ```
 //!
-//! Six interleaving families, one per dynamic behaviour the stress
+//! Seven interleaving families, one per dynamic behaviour the stress
 //! tier can only sample:
 //!
 //! 1. **TTL expiry vs put** — a `FakeClock` advance racing reads and
@@ -32,6 +32,12 @@
 //!    window read, all of whose shards sit inside one windowed read,
 //!    racing a put, a remove and a `multi_put` ([`RangeMapSpec`]; model in
 //!    `range_scan_model`).
+//! 7. **skip-list single writer vs `get` and `range_scan`** — a shard's
+//!    writer links a fresh node and claims and unlinks another through
+//!    `OptikSkipList`'s `put_exclusive`/`remove_exclusive`, whose only
+//!    lock-word writes are the level-0 predecessor's bump and the victim's
+//!    forever-held lock, racing a lock-free `get` and a validated window
+//!    read over both nodes ([`RangeMapSpec`]).
 //!
 //! Every enumerated schedule replays the ops against the sequential
 //! spec with the Wing–Gong checker; a failure message always carries
@@ -48,9 +54,9 @@
 
 mod multi_get_model;
 mod range_scan_model;
+mod support;
 
 use std::collections::BTreeSet;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use optik_explore::{explore, Config, Hist, Trial};
@@ -60,6 +66,7 @@ use optik_harness::linearize::{
 use optik_hashtables::StripedOptikHashTable;
 use optik_kv::{FakeClock, KvStore};
 use optik_skiplists::OptikSkipList2;
+use support::arrive_and_wait;
 use synchro::shim;
 
 /// Exploration bounds shared by the kv families. Two preemptions is the
@@ -445,35 +452,26 @@ fn remove_miss_races_put_and_multi_put() {
         let store: KvStore<StripedOptikHashTable> =
             KvStore::with_shards(1, |_| StripedOptikHashTable::new(16, 2));
         let hist: Hist<MapOp> = Hist::new();
-        // Completion barrier on a shim word (see `explore_pool.rs`): the
-        // writers allocate chain nodes in-run, and a thread that exits
-        // early would hand its registry index — and with it its magazine —
-        // to a later starter, at a time the scheduler does not control.
+        // Completion barrier: the writers allocate chain nodes in-run.
         let done = shim::AtomicU64::new(0);
-        let arrive_and_wait = || {
-            done.fetch_add(1, Ordering::AcqRel);
-            while done.load(Ordering::Acquire) < 3 {
-                synchro::relax();
-            }
-        };
         trial.run(&[
             &|| {
                 let i = trial.now();
                 let gone = store.remove(MISS_KEY);
                 hist.push(i, trial.now(), MapOp::Remove(gone));
-                arrive_and_wait();
+                arrive_and_wait(&done, 3);
             },
             &|| {
                 let i = trial.now();
                 let prev = store.put(MISS_KEY, 2);
                 hist.push(i, trial.now(), MapOp::Put(2, prev));
-                arrive_and_wait();
+                arrive_and_wait(&done, 3);
             },
             &|| {
                 let i = trial.now();
                 let prevs = store.multi_put(&[(MISS_BYSTANDER, 9), (MISS_KEY, 3)]);
                 hist.push(i, trial.now(), MapOp::Put(3, prevs[1]));
-                arrive_and_wait();
+                arrive_and_wait(&done, 3);
             },
         ]);
         // The binding left behind is part of the history: a remove that
@@ -577,6 +575,92 @@ fn range_scan_races_writers_on_two_hash_shards() {
         [Some(21), Some(22), None],
         [Some(11), Some(2), None],
         [Some(11), None, None],
+    ] {
+        assert!(scans.contains(&want), "no scan saw {want:?}: {scans:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Family 7: the skip list's single writer vs a get and a range_scan.
+// ---------------------------------------------------------------------------
+
+/// Tracked keys in one partition: `[0]` and `[2]` are resident, the
+/// writer links `[1]` between them and then removes `[0]` — the fresh
+/// node's level-0 predecessor, so one node's version takes the link's bump
+/// and then the claim's forever-held lock.
+const EXCLUSIVE_KEYS: [u64; 3] = [20, 30, 40];
+
+#[test]
+fn ordered_exclusive_writer_races_get_and_range_scan() {
+    let initial = [Some(1), None, Some(3)];
+    let mut scans: BTreeSet<[Option<u64>; 3]> = BTreeSet::new();
+    let mut gets: BTreeSet<Option<u64>> = BTreeSet::new();
+    let stats = explore(kv_config(2), |trial| {
+        let store: KvStore<OptikSkipList2> =
+            KvStore::with_ordered_shards(1, 100, |_| OptikSkipList2::new());
+        store.put(EXCLUSIVE_KEYS[0], 1);
+        store.put(EXCLUSIVE_KEYS[2], 3);
+        let hist: Hist<RangeOp> = Hist::new();
+        // Completion barrier: the put allocates a node in-run and the
+        // remove retires one.
+        let done = shim::AtomicU64::new(0);
+        trial.run(&[
+            &|| {
+                let i = trial.now();
+                let prev = store.put(EXCLUSIVE_KEYS[1], 2);
+                hist.push(i, trial.now(), RangeOp::Put(1, 2, prev));
+                let i = trial.now();
+                let gone = store.remove(EXCLUSIVE_KEYS[0]);
+                hist.push(i, trial.now(), RangeOp::Remove(0, gone));
+                arrive_and_wait(&done, 2);
+            },
+            &|| {
+                let i = trial.now();
+                let got = store.get(EXCLUSIVE_KEYS[1]);
+                hist.push(i, trial.now(), RangeOp::Get(1, got));
+                let i = trial.now();
+                let window = store.range_scan(EXCLUSIVE_KEYS[0], EXCLUSIVE_KEYS[2]);
+                let seen = EXCLUSIVE_KEYS
+                    .map(|k| window.iter().find(|&&(key, _)| key == k).map(|&(_, v)| v));
+                hist.push(i, trial.now(), RangeOp::Range(seen));
+                arrive_and_wait(&done, 2);
+            },
+        ]);
+        let h = timed(&hist);
+        for t in &h {
+            match t.op {
+                RangeOp::Get(_, got) => {
+                    gets.insert(got);
+                }
+                RangeOp::Range(seen) => {
+                    scans.insert(seen);
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            check(&RangeMapSpec { initial }, &h),
+            "exclusive-writer-vs-get-and-range: non-linearizable history {h:?}; \
+             replay with schedule token {}",
+            trial.token()
+        );
+        assert_eq!(
+            store.range_scan(0, 100),
+            vec![(EXCLUSIVE_KEYS[1], 2), (EXCLUSIVE_KEYS[2], 3)],
+            "the writer's link or unlink was lost; replay with schedule token {}",
+            trial.token()
+        );
+    });
+    eprintln!("explore_kv::ordered_exclusive_writer_races_get_and_range_scan: {stats}");
+    eprintln!("  gets seen: {gets:?}; scans seen: {scans:?}");
+    assert!(!stats.truncated, "tree not exhausted: {stats}");
+    // The get must land on both sides of the link, and the scan before
+    // the link, between the link and the unlink, and after the unlink.
+    assert_eq!(gets, BTreeSet::from([None, Some(2)]), "gets seen");
+    for want in [
+        initial,
+        [Some(1), Some(2), Some(3)],
+        [None, Some(2), Some(3)],
     ] {
         assert!(scans.contains(&want), "no scan saw {want:?}: {scans:?}");
     }

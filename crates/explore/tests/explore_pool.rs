@@ -34,30 +34,15 @@
 
 #![cfg(optik_explore)]
 
+mod support;
+
 use std::collections::BTreeSet;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use optik_explore::{explore, Config, Trial};
 use reclaim::{NodePool, Qsbr};
+use support::arrive_and_wait;
 use synchro::shim;
-
-/// Completion barrier: every model thread parks here until all `n` have
-/// arrived, so no trial OS thread *exits* while a peer still touches the
-/// pool. Without it the pool's process-wide thread-index registry leaks
-/// real-time nondeterminism into the model: an exited thread's index (and
-/// the magazine filed under it) can be inherited by the peer's next pool
-/// touch, turning a recorded slow alloc into a recycle hit depending on
-/// TLS-destructor timing the cooperative scheduler cannot see. The spin
-/// reads a shim word and `relax()`es, so the explorer parks the waiter
-/// until the last arrival's `fetch_add` re-enables it — the tree stays
-/// finite.
-fn arrive_and_wait(done: &shim::AtomicU64, n: u64) {
-    done.fetch_add(1, Ordering::AcqRel);
-    while done.load(Ordering::Acquire) < n {
-        synchro::relax();
-    }
-}
 
 /// Exploration bounds. A churn cycle crosses only a handful of shim
 /// accesses (one per depot exchange), so two preemptions exhaust the

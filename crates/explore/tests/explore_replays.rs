@@ -18,6 +18,8 @@ mod multi_get_model;
 mod qsbr_model;
 #[cfg(optik_explore)]
 mod range_scan_model;
+#[cfg(optik_explore)]
+mod support;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -228,7 +230,6 @@ fn qsbr_early_announcement_schedule_replays() {
 #[cfg(optik_explore)]
 #[test]
 fn pool_exchange_schedule_replays() {
-    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     use reclaim::{NodePool, Qsbr};
@@ -245,11 +246,10 @@ fn pool_exchange_schedule_replays() {
     let run = |trial: &Trial| -> Outcome {
         let pool: Arc<NodePool<u64>> = NodePool::with_config(8, 2);
         let domain = Qsbr::new();
-        // Completion barrier on a shim word: neither trial OS thread may
-        // exit while the other still churns, or the pool's thread-index
-        // registry lets the survivor inherit the exited thread's magazine
-        // — TLS-teardown timing the scheduler cannot replay (see
-        // `explore_pool.rs`).
+        // Completion barrier: neither trial OS thread may exit while the
+        // other still churns, or the pool's thread-index registry lets the
+        // survivor inherit the exited thread's magazine — TLS-teardown
+        // timing the scheduler cannot replay.
         let done = shim::AtomicU64::new(0);
         let churn = || {
             let h = domain.register();
@@ -263,10 +263,7 @@ fn pool_exchange_schedule_replays() {
                 h.collect();
             }
             drop(h);
-            done.fetch_add(1, Ordering::AcqRel);
-            while done.load(Ordering::Acquire) < 2 {
-                synchro::relax();
-            }
+            support::arrive_and_wait(&done, 2);
         };
         trial.run(&[&churn, &churn]);
         let s = pool.stats();
@@ -301,7 +298,6 @@ fn pool_exchange_schedule_replays() {
 #[cfg(optik_explore)]
 #[test]
 fn arena_refill_schedule_replays() {
-    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     use reclaim::{NodePool, Qsbr};
@@ -344,10 +340,7 @@ fn arena_refill_schedule_replays() {
                 h.collect();
             }
             drop(h);
-            done.fetch_add(1, Ordering::AcqRel);
-            while done.load(Ordering::Acquire) < 2 {
-                synchro::relax();
-            }
+            support::arrive_and_wait(&done, 2);
         };
         trial.run(&[&churn, &churn]);
         let a = pool.arena_stats().expect("arena mode");
@@ -523,8 +516,6 @@ fn kv_ttl_expiry_schedule_replays() {
 #[cfg(optik_explore)]
 #[test]
 fn kv_remove_miss_schedule_replays() {
-    use std::sync::atomic::Ordering;
-
     use optik_hashtables::StripedOptikHashTable;
     use optik_kv::KvStore;
 
@@ -541,30 +532,23 @@ fn kv_remove_miss_schedule_replays() {
         let store: KvStore<StripedOptikHashTable> =
             KvStore::with_shards(1, |_| StripedOptikHashTable::new(16, 2));
         let got = std::sync::Mutex::new((None, None, None));
-        // Completion barrier on a shim word (see
-        // `pool_exchange_schedule_replays`): the writers allocate in-run.
+        // Completion barrier: the writers allocate in-run.
         let done = synchro::shim::AtomicU64::new(0);
-        let arrive_and_wait = || {
-            done.fetch_add(1, Ordering::AcqRel);
-            while done.load(Ordering::Acquire) < 3 {
-                synchro::relax();
-            }
-        };
         trial.run(&[
             &|| {
                 let gone = store.remove(7);
                 got.lock().unwrap().0 = gone;
-                arrive_and_wait();
+                support::arrive_and_wait(&done, 3);
             },
             &|| {
                 let prev = store.put(7, 2);
                 got.lock().unwrap().1 = prev;
-                arrive_and_wait();
+                support::arrive_and_wait(&done, 3);
             },
             &|| {
                 let prevs = store.multi_put(&[(8, 9), (7, 3)]);
                 got.lock().unwrap().2 = prevs[1];
-                arrive_and_wait();
+                support::arrive_and_wait(&done, 3);
             },
         ]);
         let g = got.lock().unwrap();

@@ -16,11 +16,14 @@
 
 #![cfg(all(optik_explore, feature = "probe"))]
 
+mod support;
+
 use optik::{OptikLock, OptikVersioned};
 use optik_explore::{explore, replay, Config, Token, Trial};
 use optik_probe::{Event, Snapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use support::arrive_and_wait;
 
 /// Every test here compares deltas of the **process-wide** probe snapshot
 /// with what one schedule did, so a schedule of another test running at
@@ -154,16 +157,6 @@ fn arena_ledger_balances_on_every_schedule() {
     use reclaim::{NodePool, Qsbr};
     use std::sync::Arc;
     use synchro::shim;
-
-    // Completion barrier, as in explore_pool.rs: no model thread may exit
-    // while a peer still touches the pool (the process-wide thread-index
-    // registry would otherwise leak TLS-destructor timing into the model).
-    fn arrive_and_wait(done: &shim::AtomicU64, n: u64) {
-        done.fetch_add(1, Ordering::AcqRel);
-        while done.load(Ordering::Acquire) < n {
-            synchro::relax();
-        }
-    }
 
     // Two-phase burst, sized so the serial schedule provably pushes a
     // whole magazine through the free store: with 2-slot magazines

@@ -21,13 +21,13 @@
 // Each of the two test crates drives one `Scan`.
 #![allow(dead_code)]
 
-use std::sync::atomic::Ordering;
-
 use optik_explore::{Hist, Trial};
 use optik_harness::linearize::{RangeMapSpec, RangeOp, Timed};
 use optik_kv::{Key, KvStore};
 use optik_skiplists::OptikSkipList2;
 use synchro::shim;
+
+use crate::support::arrive_and_wait;
 
 /// The tracked keys, ascending; shards 0, 1, 0 under two-shard hashing.
 pub const KEYS: [Key; 3] = [2, 4, 6];
@@ -80,18 +80,9 @@ pub fn run(trial: &Trial, scan: Scan) -> Outcome {
     store.put(KEYS[1], 2);
     let hist: Hist<RangeOp> = Hist::new();
     let seen = std::sync::Mutex::new([None; 3]);
-    // Completion barrier on a shim word (see `explore_pool.rs`): the
-    // remove retires a node and the batch may allocate one in-run, and a
-    // thread that exits early would hand its registry index — and with it
-    // its magazine — to a later starter, at a time the scheduler does not
-    // control.
+    // Completion barrier: the remove retires a node and the batch may
+    // allocate one in-run.
     let done = shim::AtomicU64::new(0);
-    let arrive_and_wait = || {
-        done.fetch_add(1, Ordering::AcqRel);
-        while done.load(Ordering::Acquire) < 3 {
-            synchro::relax();
-        }
-    };
     trial.run(&[
         &|| {
             let i = trial.now();
@@ -108,7 +99,7 @@ pub fn run(trial: &Trial, scan: Scan) -> Outcome {
             };
             hist.push(i, trial.now(), RangeOp::Range(got));
             *seen.lock().unwrap() = got;
-            arrive_and_wait();
+            arrive_and_wait(&done, 3);
         },
         &|| {
             let i = trial.now();
@@ -117,7 +108,7 @@ pub fn run(trial: &Trial, scan: Scan) -> Outcome {
             let i = trial.now();
             let gone = store.remove(KEYS[1]);
             hist.push(i, trial.now(), RangeOp::Remove(1, gone));
-            arrive_and_wait();
+            arrive_and_wait(&done, 3);
         },
         &|| {
             let i = trial.now();
@@ -127,7 +118,7 @@ pub fn run(trial: &Trial, scan: Scan) -> Outcome {
                 trial.now(),
                 RangeOp::MultiPut([Some((21, prevs[0])), Some((22, prevs[1])), None]),
             );
-            arrive_and_wait();
+            arrive_and_wait(&done, 3);
         },
     ]);
     let seen = *seen.lock().unwrap();

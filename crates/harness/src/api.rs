@@ -90,8 +90,14 @@ impl<S: ConcurrentSet + ?Sized> SetHandle for &S {
 /// and must observe exactly what they observe next to `put`/`remove`: the
 /// same publication order of links and values, the same QSBR retirement.
 /// The defaults forward to `put`/`remove`, which is always correct; a
-/// backend overrides the pair only when its readers never consult the
-/// write-side lock words it would skip.
+/// backend overrides the pair only where it can keep every lock word its
+/// readers consult moving as they expect. Two do:
+/// `StripedOptikHashTable`, whose readers never read the stripe versions,
+/// so its pair takes no lock at all; and the OPTIK skip lists
+/// (`OptikSkipList1`/`OptikSkipList2`), whose pair descends once and
+/// keeps only the lock-word writes their `range` validates against — the
+/// level-0 predecessor's version bump and a removed node's forever-held
+/// lock.
 ///
 /// # Batched lookups
 ///

@@ -378,11 +378,16 @@ impl<B: ConcurrentMap> Shard<B> {
 ///   (value, deadline) pair and treats a passed deadline as a miss;
 /// - [`KvStore::put`] / [`KvStore::remove`] run under their shard's lock
 ///   (re-checking the route once locked, so a migration cannot strand a
-///   write in a shard that no longer owns the key) — the only lock they
-///   take: the backend is written through its single-writer entry points
+///   write in a shard that no longer owns the key) and write the backend
+///   through its single-writer entry points
 ///   ([`ConcurrentMap::put_exclusive`]) — so shard versions count
-///   completed writes. A `remove` that cannot change anything (static
-///   routing, no TTL, key absent) returns without locking;
+///   completed writes. Over `StripedOptikHashTable` the shard lock is then
+///   the only lock a write takes; over the OPTIK skip lists a write is one
+///   descent with no trylock or retry, whose only lock-word writes are the
+///   level-0 predecessor's version bump and a removed node's forever-held
+///   lock; other backends keep the default, their own `put`/`remove`. A
+///   `remove` that cannot change anything (static routing, no TTL, key
+///   absent) returns without locking;
 /// - batched operations ([`KvStore::multi_put`], [`KvStore::multi_remove`])
 ///   acquire every involved shard lock **in ascending shard order** —
 ///   the classic total-order claim that makes overlapping batches

@@ -66,6 +66,18 @@ pub fn random_level(_key: u64) -> usize {
     })
 }
 
+/// Restarts the calling thread's height draws from `seed`, so that two
+/// lists fed the same op stream after the same reseed build the same
+/// towers. (Under `--cfg optik_explore` heights are pure in the key
+/// already, and this does nothing.)
+#[cfg(test)]
+pub(crate) fn reseed(seed: u64) {
+    #[cfg(not(optik_explore))]
+    LEVEL_RNG.with(|cell| cell.set(seed | 1));
+    #[cfg(optik_explore)]
+    let _ = seed;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

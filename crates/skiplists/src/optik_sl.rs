@@ -21,6 +21,14 @@
 //!   `lock_version` plus the fine-grained Herlihy-style validation;
 //! - [`OptikSkipList2`] (*optik2*): immediately restarts the operation —
 //!   simpler, and the faster of the two under skew in the paper.
+//!
+//! Both variants also implement the single-writer entry points
+//! ([`ConcurrentMap::put_exclusive`] / `remove_exclusive`) for a caller
+//! that already excludes every other writer (a kv shard's lock): one
+//! descent, no trylock and no retry, and only the two lock-word writes
+//! the lock-free `range` still relies on — a lock/unlock of the level-0
+//! predecessor around the level-0 link or unlink, and a removed node's
+//! lock held forever.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
@@ -40,7 +48,8 @@ use crate::{
 pub(crate) struct Node {
     key: Key,
     /// In-place-updatable binding: swapped while holding this node's OPTIK
-    /// lock, read lock-free.
+    /// lock (or by the map's only writer, see `put_exclusive`), read
+    /// lock-free.
     val: AtomicU64,
     lock: OptikVersioned,
     top_level: u8,
@@ -225,6 +234,70 @@ impl<const FINE: bool> OptikSkipList<FINE> {
                 succs[l] = cur;
             }
             lfound
+        }
+    }
+
+    /// The single writer's descent: [`Self::find_tracking`] without the
+    /// versions. Fills `preds`/`succs` on every level and returns the node
+    /// holding `key`, if any — with no other writer, every node the
+    /// descent reaches is fully linked and unclaimed, so a key that is
+    /// present is `succs[0]`'s.
+    ///
+    /// # Safety
+    ///
+    /// QSBR grace period required; the caller is the list's only writer.
+    unsafe fn find(
+        &self,
+        key: Key,
+        preds: &mut [*mut Node; MAX_LEVEL],
+        succs: &mut [*mut Node; MAX_LEVEL],
+    ) -> Option<*mut Node> {
+        // SAFETY: per contract.
+        unsafe {
+            let mut pred = self.head;
+            for l in (0..MAX_LEVEL).rev() {
+                let mut cur = tower::next(pred, l).load(Ordering::Acquire);
+                Self::prefetch_below(pred, l);
+                while (*cur).key < key {
+                    pred = cur;
+                    cur = tower::next(pred, l).load(Ordering::Acquire);
+                    Self::prefetch_below(pred, l);
+                }
+                preds[l] = pred;
+                succs[l] = cur;
+            }
+            let found = succs[0];
+            if (*found).key != key {
+                return None;
+            }
+            debug_assert!(
+                (*found).fully_linked.load(Ordering::Relaxed)
+                    && !(*found).marked.load(Ordering::Relaxed),
+                "the single writer found a node it had not finished writing"
+            );
+            Some(found)
+        }
+    }
+
+    /// Points `pred`'s level-0 link at `to` inside one lock/unlock of
+    /// `pred`: the single writer's only lock-word writes for a link or an
+    /// unlink.
+    /// `range` validates a step against the version of its level-0
+    /// predecessor and takes that lock in its fallback, so the version has
+    /// to move across the store and the store must not land inside a
+    /// locked step. The lock is uncontended but for such a step, and
+    /// `pred`'s line is the one the descent just loaded.
+    ///
+    /// # Safety
+    ///
+    /// Grace period; the caller is the map's only writer and `pred` is
+    /// linked and unmarked.
+    unsafe fn relink_level0(pred: *mut Node, to: *mut Node) {
+        // SAFETY: per contract.
+        unsafe {
+            (*pred).lock.lock();
+            tower::next(pred, 0).store(to, Ordering::Release);
+            (*pred).lock.unlock();
         }
     }
 
@@ -665,6 +738,84 @@ impl<const FINE: bool> ConcurrentMap for OptikSkipList<FINE> {
         ConcurrentSet::delete(self, key)
     }
 
+    /// The upsert for the map's only writer: one descent, then the
+    /// in-place swap or a fresh link — no trylock, no retry, no second
+    /// descent. A hit swaps with no node lock: only a deleter contends
+    /// with a swap (`put` locks for that reason), and there is none.
+    ///
+    /// # Safety
+    ///
+    /// The [`ConcurrentMap::put_exclusive`] contract: no other thread
+    /// writes this list during the call, so what the descent found is
+    /// current until it returns. Lock-free readers rely on `insert`'s
+    /// publication order, which a miss keeps: the node is allocated with
+    /// every one of its own links set, linked bottom-up with `Release`
+    /// stores — level 0 inside one lock/unlock of its predecessor
+    /// ([`Self::relink_level0`]) — and `fully_linked` is set last, which
+    /// is where the insertion linearizes.
+    unsafe fn put_exclusive(&self, key: Key, val: Val) -> Option<Val> {
+        assert_user_key(key);
+        reclaim::quiescent();
+        let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
+        let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
+        // SAFETY: grace period; the caller excludes every other writer.
+        unsafe {
+            if let Some(n) = self.find(key, &mut preds, &mut succs) {
+                return Some((*n).val.swap(val, Ordering::AcqRel));
+            }
+            let top_level = random_level(key) - 1;
+            let node = self.pool.alloc(Node::make(key, val, top_level, false));
+            for l in 0..=top_level {
+                tower::next(node, l).store(succs[l], Ordering::Relaxed);
+            }
+            Self::relink_level0(preds[0], node);
+            for l in 1..=top_level {
+                tower::next(preds[l], l).store(node, Ordering::Release);
+            }
+            (*node).fully_linked.store(true, Ordering::Release);
+            None
+        }
+    }
+
+    /// The removal for the map's only writer: one descent; a miss returns
+    /// having touched no lock word, a hit claims, unlinks and retires
+    /// without a trylock or a retry.
+    ///
+    /// # Safety
+    ///
+    /// As for `put_exclusive`. The victim is claimed exactly as `delete`
+    /// claims it — its lock taken and held forever, then `marked` set,
+    /// which is where the removal linearizes — so a reader validating
+    /// against it fails and `range`'s locked step re-descends; then it is
+    /// unlinked top-down with `Release` stores (level 0 through
+    /// [`Self::relink_level0`]), its value read, and it is retired.
+    unsafe fn remove_exclusive(&self, key: Key) -> Option<Val> {
+        assert_user_key(key);
+        reclaim::quiescent();
+        let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
+        let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
+        // SAFETY: grace period; the caller excludes every other writer, so
+        // the victim is linked at exactly `preds[l] -> victim` on each of
+        // its levels, and it is retired once, after its last unlink.
+        unsafe {
+            let victim = self.find(key, &mut preds, &mut succs)?;
+            (*victim).lock.lock();
+            (*victim).marked.store(true, Ordering::Release);
+            let top_level = (*victim).top_level();
+            for l in (1..=top_level).rev() {
+                debug_assert!(succs[l] == victim, "level {l} reaches the victim");
+                tower::next(preds[l], l).store(
+                    tower::next(victim, l).load(Ordering::Relaxed),
+                    Ordering::Release,
+                );
+            }
+            Self::relink_level0(preds[0], tower::next(victim, 0).load(Ordering::Relaxed));
+            let val = (*victim).val.load(Ordering::Relaxed);
+            self.pool.retire(victim);
+            Some(val)
+        }
+    }
+
     fn len(&self) -> usize {
         ConcurrentSet::len(self)
     }
@@ -872,7 +1023,7 @@ mod tests {
         assert_eq!(s.len() as i64, net);
     }
 
-    fn xorshift(x: &mut u64) -> u64 {
+    pub(super) fn xorshift(x: &mut u64) -> u64 {
         *x ^= *x << 13;
         *x ^= *x >> 7;
         *x ^= *x << 17;
@@ -1053,5 +1204,263 @@ mod tests {
     #[test]
     fn get_each_races_writers_4() {
         get_each_races_writers(4);
+    }
+}
+
+/// The single-writer entry points (`put_exclusive` / `remove_exclusive`)
+/// against the concurrent pair and against lock-free readers.
+#[cfg(test)]
+mod exclusive_tests {
+    use super::{tests::xorshift, tower, OptikSkipList, OptikSkipList2, Towers};
+    use crate::{ConcurrentMap, Key, OrderedMap, Val, HEAD_KEY, TAIL_KEY};
+    use optik::{OptikLock, OptikVersioned};
+    use std::sync::atomic::Ordering;
+
+    /// Every binding, ascending, through `range`.
+    fn contents<const FINE: bool>(list: &OptikSkipList<FINE>) -> Vec<(Key, Val)> {
+        list.range_collect(HEAD_KEY + 1, TAIL_KEY - 1)
+    }
+
+    /// Live slots per tower class, `[small, tall]`.
+    fn live<const FINE: bool>(list: &OptikSkipList<FINE>) -> [u64; 2] {
+        list.pool.stats().map(|s| s.live())
+    }
+
+    /// One seeded put/remove stream through `put`/`remove` on one list and
+    /// through the single-writer pair on its twin, each run after the same
+    /// height reseed, so both lists build the same towers: same replies,
+    /// same contents, same `len`, same live slots in each class. The stream
+    /// binds both ends of the user key space first and ends with a key
+    /// removed and put back.
+    fn exclusive_pair_is_observably_the_concurrent_pair<const FINE: bool>() {
+        use optik_harness::api::{MAX_USER_KEY, MIN_USER_KEY};
+        const KEYS: u64 = 512;
+        let seed = synchro::stress::seed();
+        let mut stream: Vec<(Key, Option<Val>)> =
+            vec![(MIN_USER_KEY, Some(1)), (MAX_USER_KEY, Some(2))];
+        let mut x = seed | 1;
+        for i in 0..synchro::stress::ops(20_000) {
+            let r = xorshift(&mut x);
+            stream.push((r % KEYS + 1, (r >> 32 & 1 == 0).then_some(i)));
+        }
+        let back = KEYS / 2;
+        stream.extend([(back, Some(3)), (back, None), (back, Some(4))]);
+        stream.extend([(MAX_USER_KEY, None), (MAX_USER_KEY, Some(5))]);
+        let run = |list: &OptikSkipList<FINE>, exclusive: bool| -> Vec<Option<Val>> {
+            crate::level::reseed(seed);
+            stream
+                .iter()
+                .map(|&(k, op)| match (op, exclusive) {
+                    (Some(v), false) => list.put(k, v),
+                    (None, false) => list.remove(k),
+                    // SAFETY: single-threaded test — no other writer exists.
+                    (Some(v), true) => unsafe { list.put_exclusive(k, v) },
+                    (None, true) => unsafe { list.remove_exclusive(k) },
+                })
+                .collect()
+        };
+        let locked: OptikSkipList<FINE> = OptikSkipList::new();
+        let exclusive: OptikSkipList<FINE> = OptikSkipList::new();
+        let want = run(&locked, false);
+        let got = run(&exclusive, true);
+        for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                got, want,
+                "op {i} on key {}; STRESS_SEED={seed:#x}",
+                stream[i].0
+            );
+        }
+        assert_eq!(
+            contents(&exclusive),
+            contents(&locked),
+            "STRESS_SEED={seed:#x}"
+        );
+        assert_eq!(exclusive.len(), locked.len(), "STRESS_SEED={seed:#x}");
+        assert_eq!(live(&exclusive), live(&locked), "STRESS_SEED={seed:#x}");
+        assert!(
+            exclusive.pool.stats()[1].allocations > 2,
+            "no tower above the one-line class besides the sentinels; \
+             STRESS_SEED={seed:#x}"
+        );
+    }
+
+    #[test]
+    fn exclusive_pair_is_observably_the_concurrent_pair_optik1() {
+        exclusive_pair_is_observably_the_concurrent_pair::<true>();
+    }
+
+    #[test]
+    fn exclusive_pair_is_observably_the_concurrent_pair_optik2() {
+        exclusive_pair_is_observably_the_concurrent_pair::<false>();
+    }
+
+    /// The pair's lock-word writes, counted: a fresh link and an unlink
+    /// each move the level-0 predecessor's version by one lock/unlock, a
+    /// hit and a miss write no lock word, and a removed node's lock stays
+    /// held.
+    #[test]
+    fn exclusive_victim_lock_stays_locked() {
+        let s = OptikSkipList2::new();
+        // SAFETY: single-threaded test — no other writer exists; `node` is
+        // read before any quiescence that follows its retirement.
+        unsafe {
+            let head = || (*s.head).lock.get_version();
+            let v0 = head();
+            assert_eq!(s.put_exclusive(7, 70), None);
+            assert_eq!(head(), v0 + 2, "one lock/unlock of the level-0 pred");
+            let node = tower::next(s.head, 0).load(Ordering::Relaxed);
+            let nv = (*node).lock.get_version();
+            assert_eq!(s.put_exclusive(7, 71), Some(70));
+            assert_eq!(s.remove_exclusive(8), None);
+            assert_eq!(
+                (head(), (*node).lock.get_version()),
+                (v0 + 2, nv),
+                "a hit and a miss write no lock word"
+            );
+            assert_eq!(s.remove_exclusive(7), Some(71));
+            assert_eq!(head(), v0 + 4, "one lock/unlock of the level-0 pred");
+            assert!(OptikVersioned::is_locked_version(
+                (*node).lock.get_version()
+            ));
+        }
+        assert!(s.is_empty());
+    }
+
+    /// One writer on the single-writer pair against `readers` lock-free
+    /// readers mixing `get`, `get_each` batches and `range` windows. Values
+    /// carry their key and the writer's op index, so a torn or foreign
+    /// value, or one older than the reader has already seen for its key,
+    /// fails, and so does a window that is unsorted, duplicated or out of
+    /// bounds; the writer checks every reply against its own model (it is
+    /// the only writer, so replies are deterministic); afterwards the
+    /// contents are the model and both ledgers close.
+    fn exclusive_writer_races_lock_free_readers(readers: u64) {
+        use std::sync::atomic::AtomicBool;
+        const KEYS: u64 = 128;
+        let tag = |k: Key, i: u64| k << 32 | i;
+        let seed = synchro::stress::seed();
+        eprintln!("stress seed: {seed:#018x} (set STRESS_SEED={seed:#x} to reproduce)");
+        let list = OptikSkipList2::new();
+        let stop = AtomicBool::new(false);
+        let mut model = vec![None; KEYS as usize + 1];
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..readers)
+                .map(|r| {
+                    let (list, stop) = (&list, &stop);
+                    s.spawn(move || {
+                        let mut x = (seed ^ (r + 2).wrapping_mul(0x9E3779B97F4A7C15)) | 1;
+                        let mut newest = vec![0u64; KEYS as usize + 1];
+                        let mut check = |k: Key, v: Val| {
+                            assert_eq!(
+                                v >> 32,
+                                k,
+                                "reader {r}: foreign or torn value {v:#x} at key {k}; \
+                                 STRESS_SEED={seed:#x}"
+                            );
+                            let i = v & 0xffff_ffff;
+                            assert!(
+                                i >= newest[k as usize],
+                                "reader {r}: key {k} went back from op {} to op {i}; \
+                                 STRESS_SEED={seed:#x}",
+                                newest[k as usize]
+                            );
+                            newest[k as usize] = i;
+                        };
+                        while !stop.load(Ordering::Relaxed) {
+                            let y = xorshift(&mut x);
+                            let k = y % KEYS + 1;
+                            match y >> 40 & 3 {
+                                0 | 1 => {
+                                    if let Some(v) = list.get(k) {
+                                        check(k, v);
+                                    }
+                                }
+                                2 => {
+                                    // Distinct keys: probes of one batch are
+                                    // not ordered against each other.
+                                    let mut keys: Vec<Key> = (0..(y >> 8) % 16 + 1)
+                                        .map(|_| xorshift(&mut x) % KEYS + 1)
+                                        .collect();
+                                    keys.sort_unstable();
+                                    keys.dedup();
+                                    let probes: Vec<(&OptikSkipList2, Key)> =
+                                        keys.iter().map(|&k| (list, k)).collect();
+                                    let mut got = vec![None; keys.len()];
+                                    OptikSkipList2::get_each(&probes, &mut got);
+                                    for (&k, v) in keys.iter().zip(got) {
+                                        if let Some(v) = v {
+                                            check(k, v);
+                                        }
+                                    }
+                                }
+                                _ => {
+                                    let hi = k + (y >> 8) % 48;
+                                    let window = list.range_collect(k, hi);
+                                    assert!(
+                                        window.windows(2).all(|w| w[0].0 < w[1].0)
+                                            && window.iter().all(|&(g, _)| (k..=hi).contains(&g)),
+                                        "reader {r}: window [{k}, {hi}] unsorted, duplicated \
+                                         or out of bounds: {window:?}; STRESS_SEED={seed:#x}"
+                                    );
+                                    for (g, v) in window {
+                                        check(g, v);
+                                    }
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let mut x = seed | 1;
+            for i in 1..=synchro::stress::ops(400_000) {
+                let r = xorshift(&mut x);
+                let k = r % KEYS + 1;
+                // SAFETY: this thread is the list's only writer.
+                let (got, next) = if r >> 32 & 1 == 0 {
+                    (unsafe { list.put_exclusive(k, tag(k, i)) }, Some(tag(k, i)))
+                } else {
+                    (unsafe { list.remove_exclusive(k) }, None)
+                };
+                assert_eq!(
+                    got, model[k as usize],
+                    "writer op {i} on key {k}; STRESS_SEED={seed:#x}"
+                );
+                model[k as usize] = next;
+            }
+            stop.store(true, Ordering::Relaxed);
+            reclaim::offline_while(|| {
+                for h in handles {
+                    h.join().expect("reader panicked");
+                }
+            });
+        });
+        let want: Vec<(Key, Val)> = (1..=KEYS)
+            .filter_map(|k| model[k as usize].map(|v| (k, v)))
+            .collect();
+        assert_eq!(contents(&list), want, "STRESS_SEED={seed:#x}");
+        assert_eq!(list.len(), want.len(), "STRESS_SEED={seed:#x}");
+        // Both ledgers, as far as this list can see them (the QSBR domain
+        // is shared with the binary's other tests): nothing it retired is
+        // still in grace, and the live slots are the model's entries plus
+        // the two sentinels.
+        assert!(
+            Towers::grace_elapses(&[&list.pool]),
+            "grace period never elapsed; STRESS_SEED={seed:#x}"
+        );
+        assert_eq!(
+            live(&list).iter().sum::<u64>(),
+            want.len() as u64 + 2,
+            "STRESS_SEED={seed:#x}"
+        );
+    }
+
+    #[test]
+    fn exclusive_writer_races_lock_free_readers_2() {
+        exclusive_writer_races_lock_free_readers(2);
+    }
+
+    #[test]
+    fn exclusive_writer_races_lock_free_readers_4() {
+        exclusive_writer_races_lock_free_readers(4);
     }
 }
