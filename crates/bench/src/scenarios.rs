@@ -30,9 +30,7 @@ use optik_hashtables::{
     LazyGlHashTable, OptikGlHashTable, OptikHashTable, OptikMapHashTable,
     ResizableStripedHashTable, StripedHashTable, StripedOptikHashTable,
 };
-use optik_kv::{
-    run_kv_workload, run_kv_workload_ordered, CombineMode, KvMix, KvStore, KvWorkload, SystemClock,
-};
+use optik_kv::{run_kv_workload, run_kv_workload_ordered, KvMix, KvStore, KvWorkload, SystemClock};
 use optik_lists::{
     GlobalLockList, HarrisList, LazyCacheList, LazyList, OptikCacheList, OptikGlList, OptikList,
 };
@@ -43,7 +41,7 @@ use optik_skiplists::{
 };
 use optik_stacks::{EliminationStack, OptikStack, TreiberStack};
 
-/// Builds the full registry (~157 scenarios across 16 families).
+/// Builds the full registry (~174 scenarios across 16 families).
 pub fn registry() -> Registry {
     let mut r = Registry::new();
     fig5(&mut r);
@@ -56,8 +54,6 @@ pub fn registry() -> Registry {
     stacks(&mut r);
     alloc(&mut r);
     kv(&mut r);
-    kv_hotkey(&mut r);
-    combine_overhead(&mut r);
     kv_range(&mut r);
     kv_ttl(&mut r);
     kv_rebalance(&mut r);
@@ -118,9 +114,13 @@ pub fn group_blurb(group: &str) -> &'static str {
         }
         "kv.write-heavy" => {
             "kv store, write-heavy (8192 entries, uniform, 40% get / 30% put / 30% remove, 8 \
-             shards); per-shard op counters are `CachePadded` since the combining PR — \
-             single-thread rows unchanged within box noise (padding pays only under \
-             cross-core false sharing, absent on the 1-core baseline host)"
+             shards); per-shard op counters are `CachePadded` — single-thread rows \
+             unchanged within box noise (padding pays only under cross-core false \
+             sharing, absent on the 1-core baseline host)"
+        }
+        "kv.hash-ordered" => {
+            "kv write-heavy mix over OPTIK skip-list shards behind hash routing: the \
+             registry's hash-sharded ranged subject, whose range scans visit every shard"
         }
         "kv.batch" => {
             "kv store, batched (8192 entries, uniform, 25% multi-get + 25% batched writes of 8 keys, 8 shards)"
@@ -138,26 +138,6 @@ pub fn group_blurb(group: &str) -> &'static str {
         }
         "kv.shards" => {
             "kv shard-count ablation (striped-optik backend, read-heavy zipf, 1..32 shards)"
-        }
-        "kv.hotkey.s099" => {
-            "kv hot-key skew (8192 entries, zipf a=0.99, 40% get / 30% put / 30% remove, \
-             8 shards): flat-combining vs `-nofc` combining-off twins. On the 1-core \
-             baseline host the twins are parity-within-noise at every thread count \
-             (a single core cannot produce the parallel lock-line contention combining \
-             targets); the probe tier shows the mechanism engaging under convoys \
-             (mean drain batch ~5-6 ops at 8 oversubscribed threads)"
-        }
-        "kv.hotkey.s120" => {
-            "kv hot-key skew, extreme (8192 entries, zipf a=1.2, 40% get / 30% put / 30% \
-             remove, 8 shards): flat-combining vs `-nofc` combining-off twins (see \
-             kv.hotkey.s099 for the 1-core-host parity caveat)"
-        }
-        "combine.overhead" => {
-            "Flat-combining mount overhead A/B: uniform write-heavy runs, `bare` \
-             (combining off) vs `engaged` (adaptive mount, never engaging); equal \
-             throughput is the free-uncontended-path check (measured: engaged/bare \
-             0.98x median of 3 interleaved single-thread runs on the baseline host, \
-             inside its ±30% run-to-run noise)"
         }
         "kv.range" => {
             "kv range scans over ordered-sharded skiplist/BST shards (8192 entries, 5% 128-key \
@@ -880,6 +860,21 @@ fn kv_scenario<B: optik_harness::api::ConcurrentMap + 'static>(
 ) -> Scenario {
     let subject_make = make_backend.clone();
     let subject = Subject::map(move || KvStore::with_shards(shards, subject_make.clone()));
+    kv_scenario_with(name, about, id, subject, shards, w, make_backend)
+}
+
+/// [`kv_scenario`] with the correctness subject given explicitly (an
+/// ordered-backed store enrols as [`Subject::ordered`], so the
+/// linearizability tier also runs its range rounds).
+fn kv_scenario_with<B: optik_harness::api::ConcurrentMap + 'static>(
+    name: &str,
+    about: &str,
+    id: &str,
+    subject: Subject,
+    shards: usize,
+    w: KvWorkload,
+    make_backend: impl Fn(usize) -> B + Send + Sync + Clone + 'static,
+) -> Scenario {
     Scenario::custom(name, about, id, subject, move |spec| {
         let store = KvStore::with_shards(shards, make_backend.clone());
         w.initial_fill(spec.seed, &store);
@@ -997,6 +992,18 @@ fn kv(r: &mut Registry) {
         },
     );
     kv_backends(r, "write-heavy", about, SHARDS, span, &w);
+    // The one store-backed ranged subject that routes by hash: its range
+    // scans visit every shard and sort, so a torn cross-shard snapshot
+    // shows up here first.
+    r.register(kv_scenario_with(
+        "kv.hash-ordered.skiplist",
+        about,
+        "kv/hash-skiplist",
+        Subject::ordered(|| KvStore::with_shards(SHARDS, |_| OptikSkipList2::new())),
+        SHARDS,
+        w,
+        |_| OptikSkipList2::new(),
+    ));
 
     // Batched: sorted-shard acquisition amortizes locking over 8 keys;
     // multi-gets validate optimistically. Expectation: higher key
@@ -1155,230 +1162,6 @@ fn kv(r: &mut Registry) {
             move |_| StripedOptikHashTable::new(span, 16),
         ));
     }
-}
-
-// ---------------------------------------------------------------------------
-// kv.hotkey / combine.overhead: zipfian hot-key skew and the
-// flat-combining A/B.
-// ---------------------------------------------------------------------------
-
-/// One combining-mode kv scenario: the same shape as [`kv_scenario`] but
-/// with an explicit [`CombineMode`] on the measured store.
-///
-/// The correctness subject runs in `Eager` mode whenever combining is
-/// mounted at all: the linearizability tier's checker workloads are not
-/// contended enough to cross the adaptive engagement threshold, so an
-/// `Adaptive` subject would only ever exercise the fast path — `Eager`
-/// forces every checked write through the publication protocol.
-fn kv_combine_scenario<B: optik_harness::api::ConcurrentMap + 'static>(
-    name: &str,
-    about: &str,
-    id: &str,
-    shards: usize,
-    mode: CombineMode,
-    w: KvWorkload,
-    make_backend: impl Fn(usize) -> B + Send + Sync + Clone + 'static,
-) -> Scenario {
-    let subject_make = make_backend.clone();
-    let subject_mode = if mode == CombineMode::Off {
-        CombineMode::Off
-    } else {
-        CombineMode::Eager
-    };
-    let subject = Subject::map(move || {
-        KvStore::with_shards(shards, subject_make.clone()).with_combine_mode(subject_mode)
-    });
-    Scenario::custom(name, about, id, subject, move |spec| {
-        let store = KvStore::with_shards(shards, make_backend.clone()).with_combine_mode(mode);
-        w.initial_fill(spec.seed, &store);
-        let res = run_kv_workload(
-            &store,
-            spec.threads,
-            spec.duration,
-            &w,
-            spec.seed,
-            spec.record_latency,
-        );
-        Measurement {
-            ops: res.counts.total(),
-            wall: res.duration,
-            latency: res.latency,
-            extra: Vec::new(),
-        }
-    })
-}
-
-fn kv_hotkey(r: &mut Registry) {
-    const SHARDS: usize = 8;
-    const SIZE: u64 = 8192;
-    let span = (2 * SIZE) as usize / SHARDS;
-    // Write-heavy (the kv.write-heavy mix) — reads are lock-free either
-    // way, so writes are where combining can matter.
-    let mix = KvMix {
-        put_pm: 300,
-        remove_pm: 300,
-        batch_get_pm: 0,
-        batch_write_pm: 0,
-        scan_pm: 0,
-        batch: 0,
-        ..KvMix::default()
-    };
-    for (tag, alpha) in [("s099", 0.99f64), ("s120", 1.2f64)] {
-        let about = "kv hot-key skew: writes concentrate on the hot keys' shards; \
-                     the `*-nofc` twin of each backend is the combining-off \
-                     baseline for the A/B (same workload, same seed schedule)";
-        let w = KvWorkload::with_alpha(SIZE, alpha, mix);
-        let name = |series: &str| format!("kv.hotkey.{tag}.{series}");
-        r.register(kv_combine_scenario(
-            &name("optik-map"),
-            about,
-            "kv/fc-optik-map",
-            SHARDS,
-            CombineMode::Adaptive,
-            w.clone(),
-            move |_| OptikMapHashTable::with_bucket_capacity(span.max(16), 16),
-        ));
-        r.register(kv_combine_scenario(
-            &name("optik-map-nofc"),
-            about,
-            "kv/nofc-optik-map",
-            SHARDS,
-            CombineMode::Off,
-            w.clone(),
-            move |_| OptikMapHashTable::with_bucket_capacity(span.max(16), 16),
-        ));
-        r.register(kv_combine_scenario(
-            &name("striped"),
-            about,
-            "kv/fc-striped",
-            SHARDS,
-            CombineMode::Adaptive,
-            w.clone(),
-            move |_| StripedHashTable::new(span.max(16), 16),
-        ));
-        r.register(kv_combine_scenario(
-            &name("striped-nofc"),
-            about,
-            "kv/nofc-striped",
-            SHARDS,
-            CombineMode::Off,
-            w.clone(),
-            move |_| StripedHashTable::new(span.max(16), 16),
-        ));
-        r.register(kv_combine_scenario(
-            &name("striped-optik"),
-            about,
-            "kv/fc-striped-optik",
-            SHARDS,
-            CombineMode::Adaptive,
-            w.clone(),
-            move |_| StripedOptikHashTable::new(span.max(16), 16),
-        ));
-        r.register(kv_combine_scenario(
-            &name("striped-optik-nofc"),
-            about,
-            "kv/nofc-striped-optik",
-            SHARDS,
-            CombineMode::Off,
-            w.clone(),
-            move |_| StripedOptikHashTable::new(span.max(16), 16),
-        ));
-        r.register(kv_combine_scenario(
-            &name("resizable"),
-            about,
-            "kv/fc-resizable",
-            SHARDS,
-            CombineMode::Adaptive,
-            w.clone(),
-            move |_| ResizableStripedHashTable::new(16, 8),
-        ));
-        r.register(kv_combine_scenario(
-            &name("resizable-nofc"),
-            about,
-            "kv/nofc-resizable",
-            SHARDS,
-            CombineMode::Off,
-            w.clone(),
-            move |_| ResizableStripedHashTable::new(16, 8),
-        ));
-        // An ordered backend rides along so the correctness tiers get a
-        // *range-observing* subject whose writes travel the publication
-        // protocol (hash-sharded `KvStore<OrderedMap>` is itself an
-        // `OrderedMap`, so range rounds cover combined writes too).
-        let subject_make = move |_| OptikSkipList2::new();
-        let ordered_subject = Subject::ordered(move || {
-            KvStore::with_shards(SHARDS, subject_make).with_combine_mode(CombineMode::Eager)
-        });
-        let ow = w.clone();
-        r.register(Scenario::custom(
-            &name("skiplist"),
-            about,
-            "kv/fc-skiplist",
-            ordered_subject,
-            move |spec| {
-                let store = KvStore::with_shards(SHARDS, subject_make)
-                    .with_combine_mode(CombineMode::Adaptive);
-                ow.initial_fill(spec.seed, &store);
-                let res = run_kv_workload(
-                    &store,
-                    spec.threads,
-                    spec.duration,
-                    &ow,
-                    spec.seed,
-                    spec.record_latency,
-                );
-                Measurement {
-                    ops: res.counts.total(),
-                    wall: res.duration,
-                    latency: res.latency,
-                    extra: Vec::new(),
-                }
-            },
-        ));
-    }
-}
-
-fn combine_overhead(r: &mut Registry) {
-    const SHARDS: usize = 8;
-    const SIZE: u64 = 8192;
-    let span = (2 * SIZE) as usize / SHARDS;
-    // Uniform write-heavy: 8 shards, uniform keys — the adaptive fast
-    // path should never engage, so `engaged` vs `bare` measures the
-    // mounted-but-idle cost (one publication-list head read per write).
-    let about = "combining overhead A/B: identical uniform write-heavy runs, \
-                 `bare` with combining off vs `engaged` with the adaptive \
-                 mount; equal throughput is the free-uncontended-path check";
-    let w = KvWorkload::new(
-        SIZE,
-        false,
-        KvMix {
-            put_pm: 300,
-            remove_pm: 300,
-            batch_get_pm: 0,
-            batch_write_pm: 0,
-            scan_pm: 0,
-            batch: 0,
-            ..KvMix::default()
-        },
-    );
-    r.register(kv_combine_scenario(
-        "combine.overhead.bare",
-        about,
-        "kv/nofc-striped-optik",
-        SHARDS,
-        CombineMode::Off,
-        w.clone(),
-        move |_| StripedOptikHashTable::new(span.max(16), 16),
-    ));
-    r.register(kv_combine_scenario(
-        "combine.overhead.engaged",
-        about,
-        "kv/fc-striped-optik",
-        SHARDS,
-        CombineMode::Adaptive,
-        w,
-        move |_| StripedOptikHashTable::new(span.max(16), 16),
-    ));
 }
 
 // ---------------------------------------------------------------------------
@@ -2049,7 +1832,6 @@ mod tests {
                 "stacks",
                 "alloc",
                 "kv",
-                "combine",
                 "map",
                 "probe",
                 "ablate-base-lock",

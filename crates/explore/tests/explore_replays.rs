@@ -370,81 +370,6 @@ fn arena_refill_schedule_replays() {
     }
 }
 
-/// The combining pin: a publication-list schedule over the real
-/// [`synchro::PubList`] where one writer truly combines — drains its
-/// peer's published op together with its own under a single lock hold —
-/// recorded and replayed byte-exactly within the run. Guards the
-/// publish → detach → drain hand-off discipline (see
-/// `explore_combine.rs`): the DONE flip and the chain detach must stay
-/// on shim words, or this schedule stops being reproducible.
-#[cfg(optik_explore)]
-#[test]
-fn combine_batch_schedule_replays() {
-    use std::sync::Mutex;
-
-    use optik::{OptikLock, OptikVersioned};
-    use synchro::PubList;
-
-    let combine_cfg = Config {
-        max_steps: 20_000,
-        max_schedules: 400_000,
-        preemptions: Some(2),
-        sleep_sets: true,
-    };
-    /// `(sorted drain batch sizes, responses)` after the schedule.
-    type Outcome = (Vec<u64>, Vec<u64>);
-    let run = |trial: &Trial| -> Outcome {
-        let list: PubList<u64, u64> = PubList::new();
-        let lock = OptikVersioned::default();
-        let batches = Mutex::new(Vec::new());
-        let resps = Mutex::new(vec![0u64; 2]);
-        let writer = |who: usize, op: u64| {
-            let idx = list.publish(op).expect("trial threads have registry slots");
-            let resp = loop {
-                if let Some(r) = list.poll(idx) {
-                    break r;
-                }
-                let v = lock.get_version();
-                if !OptikVersioned::is_locked_version(v) && lock.try_lock_version(v) {
-                    let n = list.drain(|_, o| o * 2);
-                    if n > 0 {
-                        batches.lock().unwrap().push(n);
-                    }
-                    lock.unlock();
-                    break list
-                        .poll(idx)
-                        .expect("a completed drain answers every earlier publication");
-                }
-                synchro::relax();
-            };
-            resps.lock().unwrap()[who] = resp;
-        };
-        trial.run(&[&|| writer(0, 3), &|| writer(1, 5)]);
-        let mut b = batches.lock().unwrap().clone();
-        b.sort_unstable();
-        let r = resps.lock().unwrap().clone();
-        (b, r)
-    };
-    let mut pinned: Option<(Token, Outcome)> = None;
-    explore(combine_cfg, |trial| {
-        let out = run(trial);
-        if out.0.contains(&2) && pinned.is_none() {
-            pinned = Some((trial.token(), out));
-        }
-    });
-    let (token, outcome) = pinned.expect("some schedule drains a true batch of two");
-    assert_eq!(outcome.1, vec![6, 10], "responses must match the ops");
-    for _ in 0..2 {
-        replay(combine_cfg, &token, |trial| {
-            let out = run(trial);
-            assert_eq!(
-                out, outcome,
-                "combine replay of {token} changed the observable outcome"
-            );
-        });
-    }
-}
-
 /// The kv-level pin: a TTL expiry-vs-put schedule over the real store,
 /// recorded and replayed byte-exactly within the run. Guards the clock
 /// sampling discipline in `optik_kv` (see `explore_kv.rs` family 1 and

@@ -96,6 +96,14 @@ impl ConcurrentMap for Counted {
     fn remove(&self, key: Key) -> Option<Val> {
         self.0.remove(key)
     }
+    unsafe fn put_exclusive(&self, key: Key, val: Val) -> Option<Val> {
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { self.0.put_exclusive(key, val) }
+    }
+    unsafe fn remove_exclusive(&self, key: Key) -> Option<Val> {
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { self.0.remove_exclusive(key) }
+    }
     fn len(&self) -> usize {
         self.0.len()
     }

@@ -239,75 +239,3 @@ fn arena_ledger_balances_on_every_schedule() {
         "no schedule exercised an arena run refill: {refill_counts:?}"
     );
 }
-
-/// The flat-combining ledger over the real kv store: two eager writers
-/// race on a single shard, and on *every* enumerated schedule the probe
-/// deltas must balance the publication ledger exactly — each of the two
-/// publications resolves either as a self-serve (the publisher drained
-/// its own slot after winning the lock) or as a combine (a peer applied
-/// it), never both, never neither. This is satellite ground truth for
-/// the `combine_published == combine_ops_applied + combine_self_served`
-/// conservation rule the stress tier can only spot-check.
-#[test]
-fn combine_ledger_balances_on_every_schedule() {
-    let _turn = snapshot_turn();
-    use optik_hashtables::StripedOptikHashTable;
-    use optik_kv::{CombineMode, KvStore};
-
-    let mut applied_counts = std::collections::BTreeSet::new();
-    let stats = explore(cfg(), |trial: &Trial| {
-        let before = Snapshot::take();
-        let store: KvStore<StripedOptikHashTable> =
-            KvStore::with_shards(1, |_| StripedOptikHashTable::new(16, 2))
-                .with_combine_mode(CombineMode::Eager);
-        trial.run(&[
-            &|| {
-                store.put(1, 10);
-            },
-            &|| {
-                store.put(2, 20);
-            },
-        ]);
-        assert_eq!(
-            (store.get(1), store.get(2)),
-            (Some(10), Some(20)),
-            "a combined write was lost; replay with schedule token {}",
-            trial.token()
-        );
-        let d = Snapshot::take().delta_since(&before);
-        assert_eq!(
-            d.get(Event::CombinePublished),
-            2,
-            "eager mode publishes every write; replay with schedule token {}",
-            trial.token()
-        );
-        assert_eq!(
-            d.get(Event::CombineApplied) + d.get(Event::CombineSelfServe),
-            2,
-            "a publication resolved twice or never; replay with schedule token {}",
-            trial.token()
-        );
-        for (label, a, b) in d.conservation() {
-            assert_eq!(
-                a,
-                b,
-                "ledger `{label}` broken in schedule {}",
-                trial.token()
-            );
-        }
-        applied_counts.insert(d.get(Event::CombineApplied));
-    });
-    eprintln!("probe_conservation::combine_ledger_balances: {stats}");
-    assert!(!stats.truncated, "tree not exhausted: {stats}");
-    // The equalities proved nothing unless the tree contains both a
-    // schedule where each writer served itself and one where a combiner
-    // actually applied its peer's op.
-    assert!(
-        applied_counts.contains(&0),
-        "no self-serve-only schedule: {applied_counts:?}"
-    );
-    assert!(
-        applied_counts.iter().any(|&n| n > 0),
-        "no schedule truly combined: {applied_counts:?}"
-    );
-}

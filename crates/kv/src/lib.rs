@@ -48,12 +48,10 @@
 //!   backend lookup, and the batch writers walk their keys before they
 //!   lock. Failed (read-only) critical sections release
 //!   with `revert`, so they never signal conflicts to other optimistic
-//!   readers. Under hot-key contention the write path engages **flat
-//!   combining** ([`CombineMode`]): writers whose adaptive-backoff EWMA
-//!   says the shard is storming publish their ops into a per-shard
-//!   publication list and one combiner applies the whole batch under a
-//!   single lock hold — one version bump, so validated readers observe
-//!   the batch as one atomic step.
+//!   readers. On a statically routed store a contended single-key write
+//!   does what the paper does with a contended OPTIK lock:
+//!   `try_lock_version`, and on failure back off (adaptively, seeded from
+//!   the thread's recent contention) and retry.
 //! - **routing** ([`ShardPolicy`], `policy.rs`) — under ordered sharding
 //!   the partition table sits behind its own OPTIK version lock: lookups
 //!   read it lock-free and validate, so an online boundary migration
@@ -92,7 +90,7 @@ mod workload;
 
 pub use policy::{HashPolicy, RangePolicy, ShardPolicy};
 pub use rebalance::{MigrationStats, RebalanceError, MIGRATION_BATCH};
-pub use store::{CombineMode, KvStore};
+pub use store::KvStore;
 pub use ttl::{Clock, FakeClock, SystemClock};
 pub use workload::{
     run_kv_workload, run_kv_workload_ordered, KvBenchResult, KvCounts, KvMix, KvWorkload,

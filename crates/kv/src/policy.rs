@@ -41,19 +41,6 @@ pub(crate) fn spread(key: Key) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Thread-to-shard affinity: the shard a given registry thread index
-/// calls "home". Home threads contest the combiner role on their home
-/// shards more aggressively (see `store::KvStore`'s combining mount), so
-/// under steady load each hot shard tends to be drained by the same
-/// thread — whose cache already holds the shard's lock word, publication
-/// slots, and map head. Derived from the probe thread-index registry
-/// (the same stable small-integer identity the magazines and publication
-/// slots key on), not from OS thread ids.
-#[inline]
-pub(crate) fn home_shard(thread_index: usize, shards: usize) -> usize {
-    thread_index % shards
-}
-
 /// How keys map to shards.
 ///
 /// Implementations must route every key to a shard index below

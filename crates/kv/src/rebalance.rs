@@ -252,32 +252,17 @@ impl<B: OrderedMap> KvStore<B> {
             };
             (batch, next)
         };
-        donor_shard.debug_assert_locked();
-        recv_shard.debug_assert_locked();
-        // Copy first (values, then any TTL deadlines)…
+        // Copy first (values with any TTL deadlines)…
         for &(k, v) in batch {
-            // SAFETY: shard lock held — both, taken by `shift_boundary`.
-            unsafe {
-                recv_shard.map.put_exclusive(k, v);
-                if let (Some(dd), Some(rd)) = (&donor_shard.deadlines, &recv_shard.deadlines) {
-                    if let Some(d) = dd.get(k) {
-                        rd.put_exclusive(k, d);
-                    }
-                }
-            }
+            let deadline = donor_shard.deadlines.as_ref().and_then(|dd| dd.get(k));
+            recv_shard.put_entry(k, v, deadline);
         }
         // …flip the routing (one version bump: optimistic readers that
         // routed before the flip re-validate and retry)…
         rp.shift(a, next);
         // …then retire the originals from the donor.
         for &(k, _) in batch {
-            // SAFETY: shard lock held, as above.
-            unsafe {
-                donor_shard.map.remove_exclusive(k);
-                if let Some(dd) = &donor_shard.deadlines {
-                    dd.remove_exclusive(k);
-                }
-            }
+            donor_shard.remove_entry(k);
         }
         stats.moved += take as u64;
         optik_probe::count_n(optik_probe::Event::MigrationMoved, take as u64);

@@ -11,11 +11,11 @@ use std::sync::Arc;
 use synchro::shim::{AtomicU64, AtomicUsize};
 
 use optik::{OptikLock, OptikVersioned};
-use synchro::{Backoff, CachePadded, PubList};
+use synchro::{Backoff, CachePadded};
 
 use optik_harness::api::{ConcurrentMap, Key, OrderedMap, Val};
 
-use crate::policy::{home_shard, HashPolicy, RangePolicy, ShardPolicy};
+use crate::policy::{HashPolicy, RangePolicy, ShardPolicy};
 use crate::ttl::{Clock, TtlState};
 
 /// Optimistic attempts before a windowed read falls back to taking its
@@ -130,63 +130,6 @@ thread_local! {
         const { std::cell::RefCell::new(ProbePlan::empty()) };
 }
 
-/// Contention level (a [`Backoff`] cap value) at which an adaptive writer
-/// stops spinning on `try_lock_version` and publishes its op for a
-/// combiner instead. 64 is four escalations above `Backoff`'s initial
-/// cap: a writer whose last few acquisitions went cleanly never gets
-/// there (the fast path costs nothing extra), while a thread hammering a
-/// hot shard crosses it within one storm — or arrives already past it
-/// via the per-thread EWMA that [`Backoff::adaptive`] seeds from.
-const ENGAGE_LEVEL: u32 = 64;
-
-/// When the flat-combining write path engages on a (statically routed)
-/// store. See the `write_combining` docs for the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CombineMode {
-    /// Never combine: every write is a plain OPTIK critical section
-    /// (the pre-combining code path, kept for A/B baselines).
-    Off,
-    /// The default: writers take the plain `try_lock_version` fast path
-    /// and publish for a combiner only once their per-thread contention
-    /// EWMA crosses `ENGAGE_LEVEL` (64) — uncontended shards pay nothing.
-    #[default]
-    Adaptive,
-    /// Every write publishes and a combiner applies it, even uncontended.
-    /// A coverage knob: deterministic tests (schedule exploration,
-    /// linearizability rounds) use it to drive the publication protocol
-    /// without having to manufacture an EWMA storm first.
-    Eager,
-}
-
-/// A published write request: what a combiner needs to apply the op on
-/// the publisher's behalf. `Copy` on purpose — ops are small enough that
-/// handing the slot a bitwise copy beats any shared-ownership scheme.
-#[derive(Clone, Copy)]
-pub(crate) enum CombineOp {
-    /// [`KvStore::put`]: upsert, response is the previous live value.
-    Put { key: Key, val: Val },
-    /// [`KvStore::remove`]: response is the removed live value.
-    Remove { key: Key },
-    /// [`KvStore::multi_put`] whose keys all route to one shard: the
-    /// combiner applies the entries in order and writes each previous
-    /// value through `prevs`; the slot response itself is `None`.
-    PutBatch {
-        /// The caller's `&[(Key, Val)]`, as a raw view.
-        entries: *const (Key, Val),
-        /// Length of both buffers.
-        len: usize,
-        /// The caller's pre-sized `Vec<Option<Val>>`, as a raw view.
-        prevs: *mut Option<Val>,
-    },
-}
-
-// SAFETY: the raw views in `PutBatch` point into the publishing thread's
-// frame, which blocks in its poll loop until the op is answered — the
-// buffers outlive every dereference, and the combiner is the only thread
-// touching them while the op is published (the publisher reads `prevs`
-// only after the DONE hand-off, which is a release/acquire edge).
-unsafe impl Send for CombineOp {}
-
 /// Files the duration of a retry-laden optimistic read loop (first attempt
 /// to resolution) into the probe's retry histogram. Callers invoke it only
 /// when at least one round failed revalidation, so clean first-try reads
@@ -233,13 +176,6 @@ pub(crate) struct Shard<B> {
     /// validators' cached copy of the version — exactly the ping-pong
     /// the OPTIK read path exists to avoid.
     pub(crate) ops: CachePadded<AtomicU64>,
-    /// Flat-combining publication list for this shard's write path: one
-    /// cache-padded request slot per registry thread, drained in one
-    /// critical section by whichever writer holds the lock. Only used
-    /// when the store's [`CombineMode`] engages (statically routed
-    /// stores, contention past [`ENGAGE_LEVEL`]); the plain write path
-    /// never touches it beyond one `pending()` head read.
-    pub(crate) combine: PubList<CombineOp, Option<Val>>,
 }
 
 impl<B> Shard<B> {
@@ -273,6 +209,48 @@ impl<B: ConcurrentMap> Shard<B> {
         }
     }
 
+    /// Under the shard lock: the one single-writer upsert of the shard.
+    /// Binds `key → val` in `map` and gives it `deadline` as its expiry;
+    /// `None` means it lives forever, so a deadline the previous binding
+    /// had is cleared. Returns the previous value, expired or not.
+    pub(crate) fn put_entry(&self, key: Key, val: Val, deadline: Option<u64>) -> Option<Val> {
+        self.debug_assert_locked();
+        // SAFETY: shard lock held — every writer of `map` and `deadlines`
+        // takes it first.
+        unsafe {
+            let prev = self.map.put_exclusive(key, val);
+            if let Some(dl) = &self.deadlines {
+                match deadline {
+                    Some(d) => {
+                        dl.put_exclusive(key, d);
+                    }
+                    None if prev.is_some() => {
+                        dl.remove_exclusive(key);
+                    }
+                    None => {}
+                }
+            }
+            prev
+        }
+    }
+
+    /// Under the shard lock: the one single-writer removal of the shard.
+    /// Unbinds `key` from `map`, and from `deadlines` when it was bound.
+    /// Returns the removed value, expired or not.
+    pub(crate) fn remove_entry(&self, key: Key) -> Option<Val> {
+        self.debug_assert_locked();
+        // SAFETY: shard lock held, as for `put_entry`.
+        unsafe {
+            let prev = self.map.remove_exclusive(key);
+            if prev.is_some() {
+                if let Some(dl) = &self.deadlines {
+                    dl.remove_exclusive(key);
+                }
+            }
+            prev
+        }
+    }
+
     /// Under the shard lock: the full upsert sequence shared by `put`
     /// and `multi_put` — normalize an expired previous binding, upsert,
     /// and clear any deadline (a plain put lives forever). Returns the
@@ -281,85 +259,31 @@ impl<B: ConcurrentMap> Shard<B> {
         if let Some(now) = now {
             self.drop_expired(key, now);
         }
-        self.debug_assert_locked();
-        // SAFETY: shard lock held — every writer of `map` and `deadlines`
-        // takes it first.
-        unsafe {
-            let prev = self.map.put_exclusive(key, val);
-            if prev.is_some() {
-                if let Some(dl) = &self.deadlines {
-                    dl.remove_exclusive(key);
-                }
-            }
-            prev
-        }
+        self.put_entry(key, val, None)
     }
 
     /// Under the shard lock: physically drops `key` if its deadline has
     /// passed, making room for the caller to act on a normalized shard.
     /// Returns whether the maps were modified.
     pub(crate) fn drop_expired(&self, key: Key, now: u64) -> bool {
-        let Some(dl) = &self.deadlines else {
-            return false;
-        };
-        if dl.get(key).is_some_and(|d| d <= now) {
-            self.debug_assert_locked();
-            // SAFETY: shard lock held.
-            unsafe {
-                self.map.remove_exclusive(key);
-                dl.remove_exclusive(key);
-            }
-            true
-        } else {
-            false
+        let expired = self
+            .deadlines
+            .as_ref()
+            .is_some_and(|dl| dl.get(key).is_some_and(|d| d <= now));
+        if expired {
+            self.remove_entry(key);
         }
+        expired
     }
 
     /// Under the shard lock: the full removal sequence shared by
-    /// `remove`, `multi_remove` and the combiner — normalize an expired
+    /// `remove` and `multi_remove` — normalize an expired
     /// binding, remove, clear the deadline. Returns `(removed live value,
     /// modified)`.
     pub(crate) fn remove_live(&self, key: Key, now: Option<u64>) -> (Option<Val>, bool) {
         let dropped = now.is_some_and(|now| self.drop_expired(key, now));
-        self.debug_assert_locked();
-        // SAFETY: shard lock held.
-        let prev = unsafe {
-            let prev = self.map.remove_exclusive(key);
-            if prev.is_some() {
-                if let Some(dl) = &self.deadlines {
-                    dl.remove_exclusive(key);
-                }
-            }
-            prev
-        };
+        let prev = self.remove_entry(key);
         (prev, dropped || prev.is_some())
-    }
-
-    /// Under the shard lock: applies one published op, returning its
-    /// slot response and whether the maps were modified. Pure dispatch
-    /// over the same `put_live`/`remove_live` building blocks the plain
-    /// write path uses, so combined and un-combined writes are
-    /// observably identical.
-    pub(crate) fn apply_op(&self, op: CombineOp, now: Option<u64>) -> (Option<Val>, bool) {
-        match op {
-            CombineOp::Put { key, val } => (self.put_live(key, val, now), true),
-            CombineOp::Remove { key } => self.remove_live(key, now),
-            CombineOp::PutBatch {
-                entries,
-                len,
-                prevs,
-            } => {
-                // SAFETY: see `CombineOp`'s `Send` impl — the publisher
-                // keeps both buffers alive and untouched until this op
-                // is answered, and this combiner is the sole accessor.
-                let entries = unsafe { core::slice::from_raw_parts(entries, len) };
-                let prevs = unsafe { core::slice::from_raw_parts_mut(prevs, len) };
-                for (slot, &(k, v)) in prevs.iter_mut().zip(entries) {
-                    *slot = self.put_live(k, v, now);
-                }
-                (None, len > 0)
-            }
-        }
     }
 }
 
@@ -418,11 +342,6 @@ pub struct KvStore<B> {
     /// Cached `policy.is_dynamic()`: read on every operation, so it
     /// lives as a plain field instead of a virtual call.
     pub(crate) dynamic: bool,
-    /// When the flat-combining write path engages (see [`CombineMode`]).
-    /// Only consulted on statically routed stores: dynamic routing needs
-    /// the under-lock route re-check of `write_shard`, which a combiner
-    /// applying someone else's op cannot replay per-publisher.
-    pub(crate) combine_mode: CombineMode,
     pub(crate) ttl: Option<TtlState>,
 }
 
@@ -485,13 +404,11 @@ impl<B: ConcurrentMap> KvStore<B> {
                         map: make(i),
                         deadlines: clock.is_some().then(|| make(i)),
                         ops: CachePadded::new(AtomicU64::new(0)),
-                        combine: PubList::new(),
                     })
                 })
                 .collect(),
             policy,
             dynamic,
-            combine_mode: CombineMode::default(),
             ttl: clock.map(|clock| TtlState {
                 clock,
                 cursor: AtomicUsize::new(0),
@@ -502,32 +419,6 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The store's flat-combining engagement mode (see [`CombineMode`]).
-    pub fn combine_mode(&self) -> CombineMode {
-        self.combine_mode
-    }
-
-    /// Sets the flat-combining engagement mode. Takes `&mut self` — mode
-    /// changes are a construction-time decision, not something to flip
-    /// under live traffic.
-    pub fn set_combine_mode(&mut self, mode: CombineMode) {
-        self.combine_mode = mode;
-    }
-
-    /// Builder-style [`KvStore::set_combine_mode`].
-    pub fn with_combine_mode(mut self, mode: CombineMode) -> Self {
-        self.combine_mode = mode;
-        self
-    }
-
-    /// Whether single-key writes go through the combining path: requires
-    /// a static routing policy (see the `combine_mode` field docs) and a
-    /// mode other than [`CombineMode::Off`].
-    #[inline]
-    fn combinable(&self) -> bool {
-        !self.dynamic && self.combine_mode != CombineMode::Off
     }
 
     /// Shard index for `key`, as the routing table currently stands.
@@ -587,12 +478,26 @@ impl<B: ConcurrentMap> KvStore<B> {
         });
     }
 
-    /// One locked single-key critical section with route re-validation:
-    /// locks the key's shard, re-checks the route (a concurrent boundary
-    /// migration may have moved the key while we waited on the lock) and
-    /// retries on a stale route, then runs `f`. `f` returns `(result,
-    /// modified)`; unmodified critical sections release with `revert` so
-    /// optimistic readers see no false conflicts.
+    /// The store's one locked single-key critical section: locks the key's
+    /// shard, runs `f`, and releases. `f` returns `(result, modified)`;
+    /// unmodified critical sections release with `revert` so optimistic
+    /// readers see no false conflicts.
+    ///
+    /// How the lock is taken follows the routing policy (DESIGN.md, "Hot
+    /// shards", has the measurements behind both choices):
+    ///
+    /// - **Static routing** takes it the paper's way: one
+    ///   `try_lock_version` attempt, and on a clean win [`note_calm`]
+    ///   decays this thread's contention EWMA; a lost attempt retries
+    ///   under [`Backoff::adaptive`], so a thread in a hot-shard storm
+    ///   backs off at the level its recent loops ended at instead of
+    ///   re-climbing from the floor, and stays off the lock line while
+    ///   the holder works.
+    /// - **Dynamic routing** calls `lock()`, then re-checks the route (a
+    ///   concurrent boundary migration may have moved the key while we
+    ///   waited) and retries on a stale one. Migrations and batches hold
+    ///   these locks for long stretches, and a writer backing off behind
+    ///   one wakes late.
     ///
     /// The TTL clock is sampled **under the lock**, so `f`'s expiry
     /// decisions coincide with the write's linearization point. Sampling
@@ -601,168 +506,47 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// already-expired previous binding as live after a reader has
     /// published the expiry — a real-time cycle the schedule explorer
     /// finds in a few hundred interleavings (`tests/explore_kv.rs`).
+    ///
+    /// [`note_calm`]: synchro::backoff::note_calm
     pub(crate) fn write_shard<R>(
         &self,
         key: Key,
-        mut f: impl FnMut(&Shard<B>, Option<u64>) -> (R, bool),
+        f: impl FnOnce(&Shard<B>, Option<u64>) -> (R, bool),
     ) -> R {
-        let dynamic = self.dynamic;
-        loop {
+        let shard = loop {
             let s = self.policy.route(key);
             let shard = &self.shards[s];
-            shard.lock.lock();
-            if dynamic {
+            if self.dynamic {
+                shard.lock.lock();
                 if self.policy.route(key) != s {
                     shard.lock.revert();
                     continue;
                 }
                 shard.ops.fetch_add(1, Ordering::Relaxed);
+                break shard;
             }
-            let (out, modified) = f(shard, self.now_opt());
-            if modified {
-                shard.lock.unlock();
-            } else {
-                shard.lock.revert();
-            }
-            return out;
-        }
-    }
-
-    /// The contention-adaptive combining write path (statically routed
-    /// stores; see [`CombineMode`]).
-    ///
-    /// Fast path: one plain OPTIK `try_lock_version` attempt. Success
-    /// means the shard is uncontended — apply directly (draining any
-    /// stragglers another writer published) and decay this thread's
-    /// contention EWMA. The uncontended cost over the pre-combining
-    /// path is one publication-list head read.
-    ///
-    /// Contended: spin with [`Backoff::adaptive`] retrying the CAS, and
-    /// once the backoff cap (in-loop or carried over from this thread's
-    /// recent history) crosses [`ENGAGE_LEVEL`], stop fighting for the
-    /// lock line and publish the op for whichever writer wins it next.
-    /// [`CombineMode::Eager`] skips straight to publication.
-    fn write_combining(&self, s: usize, op: CombineOp) -> Option<Val> {
-        let shard = &self.shards[s];
-        if self.combine_mode == CombineMode::Eager {
-            return self.publish_and_wait(s, op);
-        }
-        let v = shard.lock.get_version();
-        if !OptikVersioned::is_locked_version(v) && shard.lock.try_lock_version(v) {
-            let out = self.apply_and_release(shard, op);
-            synchro::backoff::note_calm();
-            return out;
-        }
-        let mut bo = Backoff::adaptive();
-        loop {
-            if bo.level() >= ENGAGE_LEVEL || synchro::backoff::contention_level() >= ENGAGE_LEVEL {
-                return self.publish_and_wait(s, op);
-            }
-            bo.backoff();
             let v = shard.lock.get_version();
             if !OptikVersioned::is_locked_version(v) && shard.lock.try_lock_version(v) {
-                return self.apply_and_release(shard, op);
+                synchro::backoff::note_calm();
+                break shard;
             }
-        }
-    }
-
-    /// Holding `shard`'s lock: applies `op`, drains any publications
-    /// that piled up behind the lock, and releases — `unlock` (one
-    /// version bump for the *whole* batch) if anything was modified,
-    /// `revert` otherwise, so optimistic readers see a combined batch
-    /// exactly as they would one plain write.
-    fn apply_and_release(&self, shard: &Shard<B>, op: CombineOp) -> Option<Val> {
-        let now = self.now_opt();
-        let (out, mut modified) = shard.apply_op(op, now);
-        if shard.combine.pending() {
-            modified |= self.drain_published(shard, now);
-        }
+            let mut bo = Backoff::adaptive();
+            loop {
+                bo.backoff();
+                let v = shard.lock.get_version();
+                if !OptikVersioned::is_locked_version(v) && shard.lock.try_lock_version(v) {
+                    break;
+                }
+            }
+            break shard;
+        };
+        let (out, modified) = f(shard, self.now_opt());
         if modified {
             shard.lock.unlock();
         } else {
             shard.lock.revert();
         }
         out
-    }
-
-    /// Holding `shard`'s lock: the combiner role. Drains the publication
-    /// list, applying each op at the clock tick `now` (one tick for the
-    /// whole batch — the batch linearizes as a single step, matching the
-    /// single version bump the caller releases with). Returns whether
-    /// the maps were modified.
-    fn drain_published(&self, shard: &Shard<B>, now: Option<u64>) -> bool {
-        let me = optik_probe::thread_index();
-        let mut modified = false;
-        let n = shard.combine.drain(|slot, op| {
-            optik_probe::count(if Some(slot) == me {
-                optik_probe::Event::CombineSelfServe
-            } else {
-                optik_probe::Event::CombineApplied
-            });
-            let (out, m) = shard.apply_op(op, now);
-            modified |= m;
-            out
-        });
-        if n > 0 {
-            optik_probe::count(optik_probe::Event::CombineBatch);
-            optik_probe::record(optik_probe::HistKind::CombineBatch, n);
-        }
-        modified
-    }
-
-    /// Publishes `op` into shard `s`'s list and waits for a combiner to
-    /// answer it — becoming the combiner itself if it wins the lock
-    /// first (the timeout path: no publication can be stranded, because
-    /// every waiter doubles as a candidate combiner). Threads contest
-    /// the combiner role on their *home* shard every round and on other
-    /// shards every second round, so steady hot-shard load converges on
-    /// one drainer whose cache already owns the shard (see
-    /// [`home_shard`]).
-    fn publish_and_wait(&self, s: usize, op: CombineOp) -> Option<Val> {
-        let shard = &self.shards[s];
-        let Some(idx) = shard.combine.publish(op) else {
-            // No registry slot (TLS teardown): plain blocking write.
-            shard.lock.lock();
-            return self.apply_and_release(shard, op);
-        };
-        optik_probe::count(optik_probe::Event::CombinePublished);
-        let home =
-            optik_probe::thread_index().is_some_and(|t| home_shard(t, self.shards.len()) == s);
-        let mut round = 0u32;
-        loop {
-            if let Some(resp) = shard.combine.poll(idx) {
-                return resp;
-            }
-            if home || round % 2 == 0 {
-                let v = shard.lock.get_version();
-                if !OptikVersioned::is_locked_version(v) && shard.lock.try_lock_version(v) {
-                    if round == 0 {
-                        // Won the lock on the very first attempt after
-                        // publishing: the storm that triggered engagement
-                        // has passed, so decay the EWMA — otherwise a
-                        // stale streak seed keeps this thread publishing
-                        // (and paying the protocol) on a calm shard.
-                        synchro::backoff::note_calm();
-                    }
-                    let now = self.now_opt();
-                    let modified = self.drain_published(shard, now);
-                    if modified {
-                        shard.lock.unlock();
-                    } else {
-                        shard.lock.revert();
-                    }
-                    // Our publication was in the chain we just drained
-                    // or in one an earlier combiner detached; either
-                    // way it is answered by the time a drain completes.
-                    return shard
-                        .combine
-                        .poll(idx)
-                        .expect("a completed drain answers every earlier publication");
-                }
-            }
-            round = round.wrapping_add(1);
-            synchro::relax();
-        }
     }
 
     /// The store's one validated read. Every read that is more than a
@@ -912,9 +696,6 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// previous binding reports `None` (and is physically dropped), and a
     /// plain put clears any deadline — the fresh binding lives forever.
     pub fn put(&self, key: Key, val: Val) -> Option<Val> {
-        if self.combinable() {
-            return self.write_combining(self.policy.route(key), CombineOp::Put { key, val });
-        }
         self.write_shard(key, |shard, now| (shard.put_live(key, val, now), true))
     }
 
@@ -924,7 +705,7 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// OPTIK-shaped: on a statically routed store without TTL the
     /// operation first looks the key up lock-free, and a miss — the
     /// infeasible update — returns `None` without reading or writing the
-    /// shard lock and without publishing to the combiner. It linearizes
+    /// shard lock. It linearizes
     /// where the backend read does, exactly like a [`KvStore::get`] miss
     /// (so, like a get, it may fall inside a `multi_put`'s application).
     /// A hit goes on to the locked path, which finds the key again under
@@ -936,14 +717,11 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// modified nothing, so optimistic readers must not see a version
     /// bump.
     pub fn remove(&self, key: Key) -> Option<Val> {
-        if !self.dynamic {
-            let s = self.policy.route(key);
-            if self.ttl.is_none() && self.shards[s].map.get(key).is_none() {
-                return None;
-            }
-            if self.combine_mode != CombineMode::Off {
-                return self.write_combining(s, CombineOp::Remove { key });
-            }
+        if !self.dynamic
+            && self.ttl.is_none()
+            && self.shards[self.policy.route(key)].map.get(key).is_none()
+        {
+            return None;
         }
         self.write_shard(key, |shard, now| shard.remove_live(key, now))
     }
@@ -1238,32 +1016,11 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// lock, never a wrong answer. The caller pays for it with a slightly
     /// longer call of its own.
     pub fn multi_put(&self, entries: &[(Key, Val)]) -> Vec<Option<Val>> {
-        // Hot-batch fast path: a batch whose keys all route to one shard
-        // (the common shape under key affinity) publishes as a single
-        // combinable op — one slot, one lock hold, one version bump —
-        // instead of paying the sorted lock_batch machinery.
-        if self.combinable() && !entries.is_empty() {
-            let s = self.policy.route(entries[0].0);
-            if entries.iter().all(|&(k, _)| self.policy.route(k) == s) {
-                let mut prevs: Vec<Option<Val>> = vec![None; entries.len()];
-                let resp = self.write_combining(
-                    s,
-                    CombineOp::PutBatch {
-                        entries: entries.as_ptr(),
-                        len: entries.len(),
-                        prevs: prevs.as_mut_ptr(),
-                    },
-                );
-                debug_assert!(resp.is_none(), "batch results travel via `prevs`");
-                return prevs;
-            }
-        }
         self.warm_batch(entries.iter().map(|&(k, _)| k));
         self.multi_put_locked(entries)
     }
 
-    /// [`KvStore::multi_put`] past its single-shard fast path and its
-    /// walk: sorted acquisition, the applies, release. Out of line on
+    /// [`KvStore::multi_put`] past its walk: sorted acquisition, the applies, release. Out of line on
     /// purpose: sharing a function with the walk's call site changed how
     /// the apply loop is laid out, and a batch put on a hash store — which
     /// never walks — measured 72 → 79 ns per key (`kv.multi_put8`).
@@ -1659,9 +1416,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn concurrent_mixed_ops_keep_exact_net_count() {
-        let s = Arc::new(striped_store(4));
+    /// Four threads churn `put`/`remove`/`get` over `keys` keys of a
+    /// `shards`-shard store; the store's final size must equal the net
+    /// count of fresh puts minus hit removes.
+    fn churn_keeps_exact_net_count(shards: usize, keys: u64) {
+        let s = Arc::new(striped_store(shards));
         let net = Arc::new(AtomicI64::new(0));
         let mut handles = Vec::new();
         for t in 0..4u64 {
@@ -1673,7 +1432,7 @@ mod tests {
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
-                    let k = x % 64 + 1;
+                    let k = x % keys + 1;
                     match x % 3 {
                         0 => {
                             if s.put(k, k * 3).is_none() {
@@ -1703,66 +1462,65 @@ mod tests {
     }
 
     #[test]
-    fn eager_combining_matches_plain_semantics() {
-        // Every write travels the full publish → combine → poll protocol
-        // (self-drained when uncontended) and must be observably
-        // identical to the plain path.
-        let s = striped_store(2).with_combine_mode(CombineMode::Eager);
-        assert_eq!(s.put(1, 10), None);
-        assert_eq!(s.put(1, 11), Some(10));
-        assert_eq!(s.get(1), Some(11));
-        assert_eq!(s.remove(1), Some(11));
-        assert_eq!(s.remove(1), None);
-        // Single-shard batch via the PutBatch fast path (1 shard ⇒ every
-        // batch is single-shard), duplicate keys applying in order.
-        let s1 = striped_store(1).with_combine_mode(CombineMode::Eager);
-        assert_eq!(
-            s1.multi_put(&[(7, 70), (7, 71), (8, 80)]),
-            vec![None, Some(70), None]
-        );
-        assert_eq!(s1.get(7), Some(71));
-        assert_eq!(s1.get(8), Some(80));
+    fn concurrent_mixed_ops_keep_exact_net_count() {
+        churn_keeps_exact_net_count(4, 64);
     }
 
     #[test]
-    fn combining_failed_ops_still_release_with_revert() {
-        // The combined remove-miss must preserve the no-false-conflict
-        // guarantee the plain path has (`failed_remove_does_not_bump_...`).
-        // On a TTL store: there a miss still takes the lock (an expired
-        // binding would have to be dropped), so it still reaches the
-        // combiner — without TTL it returns before publishing anything.
+    fn one_shard_concurrent_ops_keep_exact_net_count() {
+        // Every writer meets on one lock word, so the contended
+        // trylock-and-back-off acquisition carries most writes.
+        churn_keeps_exact_net_count(1, 16);
+    }
+
+    #[test]
+    fn one_shard_batches_apply_in_order() {
+        // A batch on a one-shard store locks that one shard and applies
+        // its entries in order, duplicate keys included.
+        let s = striped_store(1);
+        assert_eq!(
+            s.multi_put(&[(7, 70), (7, 71), (8, 80)]),
+            vec![None, Some(70), None]
+        );
+        assert_eq!(s.get(7), Some(71));
+        assert_eq!(s.get(8), Some(80));
+    }
+
+    #[test]
+    fn ttl_remove_miss_releases_with_revert() {
+        // On a TTL store a remove miss still takes the lock (an expired
+        // binding would have to be dropped), and must still release it
+        // without a version bump, like the lock-free miss
+        // (`failed_remove_does_not_bump_shard_version`).
         use crate::ttl::FakeClock;
-        let mut s: KvStore<StripedOptikHashTable> =
+        let s: KvStore<StripedOptikHashTable> =
             KvStore::with_shards_ttl(1, Arc::new(FakeClock::new()), |_| {
                 StripedOptikHashTable::new(64, 8)
             });
-        s.set_combine_mode(CombineMode::Eager);
         s.put(1, 10);
         let v = s.shards[0].lock.get_version();
         assert_eq!(s.remove(999), None);
         assert_eq!(
             s.shards[0].lock.get_version(),
             v,
-            "a drained batch of misses must not signal a conflict"
+            "a locked miss must not signal a conflict"
         );
     }
 
     #[test]
     fn remove_miss_leaves_every_lock_word_alone() {
-        // The infeasible update leaves the shard version alone in every
-        // combine mode (that it takes no lock at all is counted in
-        // `tests/one_lock_per_write.rs`); a hit bumps it exactly once.
-        for mode in [CombineMode::Off, CombineMode::Adaptive, CombineMode::Eager] {
-            let s = striped_store(1).with_combine_mode(mode);
-            s.put(1, 10);
-            let v = s.shards[0].lock.get_version();
-            assert_eq!(s.remove(999), None, "{mode:?}");
-            assert_eq!(s.shards[0].lock.get_version(), v, "{mode:?}: miss");
-            assert_eq!(s.remove(1), Some(10), "{mode:?}");
-            assert_eq!(s.shards[0].lock.get_version(), v + 2, "{mode:?}: hit");
-            assert_eq!(s.remove(1), None, "{mode:?}: now absent");
-            assert_eq!(s.shards[0].lock.get_version(), v + 2, "{mode:?}: miss");
-        }
+        // The infeasible update leaves the shard version alone (that it
+        // takes no lock at all is counted in `tests/one_lock_per_write.rs`);
+        // a hit bumps it exactly once.
+        let s = striped_store(1);
+        s.put(1, 10);
+        let v = s.shards[0].lock.get_version();
+        assert_eq!(s.remove(999), None);
+        assert_eq!(s.shards[0].lock.get_version(), v, "miss");
+        assert_eq!(s.remove(1), Some(10));
+        assert_eq!(s.shards[0].lock.get_version(), v + 2, "hit");
+        assert_eq!(s.remove(1), None, "now absent");
+        assert_eq!(s.shards[0].lock.get_version(), v + 2, "miss");
     }
 
     #[test]
@@ -1796,64 +1554,20 @@ mod tests {
     }
 
     #[test]
-    fn eager_combining_concurrent_ops_keep_exact_net_count() {
-        // The concurrent-mixed-ops invariant, forced through the
-        // publication protocol on a deliberately tiny shard count so
-        // combiners drain real multi-op batches.
-        let s = Arc::new(striped_store(1).with_combine_mode(CombineMode::Eager));
-        let net = Arc::new(AtomicI64::new(0));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let s = Arc::clone(&s);
-            let net = Arc::clone(&net);
-            handles.push(std::thread::spawn(move || {
-                let mut x = t.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-                for _ in 0..synchro::stress::ops(20_000) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let k = x % 16 + 1;
-                    match x % 3 {
-                        0 => {
-                            if s.put(k, k * 3).is_none() {
-                                net.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        1 => {
-                            if s.remove(k).is_some() {
-                                net.fetch_sub(1, Ordering::Relaxed);
-                            }
-                        }
-                        _ => {
-                            if let Some(v) = s.get(k) {
-                                assert_eq!(v, k * 3);
-                            }
-                        }
-                    }
-                }
-            }));
-        }
-        reclaim::offline_while(|| {
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
-        assert_eq!(s.len() as i64, net.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn combining_respects_ttl_expiry() {
+    fn put_over_expired_ttl_binding_reports_none() {
         use crate::ttl::FakeClock;
         let clock = Arc::new(FakeClock::new());
-        let mut s: KvStore<StripedOptikHashTable> =
+        let s: KvStore<StripedOptikHashTable> =
             KvStore::with_shards_ttl(1, clock.clone(), |_| StripedOptikHashTable::new(64, 8));
-        s.set_combine_mode(CombineMode::Eager);
         s.put_with_ttl(1, 10, 5);
         clock.advance(10);
-        // The combined put must normalize the expired previous binding
-        // exactly like the plain path: prev reports None, not Some(10).
+        // A plain put normalizes the expired previous binding: prev
+        // reports None, not Some(10), and the binding is dropped.
         assert_eq!(s.put(1, 11), None);
         assert_eq!(s.get(1), Some(11));
+        assert_eq!(s.len(), 1, "the expired binding was replaced, not kept");
+        let deadlines = s.shards[0].deadlines.as_ref().expect("TTL store");
+        assert_eq!(deadlines.get(1), None, "the fresh binding lives forever");
     }
 
     // Concurrent batch atomicity, deadlock freedom, snapshot consistency,

@@ -149,18 +149,7 @@ impl<B: ConcurrentMap> KvStore<B> {
             let now = now.expect("ttl store always passes now");
             let deadline = now.saturating_add(ttl).min(u64::MAX - 1);
             shard.drop_expired(key, now);
-            let dl = shard
-                .deadlines
-                .as_ref()
-                .expect("ttl state implies deadline tables");
-            shard.debug_assert_locked();
-            // SAFETY: shard lock held (`write_shard`).
-            let prev = unsafe {
-                let prev = shard.map.put_exclusive(key, val);
-                dl.put_exclusive(key, deadline);
-                prev
-            };
-            (prev, true)
+            (shard.put_entry(key, val, Some(deadline)), true)
         })
     }
 
@@ -254,12 +243,7 @@ impl<B: ConcurrentMap> KvStore<B> {
                     // by a racing sweeper, or migrated away since the
                     // collection pass.
                     if dl.get(k).is_some_and(|d| d <= now) {
-                        shard.debug_assert_locked();
-                        // SAFETY: shard lock held (taken above).
-                        unsafe {
-                            shard.map.remove_exclusive(k);
-                            dl.remove_exclusive(k);
-                        }
+                        shard.remove_entry(k);
                         modified = true;
                         removed += 1;
                     }

@@ -138,32 +138,22 @@ pub enum Event {
     MigrationBatch = 12,
     /// Key moved by a rebalance migration.
     MigrationMoved = 13,
-    /// Write published into a flat-combining slot (contended writer
-    /// handing its op to whichever thread wins the shard lock).
-    CombinePublished = 14,
-    /// Combiner drain that applied at least one published op.
-    CombineBatch = 15,
-    /// Published op applied by a combiner on behalf of *another* thread.
-    CombineApplied = 16,
-    /// Published op applied by its own publisher (the waiter won the
-    /// shard lock itself and drained the list, its own slot included).
-    CombineSelfServe = 17,
     /// Arena-backed pool mapped a fresh aligned slab.
-    ArenaSlabAlloc = 18,
+    ArenaSlabAlloc = 14,
     /// Magazine refilled from the arena depot's address-ordered free
     /// store (as opposed to a bump-fresh or loose-magazine refill).
-    ArenaRunRefill = 19,
+    ArenaRunRefill = 15,
     /// Software prefetch issued one hop ahead of a traversal.
-    PrefetchIssued = 20,
+    PrefetchIssued = 16,
     /// Shard window re-opened by a repair round of a kv windowed read
     /// (`multi_get`, `range_scan`): it broke, its version was re-read and
     /// its share read again while the other shards' reads were kept (an
     /// attempt that starts over counts as [`Event::ReadRetry`] instead).
-    ReadRepair = 21,
+    ReadRepair = 17,
 }
 
 /// Number of [`Event`] kinds.
-pub const EVENT_COUNT: usize = 22;
+pub const EVENT_COUNT: usize = 18;
 
 impl Event {
     /// All events, in counter order.
@@ -182,10 +172,6 @@ impl Event {
         Event::TtlExpired,
         Event::MigrationBatch,
         Event::MigrationMoved,
-        Event::CombinePublished,
-        Event::CombineBatch,
-        Event::CombineApplied,
-        Event::CombineSelfServe,
         Event::ArenaSlabAlloc,
         Event::ArenaRunRefill,
         Event::PrefetchIssued,
@@ -209,10 +195,6 @@ impl Event {
             Event::TtlExpired => "ttl_expired",
             Event::MigrationBatch => "migration_batch",
             Event::MigrationMoved => "migration_moved",
-            Event::CombinePublished => "combine_published",
-            Event::CombineBatch => "combine_batches",
-            Event::CombineApplied => "combine_ops_applied",
-            Event::CombineSelfServe => "combine_self_served",
             Event::ArenaSlabAlloc => "arena_slab_allocs",
             Event::ArenaRunRefill => "arena_run_refills",
             Event::PrefetchIssued => "prefetch_issued",
@@ -236,18 +218,15 @@ pub enum HistKind {
     ValidationWindow = 2,
     /// QSBR grace latency: limbo batch seal to batch free.
     GraceLatency = 3,
-    /// Published ops applied per combiner drain (a *size*, not cycles —
-    /// the log-2 buckets read as batch-size classes 1, 2–3, 4–7, …).
-    CombineBatch = 4,
     /// Length of each maximal address-contiguous run inside an arena
     /// magazine refill (a *size* in nodes, not cycles: buckets read as
     /// run-length classes 1, 2–3, 4–7, …). Longer runs mean recycled
     /// nodes handed out physically adjacent.
-    ArenaRun = 5,
+    ArenaRun = 4,
 }
 
 /// Number of [`HistKind`]s.
-pub const HIST_COUNT: usize = 6;
+pub const HIST_COUNT: usize = 5;
 
 /// Buckets per histogram: bucket `b` counts values in `[2^b, 2^(b+1))`
 /// (bucket 0 additionally holds zero).
@@ -260,7 +239,6 @@ impl HistKind {
         HistKind::LockHold,
         HistKind::ValidationWindow,
         HistKind::GraceLatency,
-        HistKind::CombineBatch,
         HistKind::ArenaRun,
     ];
 
@@ -271,7 +249,6 @@ impl HistKind {
             HistKind::LockHold => "hold",
             HistKind::ValidationWindow => "range_window",
             HistKind::GraceLatency => "grace",
-            HistKind::CombineBatch => "combine_batch",
             HistKind::ArenaRun => "arena_run",
         }
     }
@@ -623,16 +600,6 @@ impl Snapshot {
                 self.get(Event::GraceBatchFree),
                 self.hist(HistKind::GraceLatency).count(),
             ),
-            (
-                "every published combine op was applied or self-served",
-                self.get(Event::CombinePublished),
-                self.get(Event::CombineApplied) + self.get(Event::CombineSelfServe),
-            ),
-            (
-                "combine batches drained exactly the published ops",
-                self.hist(HistKind::CombineBatch).sum,
-                self.get(Event::CombineApplied) + self.get(Event::CombineSelfServe),
-            ),
         ]
     }
 
@@ -689,12 +656,6 @@ impl Snapshot {
                 out.push((label.into(), v as f64));
             }
         }
-        if self.hist(HistKind::CombineBatch).count() > 0 {
-            out.push((
-                "combine_batch_mean_ops".into(),
-                self.hist(HistKind::CombineBatch).mean(),
-            ));
-        }
         if self.hist(HistKind::ArenaRun).count() > 0 {
             out.push((
                 "arena_run_mean_len".into(),
@@ -709,10 +670,6 @@ impl Snapshot {
             (Event::MigrationBatch, "migration_batches"),
             (Event::MigrationMoved, "migration_moved"),
             (Event::GraceBatchFree, "grace_batches"),
-            (Event::CombinePublished, "combine_published"),
-            (Event::CombineBatch, "combine_batches"),
-            (Event::CombineApplied, "combine_ops_applied"),
-            (Event::CombineSelfServe, "combine_self_served"),
             (Event::ArenaSlabAlloc, "arena_slab_allocs"),
             (Event::ArenaRunRefill, "arena_run_refills"),
             (Event::PrefetchIssued, "prefetch_issued"),

@@ -166,10 +166,7 @@ impl Backoff {
     }
 
     /// The current wait level in spin iterations (what the next
-    /// [`Backoff::backoff`] call will wait). Alongside
-    /// [`contention_level`], this is the within-loop half of the
-    /// contention signal: the EWMA only folds in on drop, so a loop
-    /// escalating *right now* reads its own level instead.
+    /// [`Backoff::backoff`] call will wait).
     #[inline]
     pub fn level(&self) -> u32 {
         self.current
@@ -212,18 +209,6 @@ impl Default for Backoff {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The calling thread's current contention estimate: the EWMA seed that
-/// [`Backoff::adaptive`] loops start their soft ceiling from, in spin
-/// iterations. Near [`Backoff::INITIAL_WAIT`] after a run of clean
-/// operations, toward [`Backoff::DEFAULT_MAX_WAIT`] during a hot-shard
-/// storm. Read-only and thread-local — polling it adds no coherence
-/// traffic. The kv store's flat-combining engagement policy keys off
-/// this value (see `optik-kv`).
-#[inline]
-pub fn contention_level() -> u32 {
-    STREAK_SEED.with(Cell::get)
 }
 
 /// Folds a clean first-try acquisition into the calling thread's
@@ -427,25 +412,26 @@ mod tests {
     }
 
     #[test]
-    fn contention_level_tracks_storms_and_note_calm_decays_it() {
+    fn note_calm_decays_the_seed_a_storm_raised() {
         on_fresh_thread(|| {
-            assert_eq!(contention_level(), Backoff::INITIAL_WAIT);
+            let seed = || STREAK_SEED.with(Cell::get);
+            assert_eq!(seed(), Backoff::INITIAL_WAIT);
             {
                 let mut bo = Backoff::adaptive();
                 for _ in 0..32 {
                     bo.advance();
                 }
-                // The within-loop half of the signal is visible before
-                // the drop folds it into the EWMA.
+                // The loop's own level is visible before the drop folds
+                // it into the EWMA.
                 assert_eq!(bo.level(), Backoff::DEFAULT_MAX_WAIT);
             }
-            assert!(contention_level() > Backoff::INITIAL_WAIT);
+            assert!(seed() > Backoff::INITIAL_WAIT);
             // Clean fast-path acquisitions decay the estimate back to
             // the floor without constructing a Backoff.
             for _ in 0..16 {
                 note_calm();
             }
-            assert_eq!(contention_level(), Backoff::INITIAL_WAIT);
+            assert_eq!(seed(), Backoff::INITIAL_WAIT);
         });
     }
 

@@ -22,7 +22,6 @@
 
 pub mod backoff;
 pub mod clh;
-pub mod combine;
 pub mod cycles;
 pub mod lock_api;
 pub mod mcs;
@@ -35,7 +34,6 @@ pub mod ttas;
 
 pub use backoff::{relax, Backoff};
 pub use clh::ClhLock;
-pub use combine::PubList;
 pub use crossbeam_utils::CachePadded;
 pub use lock_api::{Lock, LockGuard, RawLock};
 pub use mcs::{McsLock, McsNode};
