@@ -1416,11 +1416,15 @@ mod tests {
         );
     }
 
-    /// Four threads churn `put`/`remove`/`get` over `keys` keys of a
-    /// `shards`-shard store; the store's final size must equal the net
+    /// Four threads churn `put`/`remove`/`get` over `keys` keys of `s`,
+    /// writing through `put`; the store's final size must equal the net
     /// count of fresh puts minus hit removes.
-    fn churn_keeps_exact_net_count(shards: usize, keys: u64) {
-        let s = Arc::new(striped_store(shards));
+    fn churn_keeps_exact_net_count<B: ConcurrentMap + 'static>(
+        s: KvStore<B>,
+        keys: u64,
+        put: fn(&KvStore<B>, Key, Val) -> Option<Val>,
+    ) {
+        let s = Arc::new(s);
         let net = Arc::new(AtomicI64::new(0));
         let mut handles = Vec::new();
         for t in 0..4u64 {
@@ -1435,7 +1439,7 @@ mod tests {
                     let k = x % keys + 1;
                     match x % 3 {
                         0 => {
-                            if s.put(k, k * 3).is_none() {
+                            if put(&s, k, k * 3).is_none() {
                                 net.fetch_add(1, Ordering::Relaxed);
                             }
                         }
@@ -1463,14 +1467,111 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_ops_keep_exact_net_count() {
-        churn_keeps_exact_net_count(4, 64);
+        churn_keeps_exact_net_count(striped_store(4), 64, KvStore::put);
     }
 
     #[test]
     fn one_shard_concurrent_ops_keep_exact_net_count() {
         // Every writer meets on one lock word, so the contended
         // trylock-and-back-off acquisition carries most writes.
-        churn_keeps_exact_net_count(1, 16);
+        churn_keeps_exact_net_count(striped_store(1), 16, KvStore::put);
+    }
+
+    #[test]
+    fn one_shard_ttl_writes_keep_exact_net_count() {
+        // `put_with_ttl` and `expire_after` take the same contended
+        // trylock path as `put` on a statically routed store. The clock
+        // never moves, so no deadline passes and the count stays exact.
+        use crate::ttl::FakeClock;
+        let s: KvStore<StripedOptikHashTable> =
+            KvStore::with_shards_ttl(1, Arc::new(FakeClock::new()), |_| {
+                StripedOptikHashTable::new(64, 8)
+            });
+        churn_keeps_exact_net_count(s, 16, |s, k, v| {
+            let prev = s.put_with_ttl(k, v, 1 << 20);
+            s.expire_after(k, 1 << 21);
+            prev
+        });
+    }
+
+    #[test]
+    fn ordered_concurrent_ops_keep_exact_net_count() {
+        // Dynamically routed: every write locks and re-checks its route,
+        // and the keys straddle the partition boundary.
+        let s: KvStore<OptikSkipList2> =
+            KvStore::with_ordered_shards(2, 128, |_| OptikSkipList2::new());
+        churn_keeps_exact_net_count(s, 96, KvStore::put);
+    }
+
+    /// This thread holds the lock of `key`'s shard while another thread
+    /// puts `key`: the put must not finish before the release, and it
+    /// must then apply with exactly one version bump.
+    fn put_waits_out_a_held_shard_lock<B: ConcurrentMap + 'static>(s: KvStore<B>, key: Key) {
+        use std::sync::atomic::AtomicBool;
+        let s = Arc::new(s);
+        let shard = s.shard_of(key);
+        let v = s.shards[shard].lock.get_version();
+        s.shards[shard].lock.lock();
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let s = Arc::clone(&s);
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let prev = s.put(key, 7);
+                done.store(true, Ordering::SeqCst);
+                prev
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(
+            !done.load(Ordering::SeqCst),
+            "a put finished while its shard lock was held"
+        );
+        s.shards[shard].lock.revert();
+        let prev = reclaim::offline_while(|| writer.join().unwrap());
+        assert_eq!(prev, None);
+        assert_eq!(s.get(key), Some(7));
+        assert_eq!(s.shards[shard].lock.get_version(), v + 2);
+    }
+
+    #[test]
+    fn put_waits_out_a_held_shard_lock_on_a_static_store() {
+        // The trylock attempt fails, so the put backs off and retries.
+        put_waits_out_a_held_shard_lock(striped_store(2), 1);
+    }
+
+    #[test]
+    fn put_waits_out_a_held_shard_lock_on_a_dynamic_store() {
+        let s: KvStore<OptikSkipList2> =
+            KvStore::with_ordered_shards(2, 100, |_| OptikSkipList2::new());
+        put_waits_out_a_held_shard_lock(s, 70);
+    }
+
+    #[test]
+    fn ttl_writes_bump_the_version_only_when_they_modify() {
+        use crate::ttl::FakeClock;
+        let clock = Arc::new(FakeClock::new());
+        let s: KvStore<StripedOptikHashTable> =
+            KvStore::with_shards_ttl(1, clock.clone(), |_| StripedOptikHashTable::new(64, 8));
+        let v = s.shards[0].lock.get_version();
+        assert_eq!(s.put_with_ttl(1, 10, 5), None);
+        assert_eq!(s.shards[0].lock.get_version(), v + 2, "put_with_ttl");
+        assert!(s.expire_after(1, 9));
+        assert_eq!(s.shards[0].lock.get_version(), v + 4, "expire_after hit");
+        assert!(!s.expire_after(999, 9));
+        assert_eq!(
+            s.shards[0].lock.get_version(),
+            v + 4,
+            "an expire_after miss releases with revert"
+        );
+        clock.advance(9);
+        assert!(!s.expire_after(1, 5), "an expired entry is not re-armed");
+        assert_eq!(
+            s.shards[0].lock.get_version(),
+            v + 6,
+            "but dropping it is a modification"
+        );
+        assert_eq!(s.len(), 0);
     }
 
     #[test]

@@ -217,6 +217,13 @@ fn kv_multi_get_observes_multi_put_atomically() {
 }
 
 #[test]
+fn kv_multi_get_observes_one_shard_multi_put_atomically() {
+    // Every batch lands on the one shard and takes the same sorted-lock
+    // batch path as a cross-shard batch.
+    batch_atomicity(synchro::stress::ops(4_000), 1);
+}
+
+#[test]
 #[ignore = "full-strength kv batch atomicity; run in CI via --ignored"]
 fn kv_multi_get_observes_multi_put_atomically_full() {
     batch_atomicity(20_000, 4);
