@@ -11,7 +11,7 @@
 //! RUSTFLAGS='--cfg optik_explore' cargo test -p optik-explore --test explore_kv
 //! ```
 //!
-//! Seven interleaving families, one per dynamic behaviour the stress
+//! Eight interleaving families, one per dynamic behaviour the stress
 //! tier can only sample:
 //!
 //! 1. **TTL expiry vs put** — a `FakeClock` advance racing reads and
@@ -38,6 +38,11 @@
 //!    lock-word writes are the level-0 predecessor's bump and the victim's
 //!    forever-held lock, racing a lock-free `get` and a validated window
 //!    read over both nodes ([`RangeMapSpec`]).
+//! 8. **ordered batch walk vs put** — a `multi_put` and then a
+//!    `multi_remove` over two partitions walk to their keys before they
+//!    lock, racing a `put` between the batch's shard-0 keys that, landing
+//!    between a walk and its locks, leaves that shard's walk stale
+//!    ([`RangeMapSpec`]; model in `batch_walk_model`).
 //!
 //! Every enumerated schedule replays the ops against the sequential
 //! spec with the Wing–Gong checker; a failure message always carries
@@ -52,6 +57,7 @@
 
 #![cfg(optik_explore)]
 
+mod batch_walk_model;
 mod multi_get_model;
 mod range_scan_model;
 mod support;
@@ -664,4 +670,46 @@ fn ordered_exclusive_writer_races_get_and_range_scan() {
     ] {
         assert!(scans.contains(&want), "no scan saw {want:?}: {scans:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Family 8: an ordered batch writer's pre-lock walk vs a put between its
+// keys.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn ordered_batch_walk_races_put() {
+    use batch_walk_model::run;
+    let mut removed: BTreeSet<Option<u64>> = BTreeSet::new();
+    let mut rewalks: BTreeSet<usize> = BTreeSet::new();
+    let stats = explore(kv_config(2), |trial| {
+        let out = run(trial);
+        assert!(
+            out.linearizable(),
+            "batch-walk-vs-put: non-linearizable history {:?} ending in {:?}; \
+             replay with schedule token {}",
+            out.timed(),
+            out.contents,
+            trial.token()
+        );
+        rewalks.insert(out.rewalks);
+        removed.extend(out.history.iter().filter_map(|&(_, _, op)| match op {
+            RangeOp::MultiRemove(gone) => gone[1],
+            _ => None,
+        }));
+    });
+    eprintln!("explore_kv::ordered_batch_walk_races_put: {stats}");
+    eprintln!("  second descents seen: {rewalks:?}; removals of the put's key: {removed:?}");
+    assert!(!stats.truncated, "tree not exhausted: {stats}");
+    // The put must land on both sides of the batch removal, and between a
+    // batch's walk and its locks in some schedule.
+    assert_eq!(removed, BTreeSet::from([None, Some(2)]), "removals seen");
+    assert!(
+        rewalks.iter().any(|&n| n > 0),
+        "no put landed between a walk and its locks: {rewalks:?}"
+    );
+    assert!(
+        rewalks.contains(&0),
+        "no schedule kept every walk: {rewalks:?}"
+    );
 }

@@ -14,6 +14,8 @@
 //! token — the failure message of `replay` says which invariant moved.
 
 #[cfg(optik_explore)]
+mod batch_walk_model;
+#[cfg(optik_explore)]
 mod multi_get_model;
 mod qsbr_model;
 #[cfg(optik_explore)]
@@ -588,6 +590,46 @@ fn kv_range_scan_torn_window_schedule_replays() {
                 "kv replay of {token} changed the observable outcome"
             );
             assert!(!out.linearizable(), "the checker accepted a torn window");
+        });
+    }
+}
+
+/// The stale-walk pin: a schedule of `explore_kv.rs` family 8 in which the
+/// `put` lands between a batch write's walk of shard 0 and its locks, so
+/// the batch finds shard 0's version moved and descends to that shard's
+/// keys again under the lock — and the history still linearizes, with the
+/// put's key between the batch's two shard-0 keys in the final contents or
+/// removed by the batch. Recorded and replayed byte-exactly within the run.
+/// Guards the batch write's validation: the walk must happen inside the
+/// windows and the locks must be taken at the windows' versions, or the
+/// schedule either stops being reproducible or stops re-descending.
+#[cfg(optik_explore)]
+#[test]
+fn kv_ordered_batch_stale_walk_schedule_replays() {
+    use batch_walk_model::{run, Outcome};
+
+    let kv_cfg = Config {
+        max_steps: 20_000,
+        max_schedules: 400_000,
+        preemptions: Some(2),
+        sleep_sets: true,
+    };
+    let mut pinned: Option<(Token, Outcome)> = None;
+    explore(kv_cfg, |trial| {
+        let out = run(trial);
+        if out.rewalks > 0 && pinned.is_none() {
+            pinned = Some((trial.token(), out));
+        }
+    });
+    let (token, outcome) = pinned.expect("some put lands between a walk and its locks");
+    assert!(outcome.linearizable(), "{outcome:?}");
+    for _ in 0..2 {
+        replay(kv_cfg, &token, |trial| {
+            assert_eq!(
+                run(trial),
+                outcome,
+                "kv replay of {token} changed the observable outcome"
+            );
         });
     }
 }

@@ -12,7 +12,8 @@
 //! in [`Counted`], which counts the lookups each thread asks of them in a
 //! thread-local — plain memory, no yield point — so a schedule's reader
 //! tells how it got its answer: 2 lookups for a clean pass, 3 for one
-//! repaired shard, more for further rounds.
+//! repaired shard, more for further rounds. It counts the keys a batch
+//! write descends to a second time the same way (`batch_walk_model`).
 
 use std::cell::Cell;
 
@@ -71,13 +72,22 @@ impl SeqSpec for PairSpec {
 thread_local! {
     /// Backend lookups the current thread has made through [`Counted`].
     static LOOKUPS: Cell<usize> = const { Cell::new(0) };
+    /// Ops of the current thread's batch writes through [`Counted`] whose
+    /// map `exclude` reported stale: keys descended to a second time.
+    static REWALKS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// `OptikSkipList2` with its lookups counted per calling thread.
-pub struct Counted(OptikSkipList2);
+/// `OptikSkipList2` with its lookups and its batch writes' second descents
+/// counted per calling thread.
+pub struct Counted(pub OptikSkipList2);
 
 fn count(n: usize) {
     LOOKUPS.with(|c| c.set(c.get() + n));
+}
+
+/// Second descents the current thread's batch writes have made.
+pub fn rewalks() -> usize {
+    REWALKS.with(Cell::get)
 }
 
 impl ConcurrentMap for Counted {
@@ -103,6 +113,24 @@ impl ConcurrentMap for Counted {
     unsafe fn remove_exclusive(&self, key: Key) -> Option<Val> {
         // SAFETY: the caller's contract, forwarded.
         unsafe { self.0.remove_exclusive(key) }
+    }
+    unsafe fn write_each(
+        ops: &[(&Self, Key, Option<Val>)],
+        out: &mut [Option<Val>],
+        exclude: &mut dyn FnMut(&mut [bool]) -> bool,
+    ) -> bool {
+        let inner: Vec<(&OptikSkipList2, Key, Option<Val>)> =
+            ops.iter().map(|&(m, k, v)| (&m.0, k, v)).collect();
+        let mut counted = |fresh: &mut [bool]| {
+            let excluded = exclude(fresh);
+            if excluded {
+                let stale = fresh.iter().filter(|&&f| !f).count();
+                REWALKS.with(|c| c.set(c.get() + stale));
+            }
+            excluded
+        };
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { OptikSkipList2::write_each(&inner, out, &mut counted) }
     }
     fn len(&self) -> usize {
         self.0.len()

@@ -117,6 +117,29 @@ impl<S: ConcurrentSet + ?Sized> SetHandle for &S {
 /// QSBR quiescence **once**, before it holds any pointer, instead of once
 /// per key. The default is the per-probe `get` loop, which is always
 /// correct; a backend overrides it only when overlapping the walks pays.
+///
+/// # Batched writes
+///
+/// A caller that writes several keys under locks of its own (the kv
+/// store's batch writers lock every involved shard) can hand the backend
+/// the whole batch, so that the descents — where the cache misses are —
+/// run **before** the locks are taken, as the paper's traversals do, and
+/// are not repeated inside them. [`ConcurrentMap::write_each`] takes the
+/// ops (`Some(v)`: put, `None`: remove; each names its own map) and an
+/// `exclude` callback. A backend may walk to every key first, with no
+/// lock held; then it calls `exclude` exactly once, which takes the
+/// caller's exclusion of every other writer of every map in the batch and
+/// reports, per op, whether that op's map is **fresh**: unwritten since
+/// the call began. Then the ops are applied in order, each exactly as
+/// `put_exclusive`/`remove_exclusive` would, and `out[i]` is op `i`'s
+/// previous binding. An op on a fresh map may use what the walk found
+/// (that is the OPTIK validation: taking the lock at the version the walk
+/// started from proves the walk current); an op on a stale one descends
+/// again. If `exclude` returns `false` it has taken nothing, and nothing
+/// is applied. The default calls `exclude` with no flags and then the
+/// single-writer pair per op, which is always correct; the OPTIK skip
+/// lists override it with one interleaved walk whose descents the applies
+/// reuse.
 pub trait ConcurrentMap: Send + Sync {
     /// Looks up `key`, returning its current value if present.
     fn get(&self, key: Key) -> Option<Val>;
@@ -167,6 +190,51 @@ pub trait ConcurrentMap: Send + Sync {
         for (&(map, key), slot) in probes.iter().zip(out) {
             *slot = map.get(key);
         }
+    }
+    /// Applies every op of `ops` in order — `Some(v)` puts, `None`
+    /// removes — once `exclude` has excluded every other writer, writing
+    /// op `i`'s previous binding to `out[i]` (see "Batched writes" in the
+    /// trait docs). Returns what `exclude` returned; on `false` nothing
+    /// was applied and `out` is untouched.
+    ///
+    /// `exclude` receives either no flags (a backend that walks nothing
+    /// before it, like this default) or one per op, all `false`, and sets
+    /// `fresh[i]` only if no thread has written `ops[i].0` since this call
+    /// began. Defaults to `exclude` followed by
+    /// [`ConcurrentMap::put_exclusive`] / `remove_exclusive` per op.
+    ///
+    /// # Safety
+    ///
+    /// Once `exclude` returns `true`, no other thread may write any map of
+    /// `ops` until this call returns (the `put_exclusive` contract, for
+    /// every map of the batch), and a `fresh` flag it sets must be true as
+    /// stated above. `exclude` must not announce QSBR quiescence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` and `out` differ in length.
+    unsafe fn write_each(
+        ops: &[(&Self, Key, Option<Val>)],
+        out: &mut [Option<Val>],
+        exclude: &mut dyn FnMut(&mut [bool]) -> bool,
+    ) -> bool
+    where
+        Self: Sized,
+    {
+        assert_eq!(ops.len(), out.len(), "one result slot per op");
+        if !exclude(&mut []) {
+            return false;
+        }
+        for (&(map, key, val), slot) in ops.iter().zip(out) {
+            // SAFETY: `exclude` excluded every other writer of `map`.
+            *slot = unsafe {
+                match val {
+                    Some(v) => map.put_exclusive(key, v),
+                    None => map.remove_exclusive(key),
+                }
+            };
+        }
+        true
     }
     /// Number of entries (O(n); exact only in quiescence).
     fn len(&self) -> usize;

@@ -470,6 +470,9 @@ pub enum RangeOp {
     /// One batch upsert, applied at one point: per tracked key, `None`
     /// (not in the batch) or `Some((new, prev))`.
     MultiPut([Option<(u64, Option<u64>)>; RANGE_KEYS]),
+    /// One batch removal, applied at one point: per tracked key, `None`
+    /// (not in the batch) or `Some(removed)`.
+    MultiRemove([Option<Option<u64>>; RANGE_KEYS]),
     /// One `range` traversal covering all tracked keys: the observed
     /// binding per tracked key, in key order.
     Range([Option<u64>; RANGE_KEYS]),
@@ -514,6 +517,18 @@ impl SeqSpec for RangeMapSpec {
                             return None;
                         }
                         *slot = Some(new);
+                    }
+                }
+                Some(s)
+            }
+            RangeOp::MultiRemove(batch) => {
+                let mut s = *state;
+                for (slot, removed) in s.iter_mut().zip(batch) {
+                    if let Some(removed) = removed {
+                        if *slot != removed {
+                            return None;
+                        }
+                        *slot = None;
                     }
                 }
                 Some(s)
@@ -1008,6 +1023,26 @@ mod tests {
             rop(2, 3, RangeOp::MultiPut([Some((10, None)), None, None])),
         ];
         assert!(!check(&RangeMapSpec::default(), &h));
+    }
+
+    #[test]
+    fn range_must_not_split_a_batch_remove() {
+        let spec = RangeMapSpec {
+            initial: [Some(1), Some(2), None],
+        };
+        let batch = RangeOp::MultiRemove([Some(Some(1)), Some(Some(2)), Some(None)]);
+        for (seen, legal) in [
+            ([Some(1), Some(2), None], true),
+            ([None, None, None], true),
+            ([None, Some(2), None], false),
+            ([Some(1), None, None], false),
+        ] {
+            let h = [rop(0, 10, batch), rop(1, 9, RangeOp::Range(seen))];
+            assert_eq!(check(&spec, &h), legal, "{seen:?}");
+        }
+        // A removal of what was never bound is illegal.
+        let h = [rop(0, 1, RangeOp::MultiRemove([None, None, Some(Some(3))]))];
+        assert!(!check(&spec, &h));
     }
 
     #[test]

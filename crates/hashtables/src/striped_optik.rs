@@ -516,11 +516,19 @@ mod exclusive_tests {
                 x ^= x >> 7;
                 x ^= x << 17;
                 let k = x % 96 + 1;
-                // SAFETY: single-threaded test — no other writer exists.
-                let (want, got) = if x >> 32 & 1 == 0 {
-                    (locked.put(k, i), unsafe { exclusive.put_exclusive(k, i) })
+                let put = x >> 32 & 1 == 0;
+                let want = if put {
+                    locked.put(k, i)
                 } else {
-                    (locked.remove(k), unsafe { exclusive.remove_exclusive(k) })
+                    locked.remove(k)
+                };
+                // SAFETY: single-threaded test — no other writer exists.
+                let got = unsafe {
+                    if put {
+                        exclusive.put_exclusive(k, i)
+                    } else {
+                        exclusive.remove_exclusive(k)
+                    }
                 };
                 assert_eq!(
                     got, want,
@@ -605,11 +613,13 @@ mod exclusive_tests {
                 x ^= x >> 7;
                 x ^= x << 17;
                 let k = x % KEYS + 1;
+                let next = (x >> 32 & 1 == 0).then_some(tag(k, i));
                 // SAFETY: this thread is the table's only writer.
-                let (got, next) = if x >> 32 & 1 == 0 {
-                    (unsafe { t.put_exclusive(k, tag(k, i)) }, Some(tag(k, i)))
-                } else {
-                    (unsafe { t.remove_exclusive(k) }, None)
+                let got = unsafe {
+                    match next {
+                        Some(v) => t.put_exclusive(k, v),
+                        None => t.remove_exclusive(k),
+                    }
                 };
                 assert_eq!(
                     got, model[k as usize],

@@ -45,8 +45,10 @@
 //!   again only the shards that moved) with a bounded fallback to
 //!   locking. Over key-ordered shards the batched calls take their cache
 //!   misses overlapped and outside the locks: a multi-get is one batched
-//!   backend lookup, and the batch writers walk their keys before they
-//!   lock. Failed (read-only) critical sections release
+//!   backend lookup, and the batch writers walk to their keys before
+//!   they lock, take each lock at the version read before the walk, and
+//!   apply through that walk wherever the version held. Failed
+//!   (read-only) critical sections release
 //!   with `revert`, so they never signal conflicts to other optimistic
 //!   readers. On a statically routed store a contended single-key write
 //!   does what the paper does with a contended OPTIK lock:

@@ -25,7 +25,8 @@ const OPTIMISTIC_ATTEMPTS: usize = 8;
 
 /// Probes handed to one [`ConcurrentMap::get_each`] call: the batched
 /// paths route their keys into a stack array of this many `(map, key)`
-/// pairs, so a batch of any length allocates nothing for its lookups.
+/// pairs, so a batch of any length allocates nothing for its lookups. A
+/// batch write of up to this many keys keeps its ops on the stack too.
 const PROBE_CHUNK: usize = 16;
 
 /// One shard's `[version read, validate]` window of a validated read (see
@@ -41,6 +42,9 @@ struct Window {
     /// The caller's share for this shard, in the caller's own terms: the
     /// probe run of a grouped `multi_get`, the output segment of a scan.
     span: (usize, usize),
+    /// Whether a batch write changed this shard, which it then releases
+    /// with `unlock` rather than `revert`.
+    modified: bool,
 }
 
 impl Window {
@@ -50,14 +54,16 @@ impl Window {
             version: 0,
             stale: true,
             span: (0, 0),
+            modified: false,
         }
     }
 }
 
-/// Per-call scratch for [`KvStore::multi_get`]'s shard grouping: the
-/// routed probes and one [`Window`] per distinct shard. Reused across
-/// optimistic attempts, repair rounds and the lock fallback — the grouped
-/// read path does no per-attempt allocation.
+/// Per-call scratch for the shard grouping of [`KvStore::multi_get`] and
+/// of the batch writes (`KvStore::write_batch`): the routed probes and one
+/// [`Window`] per distinct shard. Reused across optimistic attempts,
+/// repair rounds and the lock fallback — the grouped paths do no
+/// per-attempt allocation.
 ///
 /// Two planning modes share this scratch. Hash-routed stores keep the
 /// probes in arrival order and only deduplicate the shard set (an
@@ -122,9 +128,9 @@ impl AsMut<[Window]> for Collected {
 }
 
 thread_local! {
-    /// Per-thread [`ProbePlan`] reused by every [`KvStore::multi_get`]
-    /// call on this thread (stores may share it — the epoch stamps keep
-    /// shard sets from bleeding between calls). Steady-state planning
+    /// Per-thread [`ProbePlan`] reused by every [`KvStore::multi_get`] and
+    /// batch write on this thread (stores may share it — the epoch stamps
+    /// keep shard sets from bleeding between calls). Steady-state planning
     /// allocates nothing; only the result vector is fresh per call.
     static PROBE_PLAN: std::cell::RefCell<ProbePlan> =
         const { std::cell::RefCell::new(ProbePlan::empty()) };
@@ -251,10 +257,9 @@ impl<B: ConcurrentMap> Shard<B> {
         }
     }
 
-    /// Under the shard lock: the full upsert sequence shared by `put`
-    /// and `multi_put` — normalize an expired previous binding, upsert,
-    /// and clear any deadline (a plain put lives forever). Returns the
-    /// previous live value.
+    /// Under the shard lock: `put`'s upsert sequence — normalize an
+    /// expired previous binding, upsert, and clear any deadline (a plain
+    /// put lives forever). Returns the previous live value.
     pub(crate) fn put_live(&self, key: Key, val: Val, now: Option<u64>) -> Option<Val> {
         if let Some(now) = now {
             self.drop_expired(key, now);
@@ -276,10 +281,9 @@ impl<B: ConcurrentMap> Shard<B> {
         expired
     }
 
-    /// Under the shard lock: the full removal sequence shared by
-    /// `remove` and `multi_remove` — normalize an expired
-    /// binding, remove, clear the deadline. Returns `(removed live value,
-    /// modified)`.
+    /// Under the shard lock: `remove`'s removal sequence — normalize an
+    /// expired binding, remove, clear the deadline. Returns `(removed live
+    /// value, modified)`.
     pub(crate) fn remove_live(&self, key: Key, now: Option<u64>) -> (Option<Val>, bool) {
         let dropped = now.is_some_and(|now| self.drop_expired(key, now));
         let prev = self.remove_entry(key);
@@ -315,9 +319,12 @@ impl<B: ConcurrentMap> Shard<B> {
 /// - batched operations ([`KvStore::multi_put`], [`KvStore::multi_remove`])
 ///   acquire every involved shard lock **in ascending shard order** —
 ///   the classic total-order claim that makes overlapping batches
-///   deadlock-free — and apply the whole batch atomically; over
-///   key-ordered shards they walk their keys *before* locking, so the
-///   cache misses of the batch are taken outside its critical section;
+///   deadlock-free — and apply the whole batch atomically. They are
+///   windowed reads validated by the lock acquisition: each lock is taken
+///   with `lock_version` at the version read before the backend walked to
+///   the keys ([`ConcurrentMap::write_each`]), so over OPTIK skip-list
+///   shards a batch descends once, outside its critical section, and
+///   descends again only in a shard written between walk and lock;
 /// - every read that is more than one backend lookup — a `get` that has a
 ///   deadline or a route to validate, [`KvStore::multi_get`],
 ///   [`KvStore::range_scan`], [`KvStore::scan`] — is the same optimistic
@@ -726,15 +733,6 @@ impl<B: ConcurrentMap> KvStore<B> {
         self.write_shard(key, |shard, now| shard.remove_live(key, now))
     }
 
-    /// Involved shard indices, ascending and deduplicated — the canonical
-    /// acquisition order for every batched operation.
-    fn shard_ids(&self, keys: impl Iterator<Item = Key>) -> Vec<usize> {
-        let mut ids: Vec<usize> = keys.map(|k| self.policy.route(k)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// Routes every key once and plans the batch: the distinct shard
     /// set (one OPTIK window each) plus the probe order. Hash-routed
     /// stores get the flat plan — probes stay in arrival order, because
@@ -746,10 +744,10 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// key-sorts each span, so ordered backends are walked
     /// front-to-back (adjacent probes re-walk the warm front of the
     /// same traversal path instead of restarting cold). The within-span
-    /// key sorts run on tiny slices where `sort_unstable` is
-    /// insertion-class.
-    fn group_probes(&self, keys: &[Key], plan: &mut ProbePlan) {
-        let n = keys.len();
+    /// key sorts are stable, so duplicate keys keep their input order
+    /// (a batch write applies them in it), and run on tiny slices where
+    /// the sort is insertion-class.
+    fn group_probes(&self, keys: impl Iterator<Item = Key>, plan: &mut ProbePlan) {
         let ns = self.shards.len();
         let ProbePlan {
             probes,
@@ -771,7 +769,7 @@ impl<B: ConcurrentMap> KvStore<B> {
             // array collects the distinct shard set in the same pass.
             *epoch += 1;
             let e = *epoch;
-            flat.extend(keys.iter().map(|&k| {
+            flat.extend(keys.map(|k| {
                 let s = self.policy.route(k);
                 if stamp[s] != e {
                     stamp[s] = e;
@@ -790,7 +788,7 @@ impl<B: ConcurrentMap> KvStore<B> {
         for c in stamp[..ns].iter_mut() {
             *c = 0;
         }
-        routed.extend(keys.iter().enumerate().map(|(i, &k)| {
+        routed.extend(keys.enumerate().map(|(i, k)| {
             let s = self.policy.route(k);
             stamp[s] += 1;
             (s, k, i as u32)
@@ -807,7 +805,7 @@ impl<B: ConcurrentMap> KvStore<B> {
             *c = acc as u64;
             acc += cnt;
         }
-        probes.resize(n, (0, 0, 0));
+        probes.resize(routed.len(), (0, 0, 0));
         for &p in routed.iter() {
             let dst = &mut stamp[p.0];
             probes[*dst as usize] = p;
@@ -820,7 +818,7 @@ impl<B: ConcurrentMap> KvStore<B> {
             *c = 0;
         }
         for w in windows.iter() {
-            probes[w.span.0..w.span.1].sort_unstable_by_key(|&(_, k, _)| k);
+            probes[w.span.0..w.span.1].sort_by_key(|&(_, k, _)| k);
         }
     }
 
@@ -938,7 +936,7 @@ impl<B: ConcurrentMap> KvStore<B> {
             self.read_windows(
                 &mut *cell.borrow_mut(),
                 true,
-                |plan| self.group_probes(keys, plan),
+                |plan| self.group_probes(keys.iter().copied(), plan),
                 |plan, now| self.probe_plan(keys, plan, now, &mut out),
             );
         });
@@ -969,25 +967,145 @@ impl<B: ConcurrentMap> KvStore<B> {
         }
     }
 
-    /// The batch writers' pre-lock walk (key-ordered stores only): looks
-    /// every key of the batch up, overlapped, and throws the results away.
-    /// The lookups pull the nodes the locked applies are about to traverse
-    /// into this core's cache **before** the shard locks are taken — the
-    /// paper's traversal outside the critical section, applied to a batch
-    /// — so the applies, which find every key again, miss less while
-    /// readers and writers of up to all shards wait. Only a hint: routes
-    /// are unvalidated and nothing read here is used, so whatever races
-    /// the walk (a write, a boundary migration) costs a cold descent
-    /// under the lock and nothing else.
-    fn warm_batch(&self, keys: impl Iterator<Item = Key>) {
-        if self.policy.key_ordered_shards() {
-            Self::get_each_chunked(
-                keys.map(|k| (&self.shards[self.policy.route(k)].map, k)),
-                |_, val| {
-                    std::hint::black_box(val);
-                },
-            );
+    /// Runs `f` over `n` copies of `fill`: a stack array up to
+    /// [`PROBE_CHUNK`] long, the heap beyond.
+    fn scratch<T: Copy, R>(n: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+        if n <= PROBE_CHUNK {
+            f(&mut [fill; PROBE_CHUNK][..n])
+        } else {
+            f(&mut vec![fill; n])
         }
+    }
+
+    /// The store's one batch write, behind [`KvStore::multi_put`] and
+    /// [`KvStore::multi_remove`]: op `i` of the `n` is `op(i)`, `(key,
+    /// Some(val))` to put and `(key, None)` to remove. Returns every op's
+    /// previous **live** value, in input order.
+    ///
+    /// A windowed read whose validation is the lock acquisition
+    /// (DESIGN.md, "Where a batch takes its misses"). The keys are planned
+    /// as for `multi_get` (`group_probes`), every involved shard's window
+    /// is opened (`get_version_wait`), and the ops go, in plan order, to
+    /// [`ConcurrentMap::write_each`] — which may walk to all of them
+    /// before any lock is taken — with an `exclude` that locks the shards
+    /// in ascending order, each with `lock_version` at its window's
+    /// version. A shard whose version held is fresh: every critical
+    /// section that modifies a shard releases with `unlock`, so nothing
+    /// wrote it since the window opened, and what the walk found there is
+    /// current. Under dynamic routing `exclude` then re-checks every key's
+    /// route; a moved one reverts every lock and the batch is planned
+    /// again. On TTL stores the write is normalized in the same locked
+    /// section, after the apply: a binding the write found whose deadline
+    /// had passed reports `None`, and the deadline goes (a put's binding
+    /// lives forever, a removed key has none). Modified shards release
+    /// with `unlock`, the rest with `revert`.
+    fn write_batch(&self, n: usize, op: impl Fn(usize) -> (Key, Option<Val>)) -> Vec<Option<Val>> {
+        let mut out = vec![None; n];
+        let fill = (&self.shards[0].map, 0, None);
+        Self::scratch(n, fill, |ops| {
+            Self::scratch(n, None, |raw| {
+                Self::scratch(n, (0, 0), |at| {
+                    PROBE_PLAN.with_borrow_mut(|plan| loop {
+                        self.group_probes((0..n).map(|i| op(i).0), plan);
+                        let ProbePlan {
+                            probes,
+                            flat,
+                            windows,
+                            ..
+                        } = plan;
+                        windows.sort_unstable_by_key(|w| w.shard);
+                        // Input index and window of every op of the plan (a
+                        // flat plan keeps the input order).
+                        if flat.is_empty() {
+                            for (w, window) in windows.iter().enumerate() {
+                                for j in window.span.0..window.span.1 {
+                                    at[j] = (probes[j].2 as usize, w);
+                                }
+                            }
+                        } else {
+                            for (j, &s) in flat.iter().enumerate() {
+                                at[j] = (j, windows.partition_point(|w| w.shard < s as usize));
+                            }
+                        }
+                        for w in windows.iter_mut() {
+                            w.version = self.shards[w.shard].lock.get_version_wait();
+                        }
+                        for (slot, &(i, w)) in ops.iter_mut().zip(at.iter()) {
+                            let (key, val) = op(i);
+                            *slot = (&self.shards[windows[w].shard].map, key, val);
+                        }
+                        let ops = &*ops;
+                        let mut exclude = |fresh: &mut [bool]| {
+                            for w in windows.iter_mut() {
+                                w.stale = !self.shards[w.shard].lock.lock_version(w.version);
+                            }
+                            if self.dynamic
+                                && ops.iter().zip(at.iter()).any(|(op, &(_, w))| {
+                                    self.policy.route(op.1) != windows[w].shard
+                                })
+                            {
+                                for w in windows.iter().rev() {
+                                    self.shards[w.shard].lock.revert();
+                                }
+                                return false;
+                            }
+                            for (f, &(_, w)) in fresh.iter_mut().zip(at.iter()) {
+                                *f = !windows[w].stale;
+                            }
+                            if !fresh.is_empty() {
+                                let stale = windows.iter().filter(|w| w.stale).count();
+                                optik_probe::count_n(optik_probe::Event::BatchRewalk, stale as u64);
+                            }
+                            if self.dynamic {
+                                for w in windows.iter() {
+                                    self.shards[w.shard].ops.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
+                            true
+                        };
+                        // SAFETY: `exclude` returns `true` holding the lock
+                        // of every shard of the batch — every writer of
+                        // their maps and deadline tables takes it first —
+                        // and reports a shard fresh only if its version held
+                        // from before this call to the lock. It announces no
+                        // quiescence. The locks are still held for the
+                        // deadline removals.
+                        unsafe {
+                            if !B::write_each(ops, raw, &mut exclude) {
+                                continue;
+                            }
+                            let now = self.now_opt();
+                            for ((&(_, key, val), &prev), &(i, w)) in
+                                ops.iter().zip(raw.iter()).zip(at.iter())
+                            {
+                                let window = &mut windows[w];
+                                window.modified |= val.is_some() || prev.is_some();
+                                out[i] = prev;
+                                // The binding the write found loses its
+                                // deadline; if that had passed, it was absent.
+                                if let (Some(now), Some(_)) = (now, prev) {
+                                    let dl = self.shards[window.shard].deadlines.as_ref();
+                                    if dl.is_some_and(|dl| {
+                                        dl.remove_exclusive(key).is_some_and(|d| d <= now)
+                                    }) {
+                                        out[i] = None;
+                                    }
+                                }
+                            }
+                        }
+                        for w in windows.iter().rev() {
+                            if w.modified {
+                                self.shards[w.shard].lock.unlock();
+                            } else {
+                                self.shards[w.shard].lock.revert();
+                            }
+                        }
+                        break;
+                    });
+                });
+            });
+        });
+        out
     }
 
     /// Atomically applies every `(key, val)` upsert, returning the
@@ -1004,69 +1122,21 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// validate shard versions and may observe a batch mid-application —
     /// per-key atomicity is the most a single-key read can claim.
     ///
-    /// On a contiguous-partition store the batch's keys are first looked
-    /// up, overlapped and **before any lock is taken** (`warm_batch`): the
-    /// descents, where the cache misses are, happen outside the critical
-    /// section, and the locked applies — unchanged, each finding its key
-    /// again — run over warm lines, so everything that waits on up to all
-    /// of the store's shard locks waits for less. The walk promises
-    /// nothing: its routes and results are unvalidated and unused, it
-    /// takes part in no linearization argument, and a write or a boundary
-    /// migration between walk and lock costs a cold descent under the
-    /// lock, never a wrong answer. The caller pays for it with a slightly
-    /// longer call of its own.
+    /// The locks are taken at the versions of windows opened before the
+    /// backend walks to the keys, so on a contiguous-partition store of
+    /// OPTIK skip lists every key is descended to once, **before** any
+    /// lock is taken, and the locked applies reuse those descents on
+    /// every shard nothing wrote in between (`write_batch`).
     pub fn multi_put(&self, entries: &[(Key, Val)]) -> Vec<Option<Val>> {
-        self.warm_batch(entries.iter().map(|&(k, _)| k));
-        self.multi_put_locked(entries)
-    }
-
-    /// [`KvStore::multi_put`] past its walk: sorted acquisition, the applies, release. Out of line on
-    /// purpose: sharing a function with the walk's call site changed how
-    /// the apply loop is laid out, and a batch put on a hash store — which
-    /// never walks — measured 72 → 79 ns per key (`kv.multi_put8`).
-    #[inline(never)]
-    fn multi_put_locked(&self, entries: &[(Key, Val)]) -> Vec<Option<Val>> {
-        let ids = self.lock_batch(&mut || self.shard_ids(entries.iter().map(|&(k, _)| k)));
-        let now = self.now_opt();
-        let out = entries
-            .iter()
-            .map(|&(k, v)| self.shards[self.policy.route(k)].put_live(k, v, now))
-            .collect();
-        for &i in ids.iter().rev() {
-            self.shards[i].lock.unlock();
-        }
-        out
+        self.write_batch(entries.len(), |i| (entries[i].0, Some(entries[i].1)))
     }
 
     /// Atomically removes every key, returning the removed **live** value
     /// per key (expired bindings report `None` and are dropped). Shards
-    /// whose maps end up unmodified release with `revert`. Like
-    /// [`KvStore::multi_put`], a contiguous-partition store walks the keys
-    /// before it locks — present or not: the walk is a hint and does not
-    /// look at what it finds.
+    /// whose maps end up unmodified release with `revert`. Locks, order
+    /// and descents as for [`KvStore::multi_put`].
     pub fn multi_remove(&self, keys: &[Key]) -> Vec<Option<Val>> {
-        self.warm_batch(keys.iter().copied());
-        let ids = self.lock_batch(&mut || self.shard_ids(keys.iter().copied()));
-        let now = self.now_opt();
-        let mut modified = vec![false; ids.len()];
-        let out: Vec<Option<Val>> = keys
-            .iter()
-            .map(|&k| {
-                let s = self.policy.route(k);
-                let slot = ids.binary_search(&s).expect("shard id collected above");
-                let (removed, m) = self.shards[s].remove_live(k, now);
-                modified[slot] |= m;
-                removed
-            })
-            .collect();
-        for (&i, &m) in ids.iter().zip(&modified).rev() {
-            if m {
-                self.shards[i].lock.unlock();
-            } else {
-                self.shards[i].lock.revert();
-            }
-        }
-        out
+        self.write_batch(keys.len(), |i| (keys[i], None))
     }
 
     /// The windowed read behind the scans: walks every shard of `cover()`

@@ -5,12 +5,13 @@
 //! walk and write the store asks of a shard and can fire a hook on the
 //! first lookup or walk of a chosen shard — a write or a boundary shift
 //! landing exactly inside the windows of a `multi_get` or a `range_scan`,
-//! on the calling thread, without a race to win.
+//! or between a batch write's walk and its locks, on the calling thread,
+//! without a race to win.
 //!
-//! The `ReadRepair` / `ReadRetry` / `LockAcquire` counts come from the
-//! probe's process-wide counters, so the two tests take turns on
-//! [`COUNTERS`]. Without `--features probe` the counters read zero; the
-//! lookup logs and the replies are checked either way.
+//! The `ReadRepair` / `ReadRetry` / `LockAcquire` / `BatchRewalk` counts
+//! come from the probe's process-wide counters, so the two tests take
+//! turns on [`COUNTERS`]. Without `--features probe` the counters read
+//! zero; the lookup logs and the replies are checked either way.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -26,7 +27,9 @@ static COUNTERS: Mutex<()> = Mutex::new(());
 /// What the store asked of a backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Call {
-    /// `get`, or one probe of a `get_each`.
+    /// `get`, one probe of a `get_each`, or one key of a `write_each`
+    /// walk (logged once the walk is over, before the locks) or descended
+    /// to again (logged after the locks, before the applies).
     Probe,
     /// `range`; the logged key is the window's lower end.
     Walk,
@@ -72,9 +75,9 @@ impl Tap {
     }
 
     /// The calls logged during `f`, with the probe deltas
-    /// `(ReadRepair, ReadRetry, LockAcquire)`; `locks` of each entry is
-    /// rebased to the start of `f`.
-    fn during<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<Entry>, [u64; 3]) {
+    /// `(ReadRepair, ReadRetry, LockAcquire, BatchRewalk)`; `locks` of
+    /// each entry is rebased to the start of `f`.
+    fn during<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<Entry>, [u64; 4]) {
         self.log.lock().unwrap().clear();
         let before = Snapshot::take();
         let out = f();
@@ -87,7 +90,13 @@ impl Tap {
                 ..e
             })
             .collect();
-        let counts = [Event::ReadRepair, Event::ReadRetry, Event::LockAcquire].map(|e| d.get(e));
+        let counts = [
+            Event::ReadRepair,
+            Event::ReadRetry,
+            Event::LockAcquire,
+            Event::BatchRewalk,
+        ]
+        .map(|e| d.get(e));
         (out, log, counts)
     }
 }
@@ -155,6 +164,39 @@ impl<B: ConcurrentMap> ConcurrentMap for Tapped<B> {
         self.note(Call::Write, key);
         // SAFETY: the caller's contract, forwarded.
         unsafe { self.inner.remove_exclusive(key) }
+    }
+    /// Forwards the batch, logging inside its `exclude`: a backend that
+    /// walked (it hands over one flag per op) has finished the walk and
+    /// taken no lock yet, so the walk is logged — which fires an armed
+    /// hook — then the caller excludes, then every op is logged as it is
+    /// about to be applied, preceded by a second lookup where its map was
+    /// stale.
+    unsafe fn write_each(
+        ops: &[(&Self, Key, Option<Val>)],
+        out: &mut [Option<Val>],
+        exclude: &mut dyn FnMut(&mut [bool]) -> bool,
+    ) -> bool {
+        let inner: Vec<(&B, Key, Option<Val>)> =
+            ops.iter().map(|&(map, k, v)| (&map.inner, k, v)).collect();
+        let mut forwarded = |fresh: &mut [bool]| {
+            if !fresh.is_empty() {
+                for &(map, key, _) in ops {
+                    map.note(Call::Probe, key);
+                }
+            }
+            if !exclude(fresh) {
+                return false;
+            }
+            for (i, &(map, key, _)) in ops.iter().enumerate() {
+                if fresh.get(i) == Some(&false) {
+                    map.note(Call::Probe, key);
+                }
+                map.note(Call::Write, key);
+            }
+            true
+        };
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { B::write_each(&inner, out, &mut forwarded) }
     }
     fn len(&self) -> usize {
         self.inner.len()
@@ -275,12 +317,12 @@ fn batched_calls_take_their_misses_overlapped_and_before_the_locks() {
         PLANNED,
         "undisturbed: one lookup per key"
     );
-    assert_eq!(counts, [0; 3], "undisturbed: no repair, no retry, no lock");
+    assert_eq!(counts, [0; 4], "undisturbed: no repair, no retry, no lock");
     let writer = Arc::clone(&store);
     tap.arm(2, move || {
         writer.put(250, 7);
     });
-    let (got, log, [repairs, retries, _]) = tap.during(|| store.multi_get(&KEYS));
+    let (got, log, [repairs, retries, _, _]) = tap.during(|| store.multi_get(&KEYS));
     assert_eq!(got, want(&[(250, Some(7))]), "the snapshot after the write");
     let mut expect = PLANNED.to_vec();
     expect.extend([(2, 250), (2, 260)]);
@@ -308,7 +350,7 @@ fn batched_calls_take_their_misses_overlapped_and_before_the_locks() {
     tap.arm(2, move || {
         writer.put(250, 7);
     });
-    let (got, log, [repairs, retries, _]) = tap.during(|| store.multi_get(&KEYS));
+    let (got, log, [repairs, retries, _, _]) = tap.during(|| store.multi_get(&KEYS));
     assert_eq!(got, want(&[(250, Some(7)), (150, None)]));
     let twice = [PLANNED, PLANNED].concat();
     assert_eq!(probes(&log, false), twice, "every value again");
@@ -325,7 +367,7 @@ fn batched_calls_take_their_misses_overlapped_and_before_the_locks() {
         let moved = mover.shift_boundary(0, 55).expect("legal shift").moved;
         assert_eq!(moved, 5, "keys 60..=100");
     });
-    let (got, log, [repairs, retries, _]) = tap.during(|| store.multi_get(&KEYS));
+    let (got, log, [repairs, retries, _, _]) = tap.during(|| store.multi_get(&KEYS));
     assert_eq!(got, want(&[]));
     let mut expect = PLANNED.to_vec();
     expect.extend(PLANNED.map(|(s, k)| (if k == 60 { 1 } else { s }, k)));
@@ -336,36 +378,44 @@ fn batched_calls_take_their_misses_overlapped_and_before_the_locks() {
     );
     assert_count(retries, 1, "one full retry");
 
-    // (d) Batch writers on a key-ordered store look every key up once
-    // before they take their first lock; the locked applies follow.
+    // (d) Batch writers on a key-ordered store walk to every key once, in
+    // plan order, with no lock held; then come all four shard locks, then
+    // the applies, with no second descent.
     let tap = Arc::new(Tap::default());
     let store = ordered_store(&tap);
     let entries = KEYS.map(|k| (k, k + 1));
     let walk_then_apply = |log: &[Entry], what: &str| {
         let (walk, apply) = log.split_at(KEYS.len());
-        let routed = |e: &Entry| (e.key, e.shard, e.deadlines);
-        let home = KEYS.map(|k| (k, store.shard_of(k), false));
-        assert_eq!(walk.iter().map(routed).collect::<Vec<_>>(), home, "{what}");
-        assert_eq!(apply.iter().map(routed).collect::<Vec<_>>(), home, "{what}");
-        assert!(
-            walk.iter().all(|e| e.call == Call::Probe),
-            "{what}: {log:?}"
+        let routed = |e: &Entry| (e.shard, e.key);
+        assert_eq!(
+            walk.iter().map(routed).collect::<Vec<_>>(),
+            PLANNED,
+            "{what}"
+        );
+        assert_eq!(
+            apply.iter().map(routed).collect::<Vec<_>>(),
+            PLANNED,
+            "{what}"
         );
         assert!(
-            apply.iter().all(|e| e.call == Call::Write),
-            "{what}: {log:?}"
-        );
-        assert!(
-            walk.iter().all(|e| e.locks == 0),
+            walk.iter()
+                .all(|e| e.call == Call::Probe && !e.deadlines && e.locks == 0),
             "{what}: a lock before the walk ended: {log:?}"
         );
-        // All four shard locks, then the first apply (the skip list's own
-        // node locks come after it).
-        assert_count(apply[0].locks, 4, what);
+        assert!(
+            apply.iter().all(|e| e.call == Call::Write && !e.deadlines),
+            "{what}: {log:?}"
+        );
+        // All four shard locks before the first apply (the skip list's
+        // own node locks come after it).
+        for e in apply {
+            assert_count(e.locks, 4, what);
+        }
     };
-    let (prevs, log, _) = tap.during(|| store.multi_put(&entries));
+    let (prevs, log, counts) = tap.during(|| store.multi_put(&entries));
     assert_eq!(prevs, want(&[]));
     walk_then_apply(&log, "multi_put");
+    assert_eq!(counts[3], 0, "undisturbed: no walk thrown away");
     let (gone, log, _) = tap.during(|| store.multi_remove(&KEYS));
     assert_eq!(gone, KEYS.map(|k| Some(k + 1)));
     walk_then_apply(&log, "multi_remove");
@@ -374,8 +424,61 @@ fn batched_calls_take_their_misses_overlapped_and_before_the_locks() {
     assert!(gone.iter().all(Option::is_none));
     walk_then_apply(&log, "multi_remove of absent keys");
 
-    // On a hash-routed store nothing is walked: a hashed backend has no
-    // descent to warm, and its batch writers keep the code they had.
+    // (e) A write into shard 2 between the walk and the locks moves that
+    // shard's version, so exactly shard 2's keys are descended to again
+    // under the lock, and the batch lands as it would after the write.
+    // The write links 257 between where the walk left the batch's 255 and
+    // 265, so a batch that kept that walk would unlink it again.
+    let tap = Arc::new(Tap::default());
+    let store = ordered_store(&tap);
+    let fresh_keys = KEYS.map(|k| (k + 5, k));
+    let writer = Arc::clone(&store);
+    tap.arm(2, move || {
+        writer.put(257, 7);
+    });
+    let (prevs, log, [_, _, _, rewalks]) = tap.during(|| store.multi_put(&fresh_keys));
+    assert_eq!(prevs, [None; KEYS.len()], "every key was absent");
+    let mut expect: Vec<(usize, Key)> = PLANNED.map(|(s, k)| (s, k + 5)).to_vec();
+    expect.extend([(2, 255), (2, 265)]);
+    assert_eq!(
+        probes(&log, false),
+        expect,
+        "shard 2 again, and only shard 2"
+    );
+    assert_count(rewalks, 1, "one shard walked again");
+    let mut model: Vec<(Key, Val)> = fill().chain(fresh_keys).chain([(257, 7)]).collect();
+    model.sort_unstable();
+    assert_eq!(store.range_scan(1, 400), model, "the write, then the batch");
+
+    // (f) A boundary shift at the same point moves key 60 to shard 1: the
+    // route check under the locks fails, every lock is reverted, and the
+    // batch is planned again, re-routed — walk and applies included.
+    let tap = Arc::new(Tap::default());
+    let store = ordered_store(&tap);
+    let mover = Arc::clone(&store);
+    tap.arm(2, move || {
+        mover.shift_boundary(0, 55).expect("legal shift");
+    });
+    let (prevs, log, [_, _, _, rewalks]) = tap.during(|| store.multi_put(&entries));
+    assert_eq!(prevs, want(&[]));
+    let rerouted = PLANNED.map(|(s, k)| (if k == 60 { 1 } else { s }, k));
+    let mut replanned = rerouted.to_vec();
+    replanned.sort_unstable();
+    let mut expect = PLANNED.to_vec();
+    expect.extend(&replanned);
+    assert_eq!(probes(&log, false), expect, "walked again, re-routed");
+    let writes: Vec<(usize, Key)> = log
+        .iter()
+        .filter(|e| e.call == Call::Write)
+        .map(|e| (e.shard, e.key))
+        .collect();
+    assert_eq!(writes, replanned, "applied once, re-routed");
+    assert_eq!(rewalks, 0, "a moved route re-plans; it is no stale shard");
+    assert_eq!(store.multi_get(&KEYS), KEYS.map(|k| Some(k + 1)));
+
+    // (g) On a hash-routed store nothing is walked: a hashed backend has
+    // no descent to reuse, and the default `write_each` applies the batch
+    // through the single-writer pair.
     let tap = Arc::new(Tap::default());
     let make = tapped(&tap, || StripedOptikHashTable::new(64, 8));
     let hashed: KvStore<Tapped<StripedOptikHashTable>> = KvStore::with_shards(4, make);
@@ -429,13 +532,13 @@ fn range_scans_walk_every_shard_inside_one_windowed_read() {
     let (got, log, counts) = tap.during(|| store.range_scan(1, 400));
     assert_eq!(got, want(&[]));
     assert_eq!(walks(&log), [0, 1, 2, 3], "undisturbed: one walk per shard");
-    assert_eq!(counts, [0; 3], "undisturbed: no repair, no retry, no lock");
+    assert_eq!(counts, [0; 4], "undisturbed: no repair, no retry, no lock");
     let hit = in_shard_2(&store);
     let writer = Arc::clone(&store);
     tap.arm(2, move || {
         writer.put(hit, 7);
     });
-    let (got, log, [repairs, retries, _]) = tap.during(|| store.range_scan(1, 400));
+    let (got, log, [repairs, retries, _, _]) = tap.during(|| store.range_scan(1, 400));
     assert_eq!(got, want(&[(hit, Some(7))]), "the snapshot after the write");
     assert_eq!(
         walks(&log),
@@ -461,7 +564,7 @@ fn range_scans_walk_every_shard_inside_one_windowed_read() {
         writer.put(hit, 7);
         ticker.advance(5);
     });
-    let (got, log, [repairs, retries, _]) = tap.during(|| store.range_scan(1, 400));
+    let (got, log, [repairs, retries, _, _]) = tap.during(|| store.range_scan(1, 400));
     assert_eq!(got, want(&[(hit, Some(7)), (dying, None)]));
     assert_eq!(walks(&log), [0, 1, 2, 3, 0, 1, 2, 3], "every shard again");
     assert_count(repairs, 4, "all four windows re-opened");
@@ -475,7 +578,7 @@ fn range_scans_walk_every_shard_inside_one_windowed_read() {
     tap.arm(2, move || {
         mover.shift_boundary(0, 55).expect("legal shift");
     });
-    let (got, log, [repairs, retries, _]) = tap.during(|| store.range_scan(1, 400));
+    let (got, log, [repairs, retries, _, _]) = tap.during(|| store.range_scan(1, 400));
     assert_eq!(got, want(&[]));
     assert_eq!(walks(&log), [0, 1, 2, 3, 0, 1, 2, 3]);
     assert_eq!(repairs, 0, "nothing to repair under a cover that moved");
@@ -491,5 +594,5 @@ fn range_scans_walk_every_shard_inside_one_windowed_read() {
         .collect();
     assert_eq!(got, inside);
     assert_eq!(walks(&log), [1], "exactly one range walk");
-    assert_eq!(counts, [0; 3], "no repair, no retry, no lock");
+    assert_eq!(counts, [0; 4], "no repair, no retry, no lock");
 }

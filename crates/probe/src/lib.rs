@@ -150,10 +150,15 @@ pub enum Event {
     /// its share read again while the other shards' reads were kept (an
     /// attempt that starts over counts as [`Event::ReadRetry`] instead).
     ReadRepair = 17,
+    /// Shard whose pre-lock walk a kv batch write threw away: its version
+    /// moved between the window's opening and the lock, so the backend
+    /// descends to that shard's keys again under it (counted where the
+    /// locks are taken, and only for a backend that walked).
+    BatchRewalk = 18,
 }
 
 /// Number of [`Event`] kinds.
-pub const EVENT_COUNT: usize = 18;
+pub const EVENT_COUNT: usize = 19;
 
 impl Event {
     /// All events, in counter order.
@@ -176,6 +181,7 @@ impl Event {
         Event::ArenaRunRefill,
         Event::PrefetchIssued,
         Event::ReadRepair,
+        Event::BatchRewalk,
     ];
 
     /// Stable snake_case key (report/JSON field name).
@@ -199,6 +205,7 @@ impl Event {
             Event::ArenaRunRefill => "arena_run_refills",
             Event::PrefetchIssued => "prefetch_issued",
             Event::ReadRepair => "read_repair",
+            Event::BatchRewalk => "batch_rewalk",
         }
     }
 }
@@ -674,6 +681,7 @@ impl Snapshot {
             (Event::ArenaRunRefill, "arena_run_refills"),
             (Event::PrefetchIssued, "prefetch_issued"),
             (Event::ReadRepair, "read_repairs"),
+            (Event::BatchRewalk, "batch_rewalks"),
         ] {
             if self.get(e) > 0 {
                 out.push((label.into(), self.get(e) as f64));

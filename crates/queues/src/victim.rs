@@ -116,11 +116,11 @@ impl ConcurrentQueue for VictimQueue {
         if !prev.is_null() {
             // SAFETY: `prev` is the batch predecessor; it stays alive at
             // least until its own visible flag is set (its owner spins).
-            unsafe { (*prev).next.store(node, Ordering::Release) };
-            // Wait until the batch linker made us visible in the main
-            // queue (preserves per-producer FIFO).
-            // SAFETY: node stays alive while we hold a reference (QSBR).
+            // `node` stays alive while we hold a reference (QSBR).
             unsafe {
+                (*prev).next.store(node, Ordering::Release);
+                // Wait until the batch linker made us visible in the main
+                // queue (preserves per-producer FIFO).
                 while !(*node).visible.load(Ordering::Acquire) {
                     synchro::relax();
                 }

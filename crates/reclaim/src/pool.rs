@@ -991,23 +991,24 @@ mod tests {
         let pool: Arc<NodePool<Node>> = NodePool::with_chunk_capacity(8);
 
         let p = pool.alloc(Node::default);
-        // SAFETY: fresh slot.
-        unsafe { (*p.ptr).key.store(7, Ordering::Relaxed) };
         let stale = p.ptr;
-
-        // SAFETY: unlinked (never published in this test).
-        unsafe { pool.retire(p.ptr, &h) };
+        // SAFETY: a fresh slot, unlinked (never published in this test).
+        unsafe {
+            (*p.ptr).key.store(7, Ordering::Relaxed);
+            pool.retire(p.ptr, &h);
+        }
         h.flush();
         h.quiescent();
         h.collect();
         let q = pool.alloc(Node::default);
         assert_eq!(q.ptr, stale);
-        // SAFETY: type-stable — stale pointer still addresses a Node.
-        unsafe { (*q.ptr).key.store(99, Ordering::Relaxed) };
         // The stale reader observes the *new* contents — detectable via the
         // version validation the data structures layer adds.
-        // SAFETY: as above.
-        assert_eq!(unsafe { (*stale).key.load(Ordering::Relaxed) }, 99);
+        // SAFETY: type-stable — the stale pointer still addresses a Node.
+        unsafe {
+            (*q.ptr).key.store(99, Ordering::Relaxed);
+            assert_eq!((*stale).key.load(Ordering::Relaxed), 99);
+        }
         drop(h);
     }
 
@@ -1106,10 +1107,12 @@ mod tests {
                 let h = domain.register();
                 for i in 0..OPS {
                     let p = pool.alloc(Node::default);
-                    // SAFETY: we are the only publisher of this slot.
-                    unsafe { (*p.ptr).key.store(i as u64, Ordering::Release) };
-                    // SAFETY: unlinked, retired once.
-                    unsafe { pool.retire(p.ptr, &h) };
+                    // SAFETY: we are the only publisher of this slot, which
+                    // is unlinked and retired once.
+                    unsafe {
+                        (*p.ptr).key.store(i as u64, Ordering::Release);
+                        pool.retire(p.ptr, &h);
+                    }
                     h.quiescent();
                 }
                 h.flush();

@@ -604,14 +604,15 @@ mod tests {
     fn versions_bump_only_on_modification() {
         let s = HerlihyOptikSkipList::new();
         assert!(s.insert(5, 50));
-        // SAFETY: single-threaded inspection.
-        let headv = unsafe { (*s.head).lock.get_version() };
+        // SAFETY: single-threaded inspection of the head sentinel.
+        let head = || unsafe { (*s.head).lock.get_version() };
+        let headv = head();
         // A failed insert of the same key must not touch the head version.
         assert!(!s.insert(5, 51));
-        assert_eq!(unsafe { (*s.head).lock.get_version() }, headv);
+        assert_eq!(head(), headv);
         // Deleting 5 modifies head (its level-0 pred): version must move.
         assert_eq!(s.delete(5), Some(50));
-        assert_ne!(unsafe { (*s.head).lock.get_version() }, headv);
+        assert_ne!(head(), headv);
     }
 
     #[test]

@@ -28,8 +28,11 @@
 //! descent, no trylock and no retry, and only the two lock-word writes
 //! the lock-free `range` still relies on — a lock/unlock of the level-0
 //! predecessor around the level-0 link or unlink, and a removed node's
-//! lock held forever.
+//! lock held forever. Their batched form ([`ConcurrentMap::write_each`])
+//! walks to every key of a batch before the caller's locks are taken and
+//! applies the ops through the paths that walk recorded.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 use optik::{OptikLock, OptikVersioned, Version};
@@ -94,7 +97,7 @@ const LANES: usize = 8;
 /// are in the bottom levels, whose nodes are the other 63 in 64.
 const SPLIT: usize = 6;
 
-/// One in-flight probe of [`ConcurrentMap::get_each`]'s interleaved walk:
+/// One in-flight probe of the interleaved walk (`OptikSkipList::walk`):
 /// `search`'s loop variables, parked between turns.
 #[derive(Clone, Copy)]
 struct Lane {
@@ -105,8 +108,31 @@ struct Lane {
     /// compared on this one.
     cur: *mut Node,
     level: usize,
-    /// Position of the probe's result in the round's slice of `out`.
+    /// Position of the probe in the chunk: its slot in `out` or `paths`.
     slot: usize,
+}
+
+/// A descent to one key: per level, the last node with a smaller key and
+/// its successor there. What the single writer's `find` fills and
+/// `put_at`/`remove_at` apply.
+#[derive(Clone, Copy)]
+struct Path {
+    preds: [*mut Node; MAX_LEVEL],
+    succs: [*mut Node; MAX_LEVEL],
+}
+
+impl Path {
+    const EMPTY: Path = Path {
+        preds: [std::ptr::null_mut(); MAX_LEVEL],
+        succs: [std::ptr::null_mut(); MAX_LEVEL],
+    };
+}
+
+thread_local! {
+    /// `write_each`'s per-op paths and freshness flags, reused across
+    /// calls so a batch allocates nothing once the thread has seen one as
+    /// long.
+    static BATCH: RefCell<(Vec<Path>, Vec<bool>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Shared implementation; `FINE` selects the optik1 (fine re-validation)
@@ -238,20 +264,12 @@ impl<const FINE: bool> OptikSkipList<FINE> {
     }
 
     /// The single writer's descent: [`Self::find_tracking`] without the
-    /// versions. Fills `preds`/`succs` on every level and returns the node
-    /// holding `key`, if any — with no other writer, every node the
-    /// descent reaches is fully linked and unclaimed, so a key that is
-    /// present is `succs[0]`'s.
+    /// versions, filling `path` on every level.
     ///
     /// # Safety
     ///
-    /// QSBR grace period required; the caller is the list's only writer.
-    unsafe fn find(
-        &self,
-        key: Key,
-        preds: &mut [*mut Node; MAX_LEVEL],
-        succs: &mut [*mut Node; MAX_LEVEL],
-    ) -> Option<*mut Node> {
+    /// QSBR grace period required.
+    unsafe fn find(&self, key: Key, path: &mut Path) {
         // SAFETY: per contract.
         unsafe {
             let mut pred = self.head;
@@ -263,19 +281,204 @@ impl<const FINE: bool> OptikSkipList<FINE> {
                     cur = tower::next(pred, l).load(Ordering::Acquire);
                     Self::prefetch_below(pred, l);
                 }
-                preds[l] = pred;
-                succs[l] = cur;
+                path.preds[l] = pred;
+                path.succs[l] = cur;
             }
-            let found = succs[0];
-            if (*found).key != key {
-                return None;
+        }
+    }
+
+    /// The single writer's upsert at `path`, a current descent to `key`:
+    /// the in-place swap, or a fresh link. A hit swaps with no node lock:
+    /// only a deleter contends with a swap (`put` locks for that reason),
+    /// and there is none. Returns the previous value and the node it
+    /// linked (null on a hit).
+    ///
+    /// Lock-free readers rely on `insert`'s publication order, which a
+    /// miss keeps: the node is allocated with every one of its own links
+    /// set, linked bottom-up with `Release` stores — level 0 inside one
+    /// lock/unlock of its predecessor ([`Self::relink_level0`]) — and
+    /// `fully_linked` is set last, which is where the insertion
+    /// linearizes.
+    ///
+    /// # Safety
+    ///
+    /// Grace period; the caller is the list's only writer, and no write
+    /// has touched the list since `path` was current.
+    unsafe fn put_at(&self, key: Key, val: Val, path: &Path) -> (Option<Val>, *mut Node) {
+        // SAFETY: per contract — with no other writer, every node the
+        // descent reached is fully linked and unclaimed, so a key that is
+        // present is `succs[0]`'s.
+        unsafe {
+            let found = path.succs[0];
+            if (*found).key == key {
+                return (
+                    Some((*found).val.swap(val, Ordering::AcqRel)),
+                    std::ptr::null_mut(),
+                );
             }
-            debug_assert!(
-                (*found).fully_linked.load(Ordering::Relaxed)
-                    && !(*found).marked.load(Ordering::Relaxed),
-                "the single writer found a node it had not finished writing"
+            let top_level = random_level(key) - 1;
+            let node = self.pool.alloc(Node::make(key, val, top_level, false));
+            for l in 0..=top_level {
+                tower::next(node, l).store(path.succs[l], Ordering::Relaxed);
+            }
+            Self::relink_level0(path.preds[0], node);
+            for l in 1..=top_level {
+                tower::next(path.preds[l], l).store(node, Ordering::Release);
+            }
+            (*node).fully_linked.store(true, Ordering::Release);
+            (None, node)
+        }
+    }
+
+    /// The single writer's removal at `path`, a current descent to `key`:
+    /// a miss touches no lock word; a hit claims the victim exactly as
+    /// `delete` does — its lock taken and held forever, then `marked` set,
+    /// which is where the removal linearizes — so a reader validating
+    /// against it fails and `range`'s locked step re-descends; then it is
+    /// unlinked top-down with `Release` stores (level 0 through
+    /// [`Self::relink_level0`]), its value read, and it is retired. Returns
+    /// the removed value and the victim (null on a miss), which stays
+    /// readable until the caller's next quiescence announcement.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::put_at`].
+    unsafe fn remove_at(&self, key: Key, path: &Path) -> (Option<Val>, *mut Node) {
+        // SAFETY: per contract: the victim is linked at exactly
+        // `preds[l] -> victim` on each of its levels, and it is retired
+        // once, after its last unlink.
+        unsafe {
+            let victim = path.succs[0];
+            if (*victim).key != key {
+                return (None, std::ptr::null_mut());
+            }
+            (*victim).lock.lock();
+            (*victim).marked.store(true, Ordering::Release);
+            for l in (1..=(*victim).top_level()).rev() {
+                debug_assert!(path.succs[l] == victim, "level {l} reaches the victim");
+                tower::next(path.preds[l], l).store(
+                    tower::next(victim, l).load(Ordering::Relaxed),
+                    Ordering::Release,
+                );
+            }
+            Self::relink_level0(
+                path.preds[0],
+                tower::next(victim, 0).load(Ordering::Relaxed),
             );
-            Some(found)
+            let val = (*victim).val.load(Ordering::Relaxed);
+            self.pool.retire(victim);
+            (Some(val), victim)
+        }
+    }
+
+    /// The interleaved descents behind `get_each` (`RECORD = false`) and
+    /// `write_each` (`RECORD = true`), for one chunk of up to [`LANES`]
+    /// probes. A lookup is a chain of dependent loads, about a dozen
+    /// right-moves of which most miss once the list outgrows the cache;
+    /// the chains of different keys share nothing, so the probes advance
+    /// round-robin, one comparison per turn, and each turn ends by hinting
+    /// the node the lane compares on its next turn — which is then being
+    /// fetched while the other lanes take theirs. Only the bottom
+    /// [`SPLIT`] levels are walked that way; above them every probe runs
+    /// `search`'s own loop to its end first.
+    ///
+    /// A lookup decides its probe into `out[slot]` as `search` would, at
+    /// the first level whose successor holds the key (through the shared
+    /// `read_live`), and performs exactly `search`'s reads in `search`'s
+    /// order. A recording walk never stops early: it descends to level 0
+    /// and leaves in `paths[slot]` what `find` would have.
+    ///
+    /// # Safety
+    ///
+    /// QSBR grace period, which must last as long as the caller uses a
+    /// recorded path.
+    unsafe fn walk<'a, const RECORD: bool>(
+        probes: impl Iterator<Item = (&'a Self, Key)>,
+        out: &mut [Option<Val>],
+        paths: &mut [Path],
+    ) {
+        let mut lanes = [Lane {
+            key: 0,
+            pred: std::ptr::null_mut(),
+            cur: std::ptr::null_mut(),
+            level: 0,
+            slot: 0,
+        }; LANES];
+        let mut live = 0;
+        // SAFETY: per contract.
+        unsafe {
+            'probe: for (slot, (list, key)) in probes.enumerate() {
+                assert_user_key(key);
+                let mut pred = list.head;
+                for l in (SPLIT..MAX_LEVEL).rev() {
+                    let mut cur = tower::next(pred, l).load(Ordering::Acquire);
+                    while (*cur).key < key {
+                        pred = cur;
+                        cur = tower::next(cur, l).load(Ordering::Acquire);
+                    }
+                    if RECORD {
+                        paths[slot].preds[l] = pred;
+                        paths[slot].succs[l] = cur;
+                    } else if (*cur).key == key {
+                        out[slot] = Self::read_live(cur);
+                        continue 'probe;
+                    }
+                }
+                let cur = tower::next(pred, SPLIT - 1).load(Ordering::Acquire);
+                synchro::prefetch::read(cur);
+                lanes[live] = Lane {
+                    key,
+                    pred,
+                    cur,
+                    level: SPLIT - 1,
+                    slot,
+                };
+                live += 1;
+            }
+            while live > 0 {
+                let mut i = 0;
+                while i < live {
+                    let lane = &mut lanes[i];
+                    let cur_key = (*lane.cur).key;
+                    // Whether this turn finished the probe.
+                    let done = if cur_key < lane.key {
+                        lane.pred = lane.cur;
+                        lane.cur = tower::next(lane.cur, lane.level).load(Ordering::Acquire);
+                        false
+                    } else if !RECORD && cur_key == lane.key {
+                        out[lane.slot] = Self::read_live(lane.cur);
+                        true
+                    } else {
+                        // Descend. A level whose successor is the node
+                        // just compared has its comparison decided too.
+                        loop {
+                            if RECORD {
+                                paths[lane.slot].preds[lane.level] = lane.pred;
+                                paths[lane.slot].succs[lane.level] = lane.cur;
+                            }
+                            if lane.level == 0 {
+                                if !RECORD {
+                                    out[lane.slot] = None;
+                                }
+                                break true;
+                            }
+                            lane.level -= 1;
+                            let below = tower::next(lane.pred, lane.level).load(Ordering::Acquire);
+                            if below != lane.cur {
+                                lane.cur = below;
+                                break false;
+                            }
+                        }
+                    };
+                    if done {
+                        live -= 1;
+                        lanes[i] = lanes[live];
+                    } else {
+                        synchro::prefetch::read(lane.cur);
+                        i += 1;
+                    }
+                }
+            }
         }
     }
 
@@ -589,104 +792,111 @@ impl<const FINE: bool> ConcurrentMap for OptikSkipList<FINE> {
     }
 
     /// `search` for a batch, with the cache misses of different probes
-    /// overlapped. A lookup is a chain of dependent loads, about a dozen
-    /// right-moves of which most miss once the list outgrows the cache; the
-    /// chains of different keys share nothing, so up to [`LANES`] of them
-    /// advance round-robin, one comparison per turn, and each turn ends by
-    /// hinting the node the lane compares on its next turn — which is then
-    /// being fetched while the other lanes take theirs. Only the bottom
-    /// [`SPLIT`] levels are walked that way; above them every probe runs
-    /// `search`'s own loop to its end first.
-    ///
-    /// Each probe performs exactly `search`'s reads in `search`'s order
-    /// (the hit is decided by the shared `read_live`), only interleaved
-    /// with other probes' reads, so each result is one `get` could have
-    /// returned during the call. One quiescence announcement covers the
-    /// batch: it precedes the first pointer load, and no lane announces
-    /// again while any lane holds a pointer.
+    /// overlapped: [`LANES`] probes at a time through the interleaved walk
+    /// (`OptikSkipList::walk`). Each probe performs exactly `search`'s
+    /// reads in `search`'s order, only interleaved with other probes'
+    /// reads, so each result is one `get` could have returned during the
+    /// call. One quiescence announcement covers the batch: it precedes the
+    /// first pointer load, and no lane announces again while any lane
+    /// holds a pointer.
     fn get_each(probes: &[(&Self, Key)], out: &mut [Option<Val>]) {
         assert_eq!(probes.len(), out.len(), "one result slot per probe");
         reclaim::quiescent();
         for (probes, out) in probes.chunks(LANES).zip(out.chunks_mut(LANES)) {
-            let mut lanes = [Lane {
-                key: 0,
-                pred: std::ptr::null_mut(),
-                cur: std::ptr::null_mut(),
-                level: 0,
-                slot: 0,
-            }; LANES];
-            let mut live = 0;
-            // SAFETY: grace period (see above): every pointer below was
-            // loaded after the announcement and is dropped before the next.
-            unsafe {
-                'probe: for (slot, &(list, key)) in probes.iter().enumerate() {
-                    assert_user_key(key);
-                    let mut pred = list.head;
-                    for l in (SPLIT..MAX_LEVEL).rev() {
-                        let mut cur = tower::next(pred, l).load(Ordering::Acquire);
-                        while (*cur).key < key {
-                            pred = cur;
-                            cur = tower::next(cur, l).load(Ordering::Acquire);
-                        }
-                        if (*cur).key == key {
-                            out[slot] = Self::read_live(cur);
-                            continue 'probe;
-                        }
-                    }
-                    let cur = tower::next(pred, SPLIT - 1).load(Ordering::Acquire);
-                    synchro::prefetch::read(cur);
-                    lanes[live] = Lane {
-                        key,
-                        pred,
-                        cur,
-                        level: SPLIT - 1,
-                        slot,
-                    };
-                    live += 1;
-                }
-                while live > 0 {
-                    let mut i = 0;
-                    while i < live {
-                        let lane = &mut lanes[i];
-                        let cur_key = (*lane.cur).key;
-                        // The probe's result, once this turn decides it.
-                        let decided = if cur_key < lane.key {
-                            lane.pred = lane.cur;
-                            lane.cur = tower::next(lane.cur, lane.level).load(Ordering::Acquire);
-                            None
-                        } else if cur_key == lane.key {
-                            Some(Self::read_live(lane.cur))
-                        } else {
-                            // Descend. A level whose successor is the node
-                            // just compared has its comparison decided too.
-                            loop {
-                                if lane.level == 0 {
-                                    break Some(None);
-                                }
-                                lane.level -= 1;
-                                let below =
-                                    tower::next(lane.pred, lane.level).load(Ordering::Acquire);
-                                if below != lane.cur {
-                                    lane.cur = below;
-                                    break None;
-                                }
-                            }
-                        };
-                        match decided {
-                            None => {
-                                synchro::prefetch::read(lane.cur);
-                                i += 1;
-                            }
-                            Some(result) => {
-                                out[lane.slot] = result;
-                                live -= 1;
-                                lanes[i] = lanes[live];
-                            }
-                        }
-                    }
-                }
-            }
+            // SAFETY: grace period (see above): every pointer the walk
+            // loads is loaded after the announcement and dropped before
+            // the next.
+            unsafe { Self::walk::<false>(probes.iter().copied(), out, &mut []) };
         }
+    }
+
+    /// The batch writer: `get_each`'s interleaved walk, recording every
+    /// key's path with no lock held, then `exclude`, then the applies
+    /// through `put_at`/`remove_at` on the recorded paths — an op whose
+    /// map `exclude` reports fresh descends no second time. An op on a
+    /// stale map, or on a key an earlier op of the batch linked or
+    /// unlinked, runs `find` again first. The ops of one list that follow a write there
+    /// take a *finger fix-up* instead of a descent: after a link of node
+    /// `n`, a path whose level-`l` predecessor was the writer's (for `l`
+    /// up to `n`'s height) gets `n` as its predecessor if its key is
+    /// larger and as its successor otherwise; after the unlink of victim
+    /// `v`, a path through `v` steps around it. One quiescence
+    /// announcement, before the walk, covers the call.
+    ///
+    /// # Safety
+    ///
+    /// The [`ConcurrentMap::write_each`] contract. A fresh map was not
+    /// written between the announcement above and the exclusion, so the
+    /// walk — which read a list no writer touched — is current there, and
+    /// every apply on a list is followed by the fix-up that keeps the
+    /// later paths of that list current.
+    unsafe fn write_each(
+        ops: &[(&Self, Key, Option<Val>)],
+        out: &mut [Option<Val>],
+        exclude: &mut dyn FnMut(&mut [bool]) -> bool,
+    ) -> bool {
+        assert_eq!(ops.len(), out.len(), "one result slot per op");
+        reclaim::quiescent();
+        BATCH.with_borrow_mut(|(paths, fresh)| {
+            let n = ops.len();
+            if paths.len() < n {
+                paths.resize(n, Path::EMPTY);
+            }
+            let paths = &mut paths[..n];
+            fresh.clear();
+            fresh.resize(n, false);
+            // SAFETY: grace period until the call returns (nothing below
+            // announces, `exclude` included, per contract); after
+            // `exclude`, this thread is every list's only writer.
+            unsafe {
+                for (ops, paths) in ops.chunks(LANES).zip(paths.chunks_mut(LANES)) {
+                    Self::walk::<true>(ops.iter().map(|&(l, k, _)| (l, k)), &mut [], paths);
+                }
+                if !exclude(fresh) {
+                    return false;
+                }
+                for (i, &(list, key, val)) in ops.iter().enumerate() {
+                    let (done, later) = paths[i..].split_first_mut().expect("op i has a path");
+                    if !fresh[i] {
+                        list.find(key, done);
+                    }
+                    let (prev, node) = match val {
+                        Some(v) => list.put_at(key, v, done),
+                        None => list.remove_at(key, done),
+                    };
+                    out[i] = prev;
+                    if node.is_null() {
+                        continue;
+                    }
+                    for (j, path) in (i + 1..).zip(later) {
+                        let (other, k, _) = ops[j];
+                        if !std::ptr::eq(other, list) || !fresh[j] {
+                            continue;
+                        }
+                        if k == key {
+                            fresh[j] = false;
+                            continue;
+                        }
+                        for l in 0..=(*node).top_level() {
+                            if val.is_some() {
+                                if path.preds[l] == done.preds[l] {
+                                    if k > key {
+                                        path.preds[l] = node;
+                                    } else {
+                                        path.succs[l] = node;
+                                    }
+                                }
+                            } else if path.preds[l] == node {
+                                path.preds[l] = done.preds[l];
+                            } else if path.succs[l] == node {
+                                path.succs[l] = tower::next(node, l).load(Ordering::Relaxed);
+                            }
+                        }
+                    }
+                }
+                true
+            }
+        })
     }
 
     /// In-place upsert, OPTIK style: the node's version is read before the
@@ -738,81 +948,40 @@ impl<const FINE: bool> ConcurrentMap for OptikSkipList<FINE> {
         ConcurrentSet::delete(self, key)
     }
 
-    /// The upsert for the map's only writer: one descent, then the
-    /// in-place swap or a fresh link — no trylock, no retry, no second
-    /// descent. A hit swaps with no node lock: only a deleter contends
-    /// with a swap (`put` locks for that reason), and there is none.
+    /// The upsert for the map's only writer: one descent (`find`), then
+    /// `put_at` — no trylock, no retry, no second descent.
     ///
     /// # Safety
     ///
     /// The [`ConcurrentMap::put_exclusive`] contract: no other thread
     /// writes this list during the call, so what the descent found is
-    /// current until it returns. Lock-free readers rely on `insert`'s
-    /// publication order, which a miss keeps: the node is allocated with
-    /// every one of its own links set, linked bottom-up with `Release`
-    /// stores — level 0 inside one lock/unlock of its predecessor
-    /// ([`Self::relink_level0`]) — and `fully_linked` is set last, which
-    /// is where the insertion linearizes.
+    /// current until it returns.
     unsafe fn put_exclusive(&self, key: Key, val: Val) -> Option<Val> {
         assert_user_key(key);
         reclaim::quiescent();
-        let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
+        let mut path = Path::EMPTY;
         // SAFETY: grace period; the caller excludes every other writer.
         unsafe {
-            if let Some(n) = self.find(key, &mut preds, &mut succs) {
-                return Some((*n).val.swap(val, Ordering::AcqRel));
-            }
-            let top_level = random_level(key) - 1;
-            let node = self.pool.alloc(Node::make(key, val, top_level, false));
-            for l in 0..=top_level {
-                tower::next(node, l).store(succs[l], Ordering::Relaxed);
-            }
-            Self::relink_level0(preds[0], node);
-            for l in 1..=top_level {
-                tower::next(preds[l], l).store(node, Ordering::Release);
-            }
-            (*node).fully_linked.store(true, Ordering::Release);
-            None
+            self.find(key, &mut path);
+            self.put_at(key, val, &path).0
         }
     }
 
-    /// The removal for the map's only writer: one descent; a miss returns
-    /// having touched no lock word, a hit claims, unlinks and retires
-    /// without a trylock or a retry.
+    /// The removal for the map's only writer: one descent (`find`), then
+    /// `remove_at` — a miss touches no lock word, a hit claims, unlinks
+    /// and retires without a trylock or a retry.
     ///
     /// # Safety
     ///
-    /// As for `put_exclusive`. The victim is claimed exactly as `delete`
-    /// claims it — its lock taken and held forever, then `marked` set,
-    /// which is where the removal linearizes — so a reader validating
-    /// against it fails and `range`'s locked step re-descends; then it is
-    /// unlinked top-down with `Release` stores (level 0 through
-    /// [`Self::relink_level0`]), its value read, and it is retired.
+    /// As for `put_exclusive`.
     unsafe fn remove_exclusive(&self, key: Key) -> Option<Val> {
         assert_user_key(key);
         reclaim::quiescent();
-        let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
-        // SAFETY: grace period; the caller excludes every other writer, so
-        // the victim is linked at exactly `preds[l] -> victim` on each of
-        // its levels, and it is retired once, after its last unlink.
+        let mut path = Path::EMPTY;
+        // SAFETY: grace period; the caller excludes every other writer.
         unsafe {
-            let victim = self.find(key, &mut preds, &mut succs)?;
-            (*victim).lock.lock();
-            (*victim).marked.store(true, Ordering::Release);
-            let top_level = (*victim).top_level();
-            for l in (1..=top_level).rev() {
-                debug_assert!(succs[l] == victim, "level {l} reaches the victim");
-                tower::next(preds[l], l).store(
-                    tower::next(victim, l).load(Ordering::Relaxed),
-                    Ordering::Release,
-                );
-            }
-            Self::relink_level0(preds[0], tower::next(victim, 0).load(Ordering::Relaxed));
-            let val = (*victim).val.load(Ordering::Relaxed);
-            self.pool.retire(victim);
-            Some(val)
+            self.find(key, &mut path);
+            self.remove_at(key, &path).0
         }
     }
 
@@ -956,12 +1125,15 @@ mod tests {
     fn victim_lock_stays_locked() {
         let s = OptikSkipList2::new();
         assert!(s.insert(7, 70));
-        // Grab the node before deletion.
-        let node = unsafe { tower::next(s.head, 0).load(Ordering::Relaxed) };
-        assert_eq!(s.delete(7), Some(70));
-        // SAFETY: we have not quiesced since the retire.
-        let v = unsafe { (*node).lock.get_version() };
-        assert!(OptikVersioned::is_locked_version(v));
+        // SAFETY: the node is grabbed before its deletion, and read before
+        // any quiescence that follows its retirement.
+        unsafe {
+            let node = tower::next(s.head, 0).load(Ordering::Relaxed);
+            assert_eq!(s.delete(7), Some(70));
+            assert!(OptikVersioned::is_locked_version(
+                (*node).lock.get_version()
+            ));
+        }
     }
 
     fn one_delete_wins<const FINE: bool>() {
@@ -1226,6 +1398,25 @@ mod exclusive_tests {
         list.pool.stats().map(|s| s.live())
     }
 
+    /// `put_exclusive` for `Some(v)`, `remove_exclusive` for `None`.
+    ///
+    /// # Safety
+    ///
+    /// The single-writer contract.
+    unsafe fn exclusive_op<const FINE: bool>(
+        list: &OptikSkipList<FINE>,
+        k: Key,
+        op: Option<Val>,
+    ) -> Option<Val> {
+        // SAFETY: per contract.
+        unsafe {
+            match op {
+                Some(v) => list.put_exclusive(k, v),
+                None => list.remove_exclusive(k),
+            }
+        }
+    }
+
     /// One seeded put/remove stream through `put`/`remove` on one list and
     /// through the single-writer pair on its twin, each run after the same
     /// height reseed, so both lists build the same towers: same replies,
@@ -1254,8 +1445,7 @@ mod exclusive_tests {
                     (Some(v), false) => list.put(k, v),
                     (None, false) => list.remove(k),
                     // SAFETY: single-threaded test — no other writer exists.
-                    (Some(v), true) => unsafe { list.put_exclusive(k, v) },
-                    (None, true) => unsafe { list.remove_exclusive(k) },
+                    (op, true) => unsafe { exclusive_op(list, k, op) },
                 })
                 .collect()
         };
@@ -1415,12 +1605,9 @@ mod exclusive_tests {
             for i in 1..=synchro::stress::ops(400_000) {
                 let r = xorshift(&mut x);
                 let k = r % KEYS + 1;
+                let next = (r >> 32 & 1 == 0).then_some(tag(k, i));
                 // SAFETY: this thread is the list's only writer.
-                let (got, next) = if r >> 32 & 1 == 0 {
-                    (unsafe { list.put_exclusive(k, tag(k, i)) }, Some(tag(k, i)))
-                } else {
-                    (unsafe { list.remove_exclusive(k) }, None)
-                };
+                let got = unsafe { exclusive_op(&list, k, next) };
                 assert_eq!(
                     got, model[k as usize],
                     "writer op {i} on key {k}; STRESS_SEED={seed:#x}"
@@ -1462,5 +1649,270 @@ mod exclusive_tests {
     #[test]
     fn exclusive_writer_races_lock_free_readers_4() {
         exclusive_writer_races_lock_free_readers(4);
+    }
+
+    /// Seeded batches through `write_each` on three lists against the same
+    /// ops one by one through the single-writer pair on three twins, each
+    /// side run after the same height reseed, so both sides build the same
+    /// towers. A batch is up to 40 ops — several walk chunks — on a key
+    /// space small enough for hits, misses and duplicate keys; half the
+    /// batches sort each list's ops into one ascending run, as the store
+    /// does, and the rest leave them in random order. `exclude` reports
+    /// every map fresh, every map stale, or a random choice per map, and
+    /// now and then refuses, which must apply nothing. Same replies, and
+    /// per list the same contents, `len` and live slots per tower class.
+    fn write_each_is_observably_the_exclusive_pair<const FINE: bool>() {
+        use optik_harness::api::{MAX_USER_KEY, MIN_USER_KEY};
+        const KEYS: u64 = 96;
+        let seed = synchro::stress::seed();
+        let mut x = seed | 1;
+        type Batch = Vec<(usize, Key, Option<Val>)>;
+        // Each batch with its `exclude` pattern: per-map freshness, or
+        // `None` to refuse.
+        let mut batches: Vec<(Batch, Option<[bool; 3]>)> = vec![(
+            vec![(0, MIN_USER_KEY, Some(1)), (0, MAX_USER_KEY, Some(2))],
+            Some([true; 3]),
+        )];
+        for round in 0..synchro::stress::ops(3_000) {
+            let len = (xorshift(&mut x) % 41) as usize;
+            let mut batch: Batch = (0..len)
+                .map(|i| {
+                    let r = xorshift(&mut x);
+                    let key = match r % 32 {
+                        0 => MIN_USER_KEY,
+                        1 => MAX_USER_KEY,
+                        _ => (r >> 8) % KEYS + 1,
+                    };
+                    let val = (r >> 32 & 1 == 0).then_some(round << 8 | i as u64);
+                    ((r >> 40) as usize % 3, key, val)
+                })
+                .collect();
+            if xorshift(&mut x) & 1 == 0 {
+                batch.sort_by_key(|&(list, key, _)| (list, key));
+            }
+            let r = xorshift(&mut x);
+            let fresh = match r % 8 {
+                0 => None,
+                1 | 2 => Some([true; 3]),
+                3 | 4 => Some([false; 3]),
+                _ => Some([r >> 8 & 1 == 1, r >> 9 & 1 == 1, r >> 10 & 1 == 1]),
+            };
+            batches.push((batch, fresh));
+        }
+        let one_by_one: [OptikSkipList<FINE>; 3] = std::array::from_fn(|_| OptikSkipList::new());
+        let batched: [OptikSkipList<FINE>; 3] = std::array::from_fn(|_| OptikSkipList::new());
+        // SAFETY: single-threaded test — no other writer exists, so every
+        // map is unwritten since any call began.
+        unsafe {
+            crate::level::reseed(seed);
+            let want: Vec<Vec<Option<Val>>> = batches
+                .iter()
+                .map(|(batch, fresh)| match fresh {
+                    Some(_) => batch
+                        .iter()
+                        .map(|&(l, k, op)| exclusive_op(&one_by_one[l], k, op))
+                        .collect(),
+                    None => vec![Some(u64::MAX); batch.len()],
+                })
+                .collect();
+            crate::level::reseed(seed);
+            for (b, ((batch, fresh), want)) in batches.iter().zip(&want).enumerate() {
+                let ops: Vec<(&OptikSkipList<FINE>, Key, Option<Val>)> =
+                    batch.iter().map(|&(l, k, v)| (&batched[l], k, v)).collect();
+                // Poisoned, so a slot the call leaves unwritten shows.
+                let mut got = vec![Some(u64::MAX); ops.len()];
+                let mut calls = 0;
+                let mut exclude = |flags: &mut [bool]| {
+                    calls += 1;
+                    assert_eq!(flags.len(), batch.len(), "one flag per op");
+                    assert!(flags.iter().all(|&f| !f), "flags arrive stale");
+                    let Some(fresh) = fresh else { return false };
+                    for (flag, &(l, _, _)) in flags.iter_mut().zip(batch) {
+                        *flag = fresh[l];
+                    }
+                    true
+                };
+                let applied = OptikSkipList::write_each(&ops, &mut got, &mut exclude);
+                assert_eq!(calls, 1, "batch {b}: exclude once; STRESS_SEED={seed:#x}");
+                assert_eq!(applied, fresh.is_some(), "batch {b}; STRESS_SEED={seed:#x}");
+                assert_eq!(
+                    &got, want,
+                    "batch {b}: {batch:?} under {fresh:?}; STRESS_SEED={seed:#x}"
+                );
+            }
+        }
+        for (l, (got, want)) in batched.iter().zip(&one_by_one).enumerate() {
+            assert_eq!(
+                contents(got),
+                contents(want),
+                "list {l}; STRESS_SEED={seed:#x}"
+            );
+            assert_eq!(got.len(), want.len(), "list {l}; STRESS_SEED={seed:#x}");
+            assert_eq!(live(got), live(want), "list {l}; STRESS_SEED={seed:#x}");
+        }
+        assert!(
+            batched.iter().any(|l| l.pool.stats()[1].allocations > 2),
+            "no tower above the one-line class besides the sentinels; \
+             STRESS_SEED={seed:#x}"
+        );
+    }
+
+    #[test]
+    fn write_each_is_observably_the_exclusive_pair_optik1() {
+        write_each_is_observably_the_exclusive_pair::<true>();
+    }
+
+    #[test]
+    fn write_each_is_observably_the_exclusive_pair_optik2() {
+        write_each_is_observably_the_exclusive_pair::<false>();
+    }
+
+    /// One writer batching through `write_each` over two lists against
+    /// `readers` lock-free readers mixing `get`, `get_each` and `range`
+    /// over both. Key `k` lives in list `k % 2`; values carry their key
+    /// and the writer's op index, so a torn or foreign value, or one older
+    /// than the reader has already seen for its key, fails, and so does a
+    /// window that is unsorted, duplicated or out of bounds. The writer's
+    /// `exclude` reports each list fresh or stale at random (it is the
+    /// only writer, so both are true) and the writer checks every reply
+    /// against its model; afterwards the contents are the model and both
+    /// ledgers close.
+    fn write_each_races_lock_free_readers(readers: u64) {
+        use std::sync::atomic::AtomicBool;
+        const KEYS: u64 = 128;
+        let tag = |k: Key, i: u64| k << 32 | i;
+        let seed = synchro::stress::seed();
+        eprintln!("stress seed: {seed:#018x} (set STRESS_SEED={seed:#x} to reproduce)");
+        let lists: [OptikSkipList2; 2] = std::array::from_fn(|_| OptikSkipList2::new());
+        let list_of = |k: Key| &lists[(k % 2) as usize];
+        let stop = AtomicBool::new(false);
+        let mut model = vec![None; KEYS as usize + 1];
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..readers)
+                .map(|r| {
+                    let (lists, list_of, stop) = (&lists, &list_of, &stop);
+                    s.spawn(move || {
+                        let mut x = (seed ^ (r + 2).wrapping_mul(0x9E3779B97F4A7C15)) | 1;
+                        let mut newest = vec![0u64; KEYS as usize + 1];
+                        let mut check = |k: Key, v: Val| {
+                            assert_eq!(
+                                v >> 32,
+                                k,
+                                "reader {r}: foreign or torn value {v:#x} at key {k}; \
+                                 STRESS_SEED={seed:#x}"
+                            );
+                            let i = v & 0xffff_ffff;
+                            assert!(
+                                i >= newest[k as usize],
+                                "reader {r}: key {k} went back from op {} to op {i}; \
+                                 STRESS_SEED={seed:#x}",
+                                newest[k as usize]
+                            );
+                            newest[k as usize] = i;
+                        };
+                        while !stop.load(Ordering::Relaxed) {
+                            let y = xorshift(&mut x);
+                            let k = y % KEYS + 1;
+                            match y >> 40 & 3 {
+                                0 | 1 => {
+                                    if let Some(v) = list_of(k).get(k) {
+                                        check(k, v);
+                                    }
+                                }
+                                2 => {
+                                    let mut keys: Vec<Key> = (0..(y >> 8) % 16 + 1)
+                                        .map(|_| xorshift(&mut x) % KEYS + 1)
+                                        .collect();
+                                    keys.sort_unstable();
+                                    keys.dedup();
+                                    let probes: Vec<(&OptikSkipList2, Key)> =
+                                        keys.iter().map(|&k| (list_of(k), k)).collect();
+                                    let mut got = vec![None; keys.len()];
+                                    OptikSkipList2::get_each(&probes, &mut got);
+                                    for (&k, v) in keys.iter().zip(got) {
+                                        if let Some(v) = v {
+                                            check(k, v);
+                                        }
+                                    }
+                                }
+                                _ => {
+                                    let hi = k + (y >> 8) % 48;
+                                    let list = &lists[(y >> 16 & 1) as usize];
+                                    let window = list.range_collect(k, hi);
+                                    assert!(
+                                        window.windows(2).all(|w| w[0].0 < w[1].0)
+                                            && window.iter().all(|&(g, _)| (k..=hi).contains(&g)),
+                                        "reader {r}: window [{k}, {hi}] unsorted, duplicated \
+                                         or out of bounds: {window:?}; STRESS_SEED={seed:#x}"
+                                    );
+                                    for (g, v) in window {
+                                        check(g, v);
+                                    }
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let mut x = seed | 1;
+            let mut i = 0;
+            while i < synchro::stress::ops(400_000) {
+                let len = xorshift(&mut x) % 12 + 1;
+                let mut batch: Vec<(&OptikSkipList2, Key, Option<Val>)> = (0..len)
+                    .map(|_| {
+                        i += 1;
+                        let r = xorshift(&mut x);
+                        let k = r % KEYS + 1;
+                        (list_of(k), k, (r >> 32 & 1 == 0).then_some(tag(k, i)))
+                    })
+                    .collect();
+                batch.sort_by_key(|&(_, k, _)| (k % 2, k));
+                let stale = xorshift(&mut x);
+                let mut exclude = |fresh: &mut [bool]| {
+                    for (f, &(_, k, _)) in fresh.iter_mut().zip(&batch) {
+                        *f = stale >> (k % 2) & 1 == 0;
+                    }
+                    true
+                };
+                let mut got = vec![None; batch.len()];
+                // SAFETY: this thread is both lists' only writer.
+                unsafe { OptikSkipList2::write_each(&batch, &mut got, &mut exclude) };
+                for (&(_, k, next), got) in batch.iter().zip(got) {
+                    assert_eq!(
+                        got, model[k as usize],
+                        "writer op on key {k} before op {i}; STRESS_SEED={seed:#x}"
+                    );
+                    model[k as usize] = next;
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            reclaim::offline_while(|| {
+                for h in handles {
+                    h.join().expect("reader panicked");
+                }
+            });
+        });
+        let want: Vec<(Key, Val)> = (1..=KEYS)
+            .filter_map(|k| model[k as usize].map(|v| (k, v)))
+            .collect();
+        let mut got = [contents(&lists[0]), contents(&lists[1])].concat();
+        got.sort_unstable();
+        assert_eq!(got, want, "STRESS_SEED={seed:#x}");
+        assert!(
+            Towers::grace_elapses(&lists.each_ref().map(|l| &l.pool)),
+            "grace period never elapsed; STRESS_SEED={seed:#x}"
+        );
+        let live: u64 = lists.iter().flat_map(live).sum();
+        assert_eq!(live, want.len() as u64 + 4, "STRESS_SEED={seed:#x}");
+    }
+
+    #[test]
+    fn write_each_races_lock_free_readers_2() {
+        write_each_races_lock_free_readers(2);
+    }
+
+    #[test]
+    fn write_each_races_lock_free_readers_4() {
+        write_each_races_lock_free_readers(4);
     }
 }
