@@ -104,11 +104,6 @@ pub fn group_blurb(group: &str) -> &'static str {
             "Allocation churn, cross-thread recirculation (threads displace each other's \
              nodes; retired slots flow through the depot)"
         }
-        "alloc.arena" => {
-            "Arena-backed pool twins of alloc.churn.pool / alloc.xthread.pool (aligned \
-             type-stable slabs; the depot sorts returned slots so magazine refills are \
-             address-clustered runs); A/B against the magazine pool with --ab"
-        }
         "kv.read-heavy" => {
             "kv store, read-heavy (8192 entries, zipf a=0.9, 90% get / 5% put / 5% remove, 8 shards)"
         }
@@ -433,24 +428,6 @@ fn fig10(r: &mut Registry) {
             w.clone(),
             move || OptikGlHashTable::new(buckets),
         ));
-        // Arena twins of the two pool-heavy columns: the same tables with
-        // their shared node pool mounted in arena mode. A/B against the
-        // magazine-pool columns with e.g.
-        //   bench_all --ab fig10.medium.optik-gl,fig10.medium.optik-gl-arena
-        r.register(Scenario::set(
-            &name("optik-gl-arena"),
-            about,
-            "ht/optik-gl-arena",
-            w.clone(),
-            move || OptikGlHashTable::arena(buckets),
-        ));
-        r.register(Scenario::set(
-            &name("java-optik-arena"),
-            about,
-            "ht/java-optik-arena",
-            w.clone(),
-            move || StripedOptikHashTable::arena(buckets, optik_hashtables::DEFAULT_SEGMENTS),
-        ));
         r.register(Scenario::set(
             &name("optik-map"),
             about,
@@ -679,13 +656,9 @@ const ALLOC_SLOTS_PER_THREAD: usize = 256;
 /// slots come straight back through the thread's own magazine;
 /// `shared == true` has threads displace each other's nodes, so slots
 /// recirculate through the depot.
-fn alloc_pool_scenario(name: &str, about: &str, id: &str, shared: bool, arena: bool) -> Scenario {
+fn alloc_pool_scenario(name: &str, about: &str, id: &str, shared: bool) -> Scenario {
     Scenario::custom(name, about, id, Subject::None, move |spec| {
-        let pool: Arc<NodePool<AllocNode>> = if arena {
-            NodePool::arena()
-        } else {
-            NodePool::new()
-        };
+        let pool: Arc<NodePool<AllocNode>> = NodePool::new();
         let slots: Vec<AtomicPtr<AllocNode>> = (0..spec.threads * ALLOC_SLOTS_PER_THREAD)
             .map(|_| AtomicPtr::new(std::ptr::null_mut()))
             .collect();
@@ -724,17 +697,8 @@ fn alloc_pool_scenario(name: &str, about: &str, id: &str, shared: bool, arena: b
         });
         let wall = start.elapsed();
         let ops: u64 = results.iter().sum();
-        let stats = pool.stats();
-        let mut m = Measurement::from_ops(ops, wall)
-            .with_extra("magazine_hit_pct", 100.0 * stats.magazine_hit_rate());
-        if let Some(a) = pool.arena_stats() {
-            m = m.with_extra("arena_slab_allocs", a.slab_allocs as f64);
-            m = m.with_extra(
-                "freed_per_run_refill",
-                a.refilled_slots as f64 / a.run_refills.max(1) as f64,
-            );
-        }
-        m
+        Measurement::from_ops(ops, wall)
+            .with_extra("magazine_hit_pct", 100.0 * pool.stats().magazine_hit_rate())
     })
 }
 
@@ -799,7 +763,6 @@ fn alloc(r: &mut Registry) {
         about,
         "alloc/churn-pool",
         false,
-        false,
     ));
     r.register(alloc_boxed_scenario(
         "alloc.churn.boxed",
@@ -812,35 +775,11 @@ fn alloc(r: &mut Registry) {
         about,
         "alloc/xthread-pool",
         true,
-        false,
     ));
     r.register(alloc_boxed_scenario(
         "alloc.xthread.boxed",
         about,
         "alloc/xthread-boxed",
-        true,
-    ));
-    // Arena-backed twins of the two pool scenarios: identical loops, the
-    // pool mounted in arena mode (aligned slabs, address-ordered refills).
-    // A/B against the magazine pool with
-    //   bench_all --ab alloc.churn.pool,alloc.arena.churn
-    //   bench_all --ab alloc.xthread.pool,alloc.arena.xthread
-    let about = "Arena-backed pool twins of alloc.churn.pool / \
-                 alloc.xthread.pool: aligned type-stable slabs, depot hands \
-                 out address-clustered magazine refills; compare interleaved \
-                 with --ab";
-    r.register(alloc_pool_scenario(
-        "alloc.arena.churn",
-        about,
-        "alloc/arena-churn",
-        false,
-        true,
-    ));
-    r.register(alloc_pool_scenario(
-        "alloc.arena.xthread",
-        about,
-        "alloc/arena-xthread",
-        true,
         true,
     ));
 }

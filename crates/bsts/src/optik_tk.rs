@@ -127,15 +127,7 @@ impl OptikBst {
     /// Creates an empty tree (sentinel root router over two sentinel
     /// leaves).
     pub fn new() -> Self {
-        Self::from_pool(NodePool::new())
-    }
-
-    /// Creates an empty tree with an arena-backed node pool.
-    pub fn new_arena() -> Self {
-        Self::from_pool(NodePool::arena())
-    }
-
-    fn from_pool(pool: Arc<NodePool<Node>>) -> Self {
+        let pool = NodePool::new();
         let l = pool.alloc_init(|| Node::leaf(SENTINEL_KEY, 0));
         let r = pool.alloc_init(|| Node::leaf(SENTINEL_KEY, 0));
         let root = pool.alloc_init(|| Node::router(SENTINEL_KEY, l, r));

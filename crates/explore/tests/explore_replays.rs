@@ -290,88 +290,6 @@ fn pool_exchange_schedule_replays() {
     }
 }
 
-/// The arena pin: a schedule over the **arena-backed** pool in which a
-/// surrendered run actually flows back out through an address-ordered
-/// free-store refill, recorded and replayed byte-exactly within the run.
-/// Guards the arena's reuse of the depot's `exchange_epoch` yield-point
-/// discipline (see `explore_pool.rs` family 1): if the sorted free store
-/// ever exchanges outside the shim word, this schedule stops being
-/// reproducible.
-#[cfg(optik_explore)]
-#[test]
-fn arena_refill_schedule_replays() {
-    use std::sync::Arc;
-
-    use reclaim::{NodePool, Qsbr};
-    use synchro::shim;
-
-    let pool_cfg = Config {
-        max_steps: 20_000,
-        max_schedules: 400_000,
-        preemptions: Some(2),
-        sleep_sets: true,
-    };
-    /// `(run refills, slab allocs, recycle hits, capacity)` after the
-    /// schedule.
-    type Outcome = (u64, u64, u64, u64);
-    let run = |trial: &Trial| -> Outcome {
-        let pool: Arc<NodePool<u64>> = NodePool::arena_with_config(8, 2);
-        let domain = Qsbr::new();
-        // Completion barrier on a shim word (see
-        // `pool_exchange_schedule_replays`).
-        let done = shim::AtomicU64::new(0);
-        // Two-phase burst (see `probe_conservation.rs`): 6 slots freed
-        // in one collect overflow both 2-slot magazines and surrender a
-        // run to the free store; 5 follow-up allocations drain the
-        // magazines and pull it back out through an address-ordered
-        // refill — so the serial schedule provably refills.
-        let churn = || {
-            let h = domain.register();
-            let mut held: Vec<*mut u64> = Vec::new();
-            for phase in [6u64, 5] {
-                for i in 0..phase {
-                    held.push(pool.alloc_init(|| i));
-                }
-                for p in held.drain(..) {
-                    // SAFETY: `p` came from this pool, was never
-                    // published, and is retired exactly once.
-                    unsafe { pool.retire(p, &h) };
-                }
-                h.flush();
-                h.quiescent();
-                h.collect();
-            }
-            drop(h);
-            support::arrive_and_wait(&done, 2);
-        };
-        trial.run(&[&churn, &churn]);
-        let a = pool.arena_stats().expect("arena mode");
-        (
-            a.run_refills,
-            a.slab_allocs,
-            a.pool.recycle_hits,
-            a.pool.capacity,
-        )
-    };
-    let mut pinned: Option<(Token, Outcome)> = None;
-    explore(pool_cfg, |trial| {
-        let out = run(trial);
-        if out.0 > 0 && pinned.is_none() {
-            pinned = Some((trial.token(), out));
-        }
-    });
-    let (token, outcome) = pinned.expect("some schedule refills from the arena free store");
-    for _ in 0..2 {
-        replay(pool_cfg, &token, |trial| {
-            let out = run(trial);
-            assert_eq!(
-                out, outcome,
-                "arena replay of {token} changed the observable outcome"
-            );
-        });
-    }
-}
-
 /// The kv-level pin: a TTL expiry-vs-put schedule over the real store,
 /// recorded and replayed byte-exactly within the run. Guards the clock
 /// sampling discipline in `optik_kv` (see `explore_kv.rs` family 1 and

@@ -142,34 +142,30 @@ fn counters_match_ground_truth_on_every_schedule() {
     });
 }
 
-/// The arena ledger under deterministic depot traffic: two threads churn
-/// slots through an arena-backed pool (2-slot magazines, 8-slot slabs, a
-/// private QSBR domain), and on *every* enumerated schedule the probe
-/// deltas must balance the arena's own books exactly — every allocation
-/// resolved as a magazine hit or a slow-path miss (never both, never
-/// neither), every mapped slab and every address-ordered run refill
-/// counted once, and the [`reclaim::ArenaStats::conservation`] identities
-/// (freed == refilled + parked, free store == depot, capacity == slabs ×
-/// chunk, every slot in exactly one place) holding at rest.
+/// The pool ledger under deterministic depot traffic: two threads churn
+/// slots through a node pool (2-slot magazines, 8-slot chunks, a private
+/// QSBR domain), and on *every* enumerated schedule the probe deltas must
+/// balance the pool's books exactly — every allocation resolved as a
+/// magazine hit or a slow-path miss (never both, never neither), and
+/// every slot in exactly one place at rest.
 #[test]
-fn arena_ledger_balances_on_every_schedule() {
+fn pool_ledger_balances_on_every_schedule() {
     let _turn = snapshot_turn();
     use reclaim::{NodePool, Qsbr};
     use std::sync::Arc;
     use synchro::shim;
 
     // Two-phase burst, sized so the serial schedule provably pushes a
-    // whole magazine through the free store: with 2-slot magazines
-    // (loaded + prev), BURST = 6 slots freed in one collect overflow
-    // both magazines and surrender one run; DRAIN = 5 follow-up
-    // allocations empty both magazines and pull that run back out
-    // through an address-ordered refill.
+    // whole magazine through the depot: with 2-slot magazines (loaded +
+    // prev), BURST = 6 slots freed in one collect overflow both
+    // magazines and surrender one; DRAIN = 5 follow-up allocations empty
+    // both magazines and pull it back out.
     const BURST: u64 = 6;
     const DRAIN: u64 = 5;
-    let mut refill_counts = std::collections::BTreeSet::new();
+    let mut recycle_counts = std::collections::BTreeSet::new();
     let stats = explore(cfg(), |trial: &Trial| {
         let before = Snapshot::take();
-        let pool: Arc<NodePool<u64>> = NodePool::arena_with_config(8, 2);
+        let pool: Arc<NodePool<u64>> = NodePool::with_config(8, 2);
         let domain = Qsbr::new();
         let done = shim::AtomicU64::new(0);
         let worker = || {
@@ -192,50 +188,34 @@ fn arena_ledger_balances_on_every_schedule() {
         };
         trial.run(&[&worker, &worker]);
         let d = Snapshot::take().delta_since(&before);
-        let a = pool.arena_stats().expect("arena mode");
+        let s = pool.stats();
         assert_eq!(
             d.get(Event::MagazineHit) + d.get(Event::MagazineMiss),
-            a.pool.allocations,
+            s.allocations,
             "an allocation resolved twice or never; replay with schedule token {}",
             trial.token()
         );
         assert_eq!(
             d.get(Event::MagazineMiss),
-            a.pool.slow_allocs,
+            s.slow_allocs,
             "probe MagazineMiss diverged from the pool's slow-alloc count; \
              replay with schedule token {}",
             trial.token()
         );
         assert_eq!(
-            d.get(Event::ArenaSlabAlloc),
-            a.slab_allocs,
-            "probe ArenaSlabAlloc diverged from mapped slabs; \
-             replay with schedule token {}",
+            (s.in_grace, s.cached + s.depot + s.unallocated),
+            (0, s.capacity),
+            "slot conservation violated ({s:?}); replay with schedule token {}",
             trial.token()
         );
-        assert_eq!(
-            d.get(Event::ArenaRunRefill),
-            a.run_refills,
-            "probe ArenaRunRefill diverged from free-store refills; \
-             replay with schedule token {}",
-            trial.token()
-        );
-        for (label, x, y) in a.conservation() {
-            assert_eq!(
-                x,
-                y,
-                "arena ledger `{label}` broken in schedule {}",
-                trial.token()
-            );
-        }
-        refill_counts.insert(a.run_refills);
+        recycle_counts.insert(s.recycle_hits);
     });
-    eprintln!("probe_conservation::arena_ledger_balances: {stats}");
+    eprintln!("probe_conservation::pool_ledger_balances: {stats}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
-    // The equalities proved nothing unless some schedule actually pushed
-    // a surrendered run back out through an address-ordered refill.
+    // The equalities proved nothing unless some schedule actually handed
+    // a retired slot back out.
     assert!(
-        refill_counts.iter().any(|&n| n > 0),
-        "no schedule exercised an arena run refill: {refill_counts:?}"
+        recycle_counts.iter().any(|&n| n > 0),
+        "no schedule recycled a slot: {recycle_counts:?}"
     );
 }

@@ -37,22 +37,6 @@ macro_rules! bucketed_table {
                 }
             }
 
-            /// Creates a table whose shared pool is arena-backed
-            /// ([`reclaim::NodePool::arena`]): aligned slabs and
-            /// address-ordered magazine refills. Same sharing shape and
-            /// API as [`Self::new`].
-            ///
-            /// # Panics
-            ///
-            /// Panics if `buckets == 0`.
-            pub fn arena(buckets: usize) -> Self {
-                assert!(buckets > 0, "need at least one bucket");
-                let pool = <$pool>::arena();
-                Self {
-                    buckets: (0..buckets).map(|_| <$list>::with_pool(&pool)).collect(),
-                }
-            }
-
             /// Number of buckets.
             pub fn num_buckets(&self) -> usize {
                 self.buckets.len()

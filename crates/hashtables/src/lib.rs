@@ -42,7 +42,7 @@ pub const DEFAULT_SEGMENTS: usize = 128;
 /// mask, which is the same function without the 64-bit division; both
 /// arms select the same bucket for every key.
 #[inline]
-pub(crate) fn bucket_of(key: Key, buckets: usize) -> usize {
+pub fn bucket_of(key: Key, buckets: usize) -> usize {
     let n = buckets as u64;
     if n.is_power_of_two() {
         (key & (n - 1)) as usize

@@ -44,12 +44,6 @@ pub(crate) fn chain_pool() -> ChainPool {
     NodePool::new()
 }
 
-/// Arena-backed variant of [`chain_pool`]: aligned slabs and
-/// address-ordered magazine refills, same API and safety story.
-pub(crate) fn chain_pool_arena() -> ChainPool {
-    NodePool::arena()
-}
-
 /// Lock-free walk of one chain, visiting every `(key, value)` — the one
 /// traversal all three striped tables' `for_each` implementations share.
 ///
@@ -87,20 +81,6 @@ impl StripedHashTable {
     ///
     /// Panics if either argument is zero.
     pub fn new(buckets: usize, segments: usize) -> Self {
-        Self::build(buckets, segments, chain_pool())
-    }
-
-    /// Creates a table whose chain pool is arena-backed
-    /// ([`reclaim::NodePool::arena`]); same layout as [`Self::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is zero.
-    pub fn arena(buckets: usize, segments: usize) -> Self {
-        Self::build(buckets, segments, chain_pool_arena())
-    }
-
-    fn build(buckets: usize, segments: usize, pool: ChainPool) -> Self {
         assert!(buckets > 0, "need at least one bucket");
         assert!(segments > 0, "need at least one segment");
         Self {
@@ -110,7 +90,7 @@ impl StripedHashTable {
             segments: (0..segments)
                 .map(|_| CachePadded::new(TtasLock::new()))
                 .collect(),
-            pool,
+            pool: chain_pool(),
         }
     }
 

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 use optik::{OptikLock, OptikVersioned};
 use synchro::CachePadded;
 
-use crate::striped::{chain_pool, chain_pool_arena, ChainPool, Node};
+use crate::striped::{chain_pool, ChainPool, Node};
 use crate::{bucket_of, ConcurrentSet, Key, Val, DEFAULT_SEGMENTS};
 
 /// The striped OPTIK (`java-optik`) hash table. Chain nodes come from a
@@ -43,20 +43,6 @@ impl StripedOptikHashTable {
     ///
     /// Panics if either argument is zero.
     pub fn new(buckets: usize, segments: usize) -> Self {
-        Self::build(buckets, segments, chain_pool())
-    }
-
-    /// Creates a table whose chain pool is arena-backed
-    /// ([`reclaim::NodePool::arena`]); same layout as [`Self::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is zero.
-    pub fn arena(buckets: usize, segments: usize) -> Self {
-        Self::build(buckets, segments, chain_pool_arena())
-    }
-
-    fn build(buckets: usize, segments: usize, pool: ChainPool) -> Self {
         assert!(buckets > 0, "need at least one bucket");
         assert!(segments > 0, "need at least one segment");
         Self {
@@ -66,7 +52,7 @@ impl StripedOptikHashTable {
             segments: (0..segments)
                 .map(|_| CachePadded::new(OptikVersioned::new()))
                 .collect(),
-            pool,
+            pool: chain_pool(),
         }
     }
 

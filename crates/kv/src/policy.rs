@@ -125,14 +125,7 @@ impl ShardPolicy for HashPolicy {
     }
     #[inline]
     fn route(&self, key: Key) -> usize {
-        let (h, n) = (spread(key) >> 32, self.shards as u64);
-        // A power-of-two shard count reduces with the mask: the same
-        // shard as `%` for every key, without the 64-bit division.
-        if n.is_power_of_two() {
-            (h & (n - 1)) as usize
-        } else {
-            (h % n) as usize
-        }
+        optik_hashtables::bucket_of(spread(key) >> 32, self.shards)
     }
 }
 

@@ -65,15 +65,7 @@ unsafe impl Sync for HarrisList {}
 impl HarrisList {
     /// Creates an empty list.
     pub fn new() -> Self {
-        Self::from_pool(NodePool::with_chunk_capacity(LIST_POOL_CHUNK))
-    }
-
-    /// Creates an empty list with an arena-backed node pool.
-    pub fn new_arena() -> Self {
-        Self::from_pool(NodePool::arena_with_chunk_capacity(LIST_POOL_CHUNK))
-    }
-
-    fn from_pool(pool: Arc<NodePool<Node>>) -> Self {
+        let pool = NodePool::with_chunk_capacity(LIST_POOL_CHUNK);
         let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, std::ptr::null_mut()));
         let head = pool.alloc_init(|| Node::make(crate::HEAD_KEY, 0, tail));
         Self { head, pool }

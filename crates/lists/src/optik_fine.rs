@@ -73,12 +73,6 @@ impl OptikListPool {
     pub fn new() -> Self {
         Self(NodePool::new())
     }
-
-    /// Creates an arena-backed pool ([`NodePool::arena`]): aligned slabs
-    /// and address-ordered magazine refills, same API and safety story.
-    pub fn arena() -> Self {
-        Self(NodePool::arena())
-    }
 }
 
 impl Default for OptikListPool {
@@ -92,11 +86,6 @@ impl OptikList {
     /// node pool.
     pub fn new() -> Self {
         Self::from_pool(NodePool::with_chunk_capacity(LIST_POOL_CHUNK))
-    }
-
-    /// Creates an empty list with a private arena-backed node pool.
-    pub fn new_arena() -> Self {
-        Self::from_pool(NodePool::arena_with_chunk_capacity(LIST_POOL_CHUNK))
     }
 
     /// Creates an empty list drawing nodes from `pool`, shared with other

@@ -67,12 +67,6 @@ impl OptikGlListPool {
     pub fn new() -> Self {
         Self(NodePool::new())
     }
-
-    /// Creates an arena-backed pool ([`NodePool::arena`]): aligned slabs
-    /// and address-ordered magazine refills, same API and safety story.
-    pub fn arena() -> Self {
-        Self(NodePool::arena())
-    }
 }
 
 impl Default for OptikGlListPool {
@@ -85,11 +79,6 @@ impl<L: OptikLock> OptikGlList<L> {
     /// Creates an empty list with a private node pool.
     pub fn new() -> Self {
         Self::from_pool(NodePool::with_chunk_capacity(LIST_POOL_CHUNK))
-    }
-
-    /// Creates an empty list with a private arena-backed node pool.
-    pub fn new_arena() -> Self {
-        Self::from_pool(NodePool::arena_with_chunk_capacity(LIST_POOL_CHUNK))
     }
 
     /// Creates an empty list drawing nodes from `pool`, shared with other

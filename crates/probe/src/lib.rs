@@ -138,27 +138,22 @@ pub enum Event {
     MigrationBatch = 12,
     /// Key moved by a rebalance migration.
     MigrationMoved = 13,
-    /// Arena-backed pool mapped a fresh aligned slab.
-    ArenaSlabAlloc = 14,
-    /// Magazine refilled from the arena depot's address-ordered free
-    /// store (as opposed to a bump-fresh or loose-magazine refill).
-    ArenaRunRefill = 15,
     /// Software prefetch issued one hop ahead of a traversal.
-    PrefetchIssued = 16,
+    PrefetchIssued = 14,
     /// Shard window re-opened by a repair round of a kv windowed read
     /// (`multi_get`, `range_scan`): it broke, its version was re-read and
     /// its share read again while the other shards' reads were kept (an
     /// attempt that starts over counts as [`Event::ReadRetry`] instead).
-    ReadRepair = 17,
+    ReadRepair = 15,
     /// Shard whose pre-lock walk a kv batch write threw away: its version
     /// moved between the window's opening and the lock, so the backend
     /// descends to that shard's keys again under it (counted where the
     /// locks are taken, and only for a backend that walked).
-    BatchRewalk = 18,
+    BatchRewalk = 16,
 }
 
 /// Number of [`Event`] kinds.
-pub const EVENT_COUNT: usize = 19;
+pub const EVENT_COUNT: usize = 17;
 
 impl Event {
     /// All events, in counter order.
@@ -177,8 +172,6 @@ impl Event {
         Event::TtlExpired,
         Event::MigrationBatch,
         Event::MigrationMoved,
-        Event::ArenaSlabAlloc,
-        Event::ArenaRunRefill,
         Event::PrefetchIssued,
         Event::ReadRepair,
         Event::BatchRewalk,
@@ -201,8 +194,6 @@ impl Event {
             Event::TtlExpired => "ttl_expired",
             Event::MigrationBatch => "migration_batch",
             Event::MigrationMoved => "migration_moved",
-            Event::ArenaSlabAlloc => "arena_slab_allocs",
-            Event::ArenaRunRefill => "arena_run_refills",
             Event::PrefetchIssued => "prefetch_issued",
             Event::ReadRepair => "read_repair",
             Event::BatchRewalk => "batch_rewalk",
@@ -225,15 +216,10 @@ pub enum HistKind {
     ValidationWindow = 2,
     /// QSBR grace latency: limbo batch seal to batch free.
     GraceLatency = 3,
-    /// Length of each maximal address-contiguous run inside an arena
-    /// magazine refill (a *size* in nodes, not cycles: buckets read as
-    /// run-length classes 1, 2–3, 4–7, …). Longer runs mean recycled
-    /// nodes handed out physically adjacent.
-    ArenaRun = 4,
 }
 
 /// Number of [`HistKind`]s.
-pub const HIST_COUNT: usize = 5;
+pub const HIST_COUNT: usize = 4;
 
 /// Buckets per histogram: bucket `b` counts values in `[2^b, 2^(b+1))`
 /// (bucket 0 additionally holds zero).
@@ -246,7 +232,6 @@ impl HistKind {
         HistKind::LockHold,
         HistKind::ValidationWindow,
         HistKind::GraceLatency,
-        HistKind::ArenaRun,
     ];
 
     /// Stable snake_case key.
@@ -256,7 +241,6 @@ impl HistKind {
             HistKind::LockHold => "hold",
             HistKind::ValidationWindow => "range_window",
             HistKind::GraceLatency => "grace",
-            HistKind::ArenaRun => "arena_run",
         }
     }
 }
@@ -663,12 +647,6 @@ impl Snapshot {
                 out.push((label.into(), v as f64));
             }
         }
-        if self.hist(HistKind::ArenaRun).count() > 0 {
-            out.push((
-                "arena_run_mean_len".into(),
-                self.hist(HistKind::ArenaRun).mean(),
-            ));
-        }
         for (e, label) in [
             (Event::BackoffEscalate, "backoff_escalations"),
             (Event::SpinAcquire, "spin_acquires"),
@@ -677,8 +655,6 @@ impl Snapshot {
             (Event::MigrationBatch, "migration_batches"),
             (Event::MigrationMoved, "migration_moved"),
             (Event::GraceBatchFree, "grace_batches"),
-            (Event::ArenaSlabAlloc, "arena_slab_allocs"),
-            (Event::ArenaRunRefill, "arena_run_refills"),
             (Event::PrefetchIssued, "prefetch_issued"),
             (Event::ReadRepair, "read_repairs"),
             (Event::BatchRewalk, "batch_rewalks"),

@@ -30,21 +30,12 @@
 //! [`QsbrHandle::offline`]; otherwise garbage accumulates. This is the same
 //! contract ssmem imposes in the paper.
 
-//!
-//! [`NodePool`] comes in two storage modes sharing one API: the default
-//! boxed-chunk pool, and an arena-backed variant ([`NodePool::arena`],
-//! module [`arena`]) with aligned slabs and address-ordered magazine
-//! refills for traversal locality; [`ArenaStats`] extends the slot
-//! ledger with the arena's own conservation identities.
-
 #![warn(missing_docs)]
 
-pub mod arena;
 mod domain;
 mod global;
 mod pool;
 
-pub use arena::ArenaStats;
 pub use domain::{Qsbr, QsbrHandle, QsbrStats, RetireCtx, MAX_THREADS};
 pub use global::{global, offline, offline_while, online, quiescent, retire_global, with_local};
 pub use pool::{NodePool, PoolStats, PooledPtr, DEFAULT_CHUNK_CAPACITY, DEFAULT_MAGAZINE_CAPACITY};

@@ -151,15 +151,7 @@ unsafe impl Sync for FraserSkipList {}
 impl FraserSkipList {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        Self::from_pool(Towers::new())
-    }
-
-    /// Creates an empty skip list with an arena-backed node pool.
-    pub fn new_arena() -> Self {
-        Self::from_pool(Towers::new_arena())
-    }
-
-    fn from_pool(pool: Towers<Node, SMALL>) -> Self {
+        let pool = Towers::new();
         let tail = pool.alloc(Node::make(TAIL_KEY, 0, MAX_LEVEL - 1));
         let head = pool.alloc(Node::make(HEAD_KEY, 0, MAX_LEVEL - 1));
         // SAFETY: fresh nodes.

@@ -67,8 +67,7 @@ mod cross_tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Every list, on boxed-chunk pools (`new`) and arena pools
-    /// (`new_arena`), as trait objects of the caller's choosing.
+    /// Every list, as trait objects of the caller's choosing.
     macro_rules! every_list {
         () => {
             vec![
@@ -77,14 +76,6 @@ mod cross_tests {
                 ("optik1", Arc::new(OptikSkipList1::new())),
                 ("optik2", Arc::new(OptikSkipList2::new())),
                 ("fraser", Arc::new(FraserSkipList::new())),
-                ("herlihy/arena", Arc::new(HerlihySkipList::new_arena())),
-                (
-                    "herl-optik/arena",
-                    Arc::new(HerlihyOptikSkipList::new_arena()),
-                ),
-                ("optik1/arena", Arc::new(OptikSkipList1::new_arena())),
-                ("optik2/arena", Arc::new(OptikSkipList2::new_arena())),
-                ("fraser/arena", Arc::new(FraserSkipList::new_arena())),
             ]
         };
     }

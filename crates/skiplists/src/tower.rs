@@ -15,10 +15,10 @@
 //!   sentinels.
 //!
 //! Each class is its own type-stable [`NodePool`], so a slot is only ever
-//! recycled as a node of the same list *and* class; QSBR retirement, the
-//! arena mode and the pool conservation ledger hold per class. Lists keep
-//! passing `*mut H` around; [`next`] computes the link address past the
-//! header, which is the same offset in both classes.
+//! recycled as a node of the same list *and* class; QSBR retirement and
+//! the pool conservation ledger hold per class. Lists keep passing
+//! `*mut H` around; [`next`] computes the link address past the header,
+//! which is the same offset in both classes.
 
 use std::mem::{align_of, size_of, MaybeUninit};
 use std::sync::Arc;
@@ -112,21 +112,11 @@ impl<H: Header, const S: usize> Towers<H, S> {
         assert!(tower_offset::<H>() + MAX_LEVEL * size_of::<H::Link>() <= size_of::<Tall<H>>());
     };
 
-    /// Boxed-chunk pools for both classes.
+    /// Empty pools for both classes.
     pub(crate) fn new() -> Self {
-        Self::with_pools(NodePool::new(), NodePool::new())
-    }
-
-    /// Arena-backed pools for both classes.
-    pub(crate) fn new_arena() -> Self {
-        Self::with_pools(NodePool::arena(), NodePool::arena())
-    }
-
-    fn with_pools(
-        small: Arc<NodePool<MaybeUninit<Small<H, S>>>>,
-        tall: Arc<NodePool<Tall<H>>>,
-    ) -> Self {
         let () = Self::LAYOUT;
+        let small: Arc<NodePool<MaybeUninit<Small<H, S>>>> = NodePool::new();
+        let tall = NodePool::new();
         // Grow the small class's first chunk now, as the sentinels do for
         // the tall class: a list's first insert usually runs under a
         // caller's lock (a kv shard's), and building a chunk there stalls
@@ -295,7 +285,7 @@ mod tests {
 
     #[test]
     fn every_height_recycles_into_its_own_class() {
-        let t: Towers<Hdr, S> = Towers::new_arena();
+        let t: Towers<Hdr, S> = Towers::new();
         // Head and tail sentinels: always tall.
         let tail = t.alloc(hdr(u64::MAX, MAX_LEVEL - 1));
         let head = t.alloc(hdr(0, MAX_LEVEL - 1));
