@@ -765,6 +765,29 @@ mod tests {
         key: AtomicU64,
     }
 
+    /// Returns never-published slots straight to `pool`.
+    fn release(pool: &NodePool<Node>, ptrs: &[*mut Node]) {
+        for p in ptrs {
+            // SAFETY: test slots come from `pool` and are never published.
+            unsafe { pool.dealloc_unpublished(*p) };
+        }
+    }
+
+    /// Retires unlinked slots through `h`'s grace period.
+    fn retire(pool: &Arc<NodePool<Node>>, ptrs: &[*mut Node], h: &QsbrHandle) {
+        for p in ptrs {
+            // SAFETY: test slots come from `pool`, are never published,
+            // and each is retired once.
+            unsafe { pool.retire(*p, h) };
+        }
+    }
+
+    /// The `key` of a slot of `pool`.
+    fn key(_pool: &NodePool<Node>, p: *mut Node) -> &AtomicU64 {
+        // SAFETY: type-stable slots stay valid `Node`s while the pool lives.
+        unsafe { &(*p).key }
+    }
+
     #[test]
     fn fresh_allocations_bump_through_chunks() {
         let pool: Arc<NodePool<Node>> = NodePool::with_chunk_capacity(4);
@@ -798,8 +821,7 @@ mod tests {
         let pool: Arc<NodePool<Node>> = NodePool::with_chunk_capacity(8);
 
         let p = pool.alloc(Node::default);
-        // SAFETY: p came from this pool and was never published.
-        unsafe { pool.retire(p.ptr, &h) };
+        retire(&pool, &[p.ptr], &h);
         assert_eq!(pool.stats().in_grace, 1);
         h.flush();
         h.quiescent();
@@ -816,8 +838,7 @@ mod tests {
     fn dealloc_unpublished_skips_grace_period() {
         let pool: Arc<NodePool<Node>> = NodePool::with_chunk_capacity(8);
         let p = pool.alloc(Node::default);
-        // SAFETY: never published.
-        unsafe { pool.dealloc_unpublished(p.ptr) };
+        release(&pool, &[p.ptr]);
         let q = pool.alloc(Node::default);
         assert!(q.recycled);
         assert_eq!(q.ptr, p.ptr);
@@ -862,8 +883,7 @@ mod tests {
         // magazine.
         for _ in 0..1_000 {
             let p = pool.alloc(Node::default);
-            // SAFETY: unlinked, retired once.
-            unsafe { pool.retire(p.ptr, &h) };
+            retire(&pool, &[p.ptr], &h);
             h.flush();
             h.quiescent();
             h.collect();
@@ -883,10 +903,7 @@ mod tests {
         // Allocate enough live slots, then release them all without grace
         // (never published), overflowing loaded + prev into the depot.
         let ptrs: Vec<_> = (0..32).map(|_| pool.alloc(Node::default).ptr).collect();
-        for p in &ptrs {
-            // SAFETY: never published.
-            unsafe { pool.dealloc_unpublished(*p) };
-        }
+        release(&pool, &ptrs);
         let stats = pool.stats();
         assert_eq!(stats.cached + stats.depot, 32, "{stats:?}");
         assert!(stats.depot > 0, "expected depot overflow: {stats:?}");
@@ -914,8 +931,7 @@ mod tests {
             live.push(p.ptr);
             if i % 3 == 0 {
                 let victim = live.swap_remove((i as usize * 7) % live.len());
-                // SAFETY: victim is live, unlinked, retired once.
-                unsafe { pool.retire(victim, &h) };
+                retire(&pool, &[victim], &h);
             }
             h.quiescent();
         }
@@ -1043,6 +1059,190 @@ mod tests {
         assert_eq!(pool.stats().in_grace, 0);
         assert_eq!(other.stats().in_grace, 0);
         drop(h);
+    }
+
+    #[test]
+    fn chunk_slots_are_dense_and_aligned() {
+        // Four magazine batches of four fill exactly one chunk of 16.
+        let pool: Arc<NodePool<Node>> = NodePool::with_config(16, 4);
+        let mut ptrs: Vec<usize> = (0..16)
+            .map(|_| pool.alloc(Node::default).ptr as usize)
+            .collect();
+        assert_eq!(pool.capacity(), 16, "one chunk");
+        ptrs.sort_unstable();
+        for p in &ptrs {
+            assert_eq!(p % std::mem::align_of::<Node>(), 0, "slot aligned");
+        }
+        for w in ptrs.windows(2) {
+            assert_eq!(w[1] - w[0], std::mem::size_of::<Node>(), "dense slots");
+        }
+    }
+
+    #[test]
+    fn depot_refill_hands_back_the_last_surrendered_magazine() {
+        let pool: Arc<NodePool<Node>> = NodePool::with_config(1024, 4);
+        let ptrs: Vec<_> = (0..32).map(|_| pool.alloc(Node::default).ptr).collect();
+        release(&pool, &ptrs);
+        // loaded + prev hold the last 8 releases; the depot holds the
+        // first 24 as six whole magazines, the newest on top.
+        let st = pool.stats();
+        assert_eq!((st.cached, st.depot), (8, 24), "{st:?}");
+        let cached: Vec<_> = (0..8).map(|_| pool.alloc(Node::default)).collect();
+        assert!(cached.iter().all(|p| p.recycled));
+        assert_eq!(pool.stats().slow_allocs, 8, "cache hits take no trip");
+        let refill: Vec<_> = (0..4).map(|_| pool.alloc(Node::default)).collect();
+        assert!(refill.iter().all(|p| p.recycled));
+        let st2 = pool.stats();
+        assert_eq!(st2.slow_allocs, 9, "one trip per magazine: {st2:?}");
+        assert_eq!(st2.depot, 20, "a whole magazine left the depot");
+        // The refilled magazine is the last one surrendered: releases
+        // 24..28 (28..32 stayed loaded, 0..4 stayed in `prev`).
+        let mut got: Vec<_> = refill.iter().map(|p| p.ptr).collect();
+        let mut expect = ptrs[24..28].to_vec();
+        got.sort_unstable();
+        expect.sort_unstable();
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn depot_magazines_surrendered_on_one_thread_serve_another() {
+        let pool: Arc<NodePool<Node>> = NodePool::with_config(1024, 4);
+        let ptrs: Vec<_> = (0..32).map(|_| pool.alloc(Node::default).ptr).collect();
+        release(&pool, &ptrs);
+        let depot = pool.stats().depot as usize;
+        let cap = pool.capacity();
+        // This thread stays alive, so the other thread gets its own
+        // (empty) magazine and must go through the depot.
+        let got: Vec<(usize, bool)> = std::thread::scope(|s| {
+            s.spawn(|| {
+                (0..depot)
+                    .map(|_| pool.alloc(Node::default))
+                    .map(|p| (p.ptr as usize, p.recycled))
+                    .collect()
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(got.iter().all(|p| p.1), "served from the depot");
+        assert_eq!(pool.capacity(), cap, "no growth while the depot has slots");
+        assert_eq!(pool.stats().depot, 0);
+        // The depot held releases 4..28 (0..4 and 28..32 stayed cached).
+        let mut a: Vec<_> = got.iter().map(|p| p.0).collect();
+        let mut b: Vec<_> = ptrs[4..28].iter().map(|p| *p as usize).collect();
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn free_len_counts_magazines_and_depot() {
+        let domain = Qsbr::new();
+        let h = domain.register();
+        let pool: Arc<NodePool<Node>> = NodePool::with_config(64, 4);
+        let ptrs: Vec<_> = (0..40).map(|_| pool.alloc(Node::default).ptr).collect();
+        release(&pool, &ptrs[..30]);
+        retire(&pool, &ptrs[30..], &h);
+        let st = pool.stats();
+        assert_eq!(pool.free_len() as u64, st.cached + st.depot, "{st:?}");
+        assert_eq!(pool.free_len(), 30, "slots in grace are not free");
+        h.flush();
+        h.quiescent();
+        h.collect();
+        assert_eq!(pool.free_len(), 40, "grace over: all 40 are free");
+        drop(h);
+    }
+
+    #[test]
+    fn recycled_alloc_skips_the_fresh_initializer() {
+        let pool: Arc<NodePool<Node>> = NodePool::with_chunk_capacity(8);
+        let p = pool.alloc(Node::default);
+        key(&pool, p.ptr).store(7, Ordering::Relaxed);
+        release(&pool, &[p.ptr]);
+        let q = pool.alloc(|| panic!("recycled slots are not re-made"));
+        assert!(q.recycled);
+        assert_eq!(q.ptr, p.ptr);
+        // Contents are left as released.
+        assert_eq!(key(&pool, q.ptr).load(Ordering::Relaxed), 7);
+    }
+
+    #[test]
+    fn alloc_init_overwrites_recycled_slots() {
+        let pool: Arc<NodePool<Node>> = NodePool::with_chunk_capacity(8);
+        let p = pool.alloc(Node::default);
+        key(&pool, p.ptr).store(7, Ordering::Relaxed);
+        release(&pool, &[p.ptr]);
+        let q = pool.alloc_init(|| Node {
+            key: AtomicU64::new(42),
+        });
+        assert_eq!(q, p.ptr, "the released slot is reused");
+        assert_eq!(key(&pool, q).load(Ordering::Relaxed), 42);
+        assert_eq!(pool.recycle_hits(), 1);
+    }
+
+    #[test]
+    fn slow_allocs_count_one_trip_per_magazine_batch() {
+        let pool: Arc<NodePool<Node>> = NodePool::with_config(1024, 4);
+        for _ in 0..16 {
+            pool.alloc(Node::default);
+        }
+        let st = pool.stats();
+        assert_eq!((st.allocations, st.slow_allocs), (16, 4), "{st:?}");
+        assert_eq!(st.recycle_hits, 0, "{st:?}");
+        assert!((st.magazine_hit_rate() - 0.75).abs() < 1e-9, "{st:?}");
+        assert_eq!(pool.capacity(), 1024, "batches share one chunk");
+    }
+
+    #[test]
+    fn teardown_release_parks_slots_for_direct_reuse() {
+        // A TLS value first touched *before* the thread index is claimed
+        // is destroyed after it, so its destructor runs with no magazine
+        // and exercises the pool's lock-protected fallback paths.
+        struct AtExit {
+            pool: Arc<NodePool<Node>>,
+            slot: std::cell::Cell<*mut Node>,
+            seen: Arc<std::sync::Mutex<Option<(bool, bool, usize)>>>,
+        }
+        impl Drop for AtExit {
+            fn drop(&mut self) {
+                let torn_down = thread_index().is_none();
+                release(&self.pool, &[self.slot.get()]);
+                let parked = self.pool.stats().depot as usize;
+                let again = self.pool.alloc(Node::default);
+                let same = again.recycled && again.ptr == self.slot.get();
+                *self.seen.lock().unwrap() = Some((torn_down, same, parked));
+            }
+        }
+        std::thread_local! {
+            static AT_EXIT: std::cell::OnceCell<AtExit> =
+                const { std::cell::OnceCell::new() };
+        }
+        let pool: Arc<NodePool<Node>> = NodePool::with_chunk_capacity(8);
+        let seen = Arc::new(std::sync::Mutex::new(None));
+        let (p, s) = (Arc::clone(&pool), Arc::clone(&seen));
+        // A plain join (not a scope) also waits for the TLS destructors.
+        std::thread::spawn(move || {
+            AT_EXIT.with(|cell| {
+                let at_exit = cell.get_or_init(|| AtExit {
+                    pool: Arc::clone(&p),
+                    slot: std::cell::Cell::new(std::ptr::null_mut()),
+                    seen: s,
+                });
+                // Claims the thread index after AT_EXIT registered.
+                at_exit.slot.set(p.alloc(Node::default).ptr);
+            });
+        })
+        .join()
+        .unwrap();
+        let (torn_down, same, parked) = seen.lock().unwrap().expect("destructor ran");
+        assert!(
+            torn_down,
+            "destructor ran after the thread index was released"
+        );
+        assert_eq!(parked, 1, "the released slot was parked under the lock");
+        assert!(same, "the direct path hands the parked slot back");
+        let st = pool.stats();
+        assert_eq!((st.allocations, st.recycle_hits), (2, 1), "{st:?}");
+        assert_eq!(st.depot, 0, "{st:?}");
     }
 
     #[test]
