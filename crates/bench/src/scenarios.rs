@@ -15,22 +15,21 @@
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use reclaim::NodePool;
 
 use optik::{OptikLock, OptikTicket, OptikVersioned, ValidatedLock};
-use optik_harness::api::OrderedMap;
-use optik_harness::runner::{run_set_workload, run_workers};
-use optik_harness::scenario::{Measurement, Registry, Scenario, Subject};
-use optik_harness::{ConcurrentSet, FastRng, SetHandle, Workload};
+use optik_harness::api::{ConcurrentMap, OrderedMap};
+use optik_harness::runner::{measure, run_set_workload};
+use optik_harness::scenario::{Measurement, Registry, RunSpec, Scenario, Subject};
+use optik_harness::{ConcurrentSet, SetHandle, Workload};
 
 use optik_bsts::{GlobalLockBst, OptikBst, OptikGlBst};
 use optik_hashtables::{
     LazyGlHashTable, OptikGlHashTable, OptikHashTable, OptikMapHashTable,
     ResizableStripedHashTable, StripedHashTable, StripedOptikHashTable,
 };
-use optik_kv::{run_kv_workload, run_kv_workload_ordered, KvMix, KvStore, KvWorkload, SystemClock};
+use optik_kv::{KvStore, SystemClock};
 use optik_lists::{
     GlobalLockList, HarrisList, LazyCacheList, LazyList, OptikCacheList, OptikGlList, OptikList,
 };
@@ -40,6 +39,8 @@ use optik_skiplists::{
     FraserSkipList, HerlihyOptikSkipList, HerlihySkipList, OptikSkipList1, OptikSkipList2,
 };
 use optik_stacks::{EliminationStack, OptikStack, TreiberStack};
+
+use crate::kv::{run_kv, KeyOrder, KvMix, Ordered, Unordered};
 
 /// Builds the full registry (~174 scenarios across 16 families).
 pub fn registry() -> Registry {
@@ -174,36 +175,43 @@ pub fn group_blurb(group: &str) -> &'static str {
 // Figure 5: raw validated lock acquisitions.
 // ---------------------------------------------------------------------------
 
+/// One validated acquisition per op, counting CAS attempts per
+/// validation; `acquire` performs the acquisition and returns its CAS
+/// count.
+fn validated_lock_run(spec: &RunSpec, acquire: impl Fn() -> u64 + Sync) -> Measurement {
+    let (m, cas) = measure(
+        spec,
+        |_| 0u64,
+        |cas, _, _| {
+            *cas += acquire();
+            1
+        },
+        |cas| cas,
+    );
+    let cas: u64 = cas.iter().sum();
+    let per_validation = cas as f64 / m.ops.max(1) as f64;
+    m.with_extra("cas_per_validation", per_validation)
+}
+
 fn optik_lock_scenario<L: OptikLock + 'static>(name: &str, about: &str, id: &str) -> Scenario {
     Scenario::custom(name, about, id, Subject::None, |spec| {
         let lock = L::default();
-        let start = Instant::now();
-        let results = run_workers(spec.threads, spec.duration, |ctx| {
-            let mut ops = 0u64;
-            let mut cas = 0u64;
-            while !ctx.should_stop() {
-                loop {
-                    let v = lock.get_version();
-                    if L::is_locked_version(v) {
-                        synchro::relax();
-                        continue;
-                    }
-                    let (ok, c) = lock.try_lock_version_counting(v);
-                    cas += u64::from(c);
-                    if ok {
-                        lock.unlock();
-                        break;
-                    }
+        validated_lock_run(spec, || {
+            let mut cas = 0;
+            loop {
+                let v = lock.get_version();
+                if L::is_locked_version(v) {
+                    synchro::relax();
+                    continue;
                 }
-                ops += 1;
+                let (ok, c) = lock.try_lock_version_counting(v);
+                cas += u64::from(c);
+                if ok {
+                    lock.unlock();
+                    return cas;
+                }
             }
-            (ops, cas)
-        });
-        let wall = start.elapsed();
-        let ops: u64 = results.iter().map(|r| r.0).sum();
-        let cas: u64 = results.iter().map(|r| r.1).sum();
-        Measurement::from_ops(ops, wall)
-            .with_extra("cas_per_validation", cas as f64 / ops.max(1) as f64)
+        })
     })
 }
 
@@ -217,29 +225,18 @@ fn fig5(r: &mut Registry) {
         Subject::None,
         |spec| {
             let lock = ValidatedLock::new();
-            let start = Instant::now();
-            let results = run_workers(spec.threads, spec.duration, |ctx| {
-                let mut ops = 0u64;
-                let mut cas = 0u64;
-                while !ctx.should_stop() {
-                    loop {
-                        let v = lock.get_version();
-                        let (ok, c) = lock.lock_and_validate_counting(v);
-                        cas += u64::from(c);
-                        if ok {
-                            lock.commit_unlock();
-                            break;
-                        }
+            validated_lock_run(spec, || {
+                let mut cas = 0;
+                loop {
+                    let v = lock.get_version();
+                    let (ok, c) = lock.lock_and_validate_counting(v);
+                    cas += u64::from(c);
+                    if ok {
+                        lock.commit_unlock();
+                        return cas;
                     }
-                    ops += 1;
                 }
-                (ops, cas)
-            });
-            let wall = start.elapsed();
-            let ops: u64 = results.iter().map(|r| r.0).sum();
-            let cas: u64 = results.iter().map(|r| r.1).sum();
-            Measurement::from_ops(ops, wall)
-                .with_extra("cas_per_validation", cas as f64 / ops.max(1) as f64)
+            })
         },
     ));
     r.register(optik_lock_scenario::<OptikTicket>(
@@ -293,15 +290,7 @@ fn optik_cache_scenario(name: &str, about: &str, w: Workload) -> Scenario {
         move |spec| {
             let set = OptikCacheList::new();
             w.initial_fill(spec.seed, |k, v| set.insert(k, v));
-            run_set_workload(
-                spec.threads,
-                spec.duration,
-                &w,
-                spec.seed,
-                spec.record_latency,
-                |_| set.handle(),
-            )
-            .into()
+            run_set_workload(spec, &w, |_| set.handle())
         },
     )
 }
@@ -315,15 +304,7 @@ fn lazy_cache_scenario(name: &str, about: &str, w: Workload) -> Scenario {
         move |spec| {
             let set = LazyCacheList::new();
             w.initial_fill(spec.seed, |k, v| set.insert(k, v));
-            run_set_workload(
-                spec.threads,
-                spec.duration,
-                &w,
-                spec.seed,
-                spec.record_latency,
-                |_| set.handle(),
-            )
-            .into()
+            run_set_workload(spec, &w, |_| set.handle())
         },
     )
 }
@@ -647,58 +628,71 @@ impl AllocNode {
 /// pool of regions in cross-thread mode).
 const ALLOC_SLOTS_PER_THREAD: usize = 256;
 
-/// One allocation-churn scenario: every iteration allocates a node,
-/// publishes it into a slot (displacing the previous occupant), and
-/// retires the displaced node through QSBR — the alloc/retire interleaving
-/// of a write-heavy structure, with the structure itself stripped away.
+/// One allocation-churn window: every iteration allocates a node
+/// (`alloc(n)`, `n` the worker's iteration count), publishes it into a
+/// slot (displacing the previous occupant), and retires the displaced
+/// node through QSBR (`retire`, which is handed only nodes the loop's swap
+/// unlinked, and returns the node's value after reading it) — the
+/// alloc/retire interleaving of a write-heavy structure, with the
+/// structure itself stripped away.
 ///
 /// `shared == false` gives each thread a private slot region, so retired
 /// slots come straight back through the thread's own magazine;
 /// `shared == true` has threads displace each other's nodes, so slots
-/// recirculate through the depot.
+/// recirculate through the depot. Returns the slots, still holding the
+/// last nodes published.
+fn alloc_churn_run(
+    spec: &RunSpec,
+    shared: bool,
+    alloc: impl Fn(u64) -> *mut AllocNode + Sync,
+    retire: impl Fn(*mut AllocNode) -> u64 + Sync,
+) -> (Measurement, Vec<AtomicPtr<AllocNode>>) {
+    let slots: Vec<AtomicPtr<AllocNode>> = (0..spec.threads * ALLOC_SLOTS_PER_THREAD)
+        .map(|_| AtomicPtr::new(std::ptr::null_mut()))
+        .collect();
+    let region = |tid: usize| {
+        if shared {
+            (0, slots.len())
+        } else {
+            (tid * ALLOC_SLOTS_PER_THREAD, ALLOC_SLOTS_PER_THREAD)
+        }
+    };
+    let (m, _) = measure(
+        spec,
+        |tid| (region(tid), 0u64, 0u64),
+        |((lo, span), n, sink), rng, _| {
+            let node = alloc(*n);
+            let slot = &slots[*lo + rng.next_below(*span as u64) as usize];
+            let old = slot.swap(node, Ordering::AcqRel);
+            if !old.is_null() {
+                *sink ^= retire(old);
+            }
+            *n += 1;
+            reclaim::quiescent();
+            1
+        },
+        |(_, _, sink)| std::hint::black_box(sink),
+    );
+    (m, slots)
+}
+
+/// [`alloc_churn_run`] over the type-stable pool's magazines.
 fn alloc_pool_scenario(name: &str, about: &str, id: &str, shared: bool) -> Scenario {
     Scenario::custom(name, about, id, Subject::None, move |spec| {
         let pool: Arc<NodePool<AllocNode>> = NodePool::new();
-        let slots: Vec<AtomicPtr<AllocNode>> = (0..spec.threads * ALLOC_SLOTS_PER_THREAD)
-            .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-            .collect();
-        let start = Instant::now();
-        let results = run_workers(spec.threads, spec.duration, |ctx| {
-            let mut rng = FastRng::for_thread(spec.seed, ctx.tid);
-            let lo = if shared {
-                0
-            } else {
-                ctx.tid * ALLOC_SLOTS_PER_THREAD
-            };
-            let span = if shared {
-                slots.len()
-            } else {
-                ALLOC_SLOTS_PER_THREAD
-            };
-            let mut ops = 0u64;
-            let mut sink = 0u64;
-            while !ctx.should_stop() {
-                let node = pool.alloc_init(|| AllocNode::make(ops));
-                let slot = &slots[lo + rng.next_below(span as u64) as usize];
-                let old = slot.swap(node, Ordering::AcqRel);
-                if !old.is_null() {
-                    // SAFETY: our swap unlinked `old`; QSBR covers readers
-                    // that loaded it before the swap.
-                    unsafe {
-                        sink ^= (*old).val;
-                        reclaim::with_local(|h| pool.retire(old, h));
-                    }
-                }
-                ops += 1;
-                reclaim::quiescent();
-            }
-            std::hint::black_box(sink);
-            ops
-        });
-        let wall = start.elapsed();
-        let ops: u64 = results.iter().sum();
-        Measurement::from_ops(ops, wall)
-            .with_extra("magazine_hit_pct", 100.0 * pool.stats().magazine_hit_rate())
+        let (m, _) = alloc_churn_run(
+            spec,
+            shared,
+            |n| pool.alloc_init(|| AllocNode::make(n)),
+            // SAFETY: the loop's swap unlinked `old`; QSBR covers readers
+            // that loaded it before the swap.
+            |old| unsafe {
+                let val = (*old).val;
+                reclaim::with_local(|h| pool.retire(old, h));
+                val
+            },
+        );
+        m.with_extra("magazine_hit_pct", 100.0 * pool.stats().magazine_hit_rate())
     })
 }
 
@@ -706,43 +700,17 @@ fn alloc_pool_scenario(name: &str, about: &str, id: &str, shared: bool) -> Scena
 /// but nodes are boxed and QSBR frees them back to the system allocator.
 fn alloc_boxed_scenario(name: &str, about: &str, id: &str, shared: bool) -> Scenario {
     Scenario::custom(name, about, id, Subject::None, move |spec| {
-        let slots: Vec<AtomicPtr<AllocNode>> = (0..spec.threads * ALLOC_SLOTS_PER_THREAD)
-            .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-            .collect();
-        let start = Instant::now();
-        let results = run_workers(spec.threads, spec.duration, |ctx| {
-            let mut rng = FastRng::for_thread(spec.seed, ctx.tid);
-            let lo = if shared {
-                0
-            } else {
-                ctx.tid * ALLOC_SLOTS_PER_THREAD
-            };
-            let span = if shared {
-                slots.len()
-            } else {
-                ALLOC_SLOTS_PER_THREAD
-            };
-            let mut ops = 0u64;
-            let mut sink = 0u64;
-            while !ctx.should_stop() {
-                let node = Box::into_raw(Box::new(AllocNode::make(ops)));
-                let slot = &slots[lo + rng.next_below(span as u64) as usize];
-                let old = slot.swap(node, Ordering::AcqRel);
-                if !old.is_null() {
-                    // SAFETY: our swap unlinked `old`; freed after grace.
-                    unsafe {
-                        sink ^= (*old).val;
-                        reclaim::with_local(|h| h.retire(old));
-                    }
-                }
-                ops += 1;
-                reclaim::quiescent();
-            }
-            std::hint::black_box(sink);
-            ops
-        });
-        let wall = start.elapsed();
-        let ops: u64 = results.iter().sum();
+        let (m, slots) = alloc_churn_run(
+            spec,
+            shared,
+            |n| Box::into_raw(Box::new(AllocNode::make(n))),
+            // SAFETY: the loop's swap unlinked `old`; freed after grace.
+            |old| unsafe {
+                let val = (*old).val;
+                reclaim::with_local(|h| h.retire(old));
+                val
+            },
+        );
         for slot in &slots {
             let p = slot.load(Ordering::Relaxed);
             if !p.is_null() {
@@ -750,7 +718,7 @@ fn alloc_boxed_scenario(name: &str, about: &str, id: &str, shared: bool) -> Scen
                 unsafe { drop(Box::from_raw(p)) };
             }
         }
-        Measurement::from_ops(ops, wall)
+        m
     })
 }
 
@@ -788,70 +756,50 @@ fn alloc(r: &mut Registry) {
 // kv: the sharded key-value store subsystem.
 // ---------------------------------------------------------------------------
 
-/// One kv scenario: build the sharded store, fill, run the kv driver.
-fn kv_scenario<B: optik_harness::api::ConcurrentMap + 'static>(
-    name: &str,
-    about: &str,
-    id: &str,
-    shards: usize,
-    w: KvWorkload,
-    make_backend: impl Fn(usize) -> B + Send + Sync + Clone + 'static,
-) -> Scenario {
-    let subject_make = make_backend.clone();
-    let subject = Subject::map(move || KvStore::with_shards(shards, subject_make.clone()));
-    kv_scenario_with(name, about, id, subject, shards, w, make_backend)
+/// A kv scenario's keys (the §5 key space, fill and skew) and op mix.
+type KvLoad = (Workload, KvMix);
+
+/// `initial_size` keys over the paper's doubled key range, skewed or
+/// uniform, driven by `mix` (the set mix's update rate is unused).
+fn kv_load(initial_size: u64, skewed: bool, mix: KvMix) -> KvLoad {
+    (Workload::paper(initial_size, 0, skewed), mix)
 }
 
-/// [`kv_scenario`] with the correctness subject given explicitly (an
-/// ordered-backed store enrols as [`Subject::ordered`], so the
-/// linearizability tier also runs its range rounds).
-fn kv_scenario_with<B: optik_harness::api::ConcurrentMap + 'static>(
+/// One kv scenario: build the store, fill it, run the mix through the kv
+/// body; `O` says how the store serves ranges and rebalance rounds.
+fn kv_scenario_with<B: ConcurrentMap + 'static, O: KeyOrder<B>>(
     name: &str,
     about: &str,
     id: &str,
     subject: Subject,
+    (keys, mix): KvLoad,
+    build: impl Fn() -> KvStore<B> + Send + Sync + 'static,
+) -> Scenario {
+    mix.thresholds(); // a malformed mix fails at registration
+    Scenario::custom(name, about, id, subject, move |spec| {
+        let store = build();
+        keys.initial_fill(spec.seed, |k, v| store.put(k, v).is_none());
+        run_kv::<B, O>(spec, &store, &keys, &mix).0
+    })
+}
+
+/// A kv scenario over a hash-sharded store of `shards` backends.
+fn kv_scenario<B: ConcurrentMap + 'static>(
+    name: &str,
+    about: &str,
+    id: &str,
     shards: usize,
-    w: KvWorkload,
+    w: KvLoad,
     make_backend: impl Fn(usize) -> B + Send + Sync + Clone + 'static,
 ) -> Scenario {
-    Scenario::custom(name, about, id, subject, move |spec| {
-        let store = KvStore::with_shards(shards, make_backend.clone());
-        w.initial_fill(spec.seed, &store);
-        let res = run_kv_workload(
-            &store,
-            spec.threads,
-            spec.duration,
-            &w,
-            spec.seed,
-            spec.record_latency,
-        );
-        let mut m = Measurement {
-            ops: res.counts.total(),
-            wall: res.duration,
-            latency: res.latency,
-            extra: Vec::new(),
-        };
-        if res.counts.scans > 0 {
-            m = m.with_extra(
-                "keys_per_scan",
-                res.counts.scanned_entries as f64 / res.counts.scans as f64,
-            );
-        }
-        m
-    })
+    let build = move || KvStore::with_shards(shards, make_backend.clone());
+    kv_scenario_with::<B, Unordered>(name, about, id, Subject::map(build.clone()), w, build)
 }
 
 /// The per-shard backend constructors the kv groups sweep. `span` is the
 /// key range a shard must be able to hold (used to size fixed-capacity
 /// backends so `put` can never overflow).
-fn kv_backends(
-    r: &mut Registry,
-    group: &str,
-    about: &str,
-    shards: usize,
-    span: usize,
-    w: &KvWorkload,
-) {
+fn kv_backends(r: &mut Registry, group: &str, about: &str, shards: usize, span: usize, w: &KvLoad) {
     let name = |series: &str| format!("kv.{group}.{series}");
     r.register(kv_scenario(
         &name("optik-map"),
@@ -897,16 +845,12 @@ fn kv(r: &mut Registry) {
     // leads under skew (no locking on the hot shard's misses).
     let about = "kv read-heavy: lock-free gets dominate; backends track their \
                  fig10 ordering, shard locks stay cold";
-    let w = KvWorkload::new(
+    let w = kv_load(
         SIZE,
         true,
         KvMix {
             put_pm: 50,
             remove_pm: 50,
-            batch_get_pm: 0,
-            batch_write_pm: 0,
-            scan_pm: 0,
-            batch: 0,
             ..KvMix::default()
         },
     );
@@ -917,16 +861,12 @@ fn kv(r: &mut Registry) {
     // shards, then flattens.
     let about = "kv write-heavy: per-shard write serialization; scales until \
                  writers outnumber shards";
-    let w = KvWorkload::new(
+    let w = kv_load(
         SIZE,
         false,
         KvMix {
             put_pm: 300,
             remove_pm: 300,
-            batch_get_pm: 0,
-            batch_write_pm: 0,
-            scan_pm: 0,
-            batch: 0,
             ..KvMix::default()
         },
     );
@@ -934,14 +874,14 @@ fn kv(r: &mut Registry) {
     // The one store-backed ranged subject that routes by hash: its range
     // scans visit every shard and sort, so a torn cross-shard snapshot
     // shows up here first.
-    r.register(kv_scenario_with(
+    let build = || KvStore::with_shards(SHARDS, |_| OptikSkipList2::new());
+    r.register(kv_scenario_with::<_, Unordered>(
         "kv.hash-ordered.skiplist",
         about,
         "kv/hash-skiplist",
-        Subject::ordered(|| KvStore::with_shards(SHARDS, |_| OptikSkipList2::new())),
-        SHARDS,
+        Subject::ordered(build),
         w,
-        |_| OptikSkipList2::new(),
+        build,
     ));
 
     // Batched: sorted-shard acquisition amortizes locking over 8 keys;
@@ -949,7 +889,7 @@ fn kv(r: &mut Registry) {
     // throughput than write-heavy at the same write fraction.
     let about = "kv batched: 8-key batches, sorted-shard acquisition; \
                  per-key cost amortizes vs single-key writes";
-    let w = KvWorkload::new(
+    let w = kv_load(
         SIZE,
         false,
         KvMix {
@@ -957,7 +897,6 @@ fn kv(r: &mut Registry) {
             remove_pm: 50,
             batch_get_pm: 250,
             batch_write_pm: 250,
-            scan_pm: 0,
             batch: 8,
             ..KvMix::default()
         },
@@ -971,16 +910,13 @@ fn kv(r: &mut Registry) {
                  keys_per_scan tracks the store size";
     let scan_size = 1024u64;
     let scan_span = (2 * scan_size) as usize / SHARDS;
-    let w = KvWorkload::new(
+    let w = kv_load(
         scan_size,
         true,
         KvMix {
             put_pm: 100,
             remove_pm: 100,
-            batch_get_pm: 0,
-            batch_write_pm: 0,
             scan_pm: 10,
-            batch: 0,
             ..KvMix::default()
         },
     );
@@ -990,16 +926,12 @@ fn kv(r: &mut Registry) {
     // structure promoted to a kv shard) vs its bucketed big sibling.
     let about = "kv small store: raw OPTIK array-map shards vs bucketed \
                  array-map shards at 256 entries";
-    let small = KvWorkload::new(
+    let small = kv_load(
         256,
         false,
         KvMix {
             put_pm: 50,
             remove_pm: 50,
-            batch_get_pm: 0,
-            batch_write_pm: 0,
-            scan_pm: 0,
-            batch: 0,
             ..KvMix::default()
         },
     );
@@ -1028,7 +960,7 @@ fn kv(r: &mut Registry) {
                  the read routes once, validates one OPTIK window per \
                  involved shard, and plans without allocating (probes \
                  key-clustered only on contiguous-partition stores)";
-    let w = KvWorkload::new(
+    let w = kv_load(
         SIZE,
         false,
         KvMix {
@@ -1079,16 +1011,12 @@ fn kv(r: &mut Registry) {
                  min(threads, shards), gets are shard-agnostic";
     for shards in [1usize, 2, 4, 8, 16, 32] {
         let span = ((2 * SIZE) as usize / shards).max(16);
-        let w = KvWorkload::new(
+        let w = kv_load(
             SIZE,
             true,
             KvMix {
                 put_pm: 50,
                 remove_pm: 50,
-                batch_get_pm: 0,
-                batch_write_pm: 0,
-                scan_pm: 0,
-                batch: 0,
                 ..KvMix::default()
             },
         );
@@ -1107,52 +1035,19 @@ fn kv(r: &mut Registry) {
 // kv.range: range scans over ordered-sharded ordered backends.
 // ---------------------------------------------------------------------------
 
-/// One ordered kv scenario: ordered-sharded store over an [`OrderedMap`]
-/// backend, driven by the range-capable kv driver.
+/// One ordered kv scenario: an ordered-sharded store over an
+/// [`OrderedMap`] backend, whose ranges and rebalance rounds run.
 fn kv_range_scenario<B: OrderedMap + 'static>(
     name: &str,
     about: &str,
     id: &str,
     shards: usize,
     max_key: u64,
-    w: KvWorkload,
+    w: KvLoad,
     make_backend: impl Fn(usize) -> B + Send + Sync + Clone + 'static,
 ) -> Scenario {
-    let subject_make = make_backend.clone();
-    let subject = Subject::ordered(move || {
-        KvStore::with_ordered_shards(shards, max_key, subject_make.clone())
-    });
-    Scenario::custom(name, about, id, subject, move |spec| {
-        let store = KvStore::with_ordered_shards(shards, max_key, make_backend.clone());
-        w.initial_fill(spec.seed, &store);
-        let res = run_kv_workload_ordered(
-            &store,
-            spec.threads,
-            spec.duration,
-            &w,
-            spec.seed,
-            spec.record_latency,
-        );
-        let mut m = Measurement {
-            ops: res.counts.total(),
-            wall: res.duration,
-            latency: res.latency,
-            extra: Vec::new(),
-        };
-        if res.counts.range_scans > 0 {
-            m = m.with_extra(
-                "keys_per_range",
-                res.counts.ranged_entries as f64 / res.counts.range_scans as f64,
-            );
-        }
-        if res.counts.rebalances > 0 {
-            m = m.with_extra(
-                "keys_per_migration",
-                res.counts.migrated_keys as f64 / res.counts.rebalances as f64,
-            );
-        }
-        m
-    })
+    let build = move || KvStore::with_ordered_shards(shards, max_key, make_backend.clone());
+    kv_scenario_with::<B, Ordered>(name, about, id, Subject::ordered(build.clone()), w, build)
 }
 
 fn kv_range(r: &mut Registry) {
@@ -1167,7 +1062,7 @@ fn kv_range(r: &mut Registry) {
     let about = "kv ranges: ordered sharding makes a 128-key window touch ~1 \
                  partition; throughput tracks the backend ladder, fraser \
                  ranges never lock";
-    let w = KvWorkload::new(
+    let w = kv_load(
         SIZE,
         false,
         KvMix {
@@ -1233,44 +1128,18 @@ fn kv_range(r: &mut Registry) {
 /// One TTL kv scenario: a TTL-enabled hash-sharded store under a mix of
 /// TTL puts (wall-clock millisecond ticks), plain updates, and
 /// incremental expiry sweeps.
-fn kv_ttl_scenario<B: optik_harness::api::ConcurrentMap + 'static>(
+fn kv_ttl_scenario<B: ConcurrentMap + 'static>(
     name: &str,
     about: &str,
     id: &str,
     shards: usize,
-    w: KvWorkload,
+    w: KvLoad,
     make_backend: impl Fn(usize) -> B + Send + Sync + Clone + 'static,
 ) -> Scenario {
-    let subject_make = make_backend.clone();
-    let subject = Subject::map(move || {
-        KvStore::with_shards_ttl(shards, Arc::new(SystemClock::new()), subject_make.clone())
-    });
-    Scenario::custom(name, about, id, subject, move |spec| {
-        let store =
-            KvStore::with_shards_ttl(shards, Arc::new(SystemClock::new()), make_backend.clone());
-        w.initial_fill(spec.seed, &store);
-        let res = run_kv_workload(
-            &store,
-            spec.threads,
-            spec.duration,
-            &w,
-            spec.seed,
-            spec.record_latency,
-        );
-        let mut m = Measurement {
-            ops: res.counts.total(),
-            wall: res.duration,
-            latency: res.latency,
-            extra: Vec::new(),
-        };
-        if res.counts.sweeps > 0 {
-            m = m.with_extra(
-                "swept_per_sweep",
-                res.counts.swept_keys as f64 / res.counts.sweeps as f64,
-            );
-        }
-        m
-    })
+    let build = move || {
+        KvStore::with_shards_ttl(shards, Arc::new(SystemClock::new()), make_backend.clone())
+    };
+    kv_scenario_with::<B, Unordered>(name, about, id, Subject::map(build.clone()), w, build)
 }
 
 fn kv_ttl(r: &mut Registry) {
@@ -1285,7 +1154,7 @@ fn kv_ttl(r: &mut Registry) {
     // ladder between backends tracks the plain kv groups.
     let about = "kv TTL: 30ms lifetimes under wall-clock ticks; lazy expiry on \
                  read plus budgeted sweeps; backend ladder tracks kv.read-heavy";
-    let w = KvWorkload::new(
+    let w = kv_load(
         SIZE,
         false,
         KvMix {
@@ -1343,7 +1212,7 @@ fn kv_rebalance(r: &mut Registry) {
     let about = "kv rebalance: zipf head vs contiguous partitions; rebalance \
                  rounds split the hot partition at its median; reads validate \
                  the routing version and retry across flips";
-    let w = KvWorkload::new(
+    let w = kv_load(
         SIZE,
         true,
         KvMix {
@@ -1401,53 +1270,38 @@ fn ordered_map_scenario<M: OrderedMap + 'static>(
     make: impl Fn() -> M + Send + Sync + Clone + 'static,
 ) -> Scenario {
     let subject = Subject::ordered(make.clone());
+    let w = Workload::paper(size, 0, skewed); // keys and fill; mix below
     Scenario::custom(name, about, id, subject, move |spec| {
         let m = make();
-        // Key sampling only; the op mix is dispatched inline below.
-        let w = KvWorkload::new(size, skewed, KvMix::default());
-        let mut rng = FastRng::new(spec.seed ^ 0xF111_0F11);
-        let mut inserted = 0;
-        while inserted < size {
-            let k = rng.range_inclusive(w.key_lo, w.key_hi);
-            if m.put(k, k).is_none() {
-                inserted += 1;
-            }
-        }
-        let start = Instant::now();
-        let results = run_workers(spec.threads, spec.duration, |ctx| {
-            let mut rng = FastRng::for_thread(spec.seed, ctx.tid);
-            let mut ops = 0u64;
-            let mut ranges = 0u64;
-            let mut ranged = 0u64;
-            while !ctx.should_stop() {
+        w.initial_fill(spec.seed, |k, v| m.put(k, v).is_none());
+        let (meas, ranges) = measure(
+            spec,
+            |_| (0u64, 0u64),
+            |(ranges, ranged), rng, _| {
                 let p = rng.next_below(1000) as u32;
-                let k = w.sample_key(&mut rng);
+                let k = w.sample_key(rng);
                 if p < 100 {
                     m.put(k, k);
                 } else if p < 200 {
                     m.remove(k);
                 } else if p < 220 {
-                    let mut n = 0u64;
-                    m.range(k, k.saturating_add(range_span - 1), &mut |_, _| n += 1);
-                    ranges += 1;
-                    ranged += n;
+                    m.range(k, k.saturating_add(range_span - 1), &mut |_, _| {
+                        *ranged += 1
+                    });
+                    *ranges += 1;
                 } else {
                     let _ = m.get(k);
                 }
-                ops += 1;
                 reclaim::quiescent();
-            }
-            (ops, ranges, ranged)
-        });
-        let wall = start.elapsed();
-        let ops: u64 = results.iter().map(|r| r.0).sum();
-        let ranges: u64 = results.iter().map(|r| r.1).sum();
-        let ranged: u64 = results.iter().map(|r| r.2).sum();
-        let mut meas = Measurement::from_ops(ops, wall);
-        if ranges > 0 {
-            meas = meas.with_extra("keys_per_range", ranged as f64 / ranges as f64);
+                1
+            },
+            |r| r,
+        );
+        let (ranges, ranged) = ranges.iter().fold((0, 0), |(a, b), &(r, n)| (a + r, b + n));
+        if ranges == 0 {
+            return meas;
         }
-        meas
+        meas.with_extra("keys_per_range", ranged as f64 / ranges as f64)
     })
 }
 
@@ -1539,40 +1393,33 @@ fn map_ordered(r: &mut Registry) {
 fn probe_overhead_scenario(name: &str, about: &str, id: &str, hooked: bool) -> Scenario {
     Scenario::custom(name, about, id, Subject::None, move |spec| {
         let lock = OptikVersioned::default();
-        let start = Instant::now();
-        let results = run_workers(spec.threads, spec.duration, |ctx| {
-            let mut ops = 0u64;
-            let mut acc = 0u64;
-            while !ctx.should_stop() {
-                let t0 = if hooked { optik_probe::now() } else { 0 };
-                loop {
-                    let v = lock.get_version();
-                    if OptikVersioned::is_locked_version(v) {
-                        synchro::relax();
-                        continue;
-                    }
-                    if lock.try_lock_version(v) {
-                        lock.unlock();
-                        break;
-                    }
-                    if hooked {
-                        optik_probe::count(optik_probe::Event::ReadRetry);
-                    }
+        let body = |(ops, acc): &mut (u64, u64), _: &mut _, _: &mut _| {
+            let t0 = if hooked { optik_probe::now() } else { 0 };
+            loop {
+                let v = lock.get_version();
+                if OptikVersioned::is_locked_version(v) {
+                    synchro::relax();
+                    continue;
                 }
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(ops);
+                if lock.try_lock_version(v) {
+                    lock.unlock();
+                    break;
+                }
                 if hooked {
-                    optik_probe::record(
-                        optik_probe::HistKind::RetryLoop,
-                        optik_probe::elapsed(t0, optik_probe::now()),
-                    );
+                    optik_probe::count(optik_probe::Event::ReadRetry);
                 }
-                ops += 1;
             }
-            (ops, std::hint::black_box(acc))
-        });
-        let wall = start.elapsed();
-        let ops: u64 = results.iter().map(|r| r.0).sum();
-        Measurement::from_ops(ops, wall)
+            *acc = acc.wrapping_mul(6364136223846793005).wrapping_add(*ops);
+            if hooked {
+                optik_probe::record(
+                    optik_probe::HistKind::RetryLoop,
+                    optik_probe::elapsed(t0, optik_probe::now()),
+                );
+            }
+            *ops += 1;
+            1
+        };
+        measure(spec, |_| (0, 0), body, |(_, acc)| std::hint::black_box(acc)).0
     })
 }
 
@@ -1668,21 +1515,14 @@ fn ablate_node_cache(r: &mut Registry) {
                 w.initial_fill(spec.seed, |k, v| set.insert(k, v));
                 let hits = AtomicU64::new(0);
                 let misses = AtomicU64::new(0);
-                let res = run_set_workload(
-                    spec.threads,
-                    spec.duration,
-                    &w,
-                    spec.seed,
-                    spec.record_latency,
-                    |_| CountingHandle {
-                        inner: set.handle(),
-                        hits: &hits,
-                        misses: &misses,
-                    },
-                );
+                let res = run_set_workload(spec, &w, |_| CountingHandle {
+                    inner: set.handle(),
+                    hits: &hits,
+                    misses: &misses,
+                });
                 let h = hits.load(Ordering::Relaxed) as f64;
                 let m = misses.load(Ordering::Relaxed) as f64;
-                Measurement::from(res).with_extra("cache_hit_pct", 100.0 * h / (h + m).max(1.0))
+                res.with_extra("cache_hit_pct", 100.0 * h / (h + m).max(1.0))
             },
         ));
     }

@@ -43,7 +43,6 @@ pub use driver::{Point, ScenarioReport, SweepConfig};
 pub use latency::{LatencyRecorder, OpKind, Percentiles};
 pub use report::Report;
 pub use rng::FastRng;
-pub use runner::{run_workers, WorkerCtx};
 pub use scenario::{Measurement, Registry, RunSpec, Scenario, Subject};
 pub use workload::{Op, OpMix, Workload};
 pub use zipf::Zipf;

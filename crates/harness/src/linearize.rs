@@ -17,9 +17,7 @@
 //!   observe a single point in time.
 //!
 //! Record operations with [`HistoryRecorder`] (one per thread, merged
-//! afterwards) and decide with [`check`]. The single-key set entry points
-//! ([`Recorder`], [`check_history`]) predate the generic checker and remain
-//! as thin wrappers.
+//! afterwards) and decide with [`check`].
 
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -186,50 +184,6 @@ impl SeqSpec for SetSpec {
             SetOp::Search(found) => (found == present).then_some(present),
         }
     }
-}
-
-/// A timed single-key set operation (alias kept for the original API).
-pub type TimedOp = Timed<SetOp>;
-
-/// Per-thread recorder for single-key set histories.
-#[derive(Debug, Default)]
-pub struct Recorder {
-    inner: HistoryRecorder<SetOp>,
-}
-
-impl Recorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Times `f` with [`synchro::cycles::now_ordered`] and records its
-    /// outcome.
-    pub fn record(&mut self, make_op: impl FnOnce(bool) -> SetOp, f: impl FnOnce() -> bool) {
-        self.inner.record(f, make_op);
-    }
-
-    /// Consumes the recorder.
-    pub fn into_ops(self) -> Vec<TimedOp> {
-        self.inner.into_ops()
-    }
-}
-
-/// Decides whether a single-key set history is linearizable starting from
-/// `initially_present`. See [`check`].
-///
-/// # Panics
-///
-/// Panics on histories longer than 64 operations.
-pub fn check_history(history: &[TimedOp], initially_present: bool) -> bool {
-    if history.len() > 64 {
-        // Preserve the original error text relied upon by callers/tests.
-        panic!(
-            "check_history supports up to 64 operations, got {}",
-            history.len()
-        );
-    }
-    check(&SetSpec { initially_present }, history)
 }
 
 // ---------------------------------------------------------------------------
@@ -542,8 +496,8 @@ impl SeqSpec for RangeMapSpec {
 mod tests {
     use super::*;
 
-    fn op(invoke: u64, response: u64, op: SetOp) -> TimedOp {
-        TimedOp {
+    fn op(invoke: u64, response: u64, op: SetOp) -> Timed<SetOp> {
+        Timed {
             invoke,
             response,
             op,
@@ -558,7 +512,12 @@ mod tests {
             op(4, 5, SetOp::Delete(true)),
             op(6, 7, SetOp::Search(false)),
         ];
-        assert!(check_history(&h, false));
+        assert!(check(
+            &SetSpec {
+                initially_present: false
+            },
+            &h
+        ));
     }
 
     #[test]
@@ -566,7 +525,12 @@ mod tests {
         // Search finds the key before any insert completes — and no insert
         // is even concurrent.
         let h = [op(0, 1, SetOp::Search(true)), op(2, 3, SetOp::Insert(true))];
-        assert!(!check_history(&h, false));
+        assert!(!check(
+            &SetSpec {
+                initially_present: false
+            },
+            &h
+        ));
     }
 
     #[test]
@@ -577,13 +541,23 @@ mod tests {
             op(0, 10, SetOp::Insert(true)),
             op(1, 9, SetOp::Search(true)),
         ];
-        assert!(check_history(&h, false));
+        assert!(check(
+            &SetSpec {
+                initially_present: false
+            },
+            &h
+        ));
         // But a search strictly AFTER a successful insert must find it.
         let h = [
             op(0, 1, SetOp::Insert(true)),
             op(2, 3, SetOp::Search(false)),
         ];
-        assert!(!check_history(&h, false));
+        assert!(!check(
+            &SetSpec {
+                initially_present: false
+            },
+            &h
+        ));
     }
 
     #[test]
@@ -594,7 +568,12 @@ mod tests {
             op(2, 10, SetOp::Delete(true)),
             op(3, 9, SetOp::Delete(true)),
         ];
-        assert!(!check_history(&h, false));
+        assert!(!check(
+            &SetSpec {
+                initially_present: false
+            },
+            &h
+        ));
     }
 
     #[test]
@@ -604,20 +583,40 @@ mod tests {
             op(1, 9, SetOp::Insert(false)),
             op(11, 12, SetOp::Search(true)),
         ];
-        assert!(check_history(&h, false));
+        assert!(check(
+            &SetSpec {
+                initially_present: false
+            },
+            &h
+        ));
         // Two winners cannot linearize.
         let h = [
             op(0, 10, SetOp::Insert(true)),
             op(1, 9, SetOp::Insert(true)),
         ];
-        assert!(!check_history(&h, false));
+        assert!(!check(
+            &SetSpec {
+                initially_present: false
+            },
+            &h
+        ));
     }
 
     #[test]
     fn initial_state_matters() {
         let h = [op(0, 1, SetOp::Delete(true))];
-        assert!(check_history(&h, true));
-        assert!(!check_history(&h, false));
+        assert!(check(
+            &SetSpec {
+                initially_present: true
+            },
+            &h
+        ));
+        assert!(!check(
+            &SetSpec {
+                initially_present: false
+            },
+            &h
+        ));
     }
 
     #[test]
@@ -640,19 +639,22 @@ mod tests {
             let all = Arc::clone(&all);
             let barrier = Arc::clone(&barrier);
             handles.push(std::thread::spawn(move || {
-                let mut rec = Recorder::new();
+                let mut rec = HistoryRecorder::new();
                 barrier.wait();
                 for i in 0..12u64 {
                     match (t + i) % 3 {
-                        0 => rec.record(SetOp::Insert, || {
-                            !present.swap(true, std::sync::atomic::Ordering::SeqCst)
-                        }),
-                        1 => rec.record(SetOp::Delete, || {
-                            present.swap(false, std::sync::atomic::Ordering::SeqCst)
-                        }),
-                        _ => rec.record(SetOp::Search, || {
-                            present.load(std::sync::atomic::Ordering::SeqCst)
-                        }),
+                        0 => rec.record(
+                            || !present.swap(true, std::sync::atomic::Ordering::SeqCst),
+                            SetOp::Insert,
+                        ),
+                        1 => rec.record(
+                            || present.swap(false, std::sync::atomic::Ordering::SeqCst),
+                            SetOp::Delete,
+                        ),
+                        _ => rec.record(
+                            || present.load(std::sync::atomic::Ordering::SeqCst),
+                            SetOp::Search,
+                        ),
                     }
                 }
                 all.lock().unwrap().extend(rec.into_ops());
@@ -664,18 +666,28 @@ mod tests {
         let history = all.lock().unwrap().clone();
         assert_eq!(history.len(), 48);
         assert!(
-            check_history(&history, false),
+            check(
+                &SetSpec {
+                    initially_present: false
+                },
+                &history
+            ),
             "atomic-swap set produced a non-linearizable history?!"
         );
     }
 
     #[test]
-    #[should_panic(expected = "up to 64 operations")]
+    #[should_panic(expected = "check supports up to 64 operations, got 65")]
     fn oversized_history_panics() {
-        let h: Vec<TimedOp> = (0..65)
+        let h: Vec<Timed<SetOp>> = (0..65)
             .map(|i| op(i, i + 1, SetOp::Search(false)))
             .collect();
-        let _ = check_history(&h, false);
+        let _ = check(
+            &SetSpec {
+                initially_present: false,
+            },
+            &h,
+        );
     }
 
     fn qop(invoke: u64, response: u64, op: QueueOp) -> Timed<QueueOp> {
@@ -774,7 +786,12 @@ mod tests {
     fn empty_history_is_trivially_linearizable() {
         assert!(check(&FifoSpec, &[]));
         assert!(check(&LifoSpec, &[]));
-        assert!(check_history(&[], false));
+        assert!(check(
+            &SetSpec {
+                initially_present: false
+            },
+            &[]
+        ));
         assert!(check(&MapSpec::default(), &[]));
     }
 

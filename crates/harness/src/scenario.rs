@@ -4,10 +4,13 @@
 //! paper figure: a unique dotted name (`fig9.large.harris`), a short
 //! description of the paper-expected shape, a way to build the structure
 //! under test (the [`Subject`]), and a runner closure that performs one
-//! measurement window. The `fig*`/`ablate_*` binaries, the `bench_all`
-//! driver, and the correctness tiers (stress + linearizability) all consume
-//! the same [`Registry`], so registering a structure once gets it
-//! benchmarked, stress-tested, and linearizability-checked automatically.
+//! measurement window — a body of the harness's one measurement loop
+//! ([`crate::runner::measure`]), which returns the window's
+//! [`Measurement`] with its per-[`OpKind`] counts. The `fig*`/`ablate_*`
+//! binaries, the `bench_all` driver, and the correctness tiers (stress +
+//! linearizability) all consume the same [`Registry`], so registering a
+//! structure once gets it benchmarked, stress-tested, and
+//! linearizability-checked automatically.
 //!
 //! Naming convention: `family.group-suffix.series` where
 //!
@@ -22,7 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::api::{ConcurrentMap, ConcurrentQueue, ConcurrentSet, ConcurrentStack, OrderedMap};
-use crate::latency::LatencyRecorder;
+use crate::latency::{LatencyRecorder, OpKind};
 use crate::runner::{run_queue_workload, run_set_workload, run_stack_workload};
 use crate::workload::Workload;
 
@@ -48,6 +51,9 @@ pub struct Measurement {
     pub wall: Duration,
     /// Latency samples (empty unless requested).
     pub latency: LatencyRecorder,
+    /// Operations counted per [`OpKind`], indexed by `kind as usize`
+    /// (the timed single-key operations of [`crate::runner::measure`]).
+    pub kinds: [u64; 6],
     /// Scenario-specific extra metrics (e.g. `cas_per_validation`,
     /// `cache_hit_pct`), reported alongside throughput.
     pub extra: Vec<(String, f64)>,
@@ -60,8 +66,14 @@ impl Measurement {
             ops,
             wall,
             latency: LatencyRecorder::new(),
+            kinds: [0; 6],
             extra: Vec::new(),
         }
+    }
+
+    /// Operations of `kind` the window completed.
+    pub fn count(&self, kind: OpKind) -> u64 {
+        self.kinds[kind as usize]
     }
 
     /// Throughput in million operations per second.
@@ -73,39 +85,6 @@ impl Measurement {
     pub fn with_extra(mut self, key: &str, value: f64) -> Self {
         self.extra.push((key.to_string(), value));
         self
-    }
-}
-
-impl From<crate::runner::SetBenchResult> for Measurement {
-    fn from(r: crate::runner::SetBenchResult) -> Self {
-        Self {
-            ops: r.counts.total(),
-            wall: r.duration,
-            latency: r.latency,
-            extra: Vec::new(),
-        }
-    }
-}
-
-impl From<crate::runner::QueueBenchResult> for Measurement {
-    fn from(r: crate::runner::QueueBenchResult) -> Self {
-        Self {
-            ops: r.counts.total(),
-            wall: r.duration,
-            latency: r.latency,
-            extra: Vec::new(),
-        }
-    }
-}
-
-impl From<crate::runner::StackBenchResult> for Measurement {
-    fn from(r: crate::runner::StackBenchResult) -> Self {
-        Self {
-            ops: r.counts.total(),
-            wall: r.duration,
-            latency: r.latency,
-            extra: Vec::new(),
-        }
     }
 }
 
@@ -237,15 +216,7 @@ impl Scenario {
         Self::custom(name, about, subject_id, subject, move |spec| {
             let set = make();
             w.initial_fill(spec.seed, |k, v| set.insert(k, v));
-            run_set_workload(
-                spec.threads,
-                spec.duration,
-                &w,
-                spec.seed,
-                spec.record_latency,
-                |_| &set,
-            )
-            .into()
+            run_set_workload(spec, &w, |_| &set)
         })
     }
 
@@ -265,15 +236,7 @@ impl Scenario {
             for i in 0..prefill {
                 q.enqueue(i);
             }
-            run_queue_workload(
-                &q,
-                spec.threads,
-                spec.duration,
-                enqueue_pct,
-                spec.seed,
-                spec.record_latency,
-            )
-            .into()
+            run_queue_workload(spec, &q, enqueue_pct)
         })
     }
 
@@ -292,15 +255,7 @@ impl Scenario {
             for i in 0..prefill {
                 s.push(i);
             }
-            run_stack_workload(
-                &s,
-                spec.threads,
-                spec.duration,
-                push_pct,
-                spec.seed,
-                spec.record_latency,
-            )
-            .into()
+            run_stack_workload(spec, &s, push_pct)
         })
     }
 

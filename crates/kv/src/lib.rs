@@ -78,9 +78,10 @@
 //! quiescent point, so a scan that loses its validation race has still
 //! only read live-or-retired memory.
 //!
-//! See `optik_harness::api::ConcurrentMap` for the backend contract and
-//! [`KvWorkload`]/[`run_kv_workload`] for the benchmark driver the
-//! `kv.*` registry scenarios use.
+//! See `optik_harness::api::ConcurrentMap` for the backend contract. The
+//! crate ships no benchmark driver: the `kv.*` registry scenarios drive
+//! the store from `optik-bench`, through the harness's one measurement
+//! loop.
 
 #![warn(missing_docs)]
 
@@ -88,14 +89,10 @@ mod policy;
 mod rebalance;
 mod store;
 mod ttl;
-mod workload;
 
 pub use policy::{HashPolicy, RangePolicy, ShardPolicy};
 pub use rebalance::{MigrationStats, RebalanceError, MIGRATION_BATCH};
 pub use store::KvStore;
 pub use ttl::{Clock, FakeClock, SystemClock};
-pub use workload::{
-    run_kv_workload, run_kv_workload_ordered, KvBenchResult, KvCounts, KvMix, KvWorkload,
-};
 
 pub use optik_harness::api::{ConcurrentMap, Key, OrderedMap, Val};

@@ -90,11 +90,9 @@ impl HarrisList {
                     // Advance over marked nodes, remembering the last
                     // unmarked predecessor.
                     let mut cur_next = (*cur).next.load(Ordering::Acquire);
-                    synchro::prefetch::read(unmark(cur_next) as *const Node);
                     while marked(cur_next) {
                         cur = unmark(cur_next) as *mut Node;
                         cur_next = (*cur).next.load(Ordering::Acquire);
-                        synchro::prefetch::read(unmark(cur_next) as *const Node);
                     }
                     if (*cur).key >= key {
                         // Snip the marked chain pred→...→cur if any.
@@ -149,7 +147,6 @@ impl ConcurrentSet for HarrisList {
             let mut cur = self.head;
             while (*cur).key < key {
                 cur = unmark((*cur).next.load(Ordering::Acquire)) as *mut Node;
-                synchro::prefetch::read(cur);
             }
             // Present iff key matches and the node is not logically deleted.
             ((*cur).key == key && !marked((*cur).next.load(Ordering::Acquire))).then(|| (*cur).val)
@@ -255,7 +252,6 @@ impl ConcurrentSet for HarrisList {
                     n += 1;
                 }
                 cur = unmark((*cur).next.load(Ordering::Acquire)) as *mut Node;
-                synchro::prefetch::read(cur);
             }
             n
         }

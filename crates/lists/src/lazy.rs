@@ -109,7 +109,6 @@ impl LazyList {
             while (*cur).key < key {
                 pred = cur;
                 cur = (*cur).next.load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
             }
             (pred, cur)
         }
@@ -147,7 +146,6 @@ impl ConcurrentSet for LazyList {
             let mut cur = self.head;
             while (*cur).key < key {
                 cur = (*cur).next.load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
             }
             ((*cur).key == key && !(*cur).marked.load(Ordering::Acquire)).then(|| (*cur).val)
         }
@@ -232,7 +230,6 @@ impl ConcurrentSet for LazyList {
                     n += 1;
                 }
                 cur = (*cur).next.load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
             }
             n
         }

@@ -132,7 +132,6 @@ impl LazyCacheList {
             while (*cur).key.load(Ordering::Acquire) < key {
                 pred = cur;
                 cur = (*cur).next.load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
             }
             (pred, cur)
         }

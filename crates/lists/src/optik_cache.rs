@@ -144,7 +144,6 @@ impl OptikCacheList {
                 pred = cur;
                 predv = curv;
                 cur = (*pred).next.load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
                 curv = (*cur).lock.get_version();
                 if (*cur).key.load(Ordering::Acquire) >= key {
                     return (pred, predv, cur, curv);

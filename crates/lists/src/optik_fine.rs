@@ -125,7 +125,6 @@ impl OptikList {
                 pred = cur;
                 predv = curv;
                 cur = (*pred).next.load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
                 curv = (*cur).lock.get_version();
                 if (*cur).key >= key {
                     return (pred, predv, cur, curv);
@@ -151,7 +150,6 @@ impl ConcurrentSet for OptikList {
             let mut cur = self.head;
             while (*cur).key < key {
                 cur = (*cur).next.load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
             }
             ((*cur).key == key).then(|| (*cur).val)
         }
@@ -232,7 +230,6 @@ impl ConcurrentSet for OptikList {
             while (*cur).key != TAIL_KEY {
                 n += 1;
                 cur = (*cur).next.load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
             }
             n
         }

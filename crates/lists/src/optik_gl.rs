@@ -109,7 +109,6 @@ impl<L: OptikLock> OptikGlList<L> {
             while (*cur).key < key {
                 pred = cur;
                 cur = (*cur).next.load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
             }
             (pred, cur)
         }
@@ -205,7 +204,6 @@ impl<L: OptikLock> ConcurrentSet for OptikGlList<L> {
             while (*cur).key != TAIL_KEY {
                 n += 1;
                 cur = (*cur).next.load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
             }
             n
         }

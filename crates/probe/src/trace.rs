@@ -218,9 +218,20 @@ pub fn drain_json() -> Option<String> {
 #[cfg(all(test, feature = "probe"))]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Both tests drain the process-wide rings, so one would take the
+    /// other's spans; they take turns on this lock.
+    static RINGS_TURN: Mutex<()> = Mutex::new(());
+
+    fn rings_turn() -> MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the other still gets its turn.
+        RINGS_TURN.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn spans_drain_as_trace_event_json() {
+        let _turn = rings_turn();
         {
             let _g = span(SpanKind::Migration);
             std::hint::black_box(0);
@@ -237,6 +248,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
+        let _turn = rings_turn();
         let t = raw_now();
         for _ in 0..(super::active::RING_CAPACITY + 100) {
             record_span(SpanKind::Grace, t, t + 1);

@@ -196,11 +196,9 @@ impl FraserSkipList {
                     loop {
                         // Skip over a chain of marked nodes.
                         let mut cur_w = tower::next(cur, l).load(Ordering::Acquire);
-                        synchro::prefetch::read(unmark(cur_w) as *const Node);
                         while marked(cur_w) {
                             cur = unmark(cur_w) as *mut Node;
                             cur_w = tower::next(cur, l).load(Ordering::Acquire);
-                            synchro::prefetch::read(unmark(cur_w) as *const Node);
                         }
                         if (*cur).key < key {
                             pred = cur;
@@ -428,10 +426,8 @@ impl FraserSkipList {
             let mut pred = self.head;
             for l in (0..MAX_LEVEL).rev() {
                 let mut cur = unmark(tower::next(pred, l).load(Ordering::Acquire)) as *mut Node;
-                synchro::prefetch::read(cur);
                 loop {
                     let cur_w = tower::next(cur, l).load(Ordering::Acquire);
-                    synchro::prefetch::read(unmark(cur_w) as *const Node);
                     if marked(cur_w) {
                         cur = unmark(cur_w) as *mut Node;
                         continue;

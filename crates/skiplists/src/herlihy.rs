@@ -104,11 +104,9 @@ impl HerlihySkipList {
             let mut pred = self.head;
             for l in (0..MAX_LEVEL).rev() {
                 let mut cur = tower::next(pred, l).load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
                     cur = tower::next(cur, l).load(Ordering::Acquire);
-                    synchro::prefetch::read(cur);
                 }
                 if lfound.is_none() && (*cur).key == key {
                     lfound = Some(l);
@@ -166,11 +164,9 @@ impl ConcurrentSet for HerlihySkipList {
             let mut found: *mut Node = std::ptr::null_mut();
             for l in (0..MAX_LEVEL).rev() {
                 let mut cur = tower::next(pred, l).load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
                     cur = tower::next(cur, l).load(Ordering::Acquire);
-                    synchro::prefetch::read(cur);
                 }
                 if (*cur).key == key {
                     found = cur;
@@ -434,11 +430,9 @@ impl OrderedMap for HerlihySkipList {
                 let mut pred = self.head;
                 for l in (0..MAX_LEVEL).rev() {
                     let mut cur = tower::next(pred, l).load(Ordering::Acquire);
-                    synchro::prefetch::read(cur);
                     while (*cur).key < from {
                         pred = cur;
                         cur = tower::next(cur, l).load(Ordering::Acquire);
-                        synchro::prefetch::read(cur);
                     }
                 }
                 if fails >= RANGE_OPTIMISTIC_ATTEMPTS {

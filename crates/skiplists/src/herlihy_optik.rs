@@ -176,12 +176,10 @@ impl HerlihyOptikSkipList {
             let mut predv = (*pred).lock.get_version();
             for l in (0..MAX_LEVEL).rev() {
                 let mut cur = tower::next(pred, l).load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
                     predv = (*pred).lock.get_version();
                     cur = tower::next(pred, l).load(Ordering::Acquire);
-                    synchro::prefetch::read(cur);
                 }
                 if lfound.is_none() && (*cur).key == key {
                     lfound = Some(l);
@@ -258,11 +256,9 @@ impl ConcurrentSet for HerlihyOptikSkipList {
             let mut found: *mut Node = std::ptr::null_mut();
             for l in (0..MAX_LEVEL).rev() {
                 let mut cur = tower::next(pred, l).load(Ordering::Acquire);
-                synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
                     cur = tower::next(cur, l).load(Ordering::Acquire);
-                    synchro::prefetch::read(cur);
                 }
                 if (*cur).key == key {
                     found = cur;
@@ -508,12 +504,10 @@ impl OrderedMap for HerlihyOptikSkipList {
                 let mut predv = (*pred).lock.get_version();
                 for l in (0..MAX_LEVEL).rev() {
                     let mut cur = tower::next(pred, l).load(Ordering::Acquire);
-                    synchro::prefetch::read(cur);
                     while (*cur).key < from {
                         pred = cur;
                         predv = (*pred).lock.get_version();
                         cur = tower::next(pred, l).load(Ordering::Acquire);
-                        synchro::prefetch::read(cur);
                     }
                 }
                 if fails >= RANGE_OPTIMISTIC_ATTEMPTS {

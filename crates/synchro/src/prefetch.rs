@@ -1,10 +1,14 @@
 //! Software prefetch for pointer-chasing traversals.
 //!
-//! List walks and skiplist level descents spend most of their time
-//! stalled on the *next* node's cache line: the address is known one
-//! hop before the data is needed, which is exactly the window a
-//! non-faulting `prefetcht0` can hide. [`read`] issues that hint on
-//! x86_64 and compiles to nothing everywhere else — including under
+//! A pointer-chasing walk stalls on lines whose address it knows before
+//! it needs the data — the window a non-faulting `prefetcht0` can hide.
+//! The hint pays only when it aims past the very next load: the
+//! `OptikSkipList2` descent hints the level below before it walks the
+//! current one, and its interleaved batch walks hint the line each lane
+//! compares next while the other lanes run. A hint on the line the next
+//! instruction loads anyway hides nothing, so the list walks and the
+//! other skip lists issue none. [`read`] issues the hint on x86_64 and
+//! compiles to nothing everywhere else — including under
 //! `--cfg optik_explore`, where the deterministic explorer owns the
 //! interleaving and a micro-architectural hint would only blur the
 //! schedule-to-outcome mapping the replay tokens pin.

@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use optik_suite::harness::runner::run_queue_workload;
-use optik_suite::harness::scenario::Subject;
-use optik_suite::harness::ConcurrentQueue;
+use optik_suite::harness::scenario::{RunSpec, Subject};
+use optik_suite::harness::{ConcurrentQueue, OpKind};
 
 fn all_queues() -> Vec<(String, Arc<dyn ConcurrentQueue>)> {
     // Deduplicate by subject id, keeping the FIRST registration — fig12
@@ -33,17 +33,17 @@ fn harness_workload_balances_counts() {
         for i in 0..5_000u64 {
             q.enqueue(i);
         }
-        let res = run_queue_workload(
-            q.as_ref(),
-            8,
-            std::time::Duration::from_millis(200),
-            50,
-            11,
-            false,
-        );
-        let expected = 5_000i64 + res.counts.enqueue as i64 - res.counts.dequeue_suc as i64;
+        let spec = RunSpec {
+            threads: 8,
+            duration: std::time::Duration::from_millis(200),
+            seed: 11,
+            record_latency: false,
+        };
+        let res = run_queue_workload(&spec, q.as_ref(), 50);
+        let expected =
+            5_000i64 + res.count(OpKind::InsertSuc) as i64 - res.count(OpKind::DeleteSuc) as i64;
         assert_eq!(q.len() as i64, expected, "{name}");
-        assert!(res.counts.total() > 0, "{name}: did work");
+        assert!(res.ops > 0, "{name}: did work");
     }
 }
 

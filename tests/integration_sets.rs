@@ -167,7 +167,7 @@ fn single_key_histories_are_linearizable() {
     // Four threads hammer one key; the recorded timed history must admit a
     // legal linearization of the two-state set spec — checked exhaustively
     // by the harness's Wing–Gong style checker.
-    use optik_suite::harness::linearize::{check_history, Recorder, SetOp};
+    use optik_suite::harness::linearize::{check, HistoryRecorder, SetOp, SetSpec};
     use std::sync::{Barrier, Mutex};
 
     const KEY: u64 = 42;
@@ -180,13 +180,13 @@ fn single_key_histories_are_linearizable() {
             let all = Arc::clone(&all);
             let barrier = Arc::clone(&barrier);
             handles.push(std::thread::spawn(move || {
-                let mut rec = Recorder::new();
+                let mut rec = HistoryRecorder::new();
                 barrier.wait();
                 for i in 0..12u64 {
                     match (t + i) % 3 {
-                        0 => rec.record(SetOp::Insert, || set.insert(KEY, KEY)),
-                        1 => rec.record(SetOp::Delete, || set.delete(KEY).is_some()),
-                        _ => rec.record(SetOp::Search, || set.search(KEY).is_some()),
+                        0 => rec.record(|| set.insert(KEY, KEY), SetOp::Insert),
+                        1 => rec.record(|| set.delete(KEY).is_some(), SetOp::Delete),
+                        _ => rec.record(|| set.search(KEY).is_some(), SetOp::Search),
                     }
                 }
                 all.lock().unwrap().extend(rec.into_ops());
@@ -199,7 +199,12 @@ fn single_key_histories_are_linearizable() {
         });
         let history = all.lock().unwrap().clone();
         assert!(
-            check_history(&history, false),
+            check(
+                &SetSpec {
+                    initially_present: false
+                },
+                &history
+            ),
             "{name}: non-linearizable single-key history"
         );
         // Clean up the key for the next loop iteration's fresh structure.

@@ -5,10 +5,24 @@
 use std::time::Duration;
 
 use optik_suite::harness::runner::run_set_workload;
-use optik_suite::harness::{ConcurrentSet, Workload};
+use optik_suite::harness::{ConcurrentSet, Measurement, OpKind, RunSpec, Workload};
 use optik_suite::hashtables::OptikGlHashTable;
 use optik_suite::lists::{OptikCacheList, OptikList};
 use optik_suite::skiplists::OptikSkipList2;
+
+fn spec(threads: usize, ms: u64, seed: u64, record_latency: bool) -> RunSpec {
+    RunSpec {
+        threads,
+        duration: Duration::from_millis(ms),
+        seed,
+        record_latency,
+    }
+}
+
+/// Successful inserts minus successful deletes.
+fn net_inserted(m: &Measurement) -> i64 {
+    m.count(OpKind::InsertSuc) as i64 - m.count(OpKind::DeleteSuc) as i64
+}
 
 #[test]
 fn runner_counts_match_structure_state_list() {
@@ -17,18 +31,24 @@ fn runner_counts_match_structure_state_list() {
     w.initial_fill(5, |k, v| set.insert(k, v));
     assert_eq!(set.len() as u64, 256);
 
-    let res = run_set_workload(8, Duration::from_millis(250), &w, 6, false, |_| &set);
-    let expected = 256i64 + res.counts.net_inserted();
+    let res = run_set_workload(&spec(8, 250, 6, false), &w, |_| &set);
+    let expected = 256i64 + net_inserted(&res);
     assert_eq!(set.len() as i64, expected);
     // Issued updates ≈ 40% (2× the effective 20%): sanity band.
-    let updates = res.counts.insert_suc
-        + res.counts.insert_fail
-        + res.counts.delete_suc
-        + res.counts.delete_fail;
-    let frac = updates as f64 / res.counts.total() as f64;
+    let updates: u64 = [
+        OpKind::InsertSuc,
+        OpKind::InsertFail,
+        OpKind::DeleteSuc,
+        OpKind::DeleteFail,
+    ]
+    .map(|k| res.count(k))
+    .iter()
+    .sum();
+    let frac = updates as f64 / res.ops as f64;
     assert!((0.3..0.5).contains(&frac), "issued update fraction {frac}");
     // Roughly half the updates fail (key range is double the size).
-    let fail = (res.counts.insert_fail + res.counts.delete_fail) as f64 / updates.max(1) as f64;
+    let fail = (res.count(OpKind::InsertFail) + res.count(OpKind::DeleteFail)) as f64
+        / updates.max(1) as f64;
     assert!((0.3..0.7).contains(&fail), "failed update fraction {fail}");
 }
 
@@ -37,8 +57,8 @@ fn runner_counts_match_structure_state_hashtable() {
     let w = Workload::paper(512, 10, false);
     let set = OptikGlHashTable::new(512);
     w.initial_fill(7, |k, v| set.insert(k, v));
-    let res = run_set_workload(8, Duration::from_millis(250), &w, 8, false, |_| &set);
-    assert_eq!(set.len() as i64, 512 + res.counts.net_inserted());
+    let res = run_set_workload(&spec(8, 250, 8, false), &w, |_| &set);
+    assert_eq!(set.len() as i64, 512 + net_inserted(&res));
 }
 
 #[test]
@@ -46,13 +66,13 @@ fn skewed_workload_runs_and_balances_skiplist() {
     let w = Workload::paper(1024, 20, true);
     let set = OptikSkipList2::new();
     w.initial_fill(9, |k, v| set.insert(k, v));
-    let res = run_set_workload(8, Duration::from_millis(250), &w, 10, false, |_| &set);
-    assert_eq!(set.len() as i64, 1024 + res.counts.net_inserted());
+    let res = run_set_workload(&spec(8, 250, 10, false), &w, |_| &set);
+    assert_eq!(set.len() as i64, 1024 + net_inserted(&res));
     // Skew means hits cluster: search hit rate should be well above the
     // uniform 50% (popular keys are mostly present... actually with range
     // 2x and zipf on the whole range, hit rate hovers near the steady
     // state; just require the workload made progress on both kinds).
-    assert!(res.counts.search_hit > 0 && res.counts.search_miss > 0);
+    assert!(res.count(OpKind::SearchHit) > 0 && res.count(OpKind::SearchMiss) > 0);
 }
 
 #[test]
@@ -60,12 +80,10 @@ fn cache_handles_survive_the_runner() {
     let w = Workload::paper(512, 20, false);
     let set = OptikCacheList::new();
     w.initial_fill(11, |k, v| set.insert(k, v));
-    let res = run_set_workload(8, Duration::from_millis(250), &w, 12, false, |_| {
-        set.handle()
-    });
-    assert_eq!(set.len() as i64, 512 + res.counts.net_inserted());
+    let res = run_set_workload(&spec(8, 250, 12, false), &w, |_| set.handle());
+    assert_eq!(set.len() as i64, 512 + net_inserted(&res));
     let (allocs, _) = set.pool_stats();
-    assert!(allocs as i64 >= 512 + res.counts.insert_suc as i64);
+    assert!(allocs as i64 >= 512 + res.count(OpKind::InsertSuc) as i64);
 }
 
 #[test]
@@ -73,8 +91,7 @@ fn latency_recording_produces_boxplots() {
     let w = Workload::paper(64, 20, false);
     let set = OptikList::new();
     w.initial_fill(13, |k, v| set.insert(k, v));
-    let res = run_set_workload(4, Duration::from_millis(200), &w, 14, true, |_| &set);
-    use optik_suite::harness::OpKind;
+    let res = run_set_workload(&spec(4, 200, 14, true), &w, |_| &set);
     let p = res
         .latency
         .percentiles(OpKind::SearchHit)

@@ -7,7 +7,7 @@
 //! then decided by the Wing–Gong checker against the matching sequential
 //! specification:
 //!
-//! - sets → single-key two-state spec ([`check_history`]),
+//! - sets → single-key two-state spec ([`SetSpec`]),
 //! - queues → FIFO content spec ([`FifoSpec`]),
 //! - stacks → LIFO content spec ([`LifoSpec`]),
 //! - maps (the kv stores and their backends) → single-key *value-carrying*
@@ -25,8 +25,8 @@ use std::sync::{Arc, Barrier, Mutex};
 use optik_bench::scenarios;
 use optik_suite::harness::api::{ConcurrentMap, Key, OrderedMap, Val};
 use optik_suite::harness::linearize::{
-    check, check_history, FifoSpec, HistoryRecorder, LifoSpec, MapOp, MapSpec, QueueOp,
-    RangeMapSpec, RangeOp, Recorder, SetOp, StackOp, Timed, TtlMapSpec, TtlOp, RANGE_KEYS,
+    check, FifoSpec, HistoryRecorder, LifoSpec, MapOp, MapSpec, QueueOp, RangeMapSpec, RangeOp,
+    SetOp, SetSpec, StackOp, Timed, TtlMapSpec, TtlOp, RANGE_KEYS,
 };
 use optik_suite::harness::scenario::Subject;
 use optik_suite::harness::{ConcurrentQueue, ConcurrentSet, ConcurrentStack};
@@ -115,13 +115,13 @@ fn check_set_rounds(
             let all = Arc::clone(&all);
             let barrier = Arc::clone(&barrier);
             handles.push(std::thread::spawn(move || {
-                let mut rec = Recorder::new();
+                let mut rec = HistoryRecorder::new();
                 barrier.wait();
                 for i in 0..12u64 {
                     match (t + i + round as u64) % 3 {
-                        0 => rec.record(SetOp::Insert, || set.insert(KEY, KEY)),
-                        1 => rec.record(SetOp::Delete, || set.delete(KEY).is_some()),
-                        _ => rec.record(SetOp::Search, || set.search(KEY).is_some()),
+                        0 => rec.record(|| set.insert(KEY, KEY), SetOp::Insert),
+                        1 => rec.record(|| set.delete(KEY).is_some(), SetOp::Delete),
+                        _ => rec.record(|| set.search(KEY).is_some(), SetOp::Search),
                     }
                 }
                 all.lock().unwrap().extend(rec.into_ops());
@@ -134,7 +134,12 @@ fn check_set_rounds(
         });
         let history = all.lock().unwrap().clone();
         require_linearizable(
-            check_history(&history, false),
+            check(
+                &SetSpec {
+                    initially_present: false,
+                },
+                &history,
+            ),
             name,
             "single-key",
             round,
