@@ -31,7 +31,6 @@ use optik_harness::table::Table;
 
 struct Args {
     patterns: Vec<String>,
-    filter: Option<String>,
     ab: Option<(String, String)>,
     list: bool,
     digest: bool,
@@ -48,8 +47,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench_all [PATTERN ...] [--list] [--json FILE] [--out-dir DIR]\n\
          \x20                [--baseline FILE] [--tolerance PCT] [--no-latency]\n\
-         \x20                [--filter REGEX] [--digest] [--probe]\n\
-         \x20                [--trace-out DIR] [--ab LEFT,RIGHT]\n\
+         \x20                [--digest] [--probe] [--trace-out DIR]\n\
+         \x20                [--ab LEFT,RIGHT]\n\
          \n\
          PATTERN selects scenarios by exact name or dot-boundary prefix\n\
          (family or group); no patterns = the whole registry.\n\
@@ -58,9 +57,6 @@ fn usage() -> ! {
          left,right,left,right back to back, reporting the median of the\n\
          per-pair right/left throughput ratios (drift cancels per pair).\n\
          Runs nothing else and writes no reports.\n\
-         --filter REGEX narrows any selection to scenario names matching\n\
-         the regex (anchors, classes, alternation; `--list` shows names),\n\
-         e.g. --filter '^(kv\\.range|map\\.ordered)'.\n\
          --digest runs no benchmarks: it loads every BENCH_*.json in\n\
          --out-dir (newest first, so re-recorded reports win duplicate\n\
          scenarios; an explicit --baseline outranks all) and regenerates\n\
@@ -77,7 +73,6 @@ fn usage() -> ! {
 fn parse_args() -> Args {
     let mut args = Args {
         patterns: Vec::new(),
-        filter: None,
         ab: None,
         list: false,
         digest: false,
@@ -101,7 +96,6 @@ fn parse_args() -> Args {
                 }
                 args.ab = Some((l.to_string(), r.to_string()));
             }
-            "--filter" => args.filter = Some(it.next().unwrap_or_else(|| usage())),
             "--digest" => args.digest = true,
             "--json" => args.json = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--out-dir" => {
@@ -288,26 +282,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let filter = match args.filter.as_deref().map(optik_bench::filter::Filter::new) {
-        None => None,
-        Some(Ok(f)) => Some(f),
-        Some(Err(e)) => {
-            eprintln!("bad --filter pattern: {e}");
-            return ExitCode::from(2);
-        }
-    };
     let cfg = SweepConfig::from_env();
     cli::banner("bench_all", "unified scenario sweep", &cfg);
-    let selected = cli::select_filtered(&reg, &args.patterns, filter.as_ref());
+    let selected = reg.select(&args.patterns);
     if selected.is_empty() {
-        eprintln!(
-            "no scenarios match {:?} (filter: {:?}); try --list",
-            args.patterns, args.filter
-        );
+        eprintln!("no scenarios match {:?}; try --list", args.patterns);
         return ExitCode::from(2);
     }
     println!("{} scenarios selected\n", selected.len());
-    let reports = cli::run_selection(&reg, &args.patterns, filter.as_ref(), &cfg, args.latency);
+    let reports = cli::run_selection(&reg, &args.patterns, &cfg, args.latency);
 
     // `--probe` is a contract, not a hint: the kv engine and the OPTIK
     // hashtable (fig10) are hook-dense, so a scenario of theirs with no
@@ -433,7 +416,7 @@ fn main() -> ExitCode {
             );
         }
         if !cmp.missing_in_current.is_empty() {
-            if args.patterns.is_empty() && filter.is_none() {
+            if args.patterns.is_empty() {
                 // A full-registry run must cover everything the baseline
                 // covers: a missing scenario means regression protection
                 // silently shrank (rename/delete without re-recording).

@@ -12,7 +12,6 @@ use optik_harness::scenario::{Registry, Scenario};
 use optik_harness::table::{fmt_mops, Table};
 use optik_harness::Percentiles;
 
-use crate::filter::Filter;
 use crate::scenarios::{self, group_blurb};
 
 /// Pretty header shared by the binaries.
@@ -44,35 +43,18 @@ pub fn run_family(family: &str, what: &str, latency: bool) -> Vec<ScenarioReport
     let cfg = SweepConfig::from_env();
     banner(family, what, &cfg);
     let reg = scenarios::registry();
-    run_selection(&reg, &[family.to_string()], None, &cfg, latency)
-}
-
-/// The one definition of "which scenarios does this invocation run":
-/// pattern selection (see [`Registry::select`]) narrowed by an optional
-/// compiled name [`Filter`]. `bench_all`'s pre-flight count and
-/// [`run_selection`] both go through here, so they can never diverge.
-pub fn select_filtered<'r>(
-    reg: &'r Registry,
-    patterns: &[String],
-    filter: Option<&Filter>,
-) -> Vec<&'r Scenario> {
-    let mut sel = reg.select(patterns);
-    if let Some(f) = filter {
-        sel.retain(|s| f.is_match(s.name()));
-    }
-    sel
+    run_selection(&reg, &[family.to_string()], &cfg, latency)
 }
 
 /// [`run_family`] over an arbitrary pattern selection (see
-/// [`select_filtered`]); used by `bench_all`.
+/// [`Registry::select`]); used by `bench_all`.
 pub fn run_selection(
     reg: &Registry,
     patterns: &[String],
-    filter: Option<&Filter>,
     cfg: &SweepConfig,
     latency: bool,
 ) -> Vec<ScenarioReport> {
-    let sel = select_filtered(reg, patterns, filter);
+    let sel = reg.select(patterns);
     assert!(
         !sel.is_empty(),
         "no scenarios match {patterns:?}; try `bench_all --list`"

@@ -27,7 +27,6 @@
 
 pub mod cli;
 pub mod digest;
-pub mod filter;
 mod kv;
 pub mod scenarios;
 

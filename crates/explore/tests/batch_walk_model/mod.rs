@@ -16,13 +16,13 @@
 //! store's final contents appended as one last `Range`.
 
 use optik_explore::{Hist, Trial};
-use optik_harness::linearize::{RangeMapSpec, RangeOp, Timed};
+use optik_harness::linearize::{RangeMapSpec, RangeOp};
 use optik_kv::{Key, KvStore};
 use optik_skiplists::OptikSkipList2;
 use synchro::shim;
 
 use crate::multi_get_model::{rewalks, Counted};
-use crate::support::arrive_and_wait;
+use crate::support::{arrive_and_wait, timed};
 
 /// The tracked keys, ascending, all in shard 0 (bounds `[50, MAX]`).
 pub const KEYS: [Key; 3] = [20, 30, 40];
@@ -46,18 +46,6 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// The history as the checker takes it.
-    pub fn timed(&self) -> Vec<Timed<RangeOp>> {
-        self.history
-            .iter()
-            .map(|&(invoke, response, op)| Timed {
-                invoke,
-                response,
-                op,
-            })
-            .collect()
-    }
-
     /// Whether the history has a linearization, and the contents are the
     /// tracked bindings of its final `Range` and nothing else.
     pub fn linearizable(&self) -> bool {
@@ -70,7 +58,10 @@ impl Outcome {
             .filter_map(|(&k, v)| v.map(|v| (k, v)))
             .collect();
         self.contents == tracked
-            && optik_harness::linearize::check(&RangeMapSpec { initial: INITIAL }, &self.timed())
+            && optik_harness::linearize::check(
+                &RangeMapSpec { initial: INITIAL },
+                &timed(&self.history),
+            )
     }
 }
 

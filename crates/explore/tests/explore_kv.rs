@@ -67,12 +67,12 @@ use std::sync::Arc;
 
 use optik_explore::{explore, Config, Hist, Trial};
 use optik_harness::linearize::{
-    check, MapOp, MapSpec, RangeMapSpec, RangeOp, SeqSpec, Timed, TtlMapSpec, TtlOp,
+    check, MapOp, MapSpec, RangeMapSpec, RangeOp, SeqSpec, TtlMapSpec, TtlOp,
 };
 use optik_hashtables::StripedOptikHashTable;
 use optik_kv::{FakeClock, KvStore};
 use optik_skiplists::OptikSkipList2;
-use support::arrive_and_wait;
+use support::{arrive_and_wait, timed};
 use synchro::shim;
 
 /// Exploration bounds shared by the kv families. Two preemptions is the
@@ -87,28 +87,13 @@ fn kv_config(preemptions: u32) -> Config {
     }
 }
 
-/// Converts a drained [`Hist`] into the checker's [`Timed`] ops.
-fn timed<O>(hist: &Hist<O>) -> Vec<Timed<O>>
-where
-    O: Copy,
-{
-    hist.take_sorted()
-        .into_iter()
-        .map(|(invoke, response, op)| Timed {
-            invoke,
-            response,
-            op,
-        })
-        .collect()
-}
-
 /// Checks one schedule's history, failing with the replay token.
 fn assert_linearizable<S>(spec: &S, hist: &Hist<S::Op>, trial: &Trial, family: &str)
 where
     S: SeqSpec,
     S::Op: std::fmt::Debug,
 {
-    let h = timed(hist);
+    let h = timed(&hist.take_sorted());
     assert!(
         check(spec, &h),
         "{family}: non-linearizable history {h:?}; replay with schedule token {}",
@@ -161,7 +146,7 @@ fn ttl_expiry_races_put_and_get() {
                 hist.push(i, trial.now(), TtlOp::Put(2, prev));
             },
         ]);
-        let h = timed(&hist);
+        let h = timed(&hist.take_sorted());
         // Record the (get, put-prev) pair to prove both sides of the
         // race are enumerated.
         let got = h.iter().find_map(|t| match t.op {
@@ -227,7 +212,7 @@ fn ttl_expire_after_races_get() {
                 hist.push(i, trial.now(), TtlOp::Get(b));
             },
         ]);
-        let h = timed(&hist);
+        let h = timed(&hist.take_sorted());
         // Both gets come from one thread, so sorted-by-invoke order is
         // their program order.
         let g: Vec<Option<u64>> = h
@@ -329,7 +314,7 @@ fn boundary_flip_races_get_and_put() {
                 hist.push(i, trial.now(), MapOp::Put(2, prev));
             },
         ]);
-        let h = timed(&hist);
+        let h = timed(&hist.take_sorted());
         let got = h.iter().find_map(|t| match t.op {
             MapOp::Get(g) => Some(g),
             _ => None,
@@ -405,7 +390,7 @@ fn range_scan_races_rebalance_and_put() {
                 hist.push(i, trial.now(), RangeOp::Range(seen));
             },
         ]);
-        let h = timed(&hist);
+        let h = timed(&hist.take_sorted());
         scans.extend(h.iter().filter_map(|t| match t.op {
             RangeOp::Range(seen) => Some(seen),
             _ => None,
@@ -485,7 +470,7 @@ fn remove_miss_races_put_and_multi_put() {
         // nothing, shows here.
         let end = trial.now() + 1;
         hist.push(end, end, MapOp::Get(store.get(MISS_KEY)));
-        let h = timed(&hist);
+        let h = timed(&hist.take_sorted());
         removed.extend(h.iter().filter_map(|t| match t.op {
             MapOp::Remove(gone) => Some(gone),
             _ => None,
@@ -526,7 +511,7 @@ fn multi_get_races_writers_on_two_shards() {
         let out = run(trial);
         reads.insert(out.read);
         lookups.insert(out.lookups);
-        let h = out.timed();
+        let h = timed(&out.history);
         assert!(
             check(&PairSpec { initial: INITIAL }, &h),
             "multi_get-vs-writers: non-linearizable history {h:?} ({} lookups); \
@@ -565,7 +550,7 @@ fn range_scan_races_writers_on_two_hash_shards() {
             out.linearizable(),
             "range_scan-vs-writers: non-linearizable history {:?}; \
              replay with schedule token {}",
-            out.timed(),
+            timed(&out.history),
             trial.token()
         );
     });
@@ -632,7 +617,7 @@ fn ordered_exclusive_writer_races_get_and_range_scan() {
                 arrive_and_wait(&done, 2);
             },
         ]);
-        let h = timed(&hist);
+        let h = timed(&hist.take_sorted());
         for t in &h {
             match t.op {
                 RangeOp::Get(_, got) => {
@@ -688,7 +673,7 @@ fn ordered_batch_walk_races_put() {
             out.linearizable(),
             "batch-walk-vs-put: non-linearizable history {:?} ending in {:?}; \
              replay with schedule token {}",
-            out.timed(),
+            timed(&out.history),
             out.contents,
             trial.token()
         );

@@ -432,6 +432,7 @@ fn kv_remove_miss_schedule_replays() {
 fn kv_multi_get_repair_round_schedule_replays() {
     use multi_get_model::{run, Outcome, PairSpec, INITIAL};
     use optik_harness::linearize::check;
+    use support::timed;
 
     let kv_cfg = Config {
         max_steps: 20_000,
@@ -449,7 +450,10 @@ fn kv_multi_get_repair_round_schedule_replays() {
         }
     });
     let (token, outcome) = pinned.expect("some schedule repairs shard 0 after put(A)");
-    assert!(check(&PairSpec { initial: INITIAL }, &outcome.timed()));
+    assert!(check(
+        &PairSpec { initial: INITIAL },
+        &timed(&outcome.history)
+    ));
     for _ in 0..2 {
         replay(kv_cfg, &token, |trial| {
             assert_eq!(

@@ -18,7 +18,7 @@
 use std::cell::Cell;
 
 use optik_explore::{Hist, Trial};
-use optik_harness::linearize::{SeqSpec, Timed};
+use optik_harness::linearize::SeqSpec;
 use optik_kv::{ConcurrentMap, Key, KvStore, OrderedMap, Val};
 use optik_skiplists::OptikSkipList2;
 
@@ -155,20 +155,6 @@ pub struct Outcome {
     pub read: [Option<u64>; 2],
     /// Backend lookups the `multi_get` made.
     pub lookups: usize,
-}
-
-impl Outcome {
-    /// The history as the checker takes it.
-    pub fn timed(&self) -> Vec<Timed<PairOp>> {
-        self.history
-            .iter()
-            .map(|&(invoke, response, op)| Timed {
-                invoke,
-                response,
-                op,
-            })
-            .collect()
-    }
 }
 
 /// The bindings before the run.

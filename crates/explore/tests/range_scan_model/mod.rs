@@ -22,12 +22,12 @@
 #![allow(dead_code)]
 
 use optik_explore::{Hist, Trial};
-use optik_harness::linearize::{RangeMapSpec, RangeOp, Timed};
+use optik_harness::linearize::{RangeMapSpec, RangeOp};
 use optik_kv::{Key, KvStore};
 use optik_skiplists::OptikSkipList2;
 use synchro::shim;
 
-use crate::support::arrive_and_wait;
+use crate::support::{arrive_and_wait, timed};
 
 /// The tracked keys, ascending; shards 0, 1, 0 under two-shard hashing.
 pub const KEYS: [Key; 3] = [2, 4, 6];
@@ -54,21 +54,9 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// The history as the checker takes it.
-    pub fn timed(&self) -> Vec<Timed<RangeOp>> {
-        self.history
-            .iter()
-            .map(|&(invoke, response, op)| Timed {
-                invoke,
-                response,
-                op,
-            })
-            .collect()
-    }
-
     /// Whether the history has a linearization.
     pub fn linearizable(&self) -> bool {
-        optik_harness::linearize::check(&RangeMapSpec { initial: INITIAL }, &self.timed())
+        optik_harness::linearize::check(&RangeMapSpec { initial: INITIAL }, &timed(&self.history))
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::sync::atomic::Ordering;
 
+use optik_harness::linearize::Timed;
 use synchro::shim;
 
 /// Completion barrier: every model thread parks here until all `n` have
@@ -19,4 +20,17 @@ pub fn arrive_and_wait(done: &shim::AtomicU64, n: u64) {
     while done.load(Ordering::Acquire) < n {
         synchro::relax();
     }
+}
+
+/// A recorded `(invoke, response, op)` history as the checker takes it.
+#[allow(dead_code)] // the pool and probe suites mount this module and check no history
+pub fn timed<O: Copy>(history: &[(u64, u64, O)]) -> Vec<Timed<O>> {
+    history
+        .iter()
+        .map(|&(invoke, response, op)| Timed {
+            invoke,
+            response,
+            op,
+        })
+        .collect()
 }

@@ -5,15 +5,15 @@
 //! them into a service-shaped store — the ROADMAP's step from
 //! "reproduction" toward "production-scale system".
 //!
-//! The store is a **policy-layered engine**: routing, TTL, and
-//! rebalancing are separable layers over the same sharded core.
+//! The store is a **layered engine**: routing, TTL, and rebalancing are
+//! separable layers over the same sharded core.
 //!
 //! ```text
 //!             ┌──────────────────────────────────────────────────────┐
 //!  put(k,v) ─▶│ KvStore                                              │
 //!  get(k)   ─▶│  ┌────────────────────────────────────────────────┐  │
-//!             │  │ ShardPolicy (policy.rs)                        │  │
-//!             │  │  hash spread  |  partition table ⟨OPTIK lock⟩  │◀─┼── rebalance.rs
+//!             │  │ Routing (policy.rs): one of two variants       │  │
+//!             │  │  Hash spread  |  Range table ⟨OPTIK lock⟩      │◀─┼── rebalance.rs
 //!             │  └──────────────────────┬─────────────────────────┘  │   (boundary
 //!             │                         ▼ shard index                │    migration)
 //!             │ ┌─────────┐ ┌─────────┐     ┌─────────┐              │
@@ -54,7 +54,7 @@
 //!   does what the paper does with a contended OPTIK lock:
 //!   `try_lock_version`, and on failure back off (adaptively, seeded from
 //!   the thread's recent contention) and retry.
-//! - **routing** ([`ShardPolicy`], `policy.rs`) — under ordered sharding
+//! - **routing** (`policy.rs`) — under ordered sharding
 //!   the partition table sits behind its own OPTIK version lock: lookups
 //!   read it lock-free and validate, so an online boundary migration
 //!   (`rebalance.rs`) makes racing readers retry instead of mis-route.
@@ -90,7 +90,6 @@ mod rebalance;
 mod store;
 mod ttl;
 
-pub use policy::{HashPolicy, RangePolicy, ShardPolicy};
 pub use rebalance::{MigrationStats, RebalanceError, MIGRATION_BATCH};
 pub use store::KvStore;
 pub use ttl::{Clock, FakeClock, SystemClock};

@@ -103,7 +103,7 @@ impl<B: OrderedMap> KvStore<B> {
     /// The current partition table (ascending inclusive upper bounds,
     /// last entry `u64::MAX`), or `None` for hash-sharded stores.
     pub fn partition_bounds(&self) -> Option<Vec<Key>> {
-        self.range_policy().map(RangePolicy::snapshot_bounds)
+        self.routing.range().map(RangePolicy::snapshot_bounds)
     }
 
     /// Moves the boundary between shards `boundary` and `boundary + 1` to
@@ -124,7 +124,10 @@ impl<B: OrderedMap> KvStore<B> {
         boundary: usize,
         new_bound: Key,
     ) -> Result<MigrationStats, RebalanceError> {
-        let rp = self.range_policy().ok_or(RebalanceError::NotRangeSharded)?;
+        let rp = self
+            .routing
+            .range()
+            .ok_or(RebalanceError::NotRangeSharded)?;
         if boundary + 1 >= self.shards.len() {
             return Err(RebalanceError::NoSuchBoundary { boundary });
         }
@@ -279,7 +282,7 @@ impl<B: OrderedMap> KvStore<B> {
     /// traffic. Returns `None` when the store is hash-sharded, balanced,
     /// or the hot partition is too small to split.
     pub fn rebalance_round(&self) -> Option<MigrationStats> {
-        let rp = self.range_policy()?;
+        let rp = self.routing.range()?;
         let n = self.shards.len();
         if n < 2 {
             return None;

@@ -1,5 +1,6 @@
 //! The sharded store: per-shard OPTIK version locks over a pluggable
-//! [`ConcurrentMap`] backend, routed by a pluggable [`ShardPolicy`].
+//! [`ConcurrentMap`] backend, routed by hash or by contiguous key
+//! partitions (`policy.rs`).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -15,7 +16,7 @@ use synchro::{Backoff, CachePadded};
 
 use optik_harness::api::{ConcurrentMap, Key, OrderedMap, Val};
 
-use crate::policy::{HashPolicy, RangePolicy, ShardPolicy};
+use crate::policy::{RangePolicy, Routing};
 use crate::ttl::{Clock, TtlState};
 
 /// Optimistic attempts before a windowed read falls back to taking its
@@ -166,7 +167,7 @@ pub(crate) struct Shard<B> {
     /// as `map`: deadline reads are lock-free backend lookups.
     pub(crate) deadlines: Option<B>,
     /// Per-shard op counter feeding the rebalancer's load heuristics.
-    /// Only maintained under dynamic routing policies — hash stores never
+    /// Only maintained under range routing — hash stores never
     /// rebalance, so their hot paths skip the counter.
     ///
     /// All accesses are `Relaxed`, which is sound because the counter is
@@ -293,14 +294,13 @@ impl<B: ConcurrentMap> Shard<B> {
 
 /// A sharded key–value store over a pluggable [`ConcurrentMap`] backend.
 ///
-/// Keys route to one of N shards through a [`ShardPolicy`] (Fibonacci
-/// hashing by default, contiguous key partitions under
-/// [`KvStore::with_ordered_shards`]); each shard pairs a backend map with
-/// an OPTIK version lock:
+/// Keys route to one of N shards by Fibonacci hashing (the default) or
+/// by contiguous key partitions ([`KvStore::with_ordered_shards`]); each
+/// shard pairs a backend map with an OPTIK version lock:
 ///
 /// - [`KvStore::get`] goes straight to the backend, lock-free — the
-///   backends are linearizable maps on their own. Under a *dynamic*
-///   routing policy (rebalanceable partitions) the lookup additionally
+///   backends are linearizable maps on their own. Under *dynamic*
+///   (range) routing, whose partitions rebalance, the lookup additionally
 ///   validates the routing version, retrying if a migration raced it;
 ///   on TTL stores it validates the shard version around the
 ///   (value, deadline) pair and treats a passed deadline as a miss;
@@ -345,10 +345,7 @@ impl<B: ConcurrentMap> Shard<B> {
 /// sibling modules (`ttl`, `rebalance`).
 pub struct KvStore<B> {
     pub(crate) shards: Box<[CachePadded<Shard<B>>]>,
-    pub(crate) policy: Box<dyn ShardPolicy>,
-    /// Cached `policy.is_dynamic()`: read on every operation, so it
-    /// lives as a plain field instead of a virtual call.
-    pub(crate) dynamic: bool,
+    pub(crate) routing: Routing,
     pub(crate) ttl: Option<TtlState>,
 }
 
@@ -360,7 +357,7 @@ impl<B: ConcurrentMap> KvStore<B> {
     ///
     /// Panics if `shards` is zero.
     pub fn with_shards(shards: usize, make: impl FnMut(usize) -> B) -> Self {
-        Self::build(Box::new(HashPolicy::new(shards)), None, make)
+        Self::build(Routing::Hash { shards }, None, make)
     }
 
     /// [`KvStore::with_shards`] with native TTL support: entries gain
@@ -372,36 +369,16 @@ impl<B: ConcurrentMap> KvStore<B> {
         clock: Arc<dyn Clock>,
         make: impl FnMut(usize) -> B,
     ) -> Self {
-        Self::build(Box::new(HashPolicy::new(shards)), Some(clock), make)
+        Self::build(Routing::Hash { shards }, Some(clock), make)
     }
 
-    /// Creates a store routed by an arbitrary [`ShardPolicy`] (the
-    /// named constructors cover the common hash / contiguous cases).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy routes over zero shards.
-    pub fn with_policy(policy: Box<dyn ShardPolicy>, make: impl FnMut(usize) -> B) -> Self {
-        Self::build(policy, None, make)
-    }
-
-    /// [`KvStore::with_policy`] with native TTL support.
-    pub fn with_policy_ttl(
-        policy: Box<dyn ShardPolicy>,
-        clock: Arc<dyn Clock>,
-        make: impl FnMut(usize) -> B,
-    ) -> Self {
-        Self::build(policy, Some(clock), make)
-    }
-
-    pub(crate) fn build(
-        policy: Box<dyn ShardPolicy>,
+    fn build(
+        routing: Routing,
         clock: Option<Arc<dyn Clock>>,
         mut make: impl FnMut(usize) -> B,
     ) -> Self {
-        let shards = policy.num_shards();
+        let shards = routing.num_shards();
         assert!(shards > 0, "need at least one shard");
-        let dynamic = policy.is_dynamic();
         let () = Shard::<B>::LAYOUT;
         Self {
             shards: (0..shards)
@@ -414,8 +391,7 @@ impl<B: ConcurrentMap> KvStore<B> {
                     })
                 })
                 .collect(),
-            policy,
-            dynamic,
+            routing,
             ttl: clock.map(|clock| TtlState {
                 clock,
                 cursor: AtomicUsize::new(0),
@@ -431,7 +407,7 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// Shard index for `key`, as the routing table currently stands.
     #[inline]
     pub fn shard_of(&self, key: Key) -> usize {
-        self.policy.route(key)
+        self.routing.route(key)
     }
 
     /// The backend map of shard `i` (read-only introspection — e.g.
@@ -443,18 +419,13 @@ impl<B: ConcurrentMap> KvStore<B> {
         &self.shards[i].map
     }
 
-    /// Per-shard op counters (maintained under dynamic routing policies;
-    /// all-zero for hash stores), feeding the rebalancer's heuristics.
+    /// Per-shard op counters (maintained under range routing; all-zero
+    /// for hash stores), feeding the rebalancer's heuristics.
     pub fn shard_loads(&self) -> Vec<u64> {
         self.shards
             .iter()
             .map(|s| s.ops.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// The partition table's downcast, when range-sharded.
-    pub(crate) fn range_policy(&self) -> Option<&RangePolicy> {
-        self.policy.as_range()
     }
 
     /// The current tick, when TTL-enabled.
@@ -490,7 +461,7 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// unmodified critical sections release with `revert` so optimistic
     /// readers see no false conflicts.
     ///
-    /// How the lock is taken follows the routing policy (DESIGN.md, "Hot
+    /// How the lock is taken follows the routing (DESIGN.md, "Hot
     /// shards", has the measurements behind both choices):
     ///
     /// - **Static routing** takes it the paper's way: one
@@ -520,32 +491,34 @@ impl<B: ConcurrentMap> KvStore<B> {
         key: Key,
         f: impl FnOnce(&Shard<B>, Option<u64>) -> (R, bool),
     ) -> R {
-        let shard = loop {
-            let s = self.policy.route(key);
-            let shard = &self.shards[s];
-            if self.dynamic {
+        let shard = match &self.routing {
+            Routing::Range(rp) => loop {
+                let s = rp.route(key);
+                let shard = &self.shards[s];
                 shard.lock.lock();
-                if self.policy.route(key) != s {
-                    shard.lock.revert();
-                    continue;
+                if rp.route(key) == s {
+                    shard.ops.fetch_add(1, Ordering::Relaxed);
+                    break shard;
                 }
-                shard.ops.fetch_add(1, Ordering::Relaxed);
-                break shard;
-            }
-            let v = shard.lock.get_version();
-            if !OptikVersioned::is_locked_version(v) && shard.lock.try_lock_version(v) {
-                synchro::backoff::note_calm();
-                break shard;
-            }
-            let mut bo = Backoff::adaptive();
-            loop {
-                bo.backoff();
+                shard.lock.revert();
+            },
+            Routing::Hash { .. } => {
+                let shard = &self.shards[self.routing.route(key)];
                 let v = shard.lock.get_version();
                 if !OptikVersioned::is_locked_version(v) && shard.lock.try_lock_version(v) {
-                    break;
+                    synchro::backoff::note_calm();
+                } else {
+                    let mut bo = Backoff::adaptive();
+                    loop {
+                        bo.backoff();
+                        let v = shard.lock.get_version();
+                        if !OptikVersioned::is_locked_version(v) && shard.lock.try_lock_version(v) {
+                            break;
+                        }
+                    }
                 }
+                shard
             }
-            break shard;
         };
         let (out, modified) = f(shard, self.now_opt());
         if modified {
@@ -595,12 +568,8 @@ impl<B: ConcurrentMap> KvStore<B> {
         let mut opened = t0;
         let mut retried = false;
         for _ in 0..OPTIMISTIC_ATTEMPTS {
-            // Static policies have no routing version: skip the virtual calls.
-            let rv = if self.dynamic {
-                self.policy.version()
-            } else {
-                0
-            };
+            // Hash routing has no version: this reads nothing there.
+            let rv = self.routing.version();
             plan(read);
             for repairs in 0..=OPTIMISTIC_ATTEMPTS {
                 if versioned {
@@ -616,7 +585,7 @@ impl<B: ConcurrentMap> KvStore<B> {
                 let now = self.now_opt();
                 body(read, now);
                 let windows = read.as_mut();
-                let routed = !self.dynamic || self.policy.validate(rv);
+                let routed = self.routing.validate(rv);
                 let mut broken = 0;
                 if routed && versioned {
                     for w in windows.iter_mut() {
@@ -625,7 +594,7 @@ impl<B: ConcurrentMap> KvStore<B> {
                     }
                 }
                 if routed && broken == 0 {
-                    if self.dynamic {
+                    if let Routing::Range(_) = self.routing {
                         for w in windows.iter() {
                             self.shards[w.shard].ops.fetch_add(1, Ordering::Relaxed);
                         }
@@ -676,8 +645,8 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// pair: the lookup is linearizable by itself).
     #[inline]
     pub fn get(&self, key: Key) -> Option<Val> {
-        if !self.dynamic {
-            let shard = &self.shards[self.policy.route(key)];
+        if let Routing::Hash { .. } = self.routing {
+            let shard = &self.shards[self.routing.route(key)];
             if shard.deadlines.is_none() {
                 return shard.map.get(key);
             }
@@ -692,7 +661,7 @@ impl<B: ConcurrentMap> KvStore<B> {
         self.read_windows(
             &mut [Window::new(0)],
             self.ttl.is_some(),
-            |w| w[0] = Window::new(self.policy.route(key)),
+            |w| w[0] = Window::new(self.routing.route(key)),
             |w, now| out = self.shards[w[0].shard].live_get(key, now),
         );
         out
@@ -724,11 +693,8 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// modified nothing, so optimistic readers must not see a version
     /// bump.
     pub fn remove(&self, key: Key) -> Option<Val> {
-        if !self.dynamic
-            && self.ttl.is_none()
-            && self.shards[self.policy.route(key)].map.get(key).is_none()
-        {
-            return None;
+        if let (Routing::Hash { .. }, None) = (&self.routing, &self.ttl) {
+            self.shards[self.routing.route(key)].map.get(key)?;
         }
         self.write_shard(key, |shard, now| shard.remove_live(key, now))
     }
@@ -763,14 +729,14 @@ impl<B: ConcurrentMap> KvStore<B> {
         windows.clear();
         probes.clear();
         flat.clear();
-        if !self.policy.key_ordered_shards() {
+        if let Routing::Hash { .. } = self.routing {
             // Flat mode: probes run in arrival order, so the plan is
             // just the routed shard per key; the epoch-stamped seen
             // array collects the distinct shard set in the same pass.
             *epoch += 1;
             let e = *epoch;
             flat.extend(keys.map(|k| {
-                let s = self.policy.route(k);
+                let s = self.routing.route(k);
                 if stamp[s] != e {
                     stamp[s] = e;
                     windows.push(Window::new(s));
@@ -789,7 +755,7 @@ impl<B: ConcurrentMap> KvStore<B> {
             *c = 0;
         }
         routed.extend(keys.enumerate().map(|(i, k)| {
-            let s = self.policy.route(k);
+            let s = self.routing.route(k);
             stamp[s] += 1;
             (s, k, i as u32)
         }));
@@ -946,7 +912,7 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// Locks every shard of `ids` ascending, re-validating the shard set
     /// for `keys` under dynamic routing. Returns the stable shard set.
     fn lock_batch(&self, keys_of: &mut dyn FnMut() -> Vec<usize>) -> Vec<usize> {
-        let dynamic = self.dynamic;
+        let dynamic = matches!(self.routing, Routing::Range(_));
         loop {
             let ids = keys_of();
             for &i in &ids {
@@ -1039,15 +1005,20 @@ impl<B: ConcurrentMap> KvStore<B> {
                             for w in windows.iter_mut() {
                                 w.stale = !self.shards[w.shard].lock.lock_version(w.version);
                             }
-                            if self.dynamic
-                                && ops.iter().zip(at.iter()).any(|(op, &(_, w))| {
-                                    self.policy.route(op.1) != windows[w].shard
-                                })
-                            {
-                                for w in windows.iter().rev() {
-                                    self.shards[w.shard].lock.revert();
+                            if let Routing::Range(rp) = &self.routing {
+                                if ops
+                                    .iter()
+                                    .zip(at.iter())
+                                    .any(|(op, &(_, w))| rp.route(op.1) != windows[w].shard)
+                                {
+                                    for w in windows.iter().rev() {
+                                        self.shards[w.shard].lock.revert();
+                                    }
+                                    return false;
                                 }
-                                return false;
+                                for w in windows.iter() {
+                                    self.shards[w.shard].ops.fetch_add(1, Ordering::Relaxed);
+                                }
                             }
                             for (f, &(_, w)) in fresh.iter_mut().zip(at.iter()) {
                                 *f = !windows[w].stale;
@@ -1055,11 +1026,6 @@ impl<B: ConcurrentMap> KvStore<B> {
                             if !fresh.is_empty() {
                                 let stale = windows.iter().filter(|w| w.stale).count();
                                 optik_probe::count_n(optik_probe::Event::BatchRewalk, stale as u64);
-                            }
-                            if self.dynamic {
-                                for w in windows.iter() {
-                                    self.shards[w.shard].ops.fetch_add(1, Ordering::Relaxed);
-                                }
                             }
                             true
                         };
@@ -1192,14 +1158,14 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// every window to hold at once, which a walk over a large store
     /// under writes never gets without locking every shard;
     /// [`KvStore::range_scan`] over the whole key space is that read, for
-    /// callers who want it. Under a dynamic routing policy the routing
+    /// callers who want it. Under dynamic (range) routing the routing
     /// version is validated across the whole walk, so a boundary
     /// migration cannot show a moving key twice or not at all: a walk it
     /// raced is taken again as one windowed read of all shards.
     pub fn scan(&self, mut f: impl FnMut(Key, Val)) {
         let walk = |map: &B, sink: &mut dyn FnMut(Key, Val)| map.for_each(sink);
         let mut got = Collected::default();
-        if !self.dynamic {
+        let Routing::Range(_) = self.routing else {
             for i in 0..self.shards.len() {
                 self.collect(&mut got, || (i, i), walk);
                 for &(k, v) in &got.entries {
@@ -1207,14 +1173,14 @@ impl<B: ConcurrentMap> KvStore<B> {
                 }
             }
             return;
-        }
-        let rv = self.policy.version();
+        };
+        let rv = self.routing.version();
         let mut all = Vec::new();
         for i in 0..self.shards.len() {
             self.collect(&mut got, || (i, i), walk);
             all.append(&mut got.entries);
         }
-        if !self.policy.validate(rv) {
+        if !self.routing.validate(rv) {
             self.collect(&mut got, || (0, self.shards.len() - 1), walk);
             all = got.entries;
         }
@@ -1296,7 +1262,7 @@ impl<B: OrderedMap> KvStore<B> {
     /// Panics if `shards` or `max_key` is zero.
     pub fn with_ordered_shards(shards: usize, max_key: Key, make: impl FnMut(usize) -> B) -> Self {
         Self::build(
-            Box::new(RangePolicy::contiguous(shards, max_key)),
+            Routing::Range(RangePolicy::contiguous(shards, max_key)),
             None,
             make,
         )
@@ -1311,7 +1277,7 @@ impl<B: OrderedMap> KvStore<B> {
         make: impl FnMut(usize) -> B,
     ) -> Self {
         Self::build(
-            Box::new(RangePolicy::contiguous(shards, max_key)),
+            Routing::Range(RangePolicy::contiguous(shards, max_key)),
             Some(clock),
             make,
         )
@@ -1340,13 +1306,13 @@ impl<B: OrderedMap> KvStore<B> {
             // A cover read while a boundary moves can come out inverted;
             // the routing validation rejects it, but the lock fallback has
             // to hold *some* shard to pin the next one, so it widens.
-            || match self.policy.range_cover(lo, hi) {
+            || match self.routing.range_cover(lo, hi) {
                 Some((first, last)) if first <= last => (first, last),
                 _ => everywhere,
             },
             |map, sink| map.range(lo, hi, sink),
         );
-        if self.policy.range_cover(lo, hi).is_none() {
+        if self.routing.range_cover(lo, hi).is_none() {
             got.entries.sort_unstable();
         }
         got.entries
@@ -1816,31 +1782,5 @@ mod tests {
         }
         let got = OrderedMap::range_collect(&s, 1, 100);
         assert_eq!(got, vec![(5, 5), (50, 50), (95, 95)]);
-    }
-
-    #[test]
-    fn custom_policies_plug_in() {
-        // A deliberately silly policy: parity routing. The store must
-        // route, batch, and scan through it like any built-in.
-        struct ParityPolicy;
-        impl ShardPolicy for ParityPolicy {
-            fn num_shards(&self) -> usize {
-                2
-            }
-            fn route(&self, key: Key) -> usize {
-                (key % 2) as usize
-            }
-        }
-        let s: KvStore<StripedOptikHashTable> =
-            KvStore::with_policy(Box::new(ParityPolicy), |_| {
-                StripedOptikHashTable::new(32, 8)
-            });
-        for k in 1..=40u64 {
-            s.put(k, k);
-        }
-        assert_eq!(s.shard_of(7), 1);
-        assert_eq!(s.shard_of(8), 0);
-        assert_eq!(s.multi_get(&[3, 4]), vec![Some(3), Some(4)]);
-        assert_eq!(s.snapshot().len(), 40);
     }
 }

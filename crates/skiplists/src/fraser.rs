@@ -26,11 +26,11 @@
 //! between the two parties that can touch the node:
 //!
 //! - the **level-0 mark winner** unlinks the victim at every level
-//!   ([`FraserSkipList::unlink_node`], an identity-based per-level sweep
-//!   that is immune to equal-key ties), then tries to CAS the node's
-//!   `state` from LINKING to RETIRE_HANDOFF: on success the node's own
-//!   inserter is still running and inherits the retirement; otherwise
-//!   (state == LINK_DONE) the deleter retires;
+//!   ([`FraserSkipList::unlink_node`], a search descent that matches the
+//!   node by identity on each level, immune to equal-key ties), then
+//!   tries to CAS the node's `state` from LINKING to RETIRE_HANDOFF: on
+//!   success the node's own inserter is still running and inherits the
+//!   retirement; otherwise (state == LINK_DONE) the deleter retires;
 //! - the **inserter**, when it finishes (normally or by abandoning a
 //!   deleted node), unlinks the node again if it was marked (covering any
 //!   re-publication it performed), then CASes LINKING → LINK_DONE; if
@@ -242,7 +242,11 @@ impl FraserSkipList {
     }
 
     /// Physically unlinks `node` (which must be marked at every level) by
-    /// **identity**, level by level, walking each level from the head.
+    /// **identity**, level by level, top-down. Each level is entered at
+    /// `below`, the last node keyed below `node` that the levels above
+    /// passed, and walked forward: by key while keys are smaller, then by
+    /// pointer through the nodes that share `node`'s key. A delete costs
+    /// one search descent, not a walk from the head on every level.
     ///
     /// Unlike a `locate`-based cleanup, this sweep cannot be defeated by
     /// equal-key ties (a search stops at the first key match and misses
@@ -254,13 +258,29 @@ impl FraserSkipList {
     ///
     /// QSBR grace period required; `node` must be level-0 marked (its next
     /// pointers are frozen).
+    ///
+    /// Entering level `l` at `below` instead of the head misses nothing
+    /// while `below`'s level-`l` word is unmarked. `below` was reached
+    /// through level-`l + 1` pointers (or is the head), and inserts link
+    /// bottom-up, so it was linked at level `l` once; a node is snipped
+    /// from a level only after its word there is marked, and marks are
+    /// never cleared, so an unmarked word means `below` is still on the
+    /// level-`l` chain. The chain is sorted and `below`'s key is smaller
+    /// than `node`'s, so every position `node` can hold on that level lies
+    /// behind `below`. A marked `below` may already be snipped, and its
+    /// frozen pointer can skip nodes linked after the snip: the level is
+    /// then entered at the head, which every position is behind.
     unsafe fn unlink_node(&self, node: *mut Node) {
         // SAFETY: per contract; every walked pointer is grace-protected.
         unsafe {
             let key = (*node).key;
-            for l in (0..=(*node).top_level()).rev() {
+            let mut below = self.head;
+            for l in (0..MAX_LEVEL).rev() {
                 'level: loop {
-                    let mut pred = self.head;
+                    if marked(tower::next(below, l).load(Ordering::Acquire)) {
+                        below = self.head;
+                    }
+                    let mut pred = below;
                     loop {
                         let pred_w = tower::next(pred, l).load(Ordering::Acquire);
                         let cur = unmark(pred_w) as *mut Node;
@@ -285,6 +305,11 @@ impl FraserSkipList {
                         }
                         if cur.is_null() || (*cur).key > key {
                             break 'level; // not linked at this level
+                        }
+                        #[cfg(test)]
+                        tests::SWEEP_STEPS.set(tests::SWEEP_STEPS.get() + 1);
+                        if (*cur).key < key {
+                            below = cur;
                         }
                         pred = cur;
                     }
@@ -763,7 +788,35 @@ impl OrderedMap for FraserSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::Arc;
+
+    thread_local! {
+        /// Nodes `unlink_node` stepped past on this thread.
+        pub(super) static SWEEP_STEPS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    #[test]
+    fn delete_descends_instead_of_sweeping_from_the_head() {
+        // A delete unlinks its victim along one search path: about
+        // 2·log2(n) steps. Walking every level from the head instead
+        // costs the victim's rank on level 0 alone (~n/2 on average).
+        const N: u64 = 1 << 12;
+        let s = FraserSkipList::new();
+        for k in 1..=N {
+            assert!(s.insert(k, k));
+        }
+        SWEEP_STEPS.set(0);
+        for k in (1..=N).rev() {
+            assert_eq!(ConcurrentSet::delete(&s, k), Some(k));
+        }
+        let per_delete = SWEEP_STEPS.get() / N;
+        assert!(
+            per_delete <= 8 * N.ilog2() as u64,
+            "{per_delete} sweep steps per delete over {N} keys"
+        );
+        assert!(s.is_empty());
+    }
 
     #[test]
     fn basic_roundtrip() {

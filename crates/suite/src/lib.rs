@@ -39,7 +39,7 @@ pub mod prelude {
     pub use optik_hashtables::{
         OptikGlHashTable, OptikHashTable, OptikMapHashTable, ResizableStripedHashTable,
     };
-    pub use optik_kv::{Clock, FakeClock, KvStore, ShardPolicy, SystemClock};
+    pub use optik_kv::{Clock, FakeClock, KvStore, SystemClock};
     pub use optik_lists::{LazyList, OptikCacheList, OptikGlList, OptikList};
     pub use optik_maps::{ArrayMap, OptikArrayMap};
     pub use optik_queues::{MsLfQueue, OptikQueue2, VictimQueue};
