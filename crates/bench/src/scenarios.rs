@@ -1701,6 +1701,48 @@ mod tests {
     }
 
     #[test]
+    fn ci_subset_patterns_pick_what_the_old_name_regex_picked() {
+        // CI's subset smoke step selects with positional patterns; they
+        // must cover exactly the names the retired
+        // `^(kv\.range|kv\.ttl|kv\.rebalance|kv\.write-heavy|kv\.multiget|map\.ordered|alloc\.|probe\.)`
+        // filter matched, so no scenario left or joined the smoke run.
+        let r = registry();
+        let patterns: Vec<String> = [
+            "kv.range",
+            "kv.ttl",
+            "kv.rebalance",
+            "kv.write-heavy",
+            "kv.multiget",
+            "map.ordered",
+            "alloc",
+            "probe",
+        ]
+        .map(String::from)
+        .to_vec();
+        let regex_prefixes = [
+            "kv.range",
+            "kv.ttl",
+            "kv.rebalance",
+            "kv.write-heavy",
+            "kv.multiget",
+            "map.ordered",
+            "alloc.",
+            "probe.",
+        ];
+        let got: Vec<&str> = r.select(&patterns).iter().map(|s| s.name()).collect();
+        let want: Vec<&str> = r
+            .select(&[])
+            .iter()
+            .map(|s| s.name())
+            .filter(|n| regex_prefixes.iter().any(|p| n.starts_with(p)))
+            .collect();
+        assert_eq!(got, want);
+        for p in &patterns {
+            assert!(!r.select(std::slice::from_ref(p)).is_empty(), "{p}");
+        }
+    }
+
+    #[test]
     fn ordered_families_are_complete() {
         let r = registry();
         let range_series: Vec<&str> = r.in_group("kv.range").iter().map(|s| s.series()).collect();

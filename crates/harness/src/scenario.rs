@@ -486,6 +486,31 @@ mod tests {
     }
 
     #[test]
+    fn select_takes_each_scenario_once_in_registration_order() {
+        let mut r = Registry::new();
+        for name in ["b.x.1", "a.x.1", "a.y.1", "a.x.12", "a.xy.1"] {
+            r.register(Scenario::custom(name, "", "none", Subject::None, |_spec| {
+                Measurement::from_ops(1, Duration::from_millis(1))
+            }));
+        }
+        let names = |pats: &[&str]| -> Vec<&str> {
+            let pats: Vec<String> = pats.iter().map(|p| p.to_string()).collect();
+            r.select(&pats).iter().map(|s| s.name()).collect()
+        };
+        // Overlapping patterns (a family and one of its groups, a name
+        // twice) still yield each scenario once, in registration order.
+        assert_eq!(
+            names(&["a.x", "a", "a.x.1", "a.x.1"]),
+            vec!["a.x.1", "a.y.1", "a.x.12", "a.xy.1"]
+        );
+        // A string prefix that stops mid-component selects nothing extra:
+        // `a.x` is not a prefix of `a.xy.1`, and `a.x.1` not of `a.x.12`.
+        assert_eq!(names(&["a.x"]), vec!["a.x.1", "a.x.12"]);
+        assert_eq!(names(&["a.x.1"]), vec!["a.x.1"]);
+        assert!(names(&["a.", "c", "a.x.1.0"]).is_empty());
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate scenario name")]
     fn duplicate_name_panics() {
         let mut r = Registry::new();

@@ -281,6 +281,60 @@ mod tests {
     }
 
     #[test]
+    fn range_cover_follows_a_shift() {
+        let r = range(4, 400);
+        let rp = r.range().expect("range-routed");
+        assert_eq!(r.range_cover(50, 250), Some((0, 2)));
+        rp.shift(0, 60);
+        assert_eq!(r.range_cover(50, 250), Some((0, 2)));
+        rp.shift(1, 260);
+        assert_eq!(r.range_cover(50, 250), Some((0, 1)));
+        assert_eq!(r.range_cover(61, 250), Some((1, 1)));
+        // Shard 1 becomes empty-span: its window collapses onto shard 0.
+        rp.shift(0, 260);
+        assert_eq!(r.range_cover(61, 250), Some((0, 0)));
+        assert_eq!(r.range_cover(261, 261), Some((2, 2)));
+        assert_eq!(r.range_cover(250, 301), Some((0, 3)));
+    }
+
+    #[test]
+    fn range_route_agrees_with_a_linear_scan_of_the_bounds() {
+        // The binary search must pick the first shard whose bound covers
+        // the key, also across runs of equal bounds (empty-span shards).
+        let r = range(5, 1000);
+        let rp = r.range().expect("range-routed");
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..200 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let bounds = rp.snapshot_bounds();
+            let i = (x % 4) as usize;
+            let lower = if i == 0 { 0 } else { bounds[i - 1] };
+            let upper = bounds[i + 1].min(1500);
+            rp.shift(i, lower + (x >> 32) % (upper - lower + 1));
+            let bounds = rp.snapshot_bounds();
+            assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "{bounds:?}");
+            for k in (0..=1600u64).chain(bounds.iter().flat_map(|&b| [b.saturating_sub(1), b])) {
+                let want = bounds.iter().position(|&b| k <= b).unwrap();
+                assert_eq!(r.route(k), want, "round {round}, key {k}, {bounds:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_range_shard_owns_every_key() {
+        let r = range(1, 10);
+        assert_eq!(r.num_shards(), 1);
+        assert_eq!(r.range().unwrap().snapshot_bounds(), vec![u64::MAX]);
+        for k in [0, 1, 10, 11, u64::MAX - 1, u64::MAX] {
+            assert_eq!(r.route(k), 0, "key {k}");
+        }
+        assert_eq!(r.range_cover(1, u64::MAX), Some((0, 0)));
+        assert!(r.validate(r.version()));
+    }
+
+    #[test]
     #[should_panic(expected = "last bound is pinned")]
     fn last_bound_is_immutable() {
         let r = range(2, 100);

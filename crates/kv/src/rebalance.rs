@@ -461,6 +461,43 @@ mod tests {
     }
 
     #[test]
+    fn hash_stores_never_rebalance() {
+        let s = KvStore::with_shards(4, |_| OptikSkipList2::new());
+        for k in 1..=400u64 {
+            s.put(k, k);
+        }
+        // Skewed traffic that would split a range-routed store.
+        for _ in 0..50 {
+            for k in 1..=20u64 {
+                s.get(k);
+            }
+        }
+        let before = s.snapshot();
+        assert_eq!(s.rebalance_round(), None);
+        assert_eq!(s.snapshot(), before);
+        assert!(s.partition_bounds().is_none());
+    }
+
+    #[test]
+    fn shard_of_follows_a_boundary_shift() {
+        let s = ordered_store(4, 400);
+        for k in 1..=400u64 {
+            s.put(k, k);
+        }
+        assert_eq!(s.shard_of(150), 1);
+        s.shift_boundary(0, 150).unwrap();
+        assert_eq!((s.shard_of(150), s.shard_of(151)), (0, 1));
+        // Shard 1 becomes empty-span: its old keys now route to shard 2.
+        s.shift_boundary(1, 150).unwrap();
+        assert_eq!((s.shard_of(150), s.shard_of(151)), (0, 2));
+        assert_eq!(s.shard_of(300), 2);
+        for k in 1..=400u64 {
+            assert_eq!(s.get(k), Some(k), "key {k}");
+            assert_eq!(s.backend(s.shard_of(k)).get(k), Some(k), "key {k}");
+        }
+    }
+
+    #[test]
     fn empty_partitions_migrate_for_free() {
         let s = ordered_store(4, 400);
         // No entries at all: every shift is a pure routing flip.

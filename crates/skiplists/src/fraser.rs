@@ -819,6 +819,47 @@ mod tests {
     }
 
     #[test]
+    fn deletes_in_any_order_stay_on_the_search_path() {
+        // In descending order every victim is the list's maximum; in a
+        // random order the last smaller node moves around on every level
+        // and the cost must still be one descent.
+        const N: u64 = 1 << 12;
+        let s = FraserSkipList::new();
+        let mut keys: Vec<u64> = (1..=N).collect();
+        for &k in &keys {
+            assert!(s.insert(k, k + 7));
+        }
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in (1..keys.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            keys.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let (gone, kept) = keys.split_at(keys.len() / 2);
+        SWEEP_STEPS.set(0);
+        for &k in gone {
+            assert_eq!(ConcurrentSet::delete(&s, k), Some(k + 7));
+        }
+        let per_delete = SWEEP_STEPS.get() / gone.len() as u64;
+        assert!(
+            per_delete <= 8 * N.ilog2() as u64,
+            "{per_delete} sweep steps per delete over {N} keys"
+        );
+        for &k in gone {
+            assert_eq!(s.search(k), None, "deleted key {k}");
+        }
+        for &k in kept {
+            assert_eq!(s.search(k), Some(k + 7), "kept key {k}");
+        }
+        let mut live = Vec::new();
+        OrderedMap::range(&s, 1, N, &mut |k, _| live.push(k));
+        let mut want = kept.to_vec();
+        want.sort_unstable();
+        assert_eq!(live, want);
+    }
+
+    #[test]
     fn basic_roundtrip() {
         let s = FraserSkipList::new();
         assert!(s.insert(10, 100));
