@@ -53,10 +53,11 @@ fn usage() -> ! {
          PATTERN selects scenarios by exact name or dot-boundary prefix\n\
          (family or group); no patterns = the whole registry.\n\
          --ab LEFT,RIGHT runs an interleaved A/B comparison of two exact\n\
-         scenario names: BENCH_REPS pairs per thread count, run\n\
-         left,right,left,right back to back, reporting the median of the\n\
-         per-pair right/left throughput ratios (drift cancels per pair).\n\
-         Runs nothing else and writes no reports.\n\
+         scenario names: BENCH_REPS pairs per thread count, each run back\n\
+         to back (left first on even pairs, right first on odd ones),\n\
+         reporting the median of the per-pair right/left throughput ratios\n\
+         (drift cancels per pair) and the pairs right won (ties count for\n\
+         neither). Runs nothing else and writes no reports.\n\
          --digest runs no benchmarks: it loads every BENCH_*.json in\n\
          --out-dir (newest first, so re-recorded reports win duplicate\n\
          scenarios; an explicit --baseline outranks all) and regenerates\n\
@@ -225,7 +226,7 @@ fn run_ab(left_name: &str, right_name: &str, reg: &optik_harness::Registry) -> E
     cli::banner("bench_all --ab", "interleaved A/B comparison", &cfg);
     println!("A (left):  {}\nB (right): {}", left.name(), right.name());
     println!(
-        "{} interleaved pairs per thread count; ratio = median of per-pair B/A\n",
+        "{} alternating pairs per thread count; ratio = median of per-pair B/A\n",
         cfg.reps
     );
     let points = optik_harness::driver::run_ab(left, right, &cfg);
@@ -234,6 +235,7 @@ fn run_ab(left_name: &str, right_name: &str, reg: &optik_harness::Registry) -> E
         "A (Mops/s)",
         "B (Mops/s)",
         "B/A (median of pairs)",
+        "B wins",
     ]);
     for p in &points {
         t.row([
@@ -241,6 +243,7 @@ fn run_ab(left_name: &str, right_name: &str, reg: &optik_harness::Registry) -> E
             format!("{:.3}", p.left_mops),
             format!("{:.3}", p.right_mops),
             format!("{:.3}x", p.ratio),
+            format!("{}/{}", p.wins, p.pairs),
         ]);
     }
     t.print();
@@ -280,6 +283,15 @@ fn main() -> ExitCode {
              cargo run --release -p optik-bench --features probe --bin bench_all -- ..."
         );
         return ExitCode::from(2);
+    }
+
+    // The per-family reports land in --out-dir: make it before the sweep,
+    // so a bad path fails in a moment instead of after the whole run.
+    if args.json.is_none() {
+        if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
+            eprintln!("cannot create {}: {e}", args.out_dir.display());
+            return ExitCode::FAILURE;
+        }
     }
 
     let cfg = SweepConfig::from_env();

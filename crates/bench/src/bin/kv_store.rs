@@ -4,7 +4,7 @@
 //! Workloads (8 shards unless ablated): read-heavy zipfian (90% gets),
 //! write-heavy uniform (60% updates), batched (8-key multi-get/multi-put
 //! with sorted-shard acquisition), snapshot scans (1% validated scans under
-//! 20% updates), a small store with raw array-map shards, and a 1..32
+//! 20% updates), a small store over bucketed array-map shards, and a 1..32
 //! shard-count ablation.
 //!
 //! Expected shapes: gets are lock-free so read-heavy scales with readers;

@@ -42,7 +42,7 @@ use optik_stacks::{EliminationStack, OptikStack, TreiberStack};
 
 use crate::kv::{run_kv, KeyOrder, KvMix, Ordered, Unordered};
 
-/// Builds the full registry (~174 scenarios across 16 families).
+/// Builds the full registry (~160 scenarios across 16 families).
 pub fn registry() -> Registry {
     let mut r = Registry::new();
     fig5(&mut r);
@@ -124,9 +124,7 @@ pub fn group_blurb(group: &str) -> &'static str {
         "kv.scan" => {
             "kv store with snapshot scans (1024 entries, zipf a=0.9, 1% scans + 20% updates, 8 shards)"
         }
-        "kv.small" => {
-            "kv store, small + read-heavy (256 entries, 16 shards): array-map shards vs bucketed"
-        }
+        "kv.small" => "kv store, small + read-heavy (256 entries, 16 shards) over bucketed array-map shards",
         "kv.multiget" => {
             "kv multi-get heavy (8192 entries, uniform, 50% 16-key multi-gets + 10% writes, \
              8 shards): shard-grouped multi_get (route once, one validated OPTIK window per \
@@ -136,7 +134,7 @@ pub fn group_blurb(group: &str) -> &'static str {
             "kv shard-count ablation (striped-optik backend, read-heavy zipf, 1..32 shards)"
         }
         "kv.range" => {
-            "kv range scans over ordered-sharded skiplist/BST shards (8192 entries, 5% 128-key \
+            "kv range scans over ordered-sharded skiplist shards (8192 entries, 5% 128-key \
              windows + 20% updates, 8 contiguous partitions)"
         }
         "kv.ttl" => {
@@ -922,10 +920,8 @@ fn kv(r: &mut Registry) {
     );
     kv_backends(r, "scan", about, SHARDS, scan_span, &w);
 
-    // Small store: the OPTIK array map as a *shard backend* (fig7's
-    // structure promoted to a kv shard) vs its bucketed big sibling.
-    let about = "kv small store: raw OPTIK array-map shards vs bucketed \
-                 array-map shards at 256 entries";
+    // Small store: fig7's OPTIK array map, bucketed, as the shard backend.
+    let about = "kv small store: bucketed OPTIK array-map shards at 256 entries";
     let small = kv_load(
         256,
         false,
@@ -935,16 +931,6 @@ fn kv(r: &mut Registry) {
             ..KvMix::default()
         },
     );
-    // Capacity = full key range: a shard can never overflow, whatever the
-    // hash distribution does.
-    r.register(kv_scenario(
-        "kv.small.array",
-        about,
-        "kv/array-small",
-        16,
-        small.clone(),
-        |_| OptikArrayMap::<OptikVersioned>::new(512),
-    ));
     r.register(kv_scenario(
         "kv.small.optik-map",
         about,
@@ -1107,17 +1093,8 @@ fn kv_range(r: &mut Registry) {
         "kv/range-sl-fraser",
         SHARDS,
         max_key,
-        w.clone(),
-        |_| FraserSkipList::new(),
-    ));
-    r.register(kv_range_scenario(
-        &name("bst-tk"),
-        about,
-        "kv/range-bst-tk",
-        SHARDS,
-        max_key,
         w,
-        |_| OptikBst::new(),
+        |_| FraserSkipList::new(),
     ));
 }
 
@@ -1240,17 +1217,8 @@ fn kv_rebalance(r: &mut Registry) {
         "kv/rebal-sl-fraser",
         SHARDS,
         max_key,
-        w.clone(),
-        |_| FraserSkipList::new(),
-    ));
-    r.register(kv_range_scenario(
-        &name("bst-tk"),
-        about,
-        "kv/rebal-bst-tk",
-        SHARDS,
-        max_key,
         w,
-        |_| OptikBst::new(),
+        |_| FraserSkipList::new(),
     ));
 }
 
@@ -1306,12 +1274,12 @@ fn ordered_map_scenario<M: OrderedMap + 'static>(
 }
 
 fn map_ordered(r: &mut Registry) {
-    // Expectation: point-op ordering mirrors fig11/bst; ranges add a
+    // Expectation: point-op ordering mirrors fig11; ranges add a
     // per-node validation cost to the OPTIK designs that fraser's marked
     // pointers get for free, and keys_per_range sits near span/2 (half the
     // sampled windows fall past the populated prefix of the key space).
     let about = "Extension: ordered structures as maps — in-place OPTIK \
-                 upserts + validated range scans; point ops track fig11/bst, \
+                 upserts + validated range scans; point ops track fig11, \
                  ranges pay per-step validation except on fraser";
     const SIZE: u64 = 1024;
     const SPAN: u64 = 64;
@@ -1360,24 +1328,6 @@ fn map_ordered(r: &mut Registry) {
         true,
         SPAN,
         FraserSkipList::new,
-    ));
-    r.register(ordered_map_scenario(
-        &name("bst-gl"),
-        about,
-        "omap/bst-gl",
-        SIZE,
-        true,
-        SPAN,
-        OptikGlBst::<OptikVersioned>::new,
-    ));
-    r.register(ordered_map_scenario(
-        &name("bst-tk"),
-        about,
-        "omap/bst-tk",
-        SIZE,
-        true,
-        SPAN,
-        OptikBst::new,
     ));
 }
 
@@ -1661,7 +1611,7 @@ mod tests {
             "fig12.stable.optik2",    // queue
             "stacks.treiber",         // stack
             "kv.batch.striped-optik", // sharded kv store, batched ops
-            "kv.small.array",         // kv over array-map shards
+            "kv.small.optik-map",     // kv over bucketed array-map shards
             "ablate-victim.t2",       // parameterized queue
         ] {
             let s = r.get(name).unwrap_or_else(|| panic!("missing {name}"));
@@ -1748,7 +1698,7 @@ mod tests {
         let range_series: Vec<&str> = r.in_group("kv.range").iter().map(|s| s.series()).collect();
         assert_eq!(
             range_series,
-            vec!["herlihy", "herl-optik", "optik2", "fraser", "bst-tk"],
+            vec!["herlihy", "herl-optik", "optik2", "fraser"],
             "ordered backends mounted in the kv store"
         );
         let omap_series: Vec<&str> = r
@@ -1758,15 +1708,7 @@ mod tests {
             .collect();
         assert_eq!(
             omap_series,
-            vec![
-                "herlihy",
-                "herl-optik",
-                "optik1",
-                "optik2",
-                "fraser",
-                "bst-gl",
-                "bst-tk"
-            ],
+            vec!["herlihy", "herl-optik", "optik1", "optik2", "fraser"],
             "every ordered structure appears as a raw map subject"
         );
         // All of them are ordered subjects: the linearizability tier runs
@@ -1818,7 +1760,7 @@ mod tests {
             .collect();
         assert_eq!(
             rebal_series,
-            vec!["optik2", "fraser", "bst-tk"],
+            vec!["optik2", "fraser"],
             "rebalancing ordered-backend sweep"
         );
         for s in r.in_group("kv.rebalance") {

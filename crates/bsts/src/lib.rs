@@ -38,16 +38,11 @@ pub use optik_gl::OptikGlBst;
 pub use optik_tk::OptikBst;
 pub use seq::SeqBst;
 
-pub use optik_harness::api::{ConcurrentMap, ConcurrentSet, Key, OrderedMap, SetHandle, Val};
+pub use optik_harness::api::{ConcurrentSet, Key, SetHandle, Val};
 
 /// Sentinel key of the initial leaves and the root router; user keys must
 /// be smaller.
 pub const SENTINEL_KEY: Key = u64::MAX;
-
-/// Consecutive optimistic attempts a range traversal makes before its
-/// fallback (a locked pass for the global-lock tree, an oblivious pass for
-/// the fine-grained tree — see each `OrderedMap` impl).
-pub(crate) const RANGE_OPTIMISTIC_ATTEMPTS: usize = 8;
 
 #[inline]
 pub(crate) fn assert_user_key(key: Key) {
@@ -143,116 +138,6 @@ mod cross_tests {
                 assert_eq!(t.delete(k), Some(k), "{name}");
                 assert!(t.is_empty(), "{name} round {round}");
             }
-        }
-    }
-
-    fn ordered_implementations() -> Vec<(&'static str, Arc<dyn OrderedMap>)> {
-        vec![
-            (
-                "optik-gl",
-                Arc::new(OptikGlBst::<optik::OptikVersioned>::new()),
-            ),
-            ("optik-tk", Arc::new(OptikBst::new())),
-        ]
-    }
-
-    #[test]
-    fn map_upsert_roundtrip() {
-        for (name, m) in ordered_implementations() {
-            assert_eq!(m.put(10, 100), None, "{name}");
-            assert_eq!(m.put(10, 101), Some(100), "{name}: in-place update");
-            assert_eq!(m.get(10), Some(101), "{name}");
-            assert_eq!(m.put(5, 50), None, "{name}");
-            assert_eq!(m.remove(10), Some(101), "{name}");
-            assert_eq!(m.get(10), None, "{name}");
-            assert_eq!(m.put(10, 102), None, "{name}: reinsert after remove");
-            assert_eq!(ConcurrentMap::len(m.as_ref()), 2, "{name}");
-        }
-    }
-
-    #[test]
-    fn range_matches_btreemap_windows() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        for (name, m) in ordered_implementations() {
-            let mut rng = StdRng::seed_from_u64(0x7BEE);
-            let mut model = std::collections::BTreeMap::new();
-            for _ in 0..4_000 {
-                let k = rng.gen_range(1..=128u64);
-                if rng.gen_range(0..3) < 2 {
-                    model.insert(k, k * 3);
-                    m.put(k, k * 3);
-                } else {
-                    assert_eq!(m.remove(k), model.remove(&k), "{name} remove {k}");
-                }
-                if rng.gen_range(0..16) == 0 {
-                    let lo = rng.gen_range(1..=128u64);
-                    let hi = rng.gen_range(lo..=160u64);
-                    let got = m.range_collect(lo, hi);
-                    let want: Vec<(u64, u64)> =
-                        model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
-                    assert_eq!(got, want, "{name} range [{lo}, {hi}]");
-                }
-            }
-            let full = m.range_collect(1, u64::MAX - 1);
-            let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-            assert_eq!(full, want, "{name} full range");
-        }
-    }
-
-    #[test]
-    fn concurrent_ranges_stay_sorted_and_unique() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        for (name, m) in ordered_implementations() {
-            for k in (10..=200u64).step_by(10) {
-                m.put(k, k);
-            }
-            let stop = Arc::new(AtomicBool::new(false));
-            let mut churners = Vec::new();
-            for t in 0..3u64 {
-                let m = Arc::clone(&m);
-                let stop = Arc::clone(&stop);
-                churners.push(std::thread::spawn(move || {
-                    let mut x = t.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-                    while !stop.load(Ordering::Relaxed) {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        let k = x % 200 + 1;
-                        if k % 10 == 0 {
-                            continue; // never touch the backbone
-                        }
-                        if x & 1 == 0 {
-                            m.put(k, k);
-                        } else {
-                            m.remove(k);
-                        }
-                    }
-                    reclaim::offline();
-                }));
-            }
-            for round in 0..synchro::stress::ops(300) {
-                let lo = (round % 50) * 2 + 1;
-                let got = m.range_collect(lo, 220);
-                assert!(
-                    got.windows(2).all(|w| w[0].0 < w[1].0),
-                    "{name}: unsorted or duplicated keys in {got:?}"
-                );
-                for &(k, v) in &got {
-                    assert_eq!(v, k, "{name}: foreign value");
-                }
-                for k in (10..=200u64).step_by(10).filter(|&k| k >= lo) {
-                    assert!(
-                        got.iter().any(|&(g, _)| g == k),
-                        "{name}: scan missed stable key {k} (lo={lo})"
-                    );
-                }
-                reclaim::quiescent();
-            }
-            stop.store(true, Ordering::Relaxed);
-            for h in churners {
-                h.join().unwrap();
-            }
-            reclaim::online();
         }
     }
 

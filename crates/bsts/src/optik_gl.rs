@@ -8,23 +8,19 @@
 //! invalidates every concurrent one) for a very cheap common path — it is
 //! the right building block for per-bucket use.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use optik::{OptikLock, OptikVersioned};
 use reclaim::NodePool;
 use synchro::Backoff;
 
-use crate::{
-    assert_user_key, ConcurrentMap, ConcurrentSet, Key, OrderedMap, Val, RANGE_OPTIMISTIC_ATTEMPTS,
-    SENTINEL_KEY,
-};
+use crate::{assert_user_key, ConcurrentSet, Key, Val, SENTINEL_KEY};
 
 struct Node {
     key: Key,
-    /// Leaf binding, updated in place by `ConcurrentMap::put` under the
-    /// validated global lock; 0 and never read on routers.
-    val: AtomicU64,
+    /// Leaf binding, fixed at publication; 0 and never read on routers.
+    val: Val,
     leaf: bool,
     left: AtomicPtr<Node>,
     right: AtomicPtr<Node>,
@@ -34,7 +30,7 @@ impl Node {
     fn leaf(key: Key, val: Val) -> Self {
         Node {
             key,
-            val: AtomicU64::new(val),
+            val,
             leaf: true,
             left: AtomicPtr::new(std::ptr::null_mut()),
             right: AtomicPtr::new(std::ptr::null_mut()),
@@ -44,7 +40,7 @@ impl Node {
     fn router(key: Key, left: *mut Node, right: *mut Node) -> Self {
         Node {
             key,
-            val: AtomicU64::new(0),
+            val: 0,
             leaf: false,
             left: AtomicPtr::new(left),
             right: AtomicPtr::new(right),
@@ -96,18 +92,6 @@ impl<L: OptikLock> OptikGlBst<L> {
         }
     }
 
-    /// Number of elements (O(n); exact only in quiescence). Inherent so
-    /// callers with both [`ConcurrentSet`] and [`ConcurrentMap`] in scope
-    /// need no disambiguation.
-    pub fn len(&self) -> usize {
-        ConcurrentSet::len(self)
-    }
-
-    /// Whether the tree is empty (see [`OptikGlBst::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Finds `(gparent, parent, leaf)` for `key`.
     ///
     /// # Safety
@@ -146,7 +130,7 @@ impl<L: OptikLock> ConcurrentSet for OptikGlBst<L> {
             while !(*cur).leaf {
                 cur = (*cur).child_for(key).load(Ordering::Acquire);
             }
-            ((*cur).key == key).then(|| (*cur).val.load(Ordering::Acquire))
+            ((*cur).key == key).then(|| (*cur).val)
         }
     }
 
@@ -202,7 +186,7 @@ impl<L: OptikLock> ConcurrentSet for OptikGlBst<L> {
                 let sibling = (*p).sibling_for(key).load(Ordering::Relaxed);
                 (*gp).child_for(key).store(sibling, Ordering::Release);
                 self.lock.unlock();
-                let val = (*l).val.load(Ordering::Relaxed);
+                let val = (*l).val;
                 // SAFETY: unlinked under the validated lock.
                 reclaim::with_local(|h| {
                     self.pool.retire(p, h);
@@ -230,138 +214,6 @@ impl<L: OptikLock> ConcurrentSet for OptikGlBst<L> {
                 }
             }
             n
-        }
-    }
-}
-
-impl<L: OptikLock> ConcurrentMap for OptikGlBst<L> {
-    fn get(&self, key: Key) -> Option<Val> {
-        ConcurrentSet::search(self, key)
-    }
-
-    /// In-place upsert: a present key's leaf value is swapped after a
-    /// successful `try_lock_version` against the version read before the
-    /// traversal — the validation proves the leaf is still the key's
-    /// current binding. The release is a `revert`: a value swap changes no
-    /// structure, so concurrent optimistic updates need not re-traverse.
-    fn put(&self, key: Key, val: Val) -> Option<Val> {
-        assert_user_key(key);
-        reclaim::quiescent();
-        let mut bo = Backoff::adaptive();
-        loop {
-            let vn = self.lock.get_version();
-            // SAFETY: grace period per attempt.
-            unsafe {
-                let (_, p, l) = self.locate(key);
-                if (*l).key == key {
-                    if !self.lock.try_lock_version(vn) {
-                        bo.backoff();
-                        continue;
-                    }
-                    let prev = (*l).val.swap(val, Ordering::AcqRel);
-                    self.lock.revert();
-                    return Some(prev);
-                }
-                if !self.lock.try_lock_version(vn) {
-                    bo.backoff();
-                    continue;
-                }
-                let new_leaf = self.pool.alloc_init(|| Node::leaf(key, val));
-                let router = if key < (*l).key {
-                    self.pool.alloc_init(|| Node::router((*l).key, new_leaf, l))
-                } else {
-                    self.pool.alloc_init(|| Node::router(key, l, new_leaf))
-                };
-                (*p).child_for(key).store(router, Ordering::Release);
-                self.lock.unlock();
-                return None;
-            }
-        }
-    }
-
-    fn remove(&self, key: Key) -> Option<Val> {
-        ConcurrentSet::delete(self, key)
-    }
-
-    fn len(&self) -> usize {
-        ConcurrentSet::len(self)
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(Key, Val)) {
-        self.range(1, SENTINEL_KEY - 1, f);
-    }
-}
-
-impl<L: OptikLock> OrderedMap for OptikGlBst<L> {
-    /// Whole-range OPTIK read: collect the pruned in-order window under a
-    /// version read, validate, emit — the same collect-and-validate shape
-    /// as the kv store's shard snapshots. After
-    /// `RANGE_OPTIMISTIC_ATTEMPTS` failed rounds the pass runs under the
-    /// global lock (released with `revert`: read-only critical section).
-    fn range(&self, lo: Key, hi: Key, f: &mut dyn FnMut(Key, Val)) {
-        let hi = hi.min(SENTINEL_KEY - 1);
-        let lo = lo.max(1);
-        if lo > hi {
-            return;
-        }
-        reclaim::quiescent();
-        let mut buf: Vec<(Key, Val)> = Vec::new();
-        let mut bo = Backoff::adaptive();
-        for attempt in 0..=RANGE_OPTIMISTIC_ATTEMPTS {
-            buf.clear();
-            let locked = attempt == RANGE_OPTIMISTIC_ATTEMPTS;
-            let vn = if locked {
-                self.lock.lock()
-            } else {
-                self.lock.get_version_wait()
-            };
-            // SAFETY: grace period (held since entry; collection only).
-            unsafe { self.collect_range(lo, hi, &mut buf) };
-            let ok = if locked {
-                self.lock.revert(); // read-only critical section
-                true
-            } else {
-                self.lock.validate(vn)
-            };
-            if ok {
-                for &(k, v) in &buf {
-                    f(k, v);
-                }
-                return;
-            }
-            bo.backoff();
-        }
-    }
-}
-
-impl<L: OptikLock> OptikGlBst<L> {
-    /// Pruned in-order collection of `[lo, hi]` into `buf`.
-    ///
-    /// # Safety
-    ///
-    /// QSBR grace period required.
-    unsafe fn collect_range(&self, lo: Key, hi: Key, buf: &mut Vec<(Key, Val)>) {
-        // SAFETY: per contract.
-        unsafe {
-            let mut stack = vec![self.root];
-            while let Some(node) = stack.pop() {
-                if (*node).leaf {
-                    let k = (*node).key;
-                    if k != SENTINEL_KEY && (lo..=hi).contains(&k) {
-                        buf.push((k, (*node).val.load(Ordering::Acquire)));
-                    }
-                    continue;
-                }
-                // In-order via LIFO: push right first, then left, pruning
-                // subtrees the window cannot reach (`key < node.key` goes
-                // left).
-                if hi >= (*node).key {
-                    stack.push((*node).right.load(Ordering::Acquire));
-                }
-                if lo < (*node).key {
-                    stack.push((*node).left.load(Ordering::Acquire));
-                }
-            }
         }
     }
 }

@@ -24,24 +24,20 @@
 //! linearization points of updates are the child-pointer stores, as in
 //! the paper's lists.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use optik::{OptikLock, OptikVersioned, Version};
 use reclaim::NodePool;
 use synchro::Backoff;
 
-use crate::{
-    assert_user_key, ConcurrentMap, ConcurrentSet, Key, OrderedMap, Val, RANGE_OPTIMISTIC_ATTEMPTS,
-    SENTINEL_KEY,
-};
+use crate::{assert_user_key, ConcurrentSet, Key, Val, SENTINEL_KEY};
 
 pub(crate) struct Node {
     /// Router key (`key < k` routes left) or element key for leaves.
     key: Key,
-    /// Element value, updated in place by `ConcurrentMap::put` under the
-    /// parent router's validated lock; 0 and never read for routers.
-    val: AtomicU64,
+    /// Element value, fixed at publication; 0 and never read for routers.
+    val: Val,
     /// Leaves route nothing and are never locked.
     leaf: bool,
     /// Covers `left` and `right`; unused (but present) on leaves.
@@ -54,7 +50,7 @@ impl Node {
     fn leaf(key: Key, val: Val) -> Self {
         Node {
             key,
-            val: AtomicU64::new(val),
+            val,
             leaf: true,
             lock: OptikVersioned::new(),
             left: AtomicPtr::new(std::ptr::null_mut()),
@@ -65,7 +61,7 @@ impl Node {
     fn router(key: Key, left: *mut Node, right: *mut Node) -> Self {
         Node {
             key,
-            val: AtomicU64::new(0),
+            val: 0,
             leaf: false,
             lock: OptikVersioned::new(),
             left: AtomicPtr::new(left),
@@ -134,18 +130,6 @@ impl OptikBst {
         Self { root, pool }
     }
 
-    /// Number of elements (O(n); exact only in quiescence). Inherent so
-    /// callers with both [`ConcurrentSet`] and [`ConcurrentMap`] in scope
-    /// need no disambiguation.
-    pub fn len(&self) -> usize {
-        ConcurrentSet::len(self)
-    }
-
-    /// Whether the tree is empty (see [`OptikBst::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Traversal with hand-over-hand version tracking. Returns
     /// `(gparent, gparentv, parent, parentv, leaf)`; `gparent` is the root
     /// when the parent router hangs directly under it.
@@ -194,7 +178,7 @@ impl ConcurrentSet for OptikBst {
             while !(*cur).leaf {
                 cur = (*cur).child_for(key).load(Ordering::Acquire);
             }
-            ((*cur).key == key).then(|| (*cur).val.load(Ordering::Acquire))
+            ((*cur).key == key).then(|| (*cur).val)
         }
     }
 
@@ -266,10 +250,8 @@ impl ConcurrentSet for OptikBst {
                 // p's OPTIK lock is never released: stale operations that
                 // tracked p as parent or grandparent can never validate
                 // against it again. The leaf was never locked; it is
-                // unreachable once p is spliced out. Reading the value
-                // *after* claiming p also serializes against the in-place
-                // swaps of `ConcurrentMap::put`, which validate p's lock.
-                let val = (*l).val.load(Ordering::Relaxed);
+                // unreachable once p is spliced out.
+                let val = (*l).val;
                 // SAFETY: both unlinked; sole deleter retires.
                 reclaim::with_local(|h| {
                     self.pool.retire(p, h);
@@ -298,122 +280,6 @@ impl ConcurrentSet for OptikBst {
                 }
             }
             n
-        }
-    }
-}
-
-impl ConcurrentMap for OptikBst {
-    fn get(&self, key: Key) -> Option<Val> {
-        ConcurrentSet::search(self, key)
-    }
-
-    /// In-place upsert: the parent router's lock (one `try_lock_version`,
-    /// exactly the insert path's cost) guards the leaf's value swap — a
-    /// deleter must claim the same router before it can splice the leaf
-    /// out and read its value, so updates and removals serialize. The
-    /// release is a `revert`: no child pointer changed.
-    fn put(&self, key: Key, val: Val) -> Option<Val> {
-        assert_user_key(key);
-        reclaim::quiescent();
-        let mut bo = Backoff::adaptive();
-        loop {
-            // SAFETY: grace period per attempt.
-            unsafe {
-                let (_, _, p, pv, l) = self.locate(key);
-                if (*l).key == key {
-                    if !(*p).lock.try_lock_version(pv) {
-                        bo.backoff();
-                        continue;
-                    }
-                    // Validated: l is still p's child, hence still the
-                    // key's current binding; the deleter cannot intervene
-                    // while we hold p.
-                    let prev = (*l).val.swap(val, Ordering::AcqRel);
-                    (*p).lock.revert();
-                    return Some(prev);
-                }
-                if !(*p).lock.try_lock_version(pv) {
-                    bo.backoff();
-                    continue;
-                }
-                let new_leaf = self.pool.alloc_init(|| Node::leaf(key, val));
-                let router = if key < (*l).key {
-                    self.pool.alloc_init(|| Node::router((*l).key, new_leaf, l))
-                } else {
-                    self.pool.alloc_init(|| Node::router(key, l, new_leaf))
-                };
-                (*p).child_for(key).store(router, Ordering::Release);
-                (*p).lock.unlock();
-                return None;
-            }
-        }
-    }
-
-    fn remove(&self, key: Key) -> Option<Val> {
-        ConcurrentSet::delete(self, key)
-    }
-
-    fn len(&self) -> usize {
-        ConcurrentSet::len(self)
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(Key, Val)) {
-        self.range(1, SENTINEL_KEY - 1, f);
-    }
-}
-
-impl OrderedMap for OptikBst {
-    /// Pruned in-order walk with per-router OPTIK validation: a router's
-    /// version is read on arrival, its children after, and the version is
-    /// validated before either child is descended — the traversal analogue
-    /// of the tree's hand-over-hand version tracking. Interference
-    /// restarts from the root, re-pruned to just past the last emitted key
-    /// (sorted, duplicate-free output). After
-    /// `RANGE_OPTIMISTIC_ATTEMPTS` restarts the pass downgrades to an
-    /// oblivious walk: spliced-out routers keep their locks forever, so a
-    /// blocking lock fallback could hang, while the oblivious walk is
-    /// still quiescence-consistent — every pointer is read during the
-    /// call, and a spliced router's children are frozen at splice time, so
-    /// every reached leaf was present at some instant of the call. Exact
-    /// under a writer-excluding lock (the kv store's shard fallback).
-    fn range(&self, lo: Key, hi: Key, f: &mut dyn FnMut(Key, Val)) {
-        let hi = hi.min(SENTINEL_KEY - 1);
-        let mut from = lo.max(1);
-        if from > hi {
-            return;
-        }
-        reclaim::quiescent();
-        let mut bo = Backoff::adaptive();
-        'restart: for attempt in 0..=RANGE_OPTIMISTIC_ATTEMPTS {
-            let validate = attempt < RANGE_OPTIMISTIC_ATTEMPTS;
-            // SAFETY: grace period; pointer reads only.
-            unsafe {
-                let mut stack: Vec<*mut Node> = vec![self.root];
-                while let Some(node) = stack.pop() {
-                    if (*node).leaf {
-                        let k = (*node).key;
-                        if k != SENTINEL_KEY && k >= from && k <= hi {
-                            f(k, (*node).val.load(Ordering::Acquire));
-                            from = k + 1;
-                        }
-                        continue;
-                    }
-                    let rv = (*node).lock.get_version();
-                    let left = (*node).left.load(Ordering::Acquire);
-                    let right = (*node).right.load(Ordering::Acquire);
-                    if validate && !(*node).lock.validate(rv) {
-                        bo.backoff();
-                        continue 'restart;
-                    }
-                    if hi >= (*node).key {
-                        stack.push(right);
-                    }
-                    if from < (*node).key {
-                        stack.push(left);
-                    }
-                }
-                return;
-            }
         }
     }
 }

@@ -247,7 +247,7 @@ pub trait ConcurrentMap: Send + Sync {
     fn for_each(&self, f: &mut dyn FnMut(Key, Val));
 }
 
-/// A [`ConcurrentMap`] over a *key-ordered* structure (skip list, BST):
+/// A [`ConcurrentMap`] over a *key-ordered* structure (a skip list):
 /// the backend contract for the kv store's range scans.
 ///
 /// `range` visits every live entry with `lo <= key <= hi`, in ascending

@@ -264,12 +264,17 @@ pub struct AbPoint {
     pub ratio: f64,
     /// Number of pairs measured (= `cfg.reps`).
     pub pairs: usize,
+    /// Pairs in which right measured strictly more throughput than left;
+    /// a tie counts for neither side.
+    pub wins: usize,
 }
 
 /// Interleaved A/B core: for each thread count, run `cfg.reps` *pairs*
-/// back to back — left, right, left, right, … — with per-pair seeds
-/// `cfg.seed + pair`, and report the median of the per-pair `right/left`
-/// throughput ratios (plus the median absolute throughputs).
+/// back to back with per-pair seeds `cfg.seed + pair`, and report the
+/// median of the per-pair `right/left` throughput ratios (plus the median
+/// absolute throughputs and right's win count). Even pairs run left
+/// first, odd pairs right first, so a cost that falls on whichever side
+/// runs first or second (a warm cache, a frequency step) splits evenly.
 ///
 /// Like [`sweep_with`], the closures decide what "time" means, so unit
 /// tests drive this with a fake clock.
@@ -290,8 +295,13 @@ pub fn ab_sweep_with(
                 seed: cfg.seed + pair as u64,
                 record_latency: false,
             };
-            let l = left(&spec).mops();
-            let r = right(&spec).mops();
+            let (l, r) = if pair % 2 == 0 {
+                let l = left(&spec).mops();
+                (l, right(&spec).mops())
+            } else {
+                let r = right(&spec).mops();
+                (left(&spec).mops(), r)
+            };
             lm.push(l);
             rm.push(r);
             ratios.push(r / l.max(1e-12));
@@ -302,6 +312,7 @@ pub fn ab_sweep_with(
             right_mops: stats::median(&rm),
             ratio: stats::median(&ratios),
             pairs: cfg.reps,
+            wins: lm.iter().zip(&rm).filter(|(l, r)| r > l).count(),
         });
     }
     points
@@ -422,21 +433,23 @@ mod tests {
     }
 
     #[test]
-    fn ab_sweep_interleaves_pairs_and_reports_median_ratio() {
-        // Record the exact execution order: the whole point of the A/B
-        // mode is that left/right alternate within each pair.
+    fn ab_sweep_alternates_pairs_and_reports_median_ratio_and_wins() {
+        // Record the exact execution order: pairs run back to back, and
+        // which side runs first alternates from pair to pair.
         let order = std::cell::RefCell::new(Vec::new());
         let points = ab_sweep_with(
-            &cfg(vec![2], 3),
+            &cfg(vec![2], 4),
             |spec| {
                 order.borrow_mut().push(('L', spec.seed));
                 Measurement::from_ops(2_000_000, Duration::from_secs(1))
             },
             |spec| {
                 order.borrow_mut().push(('R', spec.seed));
-                // rep = seed - 40: ratios are {1.5, 2.0, 2.5}; median 2.0.
+                // rep = seed - 40: ratios are {0.5, 1.0, 1.5, 2.0};
+                // median 1.25. Right wins the last two pairs only: the
+                // 1.0 pair is a tie and counts for neither side.
                 let rep = spec.seed - 40;
-                Measurement::from_ops(3_000_000 + rep * 1_000_000, Duration::from_secs(1))
+                Measurement::from_ops(1_000_000 + rep * 1_000_000, Duration::from_secs(1))
             },
         );
         assert_eq!(
@@ -444,19 +457,22 @@ mod tests {
             vec![
                 ('L', 40),
                 ('R', 40),
-                ('L', 41),
                 ('R', 41),
+                ('L', 41),
                 ('L', 42),
-                ('R', 42)
+                ('R', 42),
+                ('R', 43),
+                ('L', 43)
             ],
-            "pairs run back to back with shared per-pair seeds"
+            "pairs run back to back with shared per-pair seeds, alternating the first side"
         );
         assert_eq!(points.len(), 1);
-        assert_eq!(points[0].pairs, 3);
+        assert_eq!(points[0].pairs, 4);
+        assert_eq!(points[0].wins, 2, "ties count for neither side");
         assert!((points[0].left_mops - 2.0).abs() < 1e-9);
-        assert!((points[0].right_mops - 4.0).abs() < 1e-9);
+        assert!((points[0].right_mops - 2.5).abs() < 1e-9);
         assert!(
-            (points[0].ratio - 2.0).abs() < 1e-9,
+            (points[0].ratio - 1.25).abs() < 1e-9,
             "median of per-pair ratios"
         );
     }

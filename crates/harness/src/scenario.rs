@@ -100,7 +100,7 @@ pub enum Subject {
     /// A key–value map (upsert semantics — the kv store and its backends).
     Map(Box<dyn Fn() -> Arc<dyn ConcurrentMap> + Send + Sync>),
     /// An ordered key–value map (map semantics plus range scans — the
-    /// skip-list/BST backends and the stores mounted over them). The
+    /// skip-list backends and the stores mounted over them). The
     /// correctness tiers run both the map checks and the range checks on
     /// these subjects.
     Ordered(Box<dyn Fn() -> Arc<dyn OrderedMap> + Send + Sync>),

@@ -94,7 +94,7 @@ impl crate::ConcurrentMap for OptikMapHashTable {
     /// Panics if the key is fresh and its bucket is full (fixed-capacity
     /// buckets, as in the paper) — size `bucket_capacity` for the workload.
     fn put(&self, key: Key, val: Val) -> Option<Val> {
-        ArrayMap::put(self.bucket(key), key, val)
+        self.bucket(key).put(key, val)
     }
 
     fn remove(&self, key: Key) -> Option<Val> {
@@ -107,7 +107,7 @@ impl crate::ConcurrentMap for OptikMapHashTable {
 
     fn for_each(&self, f: &mut dyn FnMut(Key, Val)) {
         for b in self.buckets.iter() {
-            ArrayMap::for_each(b, f);
+            b.for_each(f);
         }
     }
 }

@@ -28,9 +28,9 @@
 //!             │ │ └─────┘ │ │ └─────┘ │     │ └─────┘ │   (deadline  │
 //!             │ └─────────┘ └─────────┘     └─────────┘    tables)   │
 //!             └──────────────────────────────────────────────────────┘
-//!               map = any ConcurrentMap backend (OPTIK array map,
-//!               striped / striped-OPTIK / resizable table, skip
-//!               lists and BSTs via OrderedMap — or another KvStore)
+//!               map = any ConcurrentMap backend (array-map /
+//!               striped / striped-OPTIK / resizable hash table, skip
+//!               lists via OrderedMap — or another KvStore)
 //! ```
 //!
 //! The OPTIK pattern (§3 of the paper) appears at *three* granularities:
@@ -64,7 +64,7 @@
 //!   on read and reclaimed incrementally by [`KvStore::sweep_expired`]
 //!   through the workspace QSBR machinery.
 //!
-//! Ordered backends (the skip lists and BSTs, via
+//! Ordered backends (the skip lists, via
 //! `optik_harness::api::OrderedMap`) additionally serve **range scans**:
 //! [`KvStore::range_scan`] collects a `[lo, hi]` window from every shard
 //! it touches inside one validated read — a snapshot across shards — and

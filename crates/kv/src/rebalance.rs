@@ -25,12 +25,6 @@
 //! present. Between batches every lock is released, so writers starve for
 //! at most one batch. Expiry deadlines (TTL stores) migrate with their
 //! entries.
-//!
-//! Fixed-capacity backends (the array maps) are a poor fit for
-//! rebalancing — a migration concentrates keys into fewer shards and can
-//! overflow a shard sized for its original span (backend `put` panics on
-//! overflow, per the `ConcurrentMap` contract). Mount unbounded ordered
-//! backends (skip lists, BSTs) under stores that rebalance.
 
 use std::fmt;
 use std::sync::atomic::Ordering;

@@ -43,17 +43,6 @@ pub trait ArrayMap: Send + Sync {
     /// Inserts `key → val` if `key` is absent and a slot is free.
     /// Returns whether the insertion happened.
     fn insert(&self, key: Key, val: Val) -> bool;
-    /// Inserts or atomically updates `key → val`, returning the previous
-    /// value (`None` = fresh insert). Unlike [`ArrayMap::insert`], a
-    /// present key is *feasible*: its value is replaced in place, with no
-    /// window in which the key is absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is absent and the map is full — fixed-capacity maps
-    /// have no resize path (§4.1), so overflow is a sizing bug at the
-    /// caller, not an outcome.
-    fn put(&self, key: Key, val: Val) -> Option<Val>;
     /// Removes `key`, returning its value if it was present.
     fn delete(&self, key: Key) -> Option<Val>;
     /// Number of occupied slots (O(capacity); linearizes only when quiesced).
@@ -64,10 +53,6 @@ pub trait ArrayMap: Send + Sync {
     }
     /// Slot capacity.
     fn capacity(&self) -> usize;
-    /// Visits every occupied slot once. Consistent only in quiescence (or
-    /// under whatever external lock excludes writers); see
-    /// [`optik_harness::api::ConcurrentMap::for_each`].
-    fn for_each(&self, f: &mut dyn FnMut(Key, Val));
 }
 
 // The array maps expose the harness's three-operation set interface
@@ -97,35 +82,6 @@ impl_concurrent_set!(SeqArrayMap);
 impl_concurrent_set!(LockArrayMap);
 impl_concurrent_set!(OptikArrayMap<optik::OptikVersioned>);
 impl_concurrent_set!(OptikArrayMap<optik::OptikTicket>);
-
-// The same maps under the kv subsystem's upsert interface: `put` replaces
-// in place where `insert` would have failed.
-macro_rules! impl_concurrent_map {
-    ($ty:ty) => {
-        impl optik_harness::api::ConcurrentMap for $ty {
-            fn get(&self, key: Key) -> Option<Val> {
-                ArrayMap::search(self, key)
-            }
-            fn put(&self, key: Key, val: Val) -> Option<Val> {
-                ArrayMap::put(self, key, val)
-            }
-            fn remove(&self, key: Key) -> Option<Val> {
-                ArrayMap::delete(self, key)
-            }
-            fn len(&self) -> usize {
-                ArrayMap::len(self)
-            }
-            fn for_each(&self, f: &mut dyn FnMut(Key, Val)) {
-                ArrayMap::for_each(self, f)
-            }
-        }
-    };
-}
-
-impl_concurrent_map!(SeqArrayMap);
-impl_concurrent_map!(LockArrayMap);
-impl_concurrent_map!(OptikArrayMap<optik::OptikVersioned>);
-impl_concurrent_map!(OptikArrayMap<optik::OptikTicket>);
 
 #[cfg(test)]
 mod cross_tests {

@@ -73,29 +73,6 @@ impl ArrayMap for LockArrayMap {
         })
     }
 
-    fn put(&self, key: Key, val: Val) -> Option<Val> {
-        debug_assert_ne!(key, EMPTY_KEY);
-        self.lock.with(|| {
-            let mut free = None;
-            for (i, slot) in self.slots.iter().enumerate() {
-                // SAFETY: inside the critical section.
-                let (k, v) = unsafe { *slot.get() };
-                if k == key {
-                    // SAFETY: inside the critical section.
-                    unsafe { (*slot.get()).1 = val };
-                    return Some(v);
-                }
-                if k == EMPTY_KEY && free.is_none() {
-                    free = Some(i);
-                }
-            }
-            let i = free.expect("put on a full LockArrayMap: size the capacity for the workload");
-            // SAFETY: inside the critical section.
-            unsafe { *self.slots[i].get() = (key, val) };
-            None
-        })
-    }
-
     fn delete(&self, key: Key) -> Option<Val> {
         debug_assert_ne!(key, EMPTY_KEY);
         self.lock.with(|| {
@@ -124,18 +101,6 @@ impl ArrayMap for LockArrayMap {
 
     fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(Key, Val)) {
-        self.lock.with(|| {
-            for slot in self.slots.iter() {
-                // SAFETY: inside the critical section.
-                let (k, v) = unsafe { *slot.get() };
-                if k != EMPTY_KEY {
-                    f(k, v);
-                }
-            }
-        })
     }
 }
 

@@ -49,6 +49,83 @@ impl<L: OptikLock> OptikArrayMap<L> {
     pub fn version(&self) -> optik::Version {
         self.lock.get_version()
     }
+
+    /// Inserts or atomically updates `key → val`, returning the previous
+    /// value (`None` = fresh insert). Unlike [`ArrayMap::insert`], a
+    /// present key is *feasible*: its value is replaced in place, with no
+    /// window in which the key is absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is absent and the map is full — fixed-capacity maps
+    /// have no resize path (§4.1), so overflow is a sizing bug at the
+    /// caller, not an outcome.
+    pub fn put(&self, key: Key, val: Val) -> Option<Val> {
+        debug_assert_ne!(key, EMPTY_KEY);
+        let mut bo = Backoff::adaptive();
+        loop {
+            let vn = self.lock.get_version();
+            if L::is_locked_version(vn) {
+                synchro::relax();
+                continue;
+            }
+            // Optimistic traversal: find the key, or the first free slot.
+            let mut free = None;
+            let mut found = None;
+            for (i, slot) in self.slots.iter().enumerate() {
+                let k = slot.key.load(Ordering::Acquire);
+                if k == key {
+                    found = Some(i);
+                    break;
+                }
+                if k == EMPTY_KEY && free.is_none() {
+                    free = Some(i);
+                }
+            }
+            // Both outcomes of an upsert are feasible writes, so (unlike
+            // insert/delete) put always locks; the validation guarantees
+            // the traversal's conclusion (slot index) still holds.
+            if !self.lock.try_lock_version(vn) {
+                bo.backoff();
+                continue;
+            }
+            let prev = match found {
+                Some(i) => {
+                    // In-place value replacement: concurrent searches that
+                    // overlapped this critical section fail validation and
+                    // restart, so no torn (key, value) snapshot escapes.
+                    let slot = &self.slots[i];
+                    let old = slot.val.load(Ordering::Relaxed);
+                    slot.val.store(val, Ordering::Relaxed);
+                    Some(old)
+                }
+                None => {
+                    let i = free
+                        .expect("put on a full OptikArrayMap: size the capacity for the workload");
+                    let slot = &self.slots[i];
+                    // Value first, then key (see `insert`).
+                    slot.val.store(val, Ordering::Relaxed);
+                    slot.key.store(key, Ordering::Release);
+                    None
+                }
+            };
+            self.lock.unlock();
+            return prev;
+        }
+    }
+
+    /// Visits every occupied slot once: a raw slot sweep with no version
+    /// validation, consistent only in quiescence or under whatever
+    /// external lock excludes writers (the kv store scans under its shard
+    /// lock or validates afterwards).
+    pub fn for_each(&self, f: &mut dyn FnMut(Key, Val)) {
+        for slot in self.slots.iter() {
+            let k = slot.key.load(Ordering::Acquire);
+            if k != EMPTY_KEY {
+                f(k, slot.val.load(Ordering::Relaxed));
+            }
+        }
+    }
 }
 
 impl<L: OptikLock> ArrayMap for OptikArrayMap<L> {
@@ -125,60 +202,6 @@ impl<L: OptikLock> ArrayMap for OptikArrayMap<L> {
         }
     }
 
-    fn put(&self, key: Key, val: Val) -> Option<Val> {
-        debug_assert_ne!(key, EMPTY_KEY);
-        let mut bo = Backoff::adaptive();
-        loop {
-            let vn = self.lock.get_version();
-            if L::is_locked_version(vn) {
-                synchro::relax();
-                continue;
-            }
-            // Optimistic traversal: find the key, or the first free slot.
-            let mut free = None;
-            let mut found = None;
-            for (i, slot) in self.slots.iter().enumerate() {
-                let k = slot.key.load(Ordering::Acquire);
-                if k == key {
-                    found = Some(i);
-                    break;
-                }
-                if k == EMPTY_KEY && free.is_none() {
-                    free = Some(i);
-                }
-            }
-            // Both outcomes of an upsert are feasible writes, so (unlike
-            // insert/delete) put always locks; the validation guarantees
-            // the traversal's conclusion (slot index) still holds.
-            if !self.lock.try_lock_version(vn) {
-                bo.backoff();
-                continue;
-            }
-            let prev = match found {
-                Some(i) => {
-                    // In-place value replacement: concurrent searches that
-                    // overlapped this critical section fail validation and
-                    // restart, so no torn (key, value) snapshot escapes.
-                    let slot = &self.slots[i];
-                    let old = slot.val.load(Ordering::Relaxed);
-                    slot.val.store(val, Ordering::Relaxed);
-                    Some(old)
-                }
-                None => {
-                    let i = free
-                        .expect("put on a full OptikArrayMap: size the capacity for the workload");
-                    let slot = &self.slots[i];
-                    // Value first, then key (see `insert`).
-                    slot.val.store(val, Ordering::Relaxed);
-                    slot.key.store(key, Ordering::Release);
-                    None
-                }
-            };
-            self.lock.unlock();
-            return prev;
-        }
-    }
-
     fn delete(&self, key: Key) -> Option<Val> {
         debug_assert_ne!(key, EMPTY_KEY);
         let mut bo = Backoff::adaptive();
@@ -215,18 +238,6 @@ impl<L: OptikLock> ArrayMap for OptikArrayMap<L> {
 
     fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(Key, Val)) {
-        // Raw slot sweep with no version validation — per the trait
-        // contract, entry-level consistency is the caller's problem (the kv
-        // store scans under its shard lock or validates afterwards).
-        for slot in self.slots.iter() {
-            let k = slot.key.load(Ordering::Acquire);
-            if k != EMPTY_KEY {
-                f(k, slot.val.load(Ordering::Relaxed));
-            }
-        }
     }
 }
 

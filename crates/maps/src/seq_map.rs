@@ -75,24 +75,6 @@ impl ArrayMap for SeqArrayMap {
         }
     }
 
-    fn put(&self, key: Key, val: Val) -> Option<Val> {
-        debug_assert_ne!(key, EMPTY_KEY);
-        let mut free = None;
-        for i in 0..self.slots.len() {
-            let (k, v) = *self.slot(i);
-            if k == key {
-                self.slot(i).1 = val;
-                return Some(v);
-            }
-            if k == EMPTY_KEY && free.is_none() {
-                free = Some(i);
-            }
-        }
-        let i = free.expect("put on a full SeqArrayMap: size the capacity for the workload");
-        *self.slot(i) = (key, val);
-        None
-    }
-
     fn delete(&self, key: Key) -> Option<Val> {
         debug_assert_ne!(key, EMPTY_KEY);
         for i in 0..self.slots.len() {
@@ -114,15 +96,6 @@ impl ArrayMap for SeqArrayMap {
     fn capacity(&self) -> usize {
         self.slots.len()
     }
-
-    fn for_each(&self, f: &mut dyn FnMut(Key, Val)) {
-        for i in 0..self.slots.len() {
-            let (k, v) = *self.slot(i);
-            if k != EMPTY_KEY {
-                f(k, v);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,27 +114,6 @@ mod tests {
         assert_eq!(m.search(3), None);
         assert_eq!(m.delete(2), Some(20));
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn put_upserts_and_for_each_visits() {
-        let m = SeqArrayMap::new(4);
-        assert_eq!(m.put(1, 10), None);
-        assert_eq!(m.put(1, 11), Some(10));
-        assert_eq!(m.put(2, 20), None);
-        assert_eq!(m.search(1), Some(11));
-        let mut seen = Vec::new();
-        ArrayMap::for_each(&m, &mut |k, v| seen.push((k, v)));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(1, 11), (2, 20)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "full SeqArrayMap")]
-    fn put_on_full_map_panics() {
-        let m = SeqArrayMap::new(1);
-        assert_eq!(m.put(1, 10), None);
-        let _ = m.put(2, 20);
     }
 
     proptest! {

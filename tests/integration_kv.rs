@@ -12,13 +12,11 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use optik_suite::bsts::OptikBst;
 use optik_suite::harness::api::{ConcurrentMap, OrderedMap, MAX_USER_KEY};
 use optik_suite::hashtables::{
     OptikMapHashTable, ResizableStripedHashTable, StripedHashTable, StripedOptikHashTable,
 };
 use optik_suite::kv::{FakeClock, KvStore};
-use optik_suite::maps::OptikArrayMap;
 use optik_suite::skiplists::{
     FraserSkipList, HerlihyOptikSkipList, HerlihySkipList, OptikSkipList2,
 };
@@ -27,12 +25,6 @@ use optik_suite::skiplists::{
 /// Fixed-capacity backends are sized so `put` can never overflow a shard.
 fn all_stores() -> Vec<(&'static str, Arc<dyn ConcurrentMap>)> {
     vec![
-        (
-            "kv/array",
-            Arc::new(KvStore::with_shards(4, |_| {
-                OptikArrayMap::<optik::OptikVersioned>::new(256)
-            })),
-        ),
         (
             "kv/optik-map",
             Arc::new(KvStore::with_shards(4, |_| {
@@ -548,12 +540,6 @@ fn ordered_stores() -> Vec<(&'static str, Arc<dyn OrderedMap>)> {
             "kv/range-sl-fraser",
             Arc::new(KvStore::with_ordered_shards(4, MAX_KEY, |_| {
                 FraserSkipList::new()
-            })),
-        ),
-        (
-            "kv/range-bst-tk",
-            Arc::new(KvStore::with_ordered_shards(4, MAX_KEY, |_| {
-                OptikBst::new()
             })),
         ),
         (

@@ -19,7 +19,7 @@
 //! variants behind `--ignored` run many more and back the CI
 //! linearizability job.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Barrier, Mutex};
 
 use optik_bench::scenarios;
@@ -360,35 +360,24 @@ fn check_range_rounds(
 /// histories per unique implementation.
 fn run_tier(rounds: usize) {
     let reg = scenarios::registry();
-    let mut seen: HashSet<String> = HashSet::new();
-    let (mut sets, mut queues, mut stacks, mut maps, mut ordered, mut ranged) = (0, 0, 0, 0, 0, 0);
+    // Subject ids enrolled per kind; "ranged" holds the ordered subjects
+    // that also run the range-observing rounds.
+    let mut enrolled: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for s in reg.iter() {
-        if !seen.insert(s.subject_id().to_string()) {
+        let kind = s.subject().kind();
+        if kind == "-" || !enrolled.entry(kind).or_default().insert(s.subject_id()) {
             continue;
         }
         match s.subject() {
-            Subject::Set(make) => {
-                sets += 1;
-                check_set_rounds(s.subject_id(), make.as_ref(), rounds);
-            }
-            Subject::Queue(make) => {
-                queues += 1;
-                check_queue_rounds(s.subject_id(), make.as_ref(), rounds);
-            }
-            Subject::Stack(make) => {
-                stacks += 1;
-                check_stack_rounds(s.subject_id(), make.as_ref(), rounds);
-            }
-            Subject::Map(make) => {
-                maps += 1;
-                check_map_rounds(s.subject_id(), make.as_ref(), rounds);
-            }
+            Subject::Set(make) => check_set_rounds(s.subject_id(), make.as_ref(), rounds),
+            Subject::Queue(make) => check_queue_rounds(s.subject_id(), make.as_ref(), rounds),
+            Subject::Stack(make) => check_stack_rounds(s.subject_id(), make.as_ref(), rounds),
+            Subject::Map(make) => check_map_rounds(s.subject_id(), make.as_ref(), rounds),
             Subject::Ordered(make) => {
                 // Ordered subjects run the value-carrying single-key
                 // rounds; store-backed ones (validated-snapshot ranges)
                 // additionally run the range-observing rounds — see
                 // `check_range_rounds` for why raw backends do not.
-                ordered += 1;
                 let as_map = |make: &(dyn Fn() -> Arc<dyn OrderedMap> + Send + Sync)| {
                     let m = make();
                     let out: Arc<dyn ConcurrentMap> = Arc::new(OrderedAsMap(m));
@@ -397,33 +386,130 @@ fn run_tier(rounds: usize) {
                 let make_ref = make.as_ref();
                 check_map_rounds(s.subject_id(), &move || as_map(make_ref), rounds);
                 if s.subject_id().starts_with("kv/") {
-                    ranged += 1;
+                    enrolled.entry("ranged").or_default().insert(s.subject_id());
                     check_range_rounds(s.subject_id(), make_ref, rounds);
                 }
             }
             Subject::None => {}
         }
     }
-    // The registry must actually be feeding the tier: all five families of
-    // structures appear, and nothing shrank silently.
-    assert!(
-        sets >= 20,
-        "expected >=20 unique set implementations, got {sets}"
-    );
-    assert!(queues >= 6, "expected >=6 unique queues, got {queues}");
-    assert!(stacks >= 3, "expected >=3 unique stacks, got {stacks}");
-    assert!(
-        maps >= 10,
-        "expected >=10 unique kv/map subjects, got {maps}"
-    );
-    assert!(
-        ordered >= 10,
-        "expected >=10 unique ordered subjects (raw + kv-mounted), got {ordered}"
-    );
-    assert!(
-        ranged >= 5,
-        "expected >=5 range-checked (store-backed) ordered subjects, got {ranged}"
-    );
+    // The registry must actually be feeding the tier, with exactly these
+    // subjects: a structure that leaves or joins the registry fails here
+    // until this list names the change.
+    let expected: [(&str, &[&str]); 6] = [
+        (
+            "set",
+            &[
+                "bst/mcs-gl",
+                "bst/optik-gl",
+                "bst/optik-tk",
+                "ht/java",
+                "ht/java-optik",
+                "ht/java-resize",
+                "ht/java-undersized",
+                "ht/lazy-gl",
+                "ht/optik",
+                "ht/optik-gl",
+                "ht/optik-map",
+                "list/harris",
+                "list/lazy",
+                "list/lazy-cache",
+                "list/mcs-gl-opt",
+                "list/optik",
+                "list/optik-cache",
+                "list/optik-gl",
+                "list/optik-gl-ticket",
+                "map/mcs",
+                "map/optik",
+                "sl/fraser",
+                "sl/herl-optik",
+                "sl/herlihy",
+                "sl/optik1",
+                "sl/optik2",
+            ],
+        ),
+        (
+            "queue",
+            &[
+                "queue/ms-lb",
+                "queue/ms-lf",
+                "queue/optik0",
+                "queue/optik1",
+                "queue/optik2",
+                "queue/optik3",
+                "queue/optik3-t0",
+                "queue/optik3-t1",
+                "queue/optik3-t16",
+                "queue/optik3-t2",
+                "queue/optik3-t4",
+                "queue/optik3-t8",
+                "queue/optik3-tinf",
+            ],
+        ),
+        ("stack", &["stack/elim", "stack/optik", "stack/treiber"]),
+        (
+            "map",
+            &[
+                "kv/optik-map",
+                "kv/optik-map-small",
+                "kv/resizable",
+                "kv/striped",
+                "kv/striped-optik",
+                "kv/striped-optik-s1",
+                "kv/striped-optik-s16",
+                "kv/striped-optik-s2",
+                "kv/striped-optik-s32",
+                "kv/striped-optik-s4",
+                "kv/striped-optik-s8",
+                "kv/ttl-optik-map",
+                "kv/ttl-resizable",
+                "kv/ttl-striped-optik",
+            ],
+        ),
+        (
+            "ordered",
+            &[
+                "kv/hash-skiplist",
+                "kv/range-sl-fraser",
+                "kv/range-sl-herl-optik",
+                "kv/range-sl-herlihy",
+                "kv/range-sl-optik2",
+                "kv/rebal-sl-fraser",
+                "kv/rebal-sl-optik2",
+                "omap/sl-fraser",
+                "omap/sl-herl-optik",
+                "omap/sl-herlihy",
+                "omap/sl-optik1",
+                "omap/sl-optik2",
+            ],
+        ),
+        (
+            "ranged",
+            &[
+                "kv/hash-skiplist",
+                "kv/range-sl-fraser",
+                "kv/range-sl-herl-optik",
+                "kv/range-sl-herlihy",
+                "kv/range-sl-optik2",
+                "kv/rebal-sl-fraser",
+                "kv/rebal-sl-optik2",
+            ],
+        ),
+    ];
+    let got: Vec<(&str, Vec<&str>)> = enrolled
+        .iter()
+        .map(|(kind, ids)| (*kind, ids.iter().copied().collect()))
+        .collect();
+    let mut want: Vec<(&str, Vec<&str>)> = expected
+        .iter()
+        .map(|(kind, ids)| {
+            let mut ids = ids.to_vec();
+            ids.sort_unstable();
+            (*kind, ids)
+        })
+        .collect();
+    want.sort();
+    assert_eq!(got, want, "subjects enrolled in the linearizability tier");
 }
 
 #[test]

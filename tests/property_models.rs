@@ -249,8 +249,6 @@ proptest! {
         // The raw backends under the same op tape (batches applied as
         // their single-key composition — the trait has no batch API).
         let backends: Vec<(&str, std::sync::Arc<dyn ConcurrentMap>)> = vec![
-            ("map/array", std::sync::Arc::new(
-                optik_suite::maps::OptikArrayMap::<optik::OptikVersioned>::new(64))),
             ("ht/optik-map", std::sync::Arc::new(
                 OptikMapHashTable::with_bucket_capacity(8, 32))),
             ("ht/java", std::sync::Arc::new(StripedHashTable::new(8, 4))),
@@ -311,19 +309,16 @@ fn all_ordered_maps() -> Vec<(&'static str, Arc<dyn OrderedMap>)> {
         ("omap/sl-optik2", Arc::new(OptikSkipList2::new())),
         ("omap/sl-fraser", Arc::new(FraserSkipList::new())),
         (
-            "omap/bst-gl",
-            Arc::new(OptikGlBst::<optik::OptikVersioned>::new()),
-        ),
-        ("omap/bst-tk", Arc::new(OptikBst::new())),
-        (
             "kv/range-sl",
             Arc::new(KvStore::with_ordered_shards(4, 32, |_| {
                 OptikSkipList2::new()
             })),
         ),
         (
-            "kv/range-bst",
-            Arc::new(KvStore::with_ordered_shards(3, 32, |_| OptikBst::new())),
+            "kv/range-sl-herl-optik",
+            Arc::new(KvStore::with_ordered_shards(3, 32, |_| {
+                HerlihyOptikSkipList::new()
+            })),
         ),
         // Nested stores with *mixed* routing policies: ordered partitions
         // over hash-sharded inner stores, and the inverse — the policy
