@@ -142,6 +142,106 @@ mod cross_tests {
     }
 
     #[test]
+    fn reinsert_after_delete_takes_the_new_value() {
+        for (name, t) in implementations() {
+            assert!(t.insert(10, 100), "{name}");
+            assert!(t.insert(5, 50), "{name}");
+            assert_eq!(t.delete(10), Some(100), "{name}");
+            assert!(t.insert(10, 101), "{name}: reinsert after delete");
+            assert_eq!(t.search(10), Some(101), "{name}");
+            assert!(!t.insert(10, 102), "{name}: duplicate");
+            assert_eq!(
+                t.search(10),
+                Some(101),
+                "{name}: a failed insert keeps the value"
+            );
+            assert_eq!(t.len(), 2, "{name}");
+        }
+    }
+
+    #[test]
+    fn concurrent_churn_never_hides_interleaved_stable_keys() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Stable keys sit between churned ones, so every splice the
+        // churners make lands next to a node the searcher must still find.
+        for (name, t) in implementations().into_iter().filter(|(n, _)| *n != "seq") {
+            for k in (10..=200u64).step_by(10) {
+                assert!(t.insert(k, k), "{name}");
+            }
+            let stop = Arc::new(AtomicBool::new(false));
+            let mut churners = Vec::new();
+            for i in 0..3u64 {
+                let t = Arc::clone(&t);
+                let stop = Arc::clone(&stop);
+                churners.push(std::thread::spawn(move || {
+                    let mut x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                    while !stop.load(Ordering::Relaxed) {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let k = x % 200 + 1;
+                        if k % 10 == 0 {
+                            continue; // never touch the stable keys
+                        }
+                        if x & 1 == 0 {
+                            t.insert(k, k);
+                        } else {
+                            t.delete(k);
+                        }
+                    }
+                    reclaim::offline();
+                }));
+            }
+            for _ in 0..synchro::stress::ops(300) {
+                for k in (10..=200u64).step_by(10) {
+                    assert_eq!(t.search(k), Some(k), "{name}: search missed stable key {k}");
+                }
+                reclaim::quiescent();
+            }
+            stop.store(true, Ordering::Relaxed);
+            for h in churners {
+                h.join().unwrap();
+            }
+            reclaim::online();
+            for k in (10..=200u64).step_by(10) {
+                assert_eq!(t.delete(k), Some(k), "{name}: stable key {k} after churn");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_disjoint_inserts_then_deletes_all_land() {
+        let (threads, per) = (4u64, 300u64);
+        for (name, t) in implementations().into_iter().filter(|(n, _)| *n != "seq") {
+            let hs: Vec<_> = (0..threads)
+                .map(|i| {
+                    let t = Arc::clone(&t);
+                    std::thread::spawn(move || {
+                        // Interleaved stripes: neighbours belong to other threads.
+                        let keys = (0..per).map(move |j| 1 + j * threads + i);
+                        for k in keys.clone() {
+                            assert!(t.insert(k, k));
+                        }
+                        for k in keys.filter(|k| k % 2 == 0) {
+                            assert_eq!(t.delete(k), Some(k));
+                        }
+                        reclaim::offline();
+                    })
+                })
+                .collect();
+            for h in hs {
+                h.join().unwrap();
+            }
+            reclaim::online();
+            assert_eq!(t.len() as u64, threads * per / 2, "{name}");
+            for k in 1..=threads * per {
+                let want = (k % 2 == 1).then_some(k);
+                assert_eq!(t.search(k), want, "{name} key {k}");
+            }
+        }
+    }
+
+    #[test]
     fn agrees_with_oracle_on_random_mix() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xB57);

@@ -1354,6 +1354,23 @@ mod tests {
     }
 
     #[test]
+    fn optik_map_backend_works_too() {
+        use optik_hashtables::OptikMapHashTable;
+        let s: KvStore<OptikMapHashTable> = KvStore::with_shards(4, |_| OptikMapHashTable::new(32));
+        for k in 1..=100u64 {
+            assert_eq!(s.put(k, k * 2), None);
+        }
+        assert_eq!(s.put(42, 1000), Some(84), "in-place update through shard");
+        assert_eq!(s.len(), 100);
+        for k in (1..=100u64).filter(|&k| k != 42) {
+            assert_eq!(s.get(k), Some(k * 2));
+        }
+        assert_eq!(s.remove(42), Some(1000));
+        assert_eq!(s.get(42), None);
+        assert_eq!(s.len(), 99);
+    }
+
+    #[test]
     fn keys_spread_across_shards() {
         let s = striped_store(8);
         let mut hit = vec![false; 8];
@@ -1742,6 +1759,21 @@ mod tests {
             assert_eq!(s.range_scan(8, 8), vec![(8, 80)]);
             assert!(s.range_scan(10, 9).is_empty(), "inverted window");
         }
+    }
+
+    #[test]
+    fn range_scan_works_over_fraser_shards() {
+        use optik_skiplists::FraserSkipList;
+        let s: KvStore<FraserSkipList> =
+            KvStore::with_ordered_shards(3, 300, |_| FraserSkipList::new());
+        for k in 1..=300u64 {
+            assert_eq!(s.put(k, k + 7), None);
+        }
+        assert_eq!(s.put(42, 1000), Some(49), "in-place update through shard");
+        let all = s.range_scan(1, 300);
+        assert_eq!(all.len(), 300);
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(s.range_scan(42, 42), vec![(42, 1000)]);
     }
 
     #[test]

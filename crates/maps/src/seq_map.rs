@@ -116,6 +116,28 @@ mod tests {
         assert_eq!(m.len(), 1);
     }
 
+    #[test]
+    fn insert_on_full_map_fails_until_a_delete_frees_a_slot() {
+        let m = SeqArrayMap::new(2);
+        assert!(m.insert(1, 10));
+        assert!(m.insert(2, 20));
+        assert!(!m.insert(3, 30), "no free slot");
+        assert_eq!(m.search(3), None);
+        assert_eq!(m.delete(1), Some(10));
+        assert!(m.insert(3, 30), "the deleted slot is free again");
+        assert_eq!(m.search(3), Some(30));
+        assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn duplicate_insert_fails_and_keeps_the_first_value() {
+        let m = SeqArrayMap::new(4);
+        assert!(m.insert(1, 10));
+        assert!(!m.insert(1, 11));
+        assert_eq!(m.search(1), Some(10));
+        assert_eq!(m.len(), 1);
+    }
+
     proptest! {
         /// Sequential semantics match a HashMap capped at `capacity`.
         #[test]
