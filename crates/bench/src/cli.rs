@@ -1,20 +1,19 @@
-//! Shared command-line driving for the benchmark binaries.
+//! Sweep driving and table printing for `bench_all`.
 //!
-//! Each `fig*`/`ablate_*` binary is a thin shim over [`run_family`]: select
-//! the family's scenarios from the registry, sweep them through
-//! [`optik_harness::driver`], and print one aligned table per group
-//! (plus extra-metric and latency tables where the scenarios record them).
-//! `bench_all` composes the same pieces across families and adds JSON
-//! reports + baseline comparison.
+//! [`run_selection`] takes the scenarios a set of patterns selects from the
+//! registry, sweeps them group by group through [`optik_harness::driver`],
+//! and prints one aligned table per group (plus extra-metric and latency
+//! tables where the scenarios record them). `bench_all` adds the JSON
+//! reports and the baseline comparison on top.
 
 use optik_harness::driver::{run_scenarios, ScenarioReport, SweepConfig};
 use optik_harness::scenario::{Registry, Scenario};
 use optik_harness::table::{fmt_mops, Table};
 use optik_harness::Percentiles;
 
-use crate::scenarios::{self, group_blurb};
+use crate::scenarios::group_blurb;
 
-/// Pretty header shared by the binaries.
+/// Pretty header printed before a run.
 pub fn banner(fig: &str, what: &str, cfg: &SweepConfig) {
     println!("== {fig}: {what}");
     println!(
@@ -32,22 +31,13 @@ pub fn fmt_percentiles(p: &Percentiles) -> String {
     )
 }
 
-/// Runs one family (`fig9`, `ablate-victim`, ...) group by group, printing
-/// each group's tables as it completes, and returns all reports (for
-/// binaries that append derived tables, e.g. ratios).
+/// Runs the scenarios `patterns` select (see [`Registry::select`]) group
+/// by group, printing each group's tables as it completes, and returns all
+/// reports.
 ///
 /// With `latency` set, per-operation latencies are recorded at the
 /// configured thread count closest to 10 (the paper's latency plots) and
 /// printed as a boxplot table per group.
-pub fn run_family(family: &str, what: &str, latency: bool) -> Vec<ScenarioReport> {
-    let cfg = SweepConfig::from_env();
-    banner(family, what, &cfg);
-    let reg = scenarios::registry();
-    run_selection(&reg, &[family.to_string()], &cfg, latency)
-}
-
-/// [`run_family`] over an arbitrary pattern selection (see
-/// [`Registry::select`]); used by `bench_all`.
 pub fn run_selection(
     reg: &Registry,
     patterns: &[String],
@@ -253,26 +243,6 @@ pub fn latency_table(reports: &[ScenarioReport], threads: usize) -> Option<Table
     Some(t)
 }
 
-/// `num/den` throughput-ratio table for one group (e.g. Figure 7's
-/// `optik/mcs` column).
-pub fn ratio_table(reports: &[ScenarioReport], group: &str, num: &str, den: &str) -> Option<Table> {
-    let num_r = reports
-        .iter()
-        .find(|r| r.group == group && r.series == num)?;
-    let den_r = reports
-        .iter()
-        .find(|r| r.group == group && r.series == den)?;
-    let mut t = Table::new(["threads".to_string(), format!("{num}/{den}")]);
-    for p in &num_r.points {
-        let d = den_r.at(p.threads)?;
-        t.row([
-            p.threads.to_string(),
-            format!("{:.2}x", p.mops / d.mops.max(1e-9)),
-        ]);
-    }
-    Some(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,18 +297,6 @@ mod tests {
         assert!(internals_table(&rs, "lock_acquires_per_op")
             .render()
             .contains("1.000"));
-    }
-
-    #[test]
-    fn ratio_table_divides_matching_points() {
-        let rs = vec![
-            report("g.a", "x", &[2.0, 8.0]),
-            report("g.a", "y", &[1.0, 2.0]),
-        ];
-        let t = ratio_table(&rs, "g.a", "x", "y").unwrap();
-        let s = t.render();
-        assert!(s.contains("2.00x") && s.contains("4.00x"), "{s}");
-        assert!(ratio_table(&rs, "g.a", "x", "missing").is_none());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! The scenario registry and the `bench_all` binary that reproduces the
+//! paper's figures from it.
 //!
 //! The benchmark stack has three layers:
 //!
@@ -6,10 +7,10 @@
 //!   registered as a named [`optik_harness::Scenario`];
 //! - [`optik_harness::driver`] — the sweep/rep/median engine (env knobs
 //!   below);
-//! - [`cli`] — table printing and the per-family `main` bodies.
+//! - [`cli`] — the group-by-group sweep and its table printing.
 //!
-//! Every binary accepts the same environment knobs so full-scale runs
-//! (paper-like) and CI smoke runs use one code path:
+//! Full-scale runs (paper-like) and CI smoke runs take one code path; only
+//! the environment knobs differ:
 //!
 //! | variable         | meaning                               | default |
 //! |------------------|---------------------------------------|---------|
@@ -21,30 +22,23 @@
 //! The paper uses 5 s × 11 repetitions; set `BENCH_DUR_MS=5000
 //! BENCH_REPS=11` to match.
 //!
-//! The `bench_all` binary runs any subset of the registry by name, writes
-//! `BENCH_<family>.json` reports, and compares against a checked-in
-//! baseline (see `BENCH_baseline.json` at the repository root).
+//! `bench_all` runs any subset of the registry by name (`bench_all fig9`
+//! reproduces Figure 9), writes `BENCH_<family>.json` reports, and compares
+//! against a checked-in baseline (see `BENCH_baseline.json` at the
+//! repository root).
 
 pub mod cli;
 pub mod digest;
 mod kv;
 pub mod scenarios;
 
-pub use optik_harness as harness;
-
-/// Sweep configuration (re-exported from the harness driver; the historic
-/// name `Config` is kept for the Criterion benches and external users).
-pub type Config = optik_harness::driver::SweepConfig;
-
-pub use cli::{banner, fmt_percentiles};
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use optik_harness::driver::SweepConfig;
 
     #[test]
     fn default_config_is_sane() {
-        let cfg = Config::from_env();
+        let cfg = SweepConfig::from_env();
         assert!(!cfg.threads.is_empty());
         assert!(cfg.threads.windows(2).all(|w| w[0] < w[1]));
         assert!(cfg.reps >= 1);

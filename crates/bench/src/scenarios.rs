@@ -4,14 +4,14 @@
 //! This is the single place where a data structure meets the paper's §5
 //! methodology. Registering a scenario here automatically gets it
 //!
-//! - benchmarked by its family binary (`fig9_list`, ...) and by
-//!   `bench_all` (with JSON reports and baseline comparison), and
+//! - benchmarked by `bench_all` (with JSON reports and baseline
+//!   comparison; `bench_all fig9` runs one family), and
 //! - stress-tested and linearizability-checked by the registry-driven test
 //!   tiers in `tests/` (via [`Scenario::subject`]).
 //!
 //! Scenario names follow `family.group.series` (see
 //! [`optik_harness::scenario`]); [`group_blurb`] carries the human table
-//! headers the old per-figure binaries printed.
+//! header `bench_all` prints above each group's sweep.
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,7 +42,7 @@ use optik_stacks::{EliminationStack, OptikStack, TreiberStack};
 
 use crate::kv::{run_kv, KeyOrder, KvMix, Ordered, Unordered};
 
-/// Builds the full registry (~160 scenarios across 16 families).
+/// Builds the full registry (163 scenarios across 16 families).
 pub fn registry() -> Registry {
     let mut r = Registry::new();
     fig5(&mut r);
@@ -67,8 +67,8 @@ pub fn registry() -> Registry {
     r
 }
 
-/// Human description of a group (the table headers the per-figure binaries
-/// print above each thread sweep).
+/// Human description of a group (the table header `bench_all` prints above
+/// each thread sweep).
 pub fn group_blurb(group: &str) -> &'static str {
     match group {
         "fig5" => "validated lock acquisitions: ttas vs optik-ticket vs optik-versioned",
@@ -1568,7 +1568,7 @@ mod tests {
                 "ablate-resize",
                 "ablate-victim",
             ],
-            "one family per benchmark binary"
+            "the registry's families, in registration order"
         );
         // Every group has a blurb and at least one scenario.
         for g in r.groups() {

@@ -1,10 +1,9 @@
 //! The unified sweep driver: thread sweeps × repetitions → medians.
 //!
-//! This is the loop the paper's §5 methodology prescribes (and that every
-//! `fig*` binary used to hand-roll): for each thread count, run `reps`
-//! measurement windows with per-repetition seeds and report the **median**
-//! throughput, the median of each extra metric, and (optionally, at one
-//! designated thread count) merged latency percentiles.
+//! This is the loop the paper's §5 methodology prescribes: for each thread
+//! count, run `reps` measurement windows with per-repetition seeds and
+//! report the **median** throughput, the median of each extra metric, and
+//! (optionally, at one designated thread count) merged latency percentiles.
 //!
 //! The core loop ([`sweep_with`]) is deliberately decoupled from wall-clock
 //! measurement: it takes a closure from [`RunSpec`] to [`Measurement`], so
@@ -16,7 +15,7 @@ use crate::latency::{OpKind, Percentiles};
 use crate::scenario::{Measurement, RunSpec, Scenario};
 use crate::stats;
 
-/// Sweep configuration shared by every benchmark binary.
+/// Sweep configuration shared by every benchmark sweep.
 ///
 /// Read from the environment by [`SweepConfig::from_env`]:
 ///

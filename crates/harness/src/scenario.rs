@@ -6,16 +6,15 @@
 //! under test (the [`Subject`]), and a runner closure that performs one
 //! measurement window — a body of the harness's one measurement loop
 //! ([`crate::runner::measure`]), which returns the window's
-//! [`Measurement`] with its per-[`OpKind`] counts. The `fig*`/`ablate_*`
-//! binaries, the `bench_all` driver, and the correctness tiers (stress +
-//! linearizability) all consume the same [`Registry`], so registering a
-//! structure once gets it benchmarked, stress-tested, and
-//! linearizability-checked automatically.
+//! [`Measurement`] with its per-[`OpKind`] counts. The `bench_all` driver
+//! and the correctness tiers (stress + linearizability) consume the same
+//! [`Registry`], so registering a structure once gets it benchmarked,
+//! stress-tested, and linearizability-checked automatically.
 //!
 //! Naming convention: `family.group-suffix.series` where
 //!
 //! - the **family** (text before the first `.`) identifies the figure or
-//!   ablation (`fig9`, `ablate-victim`, ...) — one binary per family;
+//!   ablation (`fig9`, `ablate-victim`, ...) — `bench_all fig9` runs one;
 //! - the **group** (everything before the last `.`) identifies one table:
 //!   scenarios sharing a group become columns of the same thread sweep;
 //! - the **series** (text after the last `.`) is the column label, normally

@@ -1,9 +1,9 @@
-//! Minimal aligned-table / CSV output for the figure-regeneration binaries.
+//! Minimal aligned-table / CSV output for the benchmark reports.
 
 use std::fmt::Write as _;
 
 /// A simple text table: header row plus data rows, printed aligned or as
-/// CSV. Used by all `figN_*` binaries so their output is uniform and easy
+/// CSV. Every `bench_all` table is one, so the output is uniform and easy
 /// to diff against EXPERIMENTS.md.
 #[derive(Debug, Clone)]
 pub struct Table {

@@ -120,7 +120,7 @@ pub enum Event {
     BackoffWait = 3,
     /// Adaptive backoff soft-ceiling escalation.
     BackoffEscalate = 4,
-    /// Classic spinlock (tas/ttas/ticket/mcs/clh) acquisition.
+    /// Classic spinlock (ttas/mcs) acquisition.
     SpinAcquire = 5,
     /// QSBR quiescent-point announcement.
     EpochAdvance = 6,

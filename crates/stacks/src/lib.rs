@@ -5,7 +5,8 @@
 //! original and the OPTIK-based variants behave similarly" — a single
 //! point of contention (the top) offers no optimistic read-only prefix to
 //! exploit, so OPTIK buys nothing. Both variants are implemented here so
-//! the `stack_compare` bench can reproduce that observation.
+//! the `stacks` scenarios (`bench_all stacks`) can reproduce that
+//! observation.
 
 #![warn(missing_docs)]
 

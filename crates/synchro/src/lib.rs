@@ -2,8 +2,9 @@
 //!
 //! This crate provides everything below the OPTIK lock layer:
 //!
-//! - classic spinlock algorithms used as baselines in the paper
-//!   ([`TasLock`], [`TtasLock`], [`TicketLock`], [`McsLock`], [`ClhLock`]),
+//! - the classic spinlocks the structures build on: [`TtasLock`] (lazy
+//!   lists, striped tables, the paper's Fig. 5 straw man) and [`McsLock`]
+//!   (the global-lock baselines),
 //! - the exponential [`Backoff`] scheme the paper applies uniformly to all
 //!   data structures ("exponentially increasing backoff times with up to 16k
 //!   cycles maximum backoff", §5),
@@ -21,22 +22,16 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
-pub mod clh;
 pub mod cycles;
 pub mod lock_api;
 pub mod mcs;
 pub mod prefetch;
 pub mod shim;
 pub mod stress;
-pub mod tas;
-pub mod ticket;
 pub mod ttas;
 
 pub use backoff::{relax, Backoff};
-pub use clh::ClhLock;
 pub use crossbeam_utils::CachePadded;
 pub use lock_api::{Lock, LockGuard, RawLock};
 pub use mcs::{McsLock, McsNode};
-pub use tas::TasLock;
-pub use ticket::TicketLock;
 pub use ttas::TtasLock;

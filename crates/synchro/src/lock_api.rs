@@ -153,14 +153,15 @@ impl<T, R: RawLock> Drop for LockGuard<'_, T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TasLock, TicketLock, TtasLock};
+    use crate::TtasLock;
     use std::sync::Arc;
     use std::thread;
 
-    fn hammer<R: RawLock + 'static>() {
+    #[test]
+    fn ttas_counter_is_exact() {
         const THREADS: usize = 8;
         let iters = crate::stress::ops(10_000);
-        let lock: Arc<Lock<u64, R>> = Arc::new(Lock::new(0));
+        let lock: Arc<Lock<u64, TtasLock>> = Arc::new(Lock::new(0));
         let mut handles = Vec::new();
         for _ in 0..THREADS {
             let lock = Arc::clone(&lock);
@@ -177,21 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn tas_counter_is_exact() {
-        hammer::<TasLock>();
-    }
-
-    #[test]
-    fn ttas_counter_is_exact() {
-        hammer::<TtasLock>();
-    }
-
-    #[test]
-    fn ticket_counter_is_exact() {
-        hammer::<TicketLock>();
-    }
-
-    #[test]
     fn try_lock_fails_while_held() {
         let lock: Lock<i32, TtasLock> = Lock::new(7);
         let g = lock.lock();
@@ -204,7 +190,7 @@ mod tests {
 
     #[test]
     fn get_mut_and_into_inner() {
-        let mut lock: Lock<i32, TasLock> = Lock::new(1);
+        let mut lock: Lock<i32, TtasLock> = Lock::new(1);
         *lock.get_mut() = 5;
         assert_eq!(lock.into_inner(), 5);
     }

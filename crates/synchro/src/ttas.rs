@@ -1,7 +1,7 @@
 //! Test-and-test-and-set spinlock.
 //!
-//! Like [`crate::TasLock`] but spins on a plain load while the lock is held,
-//! only attempting the atomic swap once the lock is observed free. Waiters
+//! Unlike a plain test-and-set lock, it spins on a plain load while the lock
+//! is held, only attempting the atomic swap once the lock is observed free. Waiters
 //! therefore spin in their local caches and the line is invalidated only on
 //! actual acquisition attempts. This is the lock used in the paper's Fig. 5
 //! straw-man ("4 bytes for a test-and-test-and-set lock and 4 bytes for the
