@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use optik_bench::cli;
-use optik_bench::scenarios;
+use optik_bench::{scenarios, subjects};
 use optik_harness::driver::SweepConfig;
 use optik_harness::report::{compare, Report};
 use optik_harness::table::Table;
@@ -262,7 +262,12 @@ fn main() -> ExitCode {
     if args.list {
         let mut t = Table::new(["scenario", "subject", "id", "description"]);
         for s in reg.iter() {
-            t.row([s.name(), s.subject().kind(), s.subject_id(), s.about()]);
+            t.row([
+                s.name(),
+                subjects::kind(s.subject_id()),
+                s.subject_id(),
+                s.about(),
+            ]);
         }
         t.print();
         println!("\n{} scenarios registered", reg.len());

@@ -4,7 +4,9 @@
 //! The benchmark stack has three layers:
 //!
 //! - [`scenarios`] — the registry: every figure/ablation of the paper
-//!   registered as a named [`optik_harness::Scenario`];
+//!   registered as a named [`optik_harness::Scenario`], each naming its
+//!   structure by a row of [`subjects`], the table the correctness tiers
+//!   build every structure from;
 //! - [`optik_harness::driver`] — the sweep/rep/median engine (env knobs
 //!   below);
 //! - [`cli`] — the group-by-group sweep and its table printing.
@@ -31,6 +33,7 @@ pub mod cli;
 pub mod digest;
 mod kv;
 pub mod scenarios;
+pub mod subjects;
 
 #[cfg(test)]
 mod tests {

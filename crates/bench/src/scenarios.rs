@@ -2,12 +2,11 @@
 //! reproduction, registered once.
 //!
 //! This is the single place where a data structure meets the paper's §5
-//! methodology. Registering a scenario here automatically gets it
-//!
-//! - benchmarked by `bench_all` (with JSON reports and baseline
-//!   comparison; `bench_all fig9` runs one family), and
-//! - stress-tested and linearizability-checked by the registry-driven test
-//!   tiers in `tests/` (via [`Scenario::subject`]).
+//! methodology. Registering a scenario here gets it benchmarked by
+//! `bench_all` (with JSON reports and baseline comparison; `bench_all
+//! fig9` runs one family). Each scenario names the structure it measures
+//! by subject id, a row of [`crate::subjects::table`]; the correctness
+//! tiers in `tests/` check every row of that table, not the scenarios.
 //!
 //! Scenario names follow `family.group.series` (see
 //! [`optik_harness::scenario`]); [`group_blurb`] carries the human table
@@ -21,7 +20,7 @@ use reclaim::NodePool;
 use optik::{OptikLock, OptikTicket, OptikVersioned, ValidatedLock};
 use optik_harness::api::{ConcurrentMap, OrderedMap};
 use optik_harness::runner::{measure, run_set_workload};
-use optik_harness::scenario::{Measurement, Registry, RunSpec, Scenario, Subject};
+use optik_harness::scenario::{Measurement, Registry, RunSpec, Scenario};
 use optik_harness::{ConcurrentSet, SetHandle, Workload};
 
 use optik_bsts::{GlobalLockBst, OptikBst, OptikGlBst};
@@ -192,7 +191,7 @@ fn validated_lock_run(spec: &RunSpec, acquire: impl Fn() -> u64 + Sync) -> Measu
 }
 
 fn optik_lock_scenario<L: OptikLock + 'static>(name: &str, about: &str, id: &str) -> Scenario {
-    Scenario::custom(name, about, id, Subject::None, |spec| {
+    Scenario::custom(name, about, id, |spec| {
         let lock = L::default();
         validated_lock_run(spec, || {
             let mut cas = 0;
@@ -216,27 +215,21 @@ fn optik_lock_scenario<L: OptikLock + 'static>(name: &str, about: &str, id: &str
 fn fig5(r: &mut Registry) {
     let about = "Fig 5: one validated acquisition per op; both OPTIK locks are \
                  identical and >10x the TTAS+version straw man under contention";
-    r.register(Scenario::custom(
-        "fig5.ttas",
-        about,
-        "lock/ttas",
-        Subject::None,
-        |spec| {
-            let lock = ValidatedLock::new();
-            validated_lock_run(spec, || {
-                let mut cas = 0;
-                loop {
-                    let v = lock.get_version();
-                    let (ok, c) = lock.lock_and_validate_counting(v);
-                    cas += u64::from(c);
-                    if ok {
-                        lock.commit_unlock();
-                        return cas;
-                    }
+    r.register(Scenario::custom("fig5.ttas", about, "lock/ttas", |spec| {
+        let lock = ValidatedLock::new();
+        validated_lock_run(spec, || {
+            let mut cas = 0;
+            loop {
+                let v = lock.get_version();
+                let (ok, c) = lock.lock_and_validate_counting(v);
+                cas += u64::from(c);
+                if ok {
+                    lock.commit_unlock();
+                    return cas;
                 }
-            })
-        },
-    ));
+            }
+        })
+    }));
     r.register(optik_lock_scenario::<OptikTicket>(
         "fig5.optik-ticket",
         about,
@@ -280,31 +273,19 @@ fn fig7(r: &mut Registry) {
 
 /// Node-caching list scenario (per-thread handles hold the cache).
 fn optik_cache_scenario(name: &str, about: &str, w: Workload) -> Scenario {
-    Scenario::custom(
-        name,
-        about,
-        "list/optik-cache",
-        Subject::set(OptikCacheList::new),
-        move |spec| {
-            let set = OptikCacheList::new();
-            w.initial_fill(spec.seed, |k, v| set.insert(k, v));
-            run_set_workload(spec, &w, |_| set.handle())
-        },
-    )
+    Scenario::custom(name, about, "list/optik-cache", move |spec| {
+        let set = OptikCacheList::new();
+        w.initial_fill(spec.seed, |k, v| set.insert(k, v));
+        run_set_workload(spec, &w, |_| set.handle())
+    })
 }
 
 fn lazy_cache_scenario(name: &str, about: &str, w: Workload) -> Scenario {
-    Scenario::custom(
-        name,
-        about,
-        "list/lazy-cache",
-        Subject::set(LazyCacheList::new),
-        move |spec| {
-            let set = LazyCacheList::new();
-            w.initial_fill(spec.seed, |k, v| set.insert(k, v));
-            run_set_workload(spec, &w, |_| set.handle())
-        },
-    )
+    Scenario::custom(name, about, "list/lazy-cache", move |spec| {
+        let set = LazyCacheList::new();
+        w.initial_fill(spec.seed, |k, v| set.insert(k, v));
+        run_set_workload(spec, &w, |_| set.handle())
+    })
 }
 
 fn fig9(r: &mut Registry) {
@@ -676,7 +657,7 @@ fn alloc_churn_run(
 
 /// [`alloc_churn_run`] over the type-stable pool's magazines.
 fn alloc_pool_scenario(name: &str, about: &str, id: &str, shared: bool) -> Scenario {
-    Scenario::custom(name, about, id, Subject::None, move |spec| {
+    Scenario::custom(name, about, id, move |spec| {
         let pool: Arc<NodePool<AllocNode>> = NodePool::new();
         let (m, _) = alloc_churn_run(
             spec,
@@ -697,7 +678,7 @@ fn alloc_pool_scenario(name: &str, about: &str, id: &str, shared: bool) -> Scena
 /// The malloc/free baseline for [`alloc_pool_scenario`]: identical loop,
 /// but nodes are boxed and QSBR frees them back to the system allocator.
 fn alloc_boxed_scenario(name: &str, about: &str, id: &str, shared: bool) -> Scenario {
-    Scenario::custom(name, about, id, Subject::None, move |spec| {
+    Scenario::custom(name, about, id, move |spec| {
         let (m, slots) = alloc_churn_run(
             spec,
             shared,
@@ -769,12 +750,11 @@ fn kv_scenario_with<B: ConcurrentMap + 'static, O: KeyOrder<B>>(
     name: &str,
     about: &str,
     id: &str,
-    subject: Subject,
     (keys, mix): KvLoad,
     build: impl Fn() -> KvStore<B> + Send + Sync + 'static,
 ) -> Scenario {
     mix.thresholds(); // a malformed mix fails at registration
-    Scenario::custom(name, about, id, subject, move |spec| {
+    Scenario::custom(name, about, id, move |spec| {
         let store = build();
         keys.initial_fill(spec.seed, |k, v| store.put(k, v).is_none());
         run_kv::<B, O>(spec, &store, &keys, &mix).0
@@ -788,10 +768,10 @@ fn kv_scenario<B: ConcurrentMap + 'static>(
     id: &str,
     shards: usize,
     w: KvLoad,
-    make_backend: impl Fn(usize) -> B + Send + Sync + Clone + 'static,
+    make_backend: impl Fn(usize) -> B + Send + Sync + 'static,
 ) -> Scenario {
-    let build = move || KvStore::with_shards(shards, make_backend.clone());
-    kv_scenario_with::<B, Unordered>(name, about, id, Subject::map(build.clone()), w, build)
+    let build = move || KvStore::with_shards(shards, &make_backend);
+    kv_scenario_with::<B, Unordered>(name, about, id, w, build)
 }
 
 /// The per-shard backend constructors the kv groups sweep. `span` is the
@@ -872,14 +852,12 @@ fn kv(r: &mut Registry) {
     // The one store-backed ranged subject that routes by hash: its range
     // scans visit every shard and sort, so a torn cross-shard snapshot
     // shows up here first.
-    let build = || KvStore::with_shards(SHARDS, |_| OptikSkipList2::new());
     r.register(kv_scenario_with::<_, Unordered>(
         "kv.hash-ordered.skiplist",
         about,
         "kv/hash-skiplist",
-        Subject::ordered(build),
         w,
-        build,
+        || KvStore::with_shards(SHARDS, |_| OptikSkipList2::new()),
     ));
 
     // Batched: sorted-shard acquisition amortizes locking over 8 keys;
@@ -1030,10 +1008,10 @@ fn kv_range_scenario<B: OrderedMap + 'static>(
     shards: usize,
     max_key: u64,
     w: KvLoad,
-    make_backend: impl Fn(usize) -> B + Send + Sync + Clone + 'static,
+    make_backend: impl Fn(usize) -> B + Send + Sync + 'static,
 ) -> Scenario {
-    let build = move || KvStore::with_ordered_shards(shards, max_key, make_backend.clone());
-    kv_scenario_with::<B, Ordered>(name, about, id, Subject::ordered(build.clone()), w, build)
+    let build = move || KvStore::with_ordered_shards(shards, max_key, &make_backend);
+    kv_scenario_with::<B, Ordered>(name, about, id, w, build)
 }
 
 fn kv_range(r: &mut Registry) {
@@ -1111,12 +1089,11 @@ fn kv_ttl_scenario<B: ConcurrentMap + 'static>(
     id: &str,
     shards: usize,
     w: KvLoad,
-    make_backend: impl Fn(usize) -> B + Send + Sync + Clone + 'static,
+    make_backend: impl Fn(usize) -> B + Send + Sync + 'static,
 ) -> Scenario {
-    let build = move || {
-        KvStore::with_shards_ttl(shards, Arc::new(SystemClock::new()), make_backend.clone())
-    };
-    kv_scenario_with::<B, Unordered>(name, about, id, Subject::map(build.clone()), w, build)
+    let build =
+        move || KvStore::with_shards_ttl(shards, Arc::new(SystemClock::new()), &make_backend);
+    kv_scenario_with::<B, Unordered>(name, about, id, w, build)
 }
 
 fn kv_ttl(r: &mut Registry) {
@@ -1235,11 +1212,10 @@ fn ordered_map_scenario<M: OrderedMap + 'static>(
     size: u64,
     skewed: bool,
     range_span: u64,
-    make: impl Fn() -> M + Send + Sync + Clone + 'static,
+    make: impl Fn() -> M + Send + Sync + 'static,
 ) -> Scenario {
-    let subject = Subject::ordered(make.clone());
     let w = Workload::paper(size, 0, skewed); // keys and fill; mix below
-    Scenario::custom(name, about, id, subject, move |spec| {
+    Scenario::custom(name, about, id, move |spec| {
         let m = make();
         w.initial_fill(spec.seed, |k, v| m.put(k, v).is_none());
         let (meas, ranges) = measure(
@@ -1341,7 +1317,7 @@ fn map_ordered(r: &mut Registry) {
 /// measure the same — that equality is the layer's zero-cost claim, and
 /// the pinned bench-smoke in CI sweeps both to keep it observable.
 fn probe_overhead_scenario(name: &str, about: &str, id: &str, hooked: bool) -> Scenario {
-    Scenario::custom(name, about, id, Subject::None, move |spec| {
+    Scenario::custom(name, about, id, move |spec| {
         let lock = OptikVersioned::default();
         let body = |(ops, acc): &mut (u64, u64), _: &mut _, _: &mut _| {
             let t0 = if hooked { optik_probe::now() } else { 0 };
@@ -1459,7 +1435,6 @@ fn ablate_node_cache(r: &mut Registry) {
             &format!("ablate-node-cache.{size}.optik-cache"),
             about,
             "list/optik-cache",
-            Subject::set(OptikCacheList::new),
             move |spec| {
                 let set = OptikCacheList::new();
                 w.initial_fill(spec.seed, |k, v| set.insert(k, v));
@@ -1527,9 +1502,8 @@ fn ablate_victim(r: &mut Registry) {
             &format!("ablate-victim.{series}"),
             about,
             // Distinct subject id per threshold: t0 (always divert) and
-            // tinf (victim queue disabled) are different code paths, and
-            // the correctness tiers deduplicate by this id — sharing
-            // fig12's "queue/optik3" would leave them untested.
+            // tinf (victim queue disabled) are different code paths, each
+            // a row of the subject table.
             &format!("queue/optik3-{series}"),
             QUEUE_PREFILL,
             60,
@@ -1541,6 +1515,7 @@ fn ablate_victim(r: &mut Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subjects;
     use optik_harness::scenario::RunSpec;
     use std::time::Duration;
 
@@ -1633,7 +1608,7 @@ mod tests {
         // the ordered-backed ones are additionally range-checkable.
         for s in &kv {
             assert!(
-                matches!(s.subject().kind(), "map" | "ordered"),
+                matches!(subjects::kind(s.subject_id()), "map" | "ordered"),
                 "{}",
                 s.name()
             );
@@ -1714,7 +1689,7 @@ mod tests {
         // All of them are ordered subjects: the linearizability tier runs
         // both the single-key map rounds and the range rounds on each.
         for s in r.select(&["kv.range".into(), "map.ordered".into()]) {
-            assert_eq!(s.subject().kind(), "ordered", "{}", s.name());
+            assert_eq!(subjects::kind(s.subject_id()), "ordered", "{}", s.name());
         }
     }
 
@@ -1751,7 +1726,7 @@ mod tests {
             "TTL-wrapped backend sweep"
         );
         for s in r.in_group("kv.ttl") {
-            assert_eq!(s.subject().kind(), "map", "{}", s.name());
+            assert_eq!(subjects::kind(s.subject_id()), "map", "{}", s.name());
         }
         let rebal_series: Vec<&str> = r
             .in_group("kv.rebalance")
@@ -1764,7 +1739,7 @@ mod tests {
             "rebalancing ordered-backend sweep"
         );
         for s in r.in_group("kv.rebalance") {
-            assert_eq!(s.subject().kind(), "ordered", "{}", s.name());
+            assert_eq!(subjects::kind(s.subject_id()), "ordered", "{}", s.name());
         }
     }
 

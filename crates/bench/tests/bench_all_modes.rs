@@ -2,7 +2,7 @@
 //! it: a sweep that writes one report per family, a combined `--json`
 //! report, latency on unless `--no-latency`, the baseline gate, `--ab`,
 //! `--digest`, `--list`, and usage errors (a pattern that selects nothing,
-//! an unknown flag).
+//! an unknown flag, a malformed `BENCH_*` value).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -245,6 +245,24 @@ fn list_names_every_registered_scenario() {
         out.ends_with(&format!("{} scenarios registered\n", reg.len())),
         "{out}"
     );
+}
+
+#[test]
+fn malformed_bench_value_names_the_variable_and_fails() {
+    let dir = scratch("bad_env");
+    let run = Command::new(env!("CARGO_BIN_EXE_bench_all"))
+        .args(["--no-latency", "fig5.ttas"])
+        .current_dir(&dir)
+        .env("BENCH_THREADS", "1")
+        .env("BENCH_REPS", "1")
+        .env("BENCH_DUR_MS", "abc")
+        .output()
+        .expect("bench_all runs");
+    let names = reports_in(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!run.status.success(), "stdout: {}", stdout(&run));
+    assert!(stderr(&run).contains("BENCH_DUR_MS"), "{}", stderr(&run));
+    assert!(names.is_empty(), "reports written: {names:?}");
 }
 
 #[test]

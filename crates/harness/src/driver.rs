@@ -15,6 +15,23 @@ use crate::latency::{OpKind, Percentiles};
 use crate::scenario::{Measurement, RunSpec, Scenario};
 use crate::stats;
 
+/// The value of the environment variable `var`, or `default` if it is
+/// unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable, if it is set to a value that does not
+/// parse as a `T`.
+fn env_or<T: std::str::FromStr>(var: &str, default: T) -> T {
+    match std::env::var(var) {
+        Ok(s) => s
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{var}={s:?} does not parse")),
+        Err(_) => default,
+    }
+}
+
 /// Sweep configuration shared by every benchmark sweep.
 ///
 /// Read from the environment by [`SweepConfig::from_env`]:
@@ -45,27 +62,24 @@ impl SweepConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `BENCH_THREADS` is set but yields no valid thread count —
-    /// a silent empty sweep would make every downstream consumer (tables,
-    /// JSON reports, the CI regression gate) trivially green while
-    /// measuring nothing.
+    /// Panics, naming the variable, if a set `BENCH_*` value does not
+    /// parse — or if a `BENCH_THREADS` entry is not a positive thread
+    /// count. A silent fallback would measure something other than what
+    /// was asked for, and an empty sweep would make every downstream
+    /// consumer (tables, JSON reports, the CI regression gate) trivially
+    /// green while measuring nothing.
     pub fn from_env() -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(8);
         let threads = match std::env::var("BENCH_THREADS") {
-            Ok(s) => {
-                let parsed: Vec<usize> = s
-                    .split(',')
-                    .filter_map(|t| t.trim().parse().ok())
-                    .filter(|&t| t > 0)
-                    .collect();
-                assert!(
-                    !parsed.is_empty(),
-                    "BENCH_THREADS={s:?} parsed to an empty thread sweep"
-                );
-                parsed
-            }
+            Ok(s) => s
+                .split(',')
+                .map(|t| match t.trim().parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => panic!("BENCH_THREADS={s:?}: {t:?} is not a positive thread count"),
+                })
+                .collect(),
             Err(_) => {
                 let mut v = vec![1, 2, 4, 8, 16, 24, 32, 48, 64];
                 v.retain(|&t| t <= 2 * cores);
@@ -80,26 +94,11 @@ impl SweepConfig {
                 v
             }
         };
-        let duration = Duration::from_millis(
-            std::env::var("BENCH_DUR_MS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(300),
-        );
-        let reps = std::env::var("BENCH_REPS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(3)
-            .max(1);
-        let seed = std::env::var("BENCH_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42);
         Self {
             threads,
-            duration,
-            reps,
-            seed,
+            duration: Duration::from_millis(env_or("BENCH_DUR_MS", 300)),
+            reps: env_or("BENCH_REPS", 3).max(1),
+            seed: env_or("BENCH_SEED", 42),
         }
     }
 

@@ -43,6 +43,6 @@ pub use driver::{Point, ScenarioReport, SweepConfig};
 pub use latency::{LatencyRecorder, OpKind, Percentiles};
 pub use report::Report;
 pub use rng::FastRng;
-pub use scenario::{Measurement, Registry, RunSpec, Scenario, Subject};
+pub use scenario::{Measurement, Registry, RunSpec, Scenario};
 pub use workload::{Op, OpMix, Workload};
 pub use zipf::Zipf;

@@ -34,10 +34,9 @@
 //! reproducible from its own file. `internals` (schema 2) carries the
 //! probe layer's per-point internal-behavior metrics. `meta`, `extra`,
 //! `internals`, and `latency_percentiles` are omitted when empty; the
-//! percentile tuple is `[p5, p25, p50, p75, p95, p99, count]`. Schema-1
-//! reports (no meta/internals) and reports written before p99 was tracked
-//! (six-entry tuples, with `p99` conservatively reported as `p95`) still
-//! load.
+//! percentile tuple is `[p5, p25, p50, p75, p95, p99, count]`. Only
+//! [`SCHEMA_VERSION`] documents with seven-entry tuples load; an older
+//! format is a typed [`ReportError::Schema`] error.
 //!
 //! [`compare`] matches `(scenario, threads)` pairs between two reports and
 //! flags throughput regressions beyond a fractional tolerance.
@@ -49,12 +48,8 @@ use crate::driver::{Point, ScenarioReport, SweepConfig};
 use crate::json::{self, Json};
 use crate::latency::Percentiles;
 
-/// Current schema version.
+/// Current schema version, the only one [`Report::from_json`] accepts.
 pub const SCHEMA_VERSION: u64 = 2;
-
-/// Oldest schema version [`Report::from_json`] still accepts (1: no
-/// `meta`, no per-point `internals`).
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// The environment knobs recorded into a report's `meta` block: everything
 /// `BENCH_*` plus the named non-`BENCH_` switches that shape a run.
@@ -152,15 +147,13 @@ impl Report {
         Json::Obj(root).render()
     }
 
-    /// Parses a JSON document of any supported schema version
-    /// (currently 1 or 2; see [`MIN_SCHEMA_VERSION`]).
+    /// Parses a [`SCHEMA_VERSION`] JSON document.
     pub fn from_json(input: &str) -> Result<Self, ReportError> {
         let v = json::parse(input)?;
         let schema = field_u64(&v, "schema")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
+        if schema != SCHEMA_VERSION {
             return Err(ReportError::Schema(format!(
-                "unsupported schema version {schema} \
-                 (expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                "unsupported schema version {schema} (expected {SCHEMA_VERSION})"
             )));
         }
         let machine = field_str(&v, "machine")?.to_string();
@@ -369,11 +362,9 @@ fn scenario_from_json(v: &Json) -> Result<ScenarioReport, ReportError> {
                             .iter()
                             .filter_map(Json::as_u64)
                             .collect();
-                        // 7 entries since p99 was added; 6 in legacy
-                        // reports (count last in both).
-                        if q.len() != 7 && q.len() != 6 {
+                        if q.len() != 7 {
                             return Err(ReportError::Schema(format!(
-                                "latency tuple for `{k}` must have 6 or 7 entries"
+                                "latency tuple for `{k}` must have 7 entries"
                             )));
                         }
                         Ok((
@@ -384,8 +375,8 @@ fn scenario_from_json(v: &Json) -> Result<ScenarioReport, ReportError> {
                                 p50: q[2],
                                 p75: q[3],
                                 p95: q[4],
-                                p99: if q.len() == 7 { q[5] } else { q[4] },
-                                count: q[q.len() - 1] as usize,
+                                p99: q[5],
+                                count: q[6] as usize,
                             },
                         ))
                     })
@@ -639,8 +630,8 @@ mod tests {
     }
 
     #[test]
-    fn schema_one_documents_still_load() {
-        // A legacy report: schema 1, no meta, no internals.
+    fn schema_one_documents_are_rejected() {
+        // A schema-1 report: no meta, no internals.
         let mut legacy = sample_report();
         legacy.meta.clear();
         for s in &mut legacy.scenarios {
@@ -649,10 +640,11 @@ mod tests {
             }
         }
         let text = legacy.to_json().replace("\"schema\": 2", "\"schema\": 1");
-        let back = Report::from_json(&text).unwrap();
-        assert_eq!(back.schema, 1);
-        assert!(back.meta.is_empty());
-        assert_eq!(back.scenarios, legacy.scenarios);
+        assert_ne!(text, legacy.to_json(), "replacement must have applied");
+        assert!(matches!(
+            Report::from_json(&text),
+            Err(ReportError::Schema(m)) if m.contains("schema version 1")
+        ));
     }
 
     #[test]
@@ -697,18 +689,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_six_entry_latency_tuples_still_load() {
+    fn six_entry_latency_tuples_are_rejected() {
         let r = sample_report();
         // Rewrite the 7-entry tuple as the pre-p99 6-entry form.
         let text = r
             .to_json()
             .replace("[5, 25, 50, 75, 95, 99, 1000]", "[5, 25, 50, 75, 95, 1000]");
         assert_ne!(text, r.to_json(), "replacement must have applied");
-        let back = Report::from_json(&text).unwrap();
-        let p = &back.scenarios[0].points[0].latency[0].1;
-        assert_eq!(p.p95, 95);
-        assert_eq!(p.p99, 95, "legacy p99 falls back to p95");
-        assert_eq!(p.count, 1000);
+        assert!(matches!(
+            Report::from_json(&text),
+            Err(ReportError::Schema(m)) if m.contains("must have 7 entries")
+        ));
     }
 
     #[test]

@@ -2,14 +2,19 @@
 //!
 //! A [`Scenario`] bundles everything needed to reproduce one curve of one
 //! paper figure: a unique dotted name (`fig9.large.harris`), a short
-//! description of the paper-expected shape, a way to build the structure
-//! under test (the [`Subject`]), and a runner closure that performs one
-//! measurement window — a body of the harness's one measurement loop
-//! ([`crate::runner::measure`]), which returns the window's
-//! [`Measurement`] with its per-[`OpKind`] counts. The `bench_all` driver
-//! and the correctness tiers (stress + linearizability) consume the same
-//! [`Registry`], so registering a structure once gets it benchmarked,
-//! stress-tested, and linearizability-checked automatically.
+//! description of the paper-expected shape, the id of the structure under
+//! test, and a runner closure that performs one measurement window — a
+//! body of the harness's one measurement loop ([`crate::runner::measure`]),
+//! which returns the window's [`Measurement`] with its per-[`OpKind`]
+//! counts. The runner builds the structure at the figure's own size; the
+//! `bench_all` driver consumes the [`Registry`] of scenarios.
+//!
+//! The correctness tiers do not build structures through a scenario: they
+//! iterate `optik_bench`'s subject table, which has one row per subject
+//! id and builds each structure sized for the keys a tier uses. A
+//! scenario's [`Scenario::subject_id`] names its table row (or, for a raw
+//! loop with no structure, an id of its own), so registering a structure
+//! takes one table row plus the scenario rows that benchmark it.
 //!
 //! Naming convention: `family.group-suffix.series` where
 //!
@@ -20,10 +25,9 @@
 //! - the **series** (text after the last `.`) is the column label, normally
 //!   the algorithm name.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use crate::api::{ConcurrentMap, ConcurrentQueue, ConcurrentSet, ConcurrentStack, OrderedMap};
+use crate::api::{ConcurrentQueue, ConcurrentSet, ConcurrentStack};
 use crate::latency::{LatencyRecorder, OpKind};
 use crate::runner::{run_queue_workload, run_set_workload, run_stack_workload};
 use crate::workload::Workload;
@@ -87,76 +91,6 @@ impl Measurement {
     }
 }
 
-/// How the correctness tiers can instantiate the structure a scenario
-/// benchmarks. `None` marks bench-only scenarios (raw lock loops).
-pub enum Subject {
-    /// A search data structure (list, hash table, skip list, map, BST).
-    Set(Box<dyn Fn() -> Arc<dyn ConcurrentSet> + Send + Sync>),
-    /// A FIFO queue.
-    Queue(Box<dyn Fn() -> Arc<dyn ConcurrentQueue> + Send + Sync>),
-    /// A LIFO stack.
-    Stack(Box<dyn Fn() -> Arc<dyn ConcurrentStack> + Send + Sync>),
-    /// A key–value map (upsert semantics — the kv store and its backends).
-    Map(Box<dyn Fn() -> Arc<dyn ConcurrentMap> + Send + Sync>),
-    /// An ordered key–value map (map semantics plus range scans — the
-    /// skip-list backends and the stores mounted over them). The
-    /// correctness tiers run both the map checks and the range checks on
-    /// these subjects.
-    Ordered(Box<dyn Fn() -> Arc<dyn OrderedMap> + Send + Sync>),
-    /// No instantiable structure (e.g. raw lock-acquisition scenarios).
-    None,
-}
-
-impl Subject {
-    /// Convenience constructor for set subjects.
-    pub fn set<S: ConcurrentSet + 'static>(
-        make: impl Fn() -> S + Send + Sync + 'static,
-    ) -> Subject {
-        Subject::Set(Box::new(move || Arc::new(make())))
-    }
-
-    /// Convenience constructor for queue subjects.
-    pub fn queue<Q: ConcurrentQueue + 'static>(
-        make: impl Fn() -> Q + Send + Sync + 'static,
-    ) -> Subject {
-        Subject::Queue(Box::new(move || Arc::new(make())))
-    }
-
-    /// Convenience constructor for stack subjects.
-    pub fn stack<S: ConcurrentStack + 'static>(
-        make: impl Fn() -> S + Send + Sync + 'static,
-    ) -> Subject {
-        Subject::Stack(Box::new(move || Arc::new(make())))
-    }
-
-    /// Convenience constructor for map subjects.
-    pub fn map<M: ConcurrentMap + 'static>(
-        make: impl Fn() -> M + Send + Sync + 'static,
-    ) -> Subject {
-        Subject::Map(Box::new(move || Arc::new(make())))
-    }
-
-    /// Convenience constructor for ordered-map subjects.
-    pub fn ordered<M: OrderedMap + 'static>(
-        make: impl Fn() -> M + Send + Sync + 'static,
-    ) -> Subject {
-        Subject::Ordered(Box::new(move || Arc::new(make())))
-    }
-
-    /// Short tag for listings: `set`, `queue`, `stack`, `map`, `ordered`,
-    /// or `-`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Subject::Set(_) => "set",
-            Subject::Queue(_) => "queue",
-            Subject::Stack(_) => "stack",
-            Subject::Map(_) => "map",
-            Subject::Ordered(_) => "ordered",
-            Subject::None => "-",
-        }
-    }
-}
-
 type Runner = Box<dyn Fn(&RunSpec) -> Measurement + Send + Sync>;
 
 /// One named benchmark scenario (see the module docs for naming rules).
@@ -166,7 +100,6 @@ pub struct Scenario {
     series: String,
     about: String,
     subject_id: String,
-    subject: Subject,
     runner: Runner,
 }
 
@@ -174,8 +107,8 @@ impl Scenario {
     /// Creates a fully custom scenario.
     ///
     /// `subject_id` identifies the *implementation* under test (e.g.
-    /// `list/harris`); scenarios of the same implementation across different
-    /// workloads share it, so the correctness tiers can deduplicate.
+    /// `list/harris`); scenarios of the same implementation across
+    /// different workloads share it.
     ///
     /// # Panics
     ///
@@ -184,7 +117,6 @@ impl Scenario {
         name: &str,
         about: &str,
         subject_id: &str,
-        subject: Subject,
         runner: impl Fn(&RunSpec) -> Measurement + Send + Sync + 'static,
     ) -> Self {
         let (group, series) = name
@@ -196,7 +128,6 @@ impl Scenario {
             series: series.to_string(),
             about: about.to_string(),
             subject_id: subject_id.to_string(),
-            subject,
             runner: Box::new(runner),
         }
     }
@@ -208,11 +139,10 @@ impl Scenario {
         about: &str,
         subject_id: &str,
         workload: Workload,
-        make: impl Fn() -> S + Send + Sync + Clone + 'static,
+        make: impl Fn() -> S + Send + Sync + 'static,
     ) -> Self {
-        let subject = Subject::set(make.clone());
         let w = workload;
-        Self::custom(name, about, subject_id, subject, move |spec| {
+        Self::custom(name, about, subject_id, move |spec| {
             let set = make();
             w.initial_fill(spec.seed, |k, v| set.insert(k, v));
             run_set_workload(spec, &w, |_| &set)
@@ -227,10 +157,9 @@ impl Scenario {
         subject_id: &str,
         prefill: u64,
         enqueue_pct: u32,
-        make: impl Fn() -> Q + Send + Sync + Clone + 'static,
+        make: impl Fn() -> Q + Send + Sync + 'static,
     ) -> Self {
-        let subject = Subject::queue(make.clone());
-        Self::custom(name, about, subject_id, subject, move |spec| {
+        Self::custom(name, about, subject_id, move |spec| {
             let q = make();
             for i in 0..prefill {
                 q.enqueue(i);
@@ -246,10 +175,9 @@ impl Scenario {
         subject_id: &str,
         prefill: u64,
         push_pct: u32,
-        make: impl Fn() -> S + Send + Sync + Clone + 'static,
+        make: impl Fn() -> S + Send + Sync + 'static,
     ) -> Self {
-        let subject = Subject::stack(make.clone());
-        Self::custom(name, about, subject_id, subject, move |spec| {
+        Self::custom(name, about, subject_id, move |spec| {
             let s = make();
             for i in 0..prefill {
                 s.push(i);
@@ -283,15 +211,10 @@ impl Scenario {
         self.name.split('.').next().expect("non-empty name")
     }
 
-    /// Implementation identity shared across workloads (dedup key for the
-    /// correctness tiers).
+    /// Implementation identity shared across workloads: the subject
+    /// table row that builds this structure for the correctness tiers.
     pub fn subject_id(&self) -> &str {
         &self.subject_id
-    }
-
-    /// How the correctness tiers instantiate the structure under test.
-    pub fn subject(&self) -> &Subject {
-        &self.subject
     }
 
     /// Runs one measurement window.
@@ -305,7 +228,6 @@ impl std::fmt::Debug for Scenario {
         f.debug_struct("Scenario")
             .field("name", &self.name)
             .field("subject_id", &self.subject_id)
-            .field("subject", &self.subject.kind())
             .finish()
     }
 }
@@ -468,7 +390,7 @@ mod tests {
     fn registry_rejects_duplicates_and_selects_by_prefix() {
         let mut r = Registry::new();
         for name in ["fig1.a.x", "fig1.a.y", "fig1.b.x", "fig10.a.x"] {
-            r.register(Scenario::custom(name, "", "none", Subject::None, |_spec| {
+            r.register(Scenario::custom(name, "", "none", |_spec| {
                 Measurement::from_ops(1, Duration::from_millis(1))
             }));
         }
@@ -488,7 +410,7 @@ mod tests {
     fn select_takes_each_scenario_once_in_registration_order() {
         let mut r = Registry::new();
         for name in ["b.x.1", "a.x.1", "a.y.1", "a.x.12", "a.xy.1"] {
-            r.register(Scenario::custom(name, "", "none", Subject::None, |_spec| {
+            r.register(Scenario::custom(name, "", "none", |_spec| {
                 Measurement::from_ops(1, Duration::from_millis(1))
             }));
         }
@@ -514,7 +436,7 @@ mod tests {
     fn duplicate_name_panics() {
         let mut r = Registry::new();
         let mk = || {
-            Scenario::custom("a.b", "", "none", Subject::None, |_s| {
+            Scenario::custom("a.b", "", "none", |_s| {
                 Measurement::from_ops(1, Duration::from_millis(1))
             })
         };

@@ -2,21 +2,22 @@
 //!
 //! §5 of the paper: "For fairness, all data structures use the exact same
 //! backoff function. We use exponentially increasing backoff times with up
-//! to 16k cycles maximum backoff." This module provides that function. The
-//! unit of waiting is one `core::hint::spin_loop()` invocation, which on
-//! x86 lowers to `pause`; a pause costs on the order of a few cycles, so the
-//! default cap of [`Backoff::DEFAULT_MAX_WAIT`] iterations approximates the
-//! paper's 16k-cycle ceiling.
+//! to 16k cycles maximum backoff." Every retry loop in the workspace backs
+//! off through the one [`Backoff`] this module provides. The unit of
+//! waiting is one `core::hint::spin_loop()` invocation, which on x86 lowers
+//! to `pause`; a pause costs on the order of a few cycles, so the cap of
+//! [`Backoff::DEFAULT_MAX_WAIT`] iterations approximates the paper's
+//! 16k-cycle ceiling.
 //!
-//! On top of the paper's fixed policy, [`Backoff::adaptive`] seeds each
-//! retry loop's *ceiling* from the thread's recent validation-failure
-//! streaks: a thread whose optimistic operations have been succeeding
-//! starts with a low ceiling (a failed validation costs a few pauses and a
-//! fast retry), while a thread stuck in a hot-shard storm carries its high
-//! ceiling into the next loop and backs off toward the 16k ceiling
-//! immediately instead of re-climbing from 2. The state is a per-thread
-//! EWMA; nothing is shared between threads, so the adaptive policy adds no
-//! coherence traffic to the loops it is tuning.
+//! The wait doubles toward that cap, but each retry loop's *soft ceiling*
+//! is seeded from the thread's recent validation-failure streaks: a thread
+//! whose optimistic operations have been succeeding starts with a low
+//! ceiling (a failed validation costs a few pauses and a fast retry),
+//! while a thread stuck in a hot-shard storm carries its high ceiling into
+//! the next loop and backs off toward the 16k ceiling immediately instead
+//! of re-climbing from 2. The state is a per-thread EWMA; nothing is
+//! shared between threads, so the seeding adds no coherence traffic to the
+//! loops it is tuning.
 //!
 //! One deliberate deviation: once saturated, each [`Backoff::backoff`] call
 //! also yields to the OS scheduler (unless `OPTIK_PURE_SPIN=1`, see
@@ -27,82 +28,59 @@
 use core::cell::Cell;
 use core::hint;
 
-/// Exponentially increasing busy-wait backoff with a hard cap.
+/// Exponentially increasing busy-wait backoff with a contention-seeded
+/// ceiling.
 ///
 /// Each call to [`Backoff::backoff`] spins for the current wait amount and
-/// then doubles it, saturating at the configured maximum. Use one value per
-/// retry loop; the state is intentionally not shared between threads.
+/// then doubles it, up to the loop's soft ceiling, which escalates toward
+/// [`Backoff::DEFAULT_MAX_WAIT`] while failures continue. Use one value
+/// per retry loop; the state is intentionally not shared between threads.
 ///
 /// # Examples
 ///
 /// ```
 /// use synchro::Backoff;
 ///
-/// let mut bo = Backoff::new();
+/// let mut bo = Backoff::adaptive();
 /// for attempt in 0..4 {
 ///     // ... try an optimistic operation, fail, then:
 ///     bo.backoff();
 /// }
-/// assert!(bo.waited() > 0);
+/// assert!(bo.level() > Backoff::INITIAL_WAIT);
 /// ```
 #[derive(Debug)]
 pub struct Backoff {
     current: u32,
-    /// Soft ceiling: where doubling stops *for now*. Fixed (== `max`) for
-    /// [`Backoff::new`]; seeded from the thread's streak EWMA and escalated
-    /// under sustained failure for [`Backoff::adaptive`].
+    /// Soft ceiling: where doubling stops *for now*. Seeded from the
+    /// thread's streak EWMA and escalated under sustained failure.
     cap: u32,
-    /// Hard ceiling (the paper's 16k-cycle bound for the default).
-    max: u32,
-    adaptive: bool,
-    total: u64,
 }
 
 std::thread_local! {
-    /// EWMA of the wait level recent adaptive retry loops ended at.
-    /// Thread-local on purpose: sharing contention estimates between
-    /// threads would put a coherence hotspot inside the backoff path.
+    /// EWMA of the wait level recent retry loops ended at. Thread-local
+    /// on purpose: sharing contention estimates between threads would put
+    /// a coherence hotspot inside the backoff path.
     static STREAK_SEED: Cell<u32> = const { Cell::new(Backoff::INITIAL_WAIT) };
 }
 
 impl Backoff {
     /// Initial wait in spin iterations.
     pub const INITIAL_WAIT: u32 = 2;
-    /// Default cap, approximating the paper's 16k-cycle maximum backoff.
+    /// Hard cap, approximating the paper's 16k-cycle maximum backoff.
     pub const DEFAULT_MAX_WAIT: u32 = 1 << 12;
 
-    /// Creates a backoff with the default cap and the paper's fixed policy.
-    #[inline]
-    pub fn new() -> Self {
-        Self::with_max(Self::DEFAULT_MAX_WAIT)
-    }
-
-    /// Creates a backoff with a custom cap (in spin iterations).
-    #[inline]
-    pub fn with_max(max: u32) -> Self {
-        let max = max.max(1);
-        Self {
-            current: Self::INITIAL_WAIT,
-            cap: max,
-            max,
-            adaptive: false,
-            total: 0,
-        }
-    }
-
-    /// Creates a contention-adaptive backoff for one retry loop.
+    /// Creates the backoff for one retry loop.
     ///
     /// The soft ceiling is seeded from this thread's recent failure
-    /// streaks (an EWMA of where previous adaptive loops ended): after a
-    /// run of clean validations the ceiling sits near
-    /// [`Backoff::INITIAL_WAIT`], so an isolated conflict costs a few
-    /// pauses; during a hot-shard storm the ceiling rides up toward
-    /// [`Backoff::DEFAULT_MAX_WAIT`], so re-entering the loop resumes the
-    /// paper's maximum backoff instead of re-climbing. Sustained failure
-    /// *within* one loop also escalates the ceiling (×4 per touch, up to
-    /// the hard cap), so a mis-seeded low ceiling cannot trap a storm at
-    /// short waits. Dropping the value folds the final wait level back
-    /// into the thread-local seed.
+    /// streaks (an EWMA of where previous loops ended): after a run of
+    /// clean validations the ceiling sits near [`Backoff::INITIAL_WAIT`],
+    /// so an isolated conflict costs a few pauses; during a hot-shard
+    /// storm the ceiling rides up toward [`Backoff::DEFAULT_MAX_WAIT`], so
+    /// re-entering the loop resumes the paper's maximum backoff instead of
+    /// re-climbing. Sustained failure *within* one loop also escalates the
+    /// ceiling (×4 per touch, up to the hard cap), so a mis-seeded low
+    /// ceiling cannot trap a storm at short waits. Dropping the value
+    /// folds the final wait level back into the thread-local seed.
     #[inline]
     pub fn adaptive() -> Self {
         let seed = STREAK_SEED
@@ -111,14 +89,11 @@ impl Backoff {
         Self {
             current: Self::INITIAL_WAIT,
             cap: seed,
-            max: Self::DEFAULT_MAX_WAIT,
-            adaptive: true,
-            total: 0,
         }
     }
 
     /// Spins for the current wait amount, then doubles it (saturating at
-    /// the ceiling; adaptive ceilings escalate toward the hard cap while
+    /// the soft ceiling, which escalates toward the hard cap while
     /// failures continue).
     ///
     /// Once saturated at the hard cap, each call also yields to the OS
@@ -139,30 +114,21 @@ impl Backoff {
             self.advance();
             return;
         }
-        let n = self.current;
-        spin(n);
-        self.total += u64::from(n);
-        if self.current >= self.max && !pure_spin() {
+        spin(self.current);
+        if self.current >= Self::DEFAULT_MAX_WAIT && !pure_spin() {
             std::thread::yield_now();
         }
         self.advance();
     }
 
-    /// Doubles the wait, escalating an adaptive soft ceiling that keeps
-    /// getting hit.
+    /// Doubles the wait, escalating a soft ceiling that keeps getting hit.
     #[inline]
     fn advance(&mut self) {
-        if self.adaptive && self.current >= self.cap && self.cap < self.max {
+        if self.current >= self.cap && self.cap < Self::DEFAULT_MAX_WAIT {
             optik_probe::count(optik_probe::Event::BackoffEscalate);
-            self.cap = self.cap.saturating_mul(4).min(self.max);
+            self.cap = self.cap.saturating_mul(4).min(Self::DEFAULT_MAX_WAIT);
         }
         self.current = (self.current.saturating_mul(2)).min(self.cap);
-    }
-
-    /// Whether the backoff has reached its (current) maximum wait.
-    #[inline]
-    pub fn is_saturated(&self) -> bool {
-        self.current >= self.cap
     }
 
     /// The current wait level in spin iterations (what the next
@@ -171,25 +137,10 @@ impl Backoff {
     pub fn level(&self) -> u32 {
         self.current
     }
-
-    /// Total spin iterations waited so far.
-    #[inline]
-    pub fn waited(&self) -> u64 {
-        self.total
-    }
-
-    /// Resets the wait back to the initial value.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.current = Self::INITIAL_WAIT;
-    }
 }
 
 impl Drop for Backoff {
     fn drop(&mut self) {
-        if !self.adaptive {
-            return;
-        }
         // Fold the observed contention level into the thread's seed:
         // weight the new observation 3:1 so a storm raises the next loop's
         // ceiling within a couple of operations, and an untouched loop
@@ -205,14 +156,8 @@ impl Drop for Backoff {
     }
 }
 
-impl Default for Backoff {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Folds a clean first-try acquisition into the calling thread's
-/// contention EWMA: the same 3:1 decay an untouched adaptive loop
+/// contention EWMA: the same 3:1 decay an untouched retry loop
 /// applies on drop, without constructing one. Fast paths that succeed
 /// without ever creating a [`Backoff`] call this so the estimate decays
 /// once the storm passes instead of pinning at its peak.
@@ -305,36 +250,28 @@ pub fn proportional(distance: u32, unit: u32) -> u32 {
 mod tests {
     use super::*;
 
+    /// The seed is thread-local; run each scenario on a fresh thread so
+    /// test order can't leak seeds between assertions.
+    fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().unwrap();
+    }
+
     #[test]
     fn grows_exponentially_then_saturates() {
-        let mut bo = Backoff::with_max(16);
-        assert!(!bo.is_saturated());
-        bo.backoff(); // waited 2, current 4
-        bo.backoff(); // waited 4, current 8
-        bo.backoff(); // waited 8, current 16
-        assert!(bo.is_saturated());
-        bo.backoff(); // waited 16, current stays 16
-        assert!(bo.is_saturated());
-        assert_eq!(bo.waited(), 2 + 4 + 8 + 16);
-    }
-
-    #[test]
-    fn reset_restores_initial_wait() {
-        let mut bo = Backoff::with_max(8);
-        bo.backoff();
-        bo.backoff();
-        bo.reset();
-        assert!(!bo.is_saturated());
-        let before = bo.waited();
-        bo.backoff();
-        assert_eq!(bo.waited(), before + u64::from(Backoff::INITIAL_WAIT));
-    }
-
-    #[test]
-    fn max_is_clamped_to_at_least_one() {
-        let mut bo = Backoff::with_max(0);
-        bo.backoff();
-        assert!(bo.is_saturated());
+        on_fresh_thread(|| {
+            let mut bo = Backoff::adaptive();
+            let mut levels = vec![bo.level()];
+            while bo.level() < Backoff::DEFAULT_MAX_WAIT {
+                bo.advance();
+                levels.push(bo.level());
+            }
+            // From the floor, each step doubles the wait …
+            let doubling: Vec<u32> = (1..=12).map(|i| 1 << i).collect();
+            assert_eq!(levels, doubling);
+            // … and the hard cap holds once reached.
+            bo.advance();
+            assert_eq!(bo.level(), Backoff::DEFAULT_MAX_WAIT);
+        });
     }
 
     #[test]
@@ -347,20 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn default_matches_new() {
-        let a = Backoff::default();
-        let b = Backoff::new();
-        assert_eq!(a.max, b.max);
-        assert_eq!(a.current, b.current);
-    }
-
-    /// The adaptive seed is thread-local; run each scenario on a fresh
-    /// thread so test order can't leak seeds between assertions.
-    fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
-        std::thread::spawn(f).join().unwrap();
-    }
-
-    #[test]
     fn adaptive_starts_cheap_when_uncontended() {
         on_fresh_thread(|| {
             // A history of clean loops keeps the ceiling at the floor …
@@ -370,9 +293,7 @@ mod tests {
             let bo = Backoff::adaptive();
             assert_eq!(bo.cap, Backoff::INITIAL_WAIT);
             // … so one failed validation costs a couple of pauses.
-            let mut bo = bo;
-            bo.backoff();
-            assert!(bo.waited() <= u64::from(Backoff::INITIAL_WAIT));
+            assert_eq!(bo.level(), Backoff::INITIAL_WAIT);
         });
     }
 
@@ -432,22 +353,6 @@ mod tests {
                 note_calm();
             }
             assert_eq!(seed(), Backoff::INITIAL_WAIT);
-        });
-    }
-
-    #[test]
-    fn fixed_policy_is_unaffected_by_the_adaptive_seed() {
-        on_fresh_thread(|| {
-            {
-                let mut bo = Backoff::adaptive();
-                for _ in 0..32 {
-                    bo.advance();
-                }
-            }
-            // Backoff::new ignores the seed entirely.
-            let bo = Backoff::new();
-            assert_eq!(bo.cap, Backoff::DEFAULT_MAX_WAIT);
-            assert_eq!(bo.current, Backoff::INITIAL_WAIT);
         });
     }
 }

@@ -5,9 +5,10 @@
 //! - the classic spinlocks the structures build on: [`TtasLock`] (lazy
 //!   lists, striped tables, the paper's Fig. 5 straw man) and [`McsLock`]
 //!   (the global-lock baselines),
-//! - the exponential [`Backoff`] scheme the paper applies uniformly to all
-//!   data structures ("exponentially increasing backoff times with up to 16k
-//!   cycles maximum backoff", §5),
+//! - the one exponential [`Backoff`] every data structure uses, as in the
+//!   paper ("exponentially increasing backoff times with up to 16k cycles
+//!   maximum backoff", §5), with each retry loop's ceiling seeded from the
+//!   thread's recent contention,
 //! - a cheap per-core [`cycles::now`] timestamp counter used for the latency
 //!   distributions of Figures 7 and 12,
 //! - [`CachePadded`] re-exported from `crossbeam-utils` so every crate pads

@@ -12,43 +12,11 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Barrier};
 
+use optik_bench::subjects::{self, Subject};
 use optik_suite::harness::api::{ConcurrentMap, OrderedMap, MAX_USER_KEY};
-use optik_suite::hashtables::{
-    OptikMapHashTable, ResizableStripedHashTable, StripedHashTable, StripedOptikHashTable,
-};
+use optik_suite::hashtables::StripedOptikHashTable;
 use optik_suite::kv::{FakeClock, KvStore};
-use optik_suite::skiplists::{
-    FraserSkipList, HerlihyOptikSkipList, HerlihySkipList, OptikSkipList2,
-};
-
-/// Every backend family the registry's kv scenarios use, as a small store.
-/// Fixed-capacity backends are sized so `put` can never overflow a shard.
-fn all_stores() -> Vec<(&'static str, Arc<dyn ConcurrentMap>)> {
-    vec![
-        (
-            "kv/optik-map",
-            Arc::new(KvStore::with_shards(4, |_| {
-                OptikMapHashTable::with_bucket_capacity(32, 16)
-            })),
-        ),
-        (
-            "kv/striped",
-            Arc::new(KvStore::with_shards(4, |_| StripedHashTable::new(32, 8))),
-        ),
-        (
-            "kv/striped-optik",
-            Arc::new(KvStore::with_shards(4, |_| {
-                StripedOptikHashTable::new(32, 8)
-            })),
-        ),
-        (
-            "kv/resizable",
-            Arc::new(KvStore::with_shards(4, |_| {
-                ResizableStripedHashTable::new(8, 2)
-            })),
-        ),
-    ]
-}
+use optik_suite::skiplists::OptikSkipList2;
 
 /// The run's xorshift seed for thread `t`'s stream: distinct per thread,
 /// derived from [`synchro::stress::seed`] so `STRESS_SEED=<hex>` replays
@@ -76,9 +44,17 @@ fn striped_store(shards: usize) -> Arc<KvStore<StripedOptikHashTable>> {
 // Mixed single-key workload: exact net counts on every backend.
 // ---------------------------------------------------------------------------
 
+/// Mixed single-key ops on every hash-routed store of the subject table
+/// (its map rows: each backend family and shard count the kv scenarios
+/// sweep), built for keys up to 96: the final length must equal the net
+/// count of successful inserts and removes.
 fn mixed_ops_net_count(scale: u64) {
     announce_seed();
-    for (name, s) in all_stores() {
+    for (name, subject) in subjects::table() {
+        let Subject::Map(make) = subject else {
+            continue;
+        };
+        let s = make(96);
         let net = Arc::new(AtomicI64::new(0));
         let mut handles = Vec::new();
         for t in 0..4u64 {
@@ -513,48 +489,21 @@ fn kv_snapshots_are_shard_consistent_under_batch_writes_full() {
 // Range scans over ordered backends: sorted, duplicate-free, consistent.
 // ---------------------------------------------------------------------------
 
-/// Every ordered backend family mounted in ordered-sharded stores, plus a
-/// hash-sharded one (ranges must also work there, via the post-merge sort).
-fn ordered_stores() -> Vec<(&'static str, Arc<dyn OrderedMap>)> {
-    const MAX_KEY: u64 = 256;
-    vec![
-        (
-            "kv/range-sl-herlihy",
-            Arc::new(KvStore::with_ordered_shards(4, MAX_KEY, |_| {
-                HerlihySkipList::new()
-            })),
-        ),
-        (
-            "kv/range-sl-herl-optik",
-            Arc::new(KvStore::with_ordered_shards(4, MAX_KEY, |_| {
-                HerlihyOptikSkipList::new()
-            })),
-        ),
-        (
-            "kv/range-sl-optik2",
-            Arc::new(KvStore::with_ordered_shards(4, MAX_KEY, |_| {
-                OptikSkipList2::new()
-            })),
-        ),
-        (
-            "kv/range-sl-fraser",
-            Arc::new(KvStore::with_ordered_shards(4, MAX_KEY, |_| {
-                FraserSkipList::new()
-            })),
-        ),
-        (
-            "kv/range-hash-sharded",
-            Arc::new(KvStore::with_shards(4, |_| OptikSkipList2::new())),
-        ),
-    ]
-}
-
 /// Concurrent range scans vs. random single-key writers, over every
-/// ordered store: each returned window must be sorted, duplicate-free,
-/// value-consistent, and must contain every key of an untouched backbone.
+/// ordered store of the subject table (its ordered `kv/` rows: range- and
+/// hash-routed, nested) built for keys up to 250: each returned window
+/// must be sorted, duplicate-free, value-consistent, and must contain
+/// every key of an untouched backbone.
 fn range_scans_under_churn(scan_rounds: u64) {
     announce_seed();
-    for (name, s) in ordered_stores() {
+    for (name, subject) in subjects::table() {
+        let Subject::Ordered(make) = subject else {
+            continue;
+        };
+        if !name.starts_with("kv/") {
+            continue;
+        }
+        let s = make(250);
         for k in (10..=250u64).step_by(10) {
             s.put(k, k);
         }

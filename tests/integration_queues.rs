@@ -1,35 +1,29 @@
-//! Cross-crate integration for every queue registered in the scenario
-//! registry: linearizable FIFO behaviour under the harness workload, plus
-//! conservation and drain checks. Registering a queue in
-//! `optik_bench::scenarios` automatically enrolls it here.
+//! Cross-crate integration for every queue row of the subject table:
+//! linearizable FIFO behaviour under the harness workload, plus
+//! conservation and drain checks. Adding a queue row to
+//! `optik_bench::subjects` enrolls it here.
 
 use std::sync::Arc;
 
+use optik_bench::subjects::{self, Subject};
 use optik_suite::harness::runner::run_queue_workload;
-use optik_suite::harness::scenario::{RunSpec, Subject};
+use optik_suite::harness::scenario::RunSpec;
 use optik_suite::harness::{ConcurrentQueue, OpKind};
 
-fn all_queues() -> Vec<(String, Arc<dyn ConcurrentQueue>)> {
-    // Deduplicate by subject id, keeping the FIRST registration — fig12
-    // registers the canonical constructors (e.g. the victim queue with
-    // the paper's threshold) before the ablation sweeps re-register
-    // parameterized variants.
-    let reg = optik_bench::scenarios::registry();
-    let mut out: Vec<(String, Arc<dyn ConcurrentQueue>)> = Vec::new();
-    for s in reg.iter() {
-        if let Subject::Queue(make) = s.subject() {
-            if !out.iter().any(|(id, _)| *id == s.subject_id()) {
-                out.push((s.subject_id().to_string(), make()));
-            }
-        }
-    }
-    assert!(out.len() >= 6, "registry shrank: {} queues", out.len());
-    out
+/// Every queue row of the subject table, freshly built.
+fn queues() -> Vec<(&'static str, Arc<dyn ConcurrentQueue>)> {
+    subjects::table()
+        .into_iter()
+        .filter_map(|(id, subject)| match subject {
+            Subject::Queue(make) => Some((id, make())),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
 fn harness_workload_balances_counts() {
-    for (name, q) in all_queues() {
+    for (name, q) in queues() {
         for i in 0..5_000u64 {
             q.enqueue(i);
         }
@@ -61,7 +55,7 @@ fn drain_after_concurrent_fill_yields_every_element_once_full() {
 }
 
 fn drain_after_concurrent_fill(per: u64) {
-    for (name, q) in all_queues() {
+    for (name, q) in queues() {
         const PRODUCERS: u64 = 6;
         let per = per.max(64);
         let mut handles = Vec::new();
@@ -91,7 +85,7 @@ fn drain_after_concurrent_fill(per: u64) {
 #[test]
 fn alternating_enqueue_dequeue_is_exact_fifo() {
     let iters = optik_suite::harness::stress::ops(100_000);
-    for (name, q) in all_queues() {
+    for (name, q) in queues() {
         let mut next_out = 0u64;
         let mut next_in = 0u64;
         let mut x = 777u64;

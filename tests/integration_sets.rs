@@ -1,38 +1,27 @@
-//! Cross-crate integration: every `ConcurrentSet` registered in the
-//! scenario registry (lists, hash tables, skip lists, array maps, BSTs)
-//! is run through the same paper-style concurrent workload and checked
-//! against count and visibility invariants. Registering a structure in
-//! `optik_bench::scenarios` automatically enrolls it here.
+//! Cross-crate integration: every set row of the subject table (lists,
+//! hash tables, skip lists, array maps, BSTs) is run through the same
+//! paper-style concurrent workload and checked against count and
+//! visibility invariants. Adding a row to `optik_bench::subjects`
+//! enrolls its structure here.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-use optik_suite::harness::api::ConcurrentSet;
-use optik_suite::harness::scenario::Subject;
+use optik_bench::subjects::{self, Subject};
+use optik_suite::harness::api::{ConcurrentSet, Key};
 
-fn all_sets() -> Vec<(String, Arc<dyn ConcurrentSet>)> {
-    // Deduplicate by subject id, keeping the LAST registration: for the
-    // fixed-capacity array maps the later scenarios carry the larger
-    // paper workloads (fig7.large: 1024 slots), which fit this file's
-    // key ranges; earlier ones (fig7.small: 4 slots) would reject the
-    // stable-key fills.
-    let reg = optik_bench::scenarios::registry();
-    let mut out: Vec<(String, Arc<dyn ConcurrentSet>)> = Vec::new();
-    for s in reg.iter() {
-        if let Subject::Set(make) = s.subject() {
-            let entry = (s.subject_id().to_string(), make());
-            match out.iter_mut().find(|(id, _)| *id == s.subject_id()) {
-                Some(slot) => *slot = entry,
-                None => out.push(entry),
-            }
-        }
-    }
-    assert!(
-        out.len() >= 20,
-        "registry shrank: {} set subjects",
-        out.len()
-    );
-    out
+/// The largest key any test here uses; every set is sized for it.
+const MAX_KEY: Key = 128;
+
+/// Every set row of the subject table, freshly built.
+fn sets() -> Vec<(&'static str, Arc<dyn ConcurrentSet>)> {
+    subjects::table()
+        .into_iter()
+        .filter_map(|(id, subject)| match subject {
+            Subject::Set(make) => Some((id, make(MAX_KEY))),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Body of the net-count stress test, parameterized so the tier-1 run can
@@ -42,13 +31,12 @@ fn concurrent_workload_preserves_net_count(ops: u64) {
     const THREADS: u64 = 8;
     const KEYS: u64 = 96;
     let ops = ops.max(64);
-    for (name, set) in all_sets() {
+    for (name, set) in sets() {
         let net = Arc::new(AtomicI64::new(0));
         let mut handles = Vec::new();
         for t in 0..THREADS {
             let set = Arc::clone(&set);
             let net = Arc::clone(&net);
-            let name = name.clone();
             handles.push(std::thread::spawn(move || {
                 let mut x = t.wrapping_mul(0x9E3779B97F4A7C15) | 1;
                 for _ in 0..ops {
@@ -103,7 +91,7 @@ fn concurrent_workload_preserves_net_count_everywhere_full() {
 fn stable_keys_remain_visible(churn_iters: u64) {
     // Half the key space is immutable; churning the other half must never
     // make a stable key invisible or corrupt its value.
-    for (name, set) in all_sets() {
+    for (name, set) in sets() {
         for k in (2..=120u64).step_by(2) {
             assert!(set.insert(k, k + 7), "{name}");
         }
@@ -171,7 +159,7 @@ fn single_key_histories_are_linearizable() {
     use std::sync::{Barrier, Mutex};
 
     const KEY: u64 = 42;
-    for (name, set) in all_sets() {
+    for (name, set) in sets() {
         let all = Arc::new(Mutex::new(Vec::new()));
         let barrier = Arc::new(Barrier::new(4));
         let mut handles = Vec::new();
@@ -215,7 +203,7 @@ fn single_key_histories_are_linearizable() {
 fn sequential_agreement(tape_len: u64) {
     // Drive every structure with the same operation tape; all must agree
     // with a BTreeMap model (and hence with each other).
-    let sets = all_sets();
+    let sets = sets();
     let mut model = std::collections::BTreeMap::new();
     let mut x = 0x12345678u64;
     for _ in 0..tape_len {

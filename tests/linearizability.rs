@@ -1,8 +1,7 @@
-//! The linearizability tier, driven by the scenario registry.
+//! The linearizability tier, driven by the subject table.
 //!
-//! Every *unique implementation* registered in `optik_bench::scenarios`
-//! (deduplicated by subject id — the same algorithm appears under many
-//! workloads) is instantiated and hammered by a handful of threads while a
+//! Every row of `optik_bench::subjects::table` is built for this tier's
+//! keys (up to [`MAX_KEY`]) and hammered by a handful of threads while a
 //! [`HistoryRecorder`] timestamps each operation; the recorded history is
 //! then decided by the Wing–Gong checker against the matching sequential
 //! specification:
@@ -14,7 +13,7 @@
 //!   spec ([`MapSpec`]): distinct put values per operation, so torn reads
 //!   and lost updates are caught, not just presence errors.
 //!
-//! Adding a structure to the registry automatically enrolls it here.
+//! Adding a row to the table enrolls its structure here.
 //! The in-tier tests run a few rounds (scaled for tier-1); the `_full`
 //! variants behind `--ignored` run many more and back the CI
 //! linearizability job.
@@ -22,15 +21,18 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Barrier, Mutex};
 
-use optik_bench::scenarios;
+use optik_bench::subjects::{self, Subject};
 use optik_suite::harness::api::{ConcurrentMap, Key, OrderedMap, Val};
 use optik_suite::harness::linearize::{
     check, FifoSpec, HistoryRecorder, LifoSpec, MapOp, MapSpec, QueueOp, RangeMapSpec, RangeOp,
     SetOp, SetSpec, StackOp, Timed, TtlMapSpec, TtlOp, RANGE_KEYS,
 };
-use optik_suite::harness::scenario::Subject;
 use optik_suite::harness::{ConcurrentQueue, ConcurrentSet, ConcurrentStack};
 use optik_suite::kv::{FakeClock, KvStore};
+
+/// The largest key the rounds touch (the single-key rounds' `KEY`); every
+/// subject is sized for it.
+const MAX_KEY: Key = 42;
 
 /// Adapter presenting an ordered subject as a plain map subject, so the
 /// single-key map rounds run on ordered implementations too without
@@ -286,10 +288,11 @@ fn check_map_rounds(
 /// earlier write to another.
 ///
 /// Only subjects whose ranges are **validated snapshots** qualify: the
-/// kv stores (`kv/…` subject ids), whose `range_scan` collects each shard
-/// under a version validate / shard-lock fallback — and whose ordered
-/// partitions are wide enough that the tracked keys colocate in one
-/// shard, making the whole window one atomic snapshot. The raw backends
+/// kv stores (`kv/…` subject ids), whose `range_scan` walks every shard
+/// the window touches inside one windowed read. Built for [`MAX_KEY`], a
+/// range-routed store's partitions are a few keys wide, so the tracked
+/// keys span partitions and every round checks the cross-shard snapshot.
+/// The raw backends
 /// deliberately promise only quiescence-consistent ranges (see
 /// `OrderedMap`'s docs: concurrent updates "can be missed or included"),
 /// so asserting snapshot linearizability on them would be a false alarm
@@ -356,45 +359,35 @@ fn check_range_rounds(
     }
 }
 
-/// Runs the whole registry through the appropriate checker, `rounds`
-/// histories per unique implementation.
+/// Runs every subject-table row through the appropriate checker,
+/// `rounds` histories per row.
 fn run_tier(rounds: usize) {
-    let reg = scenarios::registry();
     // Subject ids enrolled per kind; "ranged" holds the ordered subjects
     // that also run the range-observing rounds.
     let mut enrolled: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for s in reg.iter() {
-        let kind = s.subject().kind();
-        if kind == "-" || !enrolled.entry(kind).or_default().insert(s.subject_id()) {
-            continue;
-        }
-        match s.subject() {
-            Subject::Set(make) => check_set_rounds(s.subject_id(), make.as_ref(), rounds),
-            Subject::Queue(make) => check_queue_rounds(s.subject_id(), make.as_ref(), rounds),
-            Subject::Stack(make) => check_stack_rounds(s.subject_id(), make.as_ref(), rounds),
-            Subject::Map(make) => check_map_rounds(s.subject_id(), make.as_ref(), rounds),
+    for (id, subject) in subjects::table() {
+        enrolled.entry(subject.kind()).or_default().insert(id);
+        match &subject {
+            Subject::Set(make) => check_set_rounds(id, &|| make(MAX_KEY), rounds),
+            Subject::Queue(make) => check_queue_rounds(id, make.as_ref(), rounds),
+            Subject::Stack(make) => check_stack_rounds(id, make.as_ref(), rounds),
+            Subject::Map(make) => check_map_rounds(id, &|| make(MAX_KEY), rounds),
             Subject::Ordered(make) => {
                 // Ordered subjects run the value-carrying single-key
                 // rounds; store-backed ones (validated-snapshot ranges)
                 // additionally run the range-observing rounds — see
                 // `check_range_rounds` for why raw backends do not.
-                let as_map = |make: &(dyn Fn() -> Arc<dyn OrderedMap> + Send + Sync)| {
-                    let m = make();
-                    let out: Arc<dyn ConcurrentMap> = Arc::new(OrderedAsMap(m));
-                    out
-                };
-                let make_ref = make.as_ref();
-                check_map_rounds(s.subject_id(), &move || as_map(make_ref), rounds);
-                if s.subject_id().starts_with("kv/") {
-                    enrolled.entry("ranged").or_default().insert(s.subject_id());
-                    check_range_rounds(s.subject_id(), make_ref, rounds);
+                let as_map = || -> Arc<dyn ConcurrentMap> { Arc::new(OrderedAsMap(make(MAX_KEY))) };
+                check_map_rounds(id, &as_map, rounds);
+                if id.starts_with("kv/") {
+                    enrolled.entry("ranged").or_default().insert(id);
+                    check_range_rounds(id, &|| make(MAX_KEY), rounds);
                 }
             }
-            Subject::None => {}
         }
     }
-    // The registry must actually be feeding the tier, with exactly these
-    // subjects: a structure that leaves or joins the registry fails here
+    // The table must actually be feeding the tier, with exactly these
+    // subjects: a structure that leaves or joins the table fails here
     // until this list names the change.
     let expected: [(&str, &[&str]); 6] = [
         (
@@ -470,6 +463,8 @@ fn run_tier(rounds: usize) {
             "ordered",
             &[
                 "kv/hash-skiplist",
+                "kv/nested-hash-over-ord",
+                "kv/nested-ord-over-hash",
                 "kv/range-sl-fraser",
                 "kv/range-sl-herl-optik",
                 "kv/range-sl-herlihy",
@@ -487,6 +482,8 @@ fn run_tier(rounds: usize) {
             "ranged",
             &[
                 "kv/hash-skiplist",
+                "kv/nested-hash-over-ord",
+                "kv/nested-ord-over-hash",
                 "kv/range-sl-fraser",
                 "kv/range-sl-herl-optik",
                 "kv/range-sl-herlihy",

@@ -9,30 +9,22 @@
 //!
 //! These tests deliberately use a *small* key range so that sequences of a
 //! few hundred operations revisit keys often — duplicate inserts, misses,
-//! and delete/re-insert cycles are where the validation logic lives.
+//! and delete/re-insert cycles are where the validation logic lives. The
+//! set, ordered-map, queue and stack tests run every row of the subject
+//! table (`optik_bench::subjects`) of their kind, each built for the
+//! test's own key range.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use optik_suite::bsts::{GlobalLockBst, OptikBst, OptikGlBst};
-use optik_suite::harness::api::{ConcurrentMap, ConcurrentQueue, ConcurrentSet, OrderedMap};
+use optik_bench::subjects::{self, Subject};
+use optik_suite::harness::api::{ConcurrentMap, ConcurrentSet};
 use optik_suite::hashtables::{
-    LazyGlHashTable, OptikGlHashTable, OptikHashTable, OptikMapHashTable,
-    ResizableStripedHashTable, StripedHashTable, StripedOptikHashTable,
+    OptikMapHashTable, ResizableStripedHashTable, StripedHashTable, StripedOptikHashTable,
 };
 use optik_suite::kv::KvStore;
-use optik_suite::lists::{
-    GlobalLockList, HarrisList, LazyCacheList, LazyList, OptikCacheList, OptikGlList, OptikList,
-};
-use optik_suite::queues::{
-    MsLbQueue, MsLfQueue, OptikQueue0, OptikQueue1, OptikQueue2, VictimQueue,
-};
-use optik_suite::skiplists::{
-    FraserSkipList, HerlihyOptikSkipList, HerlihySkipList, OptikSkipList1, OptikSkipList2,
-};
-use optik_suite::stacks::{ConcurrentStack, EliminationStack, OptikStack, TreiberStack};
 
 /// One search-structure operation drawn by proptest.
 #[derive(Debug, Clone, Copy)]
@@ -80,65 +72,35 @@ fn check_set_against_model(set: &dyn ConcurrentSet, ops: &[SetOp]) -> Result<(),
     Ok(())
 }
 
-/// All sets, constructed fresh (hash tables sized so collisions occur).
-fn all_sets() -> Vec<(&'static str, Arc<dyn ConcurrentSet>)> {
-    vec![
-        ("list/mcs-gl-opt", Arc::new(GlobalLockList::new())),
-        (
-            "list/optik-gl",
-            Arc::new(OptikGlList::<optik::OptikVersioned>::new()),
-        ),
-        ("list/optik", Arc::new(OptikList::new())),
-        ("list/optik-cache", Arc::new(OptikCacheList::new())),
-        ("list/lazy", Arc::new(LazyList::new())),
-        ("list/lazy-cache", Arc::new(LazyCacheList::new())),
-        ("list/harris", Arc::new(HarrisList::new())),
-        ("ht/optik-gl", Arc::new(OptikGlHashTable::new(8))),
-        ("ht/optik", Arc::new(OptikHashTable::new(8))),
-        (
-            "ht/optik-map",
-            Arc::new(OptikMapHashTable::with_bucket_capacity(8, 48)),
-        ),
-        ("ht/lazy-gl", Arc::new(LazyGlHashTable::new(8))),
-        ("ht/java", Arc::new(StripedHashTable::new(8, 4))),
-        ("ht/java-optik", Arc::new(StripedOptikHashTable::new(8, 4))),
-        (
-            "ht/java-resize",
-            Arc::new(ResizableStripedHashTable::new(4, 2)),
-        ),
-        ("sl/herlihy", Arc::new(HerlihySkipList::new())),
-        ("sl/herl-optik", Arc::new(HerlihyOptikSkipList::new())),
-        ("sl/optik1", Arc::new(OptikSkipList1::new())),
-        ("sl/optik2", Arc::new(OptikSkipList2::new())),
-        ("sl/fraser", Arc::new(FraserSkipList::new())),
-        ("bst/mcs-gl", Arc::new(GlobalLockBst::new())),
-        (
-            "bst/optik-gl",
-            Arc::new(OptikGlBst::<optik::OptikVersioned>::new()),
-        ),
-        ("bst/optik-tk", Arc::new(OptikBst::new())),
-    ]
+/// The largest key the set tests draw: every set is built for it, which
+/// gives the hash tables 8 buckets, so collisions occur.
+const SET_MAX_KEY: u64 = 32;
+
+/// Checks every set row of the subject table against the model.
+fn check_every_set(ops: &[SetOp]) -> Result<(), TestCaseError> {
+    for (id, subject) in subjects::table() {
+        let Subject::Set(make) = subject else {
+            continue;
+        };
+        check_set_against_model(make(SET_MAX_KEY).as_ref(), ops)
+            .map_err(|e| TestCaseError::fail(format!("{id}: {e}")))?;
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn every_set_matches_btreemap(ops in set_ops(32, 300)) {
-        for (name, set) in all_sets() {
-            check_set_against_model(set.as_ref(), &ops)
-                .map_err(|e| TestCaseError::fail(format!("{name}: {e}")))?;
-        }
+    fn every_set_matches_btreemap(ops in set_ops(SET_MAX_KEY, 300)) {
+        check_every_set(&ops)?;
     }
 
     #[test]
     fn every_set_matches_btreemap_dense_two_keys(ops in set_ops(2, 400)) {
         // Two keys: maximal revisit rate; exercises duplicate-insert and
         // delete-reinsert validation paths almost every step.
-        for (name, set) in all_sets() {
-            check_set_against_model(set.as_ref(), &ops)
-                .map_err(|e| TestCaseError::fail(format!("{name}: {e}")))?;
-        }
+        check_every_set(&ops)?;
     }
 }
 
@@ -295,61 +257,21 @@ proptest! {
     }
 }
 
-/// Every `OrderedMap` backend (the structures the kv store can mount for
-/// range scans), plus ordered-sharded stores over two of them.
-fn all_ordered_maps() -> Vec<(&'static str, Arc<dyn OrderedMap>)> {
-    use optik_suite::kv::KvStore;
-    use optik_suite::skiplists::{
-        FraserSkipList, HerlihyOptikSkipList, HerlihySkipList, OptikSkipList1, OptikSkipList2,
-    };
-    vec![
-        ("omap/sl-herlihy", Arc::new(HerlihySkipList::new())),
-        ("omap/sl-herl-optik", Arc::new(HerlihyOptikSkipList::new())),
-        ("omap/sl-optik1", Arc::new(OptikSkipList1::new())),
-        ("omap/sl-optik2", Arc::new(OptikSkipList2::new())),
-        ("omap/sl-fraser", Arc::new(FraserSkipList::new())),
-        (
-            "kv/range-sl",
-            Arc::new(KvStore::with_ordered_shards(4, 32, |_| {
-                OptikSkipList2::new()
-            })),
-        ),
-        (
-            "kv/range-sl-herl-optik",
-            Arc::new(KvStore::with_ordered_shards(3, 32, |_| {
-                HerlihyOptikSkipList::new()
-            })),
-        ),
-        // Nested stores with *mixed* routing policies: ordered partitions
-        // over hash-sharded inner stores, and the inverse — the policy
-        // layer composes, and a hash-sharded ordered store still serves
-        // ranges (via the post-merge sort) wherever it sits in the stack.
-        (
-            "kv/nested-ord-over-hash",
-            Arc::new(KvStore::with_ordered_shards(3, 32, |_| {
-                KvStore::with_shards(2, |_| OptikSkipList2::new())
-            })),
-        ),
-        (
-            "kv/nested-hash-over-ord",
-            Arc::new(KvStore::with_shards(2, |_| {
-                KvStore::with_ordered_shards(3, 32, |_| OptikSkipList2::new())
-            })),
-        ),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Interleaved put/remove/get/range against a `BTreeMap` model: every
-    /// batched op is applied as its single-key composition (the trait has
-    /// no batch API), every `MultiGet` additionally drives a bounded
-    /// `range` over the batch's key window, and every `Snapshot` checks
-    /// the full sweep plus `for_each` agreement.
+    /// Interleaved put/remove/get/range against a `BTreeMap` model, over
+    /// every ordered row of the subject table (the raw ordered backends
+    /// and the stores mounted over them): every batched op is applied as
+    /// its single-key composition (the trait has no batch API), every
+    /// `MultiGet` additionally drives a bounded `range` over the batch's
+    /// key window, and every `Snapshot` checks the full sweep plus
+    /// `for_each` agreement.
     #[test]
     fn ordered_backends_match_btreemap_with_ranges(ops in kv_ops(24, 200)) {
-        for (name, m) in all_ordered_maps() {
+        for (name, subject) in subjects::table() {
+            let Subject::Ordered(make) = subject else { continue };
+            let m = make(24);
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             for op in &ops {
                 match op {
@@ -554,23 +476,14 @@ fn queue_ops(len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
     )
 }
 
-fn all_queues() -> Vec<(&'static str, Arc<dyn ConcurrentQueue>)> {
-    vec![
-        ("ms-lf", Arc::new(MsLfQueue::new())),
-        ("ms-lb", Arc::new(MsLbQueue::new())),
-        ("optik0", Arc::new(OptikQueue0::new())),
-        ("optik1", Arc::new(OptikQueue1::new())),
-        ("optik2", Arc::new(OptikQueue2::new())),
-        ("optik3", Arc::new(VictimQueue::new())),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
     fn every_queue_matches_vecdeque(ops in queue_ops(400)) {
-        for (name, q) in all_queues() {
+        for (name, subject) in subjects::table() {
+            let Subject::Queue(make) = subject else { continue };
+            let q = make();
             let mut model: VecDeque<u64> = VecDeque::new();
             for &op in &ops {
                 match op {
@@ -613,20 +526,14 @@ fn stack_ops(len: usize) -> impl Strategy<Value = Vec<StackOp>> {
     )
 }
 
-fn all_stacks() -> Vec<(&'static str, Arc<dyn ConcurrentStack>)> {
-    vec![
-        ("treiber", Arc::new(TreiberStack::new())),
-        ("optik", Arc::new(OptikStack::new())),
-        ("elimination", Arc::new(EliminationStack::new())),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
     fn every_stack_matches_vec(ops in stack_ops(400)) {
-        for (name, s) in all_stacks() {
+        for (name, subject) in subjects::table() {
+            let Subject::Stack(make) = subject else { continue };
+            let s = make();
             let mut model: Vec<u64> = Vec::new();
             for &op in &ops {
                 match op {
