@@ -6,8 +6,7 @@
 //! measurement loop ([`measure`]: per-thread streams, quiescence between
 //! operations), extended with the store-level operations the set
 //! microbenchmark has no counterpart for: batched multi-key ops, snapshot
-//! scans, TTL puts with incremental expiry sweeps, bounded range scans and
-//! load-driven rebalance rounds.
+//! scans, TTL puts with incremental expiry sweeps and bounded range scans.
 
 use optik_harness::api::{ConcurrentMap, Key, OrderedMap, Val};
 use optik_harness::runner::{measure, Lap};
@@ -21,9 +20,9 @@ use optik_kv::KvStore;
 /// single-key gets. Batched operations draw [`KvMix::batch`] keys per
 /// call, and batched writes alternate between `multi_put` and an
 /// equal-size `multi_remove` so — like the paper's equal insert/delete
-/// rates — the store size stays near the initial fill. Range scans and
-/// rebalance rounds are meaningful over [`Ordered`] stores; TTL puts and
-/// sweeps need a store built with a clock.
+/// rates — the store size stays near the initial fill. Range scans are
+/// meaningful over [`Ordered`] stores; TTL puts and sweeps need a store
+/// built with a clock.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct KvMix {
     /// Permille of single-key puts.
@@ -51,8 +50,6 @@ pub(crate) struct KvMix {
     pub sweep_pm: u32,
     /// Candidate budget per sweep call.
     pub sweep_budget: usize,
-    /// Permille of load-driven rebalance rounds.
-    pub rebalance_pm: u32,
 }
 
 impl KvMix {
@@ -63,7 +60,7 @@ impl KvMix {
     ///
     /// Panics if the permilles exceed 1000 or a batched, ranged, TTL or
     /// sweeping mix lacks its size knob.
-    pub fn thresholds(&self) -> [u32; 9] {
+    pub fn thresholds(&self) -> [u32; 8] {
         let mut t = [
             self.put_pm,
             self.remove_pm,
@@ -73,12 +70,11 @@ impl KvMix {
             self.scan_pm,
             self.range_pm,
             self.sweep_pm,
-            self.rebalance_pm,
         ];
         for i in 1..t.len() {
             t[i] = t[i].saturating_add(t[i - 1]);
         }
-        assert!(t[8] <= 1000, "mix permilles exceed 1000");
+        assert!(t[7] <= 1000, "mix permilles exceed 1000");
         assert!(
             self.batch > 0 || (self.batch_get_pm == 0 && self.batch_write_pm == 0),
             "batched mixes need a batch size"
@@ -109,16 +105,14 @@ pub(crate) enum Class {
     Scan,
     Range,
     Sweep,
-    Rebalance,
 }
 
 /// Per [`Class`]: the calls made, and the entries they read, wrote,
-/// scanned, swept or migrated. A rebalance round that moved nothing is
-/// not a call.
+/// scanned or swept.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Tally {
-    calls: [u64; 7],
-    entries: [u64; 7],
+    calls: [u64; 6],
+    entries: [u64; 6],
 }
 
 impl Tally {
@@ -139,37 +133,29 @@ impl Tally {
     }
 }
 
-/// How a store serves the two key-ordered classes: one bounded range
-/// scan (entries returned) and one rebalance round (entries migrated).
+/// How a store serves the key-ordered class: one bounded range scan,
+/// counting the entries it returned.
 pub(crate) trait KeyOrder<B>: 'static {
     fn range(store: &KvStore<B>, lo: Key, hi: Key) -> u64;
-    fn rebalance(store: &KvStore<B>) -> u64;
 }
 
 /// A store over an [`OrderedMap`] backend: ranges through
-/// [`KvStore::range_scan`], rounds through [`KvStore::rebalance_round`].
+/// [`KvStore::range_scan`].
 pub(crate) enum Ordered {}
 
 impl<B: OrderedMap> KeyOrder<B> for Ordered {
     fn range(store: &KvStore<B>, lo: Key, hi: Key) -> u64 {
         store.range_scan(lo, hi).len() as u64
     }
-    fn rebalance(store: &KvStore<B>) -> u64 {
-        store.rebalance_round().map_or(0, |s| s.moved)
-    }
 }
 
 /// A store over a backend without key order. Its mixes draw no range
 /// scans (the registry's hash mixes leave `range_pm` at 0; a full-store
-/// read is the `scan` class), and hash routing leaves a rebalance round
-/// nothing to move: both report no entries.
+/// read is the `scan` class), so a range reports no entries.
 pub(crate) enum Unordered {}
 
 impl<B: ConcurrentMap> KeyOrder<B> for Unordered {
     fn range(_: &KvStore<B>, _: Key, _: Key) -> u64 {
-        0
-    }
-    fn rebalance(_: &KvStore<B>) -> u64 {
         0
     }
 }
@@ -187,16 +173,14 @@ struct Worker {
 /// Single-key gets, puts and removes are timed (as search, insert and
 /// delete); every operation is followed by a QSBR quiescent point. The
 /// measurement carries the entries-per-call extras of the classes that
-/// ran (`keys_per_scan`, `keys_per_range`, `swept_per_sweep`,
-/// `keys_per_migration`).
+/// ran (`keys_per_scan`, `keys_per_range`, `swept_per_sweep`).
 pub(crate) fn run_kv<B: ConcurrentMap, O: KeyOrder<B>>(
     spec: &RunSpec,
     store: &KvStore<B>,
     keys: &Workload,
     mix: &KvMix,
 ) -> (Measurement, Tally) {
-    let [put, remove, ttl_put, batch_get, batch_write, scan, range, sweep, rebalance] =
-        mix.thresholds();
+    let [put, remove, ttl_put, batch_get, batch_write, scan, range, sweep] = mix.thresholds();
     let setup = |tid| Worker {
         keys: Vec::with_capacity(mix.batch),
         entries: Vec::with_capacity(mix.batch),
@@ -261,12 +245,6 @@ pub(crate) fn run_kv<B: ConcurrentMap, O: KeyOrder<B>>(
             w.tally
                 .add(Class::Sweep, store.sweep_expired(mix.sweep_budget));
             1
-        } else if p < rebalance {
-            let moved = O::rebalance(store);
-            if moved > 0 {
-                w.tally.add(Class::Rebalance, moved);
-            }
-            u64::from(moved > 0)
         } else {
             let k = keys.sample_key(rng);
             lap.time(|| match store.get(k) {
@@ -291,7 +269,6 @@ pub(crate) fn run_kv<B: ConcurrentMap, O: KeyOrder<B>>(
         (Class::Scan, "keys_per_scan"),
         (Class::Range, "keys_per_range"),
         (Class::Sweep, "swept_per_sweep"),
-        (Class::Rebalance, "keys_per_migration"),
     ] {
         if let Some(v) = tally.per_call(class) {
             m = m.with_extra(name, v);
@@ -337,11 +314,8 @@ mod tests {
             ..KvMix::default()
         };
         // put, remove, ttl put, batch get, batch write, scan, range,
-        // sweep, rebalance; draws at or past the last are gets (230).
-        assert_eq!(
-            full.thresholds(),
-            [100, 200, 250, 550, 750, 760, 760, 770, 770]
-        );
+        // sweep; draws at or past the last are gets (230).
+        assert_eq!(full.thresholds(), [100, 200, 250, 550, 750, 760, 760, 770]);
     }
 
     #[test]
@@ -448,16 +422,14 @@ mod tests {
     }
 
     #[test]
-    fn ordered_mix_executes_range_scans_and_rebalances() {
+    fn ordered_mix_executes_range_scans() {
         use optik_skiplists::OptikSkipList2;
-        // Skew concentrates load so rebalance rounds trigger.
         let keys = Workload::paper(64, 0, true);
         let mix = KvMix {
             put_pm: 100,
             remove_pm: 100,
             range_pm: 100,
             range_span: 16,
-            rebalance_pm: 50,
             ..KvMix::default()
         };
         let s: KvStore<OptikSkipList2> =
@@ -469,17 +441,11 @@ mod tests {
             tally.per_call(Class::Range).unwrap() > 0.0,
             "windows over a half-full store must hit entries"
         );
+        assert!(m.extra.iter().any(|(k, _)| k == "keys_per_range"));
         assert!(
             m.count(OpKind::SearchHit) + m.count(OpKind::SearchMiss) > 0,
             "gets ran"
         );
         assert!(m.mops() > 0.0);
-        // Skewed (zipf) load on contiguous partitions is exactly the
-        // imbalance the rebalancer exists for.
-        assert!(
-            tally.calls(Class::Rebalance) > 0,
-            "skewed ordered load must trigger migrations"
-        );
-        assert!(tally.per_call(Class::Rebalance).unwrap() > 0.0);
     }
 }

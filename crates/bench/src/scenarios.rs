@@ -41,7 +41,7 @@ use optik_stacks::{EliminationStack, OptikStack, TreiberStack};
 
 use crate::kv::{run_kv, KeyOrder, KvMix, Ordered, Unordered};
 
-/// Builds the full registry (163 scenarios across 16 families).
+/// Builds the full registry (162 scenarios across 16 families).
 pub fn registry() -> Registry {
     let mut r = Registry::new();
     fig5(&mut r);
@@ -56,7 +56,6 @@ pub fn registry() -> Registry {
     kv(&mut r);
     kv_range(&mut r);
     kv_ttl(&mut r);
-    kv_rebalance(&mut r);
     map_ordered(&mut r);
     probe_overhead(&mut r);
     ablate_base_lock(&mut r);
@@ -109,7 +108,7 @@ pub fn group_blurb(group: &str) -> &'static str {
         }
         "kv.write-heavy" => {
             "kv store, write-heavy (8192 entries, uniform, 40% get / 30% put / 30% remove, 8 \
-             shards); per-shard op counters are `CachePadded` — single-thread rows \
+             shards); each shard and its lock word are `CachePadded` — single-thread rows \
              unchanged within box noise (padding pays only under cross-core false \
              sharing, absent on the 1-core baseline host)"
         }
@@ -123,7 +122,10 @@ pub fn group_blurb(group: &str) -> &'static str {
         "kv.scan" => {
             "kv store with snapshot scans (1024 entries, zipf a=0.9, 1% scans + 20% updates, 8 shards)"
         }
-        "kv.small" => "kv store, small + read-heavy (256 entries, 16 shards) over bucketed array-map shards",
+        "kv.small" => {
+            "kv store, small + read-heavy (256 entries, 16 shards): bucketed OPTIK-map vs \
+             striped-OPTIK hash-table shards"
+        }
         "kv.multiget" => {
             "kv multi-get heavy (8192 entries, uniform, 50% 16-key multi-gets + 10% writes, \
              8 shards): shard-grouped multi_get (route once, one validated OPTIK window per \
@@ -139,10 +141,6 @@ pub fn group_blurb(group: &str) -> &'static str {
         "kv.ttl" => {
             "kv store with native TTL (8192 entries, 15% 30ms-TTL puts + 10% updates + 1% \
              expiry sweeps, wall-clock ticks, 8 shards)"
-        }
-        "kv.rebalance" => {
-            "kv online range-partition rebalancing (8192 entries, zipf a=0.9 over contiguous \
-             partitions, 3% 128-key windows + 20% updates + 0.2% rebalance rounds, 8 shards)"
         }
         "map.ordered" => {
             "Ordered backends as value-carrying maps (1024 entries, zipf): 20% in-place \
@@ -745,7 +743,7 @@ fn kv_load(initial_size: u64, skewed: bool, mix: KvMix) -> KvLoad {
 }
 
 /// One kv scenario: build the store, fill it, run the mix through the kv
-/// body; `O` says how the store serves ranges and rebalance rounds.
+/// body; `O` says how the store serves ranges.
 fn kv_scenario_with<B: ConcurrentMap + 'static, O: KeyOrder<B>>(
     name: &str,
     about: &str,
@@ -898,8 +896,8 @@ fn kv(r: &mut Registry) {
     );
     kv_backends(r, "scan", about, SHARDS, scan_span, &w);
 
-    // Small store: fig7's OPTIK array map, bucketed, as the shard backend.
-    let about = "kv small store: bucketed OPTIK array-map shards at 256 entries";
+    // Small store: fig7's OPTIK array map, bucketed, as the shard backend,
+    // against the striped-OPTIK table at the same shard count.
     let small = kv_load(
         256,
         false,
@@ -911,11 +909,19 @@ fn kv(r: &mut Registry) {
     );
     r.register(kv_scenario(
         "kv.small.optik-map",
-        about,
+        "kv small store: bucketed OPTIK array-map shards at 256 entries",
         "kv/optik-map-small",
         16,
-        small,
+        small.clone(),
         |_| OptikMapHashTable::with_bucket_capacity(32, 16),
+    ));
+    r.register(kv_scenario(
+        "kv.small.striped-optik",
+        "kv small store: striped-OPTIK hash-table shards at 256 entries",
+        "kv/striped-optik-s16",
+        16,
+        small,
+        |_| StripedOptikHashTable::new(32, 16),
     ));
 
     // Multi-get–heavy: half the issued ops are 16-key multi-gets, with a
@@ -1000,7 +1006,7 @@ fn kv(r: &mut Registry) {
 // ---------------------------------------------------------------------------
 
 /// One ordered kv scenario: an ordered-sharded store over an
-/// [`OrderedMap`] backend, whose ranges and rebalance rounds run.
+/// [`OrderedMap`] backend, whose ranges run.
 fn kv_range_scenario<B: OrderedMap + 'static>(
     name: &str,
     about: &str,
@@ -1145,57 +1151,6 @@ fn kv_ttl(r: &mut Registry) {
         SHARDS,
         w,
         move |_| ResizableStripedHashTable::new(16, 8),
-    ));
-}
-
-// ---------------------------------------------------------------------------
-// kv.rebalance: online range-partition rebalancing under skewed load.
-// ---------------------------------------------------------------------------
-
-fn kv_rebalance(r: &mut Registry) {
-    const SHARDS: usize = 8;
-    const SIZE: u64 = 8192;
-    let max_key = 2 * SIZE;
-    // Skewed keys over contiguous partitions: exactly the imbalance the
-    // rebalancer exists for — the zipf head concentrates on one
-    // partition, rebalance rounds split it at its median toward the
-    // lighter neighbor, and the op counters re-measure. Expectation:
-    // migrations are bounded bursts (MIGRATION_BATCH per lock hold),
-    // range and point throughput dip during a burst but recover, and
-    // `keys_per_migration` stays near half the hot partition.
-    let about = "kv rebalance: zipf head vs contiguous partitions; rebalance \
-                 rounds split the hot partition at its median; reads validate \
-                 the routing version and retry across flips";
-    let w = kv_load(
-        SIZE,
-        true,
-        KvMix {
-            put_pm: 100,
-            remove_pm: 100,
-            range_pm: 30,
-            range_span: 128,
-            rebalance_pm: 2,
-            ..KvMix::default()
-        },
-    );
-    let name = |series: &str| format!("kv.rebalance.{series}");
-    r.register(kv_range_scenario(
-        &name("optik2"),
-        about,
-        "kv/rebal-sl-optik2",
-        SHARDS,
-        max_key,
-        w.clone(),
-        |_| OptikSkipList2::new(),
-    ));
-    r.register(kv_range_scenario(
-        &name("fraser"),
-        about,
-        "kv/rebal-sl-fraser",
-        SHARDS,
-        max_key,
-        w,
-        |_| FraserSkipList::new(),
     ));
 }
 
@@ -1587,6 +1542,7 @@ mod tests {
             "stacks.treiber",         // stack
             "kv.batch.striped-optik", // sharded kv store, batched ops
             "kv.small.optik-map",     // kv over bucketed array-map shards
+            "kv.small.striped-optik", // the same small store, hash-table shards
             "ablate-victim.t2",       // parameterized queue
         ] {
             let s = r.get(name).unwrap_or_else(|| panic!("missing {name}"));
@@ -1623,19 +1579,20 @@ mod tests {
             );
         }
         assert_eq!(r.in_group("kv.shards").len(), 6, "shard ablation sweep");
+        let small: Vec<&str> = r.in_group("kv.small").iter().map(|s| s.series()).collect();
+        assert_eq!(small, vec!["optik-map", "striped-optik"], "kv.small");
     }
 
     #[test]
     fn ci_subset_patterns_pick_what_the_old_name_regex_picked() {
         // CI's subset smoke step selects with positional patterns; they
         // must cover exactly the names the retired
-        // `^(kv\.range|kv\.ttl|kv\.rebalance|kv\.write-heavy|kv\.multiget|map\.ordered|alloc\.|probe\.)`
+        // `^(kv\.range|kv\.ttl|kv\.write-heavy|kv\.multiget|map\.ordered|alloc\.|probe\.)`
         // filter matched, so no scenario left or joined the smoke run.
         let r = registry();
         let patterns: Vec<String> = [
             "kv.range",
             "kv.ttl",
-            "kv.rebalance",
             "kv.write-heavy",
             "kv.multiget",
             "map.ordered",
@@ -1647,7 +1604,6 @@ mod tests {
         let regex_prefixes = [
             "kv.range",
             "kv.ttl",
-            "kv.rebalance",
             "kv.write-heavy",
             "kv.multiget",
             "map.ordered",
@@ -1717,7 +1673,7 @@ mod tests {
     }
 
     #[test]
-    fn ttl_and_rebalance_families_are_complete() {
+    fn ttl_family_is_complete() {
         let r = registry();
         let ttl_series: Vec<&str> = r.in_group("kv.ttl").iter().map(|s| s.series()).collect();
         assert_eq!(
@@ -1728,23 +1684,10 @@ mod tests {
         for s in r.in_group("kv.ttl") {
             assert_eq!(subjects::kind(s.subject_id()), "map", "{}", s.name());
         }
-        let rebal_series: Vec<&str> = r
-            .in_group("kv.rebalance")
-            .iter()
-            .map(|s| s.series())
-            .collect();
-        assert_eq!(
-            rebal_series,
-            vec!["optik2", "fraser"],
-            "rebalancing ordered-backend sweep"
-        );
-        for s in r.in_group("kv.rebalance") {
-            assert_eq!(subjects::kind(s.subject_id()), "ordered", "{}", s.name());
-        }
     }
 
     #[test]
-    fn ttl_scenario_runs_and_rebalance_scenario_migrates() {
+    fn ttl_scenario_runs_and_reports_sweeps() {
         let r = registry();
         let spec = RunSpec {
             threads: 2,
@@ -1762,15 +1705,6 @@ mod tests {
             "sweep metric missing: {:?}",
             m.extra
         );
-        let s = r.get("kv.rebalance.optik2").expect("rebalance scenario");
-        let m = s.run(&spec);
-        assert!(m.ops > 0, "rebalance scenario did no work");
-        let (_, v) = m
-            .extra
-            .iter()
-            .find(|(k, _)| k == "keys_per_migration")
-            .expect("zipf load over contiguous partitions must migrate");
-        assert!(*v > 0.0, "migrations moved nothing");
     }
 
     #[test]

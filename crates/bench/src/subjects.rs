@@ -303,14 +303,6 @@ pub fn table() -> Vec<(&'static str, Subject)> {
             "kv/range-sl-fraser",
             Subject::ordered(ranged(SHARDS, FraserSkipList::new)),
         ),
-        (
-            "kv/rebal-sl-optik2",
-            Subject::ordered(ranged(SHARDS, OptikSkipList2::new)),
-        ),
-        (
-            "kv/rebal-sl-fraser",
-            Subject::ordered(ranged(SHARDS, FraserSkipList::new)),
-        ),
         // Nested stores with mixed routing: ordered partitions over
         // hash-sharded inner stores, and the inverse. The routing layers
         // compose, and a hash-routed ordered store still serves ranges

@@ -19,8 +19,9 @@
 //! 2. **`shift_boundary` flip vs get/put** — a routing-table flip with
 //!    live migration racing point ops on the migrating key
 //!    ([`MapSpec`]).
-//! 3. **`range_scan` vs rebalance** — a cross-shard window scan racing
-//!    a boundary migration plus a write ([`RangeMapSpec`]).
+//! 3. **`range_scan` vs a boundary migration** — a cross-shard window
+//!    scan racing a `shift_boundary` migration plus a write
+//!    ([`RangeMapSpec`]).
 //! 4. **lock-free `remove` miss vs put / `multi_put`** — the infeasible
 //!    remove returns without the shard lock, racing a single-key writer
 //!    and a batch writer that hold it ([`MapSpec`]).
@@ -43,6 +44,12 @@
 //!    lock, racing a `put` between the batch's shard-0 keys that, landing
 //!    between a walk and its locks, leaves that shard's walk stale
 //!    ([`RangeMapSpec`]; model in `batch_walk_model`).
+//!
+//! One more test runs no scheduler: `optimistic_reads_trap_only_loads`
+//! records the shim accesses of uncontended `get`, `multi_get`,
+//! `range_scan` and `scan` calls on a range-routed and a hash-routed
+//! store, and requires every one to be a load — an optimistic read
+//! writes no shared word of the store.
 //!
 //! Every enumerated schedule replays the ops against the sequential
 //! spec with the Wing–Gong checker; a failure message always carries
@@ -697,4 +704,63 @@ fn ordered_batch_walk_races_put() {
         rewalks.contains(&0),
         "no schedule kept every walk: {rewalks:?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Optimistic reads write nothing: every shim word a read touches, it loads.
+// ---------------------------------------------------------------------------
+
+/// Records the kind of every shim access on the thread it is installed
+/// on, and parks nothing: no scheduler runs.
+struct RecordKinds(std::sync::Mutex<Vec<shim::AccessKind>>);
+
+impl shim::ExploreHook for RecordKinds {
+    fn yield_point(&self, access: shim::Access) {
+        self.0.lock().unwrap().push(access.kind);
+    }
+}
+
+/// Runs `get`, `multi_get`, `range_scan` and `scan` over `store`, filled
+/// with every other key of `1..=64`, under a recording hook on this thread
+/// alone: uncontended, every read takes its optimistic path. Asserts they
+/// trapped accesses, and that every one was a load.
+fn reads_trap_only_loads<B: optik_kv::OrderedMap>(name: &str, store: &KvStore<B>) {
+    for k in (2..=64u64).step_by(2) {
+        store.put(k, k);
+    }
+    let hook = Arc::new(RecordKinds(std::sync::Mutex::new(Vec::new())));
+    {
+        let _g = shim::install_hook(hook.clone());
+        for k in 1..=66u64 {
+            assert_eq!(store.get(k), (k % 2 == 0 && k <= 64).then_some(k), "{name}");
+        }
+        let keys: Vec<u64> = (1..=64).step_by(7).collect();
+        let got = store.multi_get(&keys);
+        assert_eq!(got.iter().flatten().count(), keys.len() / 2, "{name}");
+        assert_eq!(store.range_scan(10, 40).len(), 16, "{name}");
+        assert_eq!(store.range_scan(1, 64).len(), 32, "{name}");
+        let mut seen = 0;
+        store.scan(|_, _| seen += 1);
+        assert_eq!(seen, 32, "{name}");
+    }
+    let kinds = hook.0.lock().unwrap();
+    assert!(!kinds.is_empty(), "{name}: the reads trapped nothing");
+    let writes: Vec<_> = kinds
+        .iter()
+        .filter(|&&k| k != shim::AccessKind::Load)
+        .collect();
+    assert!(
+        writes.is_empty(),
+        "{name}: optimistic reads wrote shared words: {writes:?} among {} accesses",
+        kinds.len()
+    );
+}
+
+#[test]
+fn optimistic_reads_trap_only_loads() {
+    let ranged: KvStore<OptikSkipList2> =
+        KvStore::with_ordered_shards(4, 64, |_| OptikSkipList2::new());
+    reads_trap_only_loads("range-routed", &ranged);
+    let hashed: KvStore<OptikSkipList2> = KvStore::with_shards(4, |_| OptikSkipList2::new());
+    reads_trap_only_loads("hash-routed", &hashed);
 }

@@ -5,8 +5,8 @@
 //! them into a service-shaped store — the ROADMAP's step from
 //! "reproduction" toward "production-scale system".
 //!
-//! The store is a **layered engine**: routing, TTL, and rebalancing are
-//! separable layers over the same sharded core.
+//! The store is a **layered engine**: routing, TTL, and boundary
+//! migration are separable layers over the same sharded core.
 //!
 //! ```text
 //!             ┌──────────────────────────────────────────────────────┐
@@ -28,7 +28,7 @@
 //!             │ │ └─────┘ │ │ └─────┘ │     │ └─────┘ │   (deadline  │
 //!             │ └─────────┘ └─────────┘     └─────────┘    tables)   │
 //!             └──────────────────────────────────────────────────────┘
-//!               map = any ConcurrentMap backend (array-map /
+//!               map = any ConcurrentMap backend (OPTIK-map /
 //!               striped / striped-OPTIK / resizable hash table, skip
 //!               lists via OrderedMap — or another KvStore)
 //! ```
@@ -57,7 +57,9 @@
 //! - **routing** (`policy.rs`) — under ordered sharding
 //!   the partition table sits behind its own OPTIK version lock: lookups
 //!   read it lock-free and validate, so an online boundary migration
-//!   (`rebalance.rs`) makes racing readers retry instead of mis-route.
+//!   (`rebalance.rs`, run only when a caller asks for one) makes racing
+//!   readers retry instead of mis-route. Reads write nothing shared on
+//!   their optimistic path: the store keeps no per-shard load counters.
 //! - **entry lifecycle** ([`Clock`]/TTL, `ttl.rs`) — deadlines live in
 //!   per-shard companion tables covered by the shard version, so a read
 //!   validates the (value, deadline) pair as one snapshot; expiry is lazy

@@ -8,8 +8,8 @@
 //! - **range** ([`RangePolicy`]) — contiguous key partitions whose
 //!   boundaries live in an atomic partition table guarded by an OPTIK
 //!   version lock: range scans touch only the shards their window
-//!   intersects, and the online rebalancer (`rebalance.rs`) migrates
-//!   boundaries while the store serves traffic.
+//!   intersects, and `KvStore::shift_boundary` (`rebalance.rs`) migrates
+//!   a boundary while the store serves traffic, when its caller asks.
 //!
 //! Routing reads are the read-side OPTIK pattern one level *above* the
 //! shards: [`Routing::route`] is a raw, lock-free read of the routing
@@ -102,7 +102,7 @@ impl Routing {
         self.range().map(|rp| (rp.route(lo), rp.route(hi)))
     }
 
-    /// The partition table, when range-routed: what the rebalancer moves.
+    /// The partition table, when range-routed: what `shift_boundary` moves.
     #[inline]
     pub(crate) fn range(&self) -> Option<&RangePolicy> {
         match self {
@@ -118,8 +118,8 @@ impl Routing {
 /// last bound is pinned to `u64::MAX` so every key routes somewhere.
 /// Shard `i` owns `(bounds[i-1], bounds[i]]` (shard 0 owns
 /// `[0, bounds[0]]`), and a partition is **empty-span** when two adjacent
-/// bounds are equal — a legal state the rebalancer can both create and
-/// undo.
+/// bounds are equal — a legal state `shift_boundary` can both create
+/// and undo.
 ///
 /// Boundary updates happen under `shift` (the OPTIK lock's write side,
 /// driven by `KvStore::shift_boundary`); lookups read the atomic bounds
@@ -185,7 +185,7 @@ impl RangePolicy {
 
     /// Publishes `new_bound` as shard `i`'s upper bound, under the
     /// routing lock (one version bump per shift, so racing optimistic
-    /// routes retry). The caller (the rebalancer) must already hold the
+    /// routes retry). The caller (`shift_boundary`) must already hold the
     /// locks of the shards flanking the boundary and must keep the bounds
     /// ascending; the last bound is immutable.
     pub(crate) fn shift(&self, i: usize, new_bound: Key) {

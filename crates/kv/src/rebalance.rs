@@ -1,18 +1,12 @@
-//! Online range-partition rebalancing for ordered-sharded stores.
+//! Online range-partition migration for ordered-sharded stores.
 //!
 //! An ordered-sharded store's load follows the key distribution, so a hot
-//! key range concentrates on one partition. This module migrates
-//! partition *boundaries* while the store serves traffic:
-//!
-//! - [`KvStore::shift_boundary`] is the primitive — move the boundary
-//!   between two adjacent shards to a new key, migrating the entries that
-//!   change ownership in bounded batches;
-//! - [`KvStore::rebalance_round`] is the policy — read the per-shard op
-//!   counters, and when one partition carries a disproportionate share,
-//!   split it at its median key toward the lighter adjacent neighbor
-//!   (the same primitive, driven the other way, merges a cold partition
-//!   into its neighbor by walking its boundary across an empty or cold
-//!   span).
+//! key range concentrates on one partition.
+//! [`KvStore::shift_boundary`] moves the boundary between two adjacent
+//! shards to a new key while the store serves traffic, migrating the
+//! entries that change ownership in bounded batches. When to move a
+//! boundary, and where to, is the caller's decision: the store keeps no
+//! load statistics, so its reads write nothing to decide it.
 //!
 //! Each migration batch follows the store's own disciplines: the two
 //! flanking shard locks are taken in **ascending order** (the sorted-
@@ -27,7 +21,6 @@
 //! entries.
 
 use std::fmt;
-use std::sync::atomic::Ordering;
 
 use optik::OptikLock;
 
@@ -267,71 +260,6 @@ impl<B: OrderedMap> KvStore<B> {
         self.shards[a].lock.unlock();
         next == target
     }
-
-    /// One load-driven rebalance pass: when the hottest partition (per
-    /// the relaxed per-shard op counters) carries at least twice the mean
-    /// load, split it at its median resident key toward the lighter
-    /// adjacent neighbor — cold partitions symmetrically absorb the walk.
-    /// Counters reset after a migration so the next round measures fresh
-    /// traffic. Returns `None` when the store is hash-sharded, balanced,
-    /// or the hot partition is too small to split.
-    pub fn rebalance_round(&self) -> Option<MigrationStats> {
-        let rp = self.routing.range()?;
-        let n = self.shards.len();
-        if n < 2 {
-            return None;
-        }
-        let loads = self.shard_loads();
-        let total: u64 = loads.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let (hot, &hot_load) = loads.iter().enumerate().max_by_key(|&(_, &l)| l)?;
-        let mean = (total / n as u64).max(1);
-        if hot_load < 2 * mean {
-            return None;
-        }
-        let _span = optik_probe::trace::span(optik_probe::trace::SpanKind::RebalanceRound);
-        let to_left = match (
-            hot.checked_sub(1).map(|i| loads[i]),
-            (hot + 1 < n).then(|| loads[hot + 1]),
-        ) {
-            (Some(l), Some(r)) => l <= r,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => unreachable!("n >= 2"),
-        };
-        // Median resident key of the hot partition (validated window).
-        let lo = if hot == 0 {
-            1
-        } else {
-            rp.bound(hot - 1).saturating_add(1)
-        };
-        let hi = rp.bound(hot);
-        if lo > hi {
-            return None; // empty-span partition: nothing to split
-        }
-        let win = self.range_scan(lo, hi);
-        if win.len() < 2 {
-            return None;
-        }
-        let median = win[win.len() / 2].0;
-        let stats = if to_left {
-            // Entries below the median migrate into the left neighbor.
-            self.shift_boundary(hot - 1, median - 1).ok()?
-        } else {
-            // Entries from the median up migrate into the right neighbor.
-            self.shift_boundary(hot, median - 1).ok()?
-        };
-        // Relaxed is sound: the counters are advisory load samples (see
-        // `Shard::ops`). Increments racing this reset are lost, which only
-        // under-reports the next round's traffic — the heuristic
-        // re-accumulates; no correctness invariant reads these values.
-        for s in self.shards.iter() {
-            s.ops.store(0, Ordering::Relaxed);
-        }
-        Some(stats)
-    }
 }
 
 #[cfg(test)]
@@ -415,61 +343,6 @@ mod tests {
             Err(RebalanceError::NotRangeSharded)
         );
         assert!(hash.partition_bounds().is_none());
-    }
-
-    #[test]
-    fn rebalance_round_splits_the_hot_partition() {
-        let s = ordered_store(4, 400);
-        for k in 1..=400u64 {
-            s.put(k, k);
-        }
-        // Hammer shard 0 (keys 1..=100) so its counter dwarfs the rest.
-        for _ in 0..50 {
-            for k in 1..=100u64 {
-                s.get(k);
-            }
-        }
-        assert!(
-            s.shard_loads()[0] > 0,
-            "dynamic stores maintain load counters"
-        );
-        let stats = s.rebalance_round().expect("imbalance must trigger a split");
-        assert!(stats.moved > 0);
-        let bounds = s.partition_bounds().unwrap();
-        assert!(
-            bounds[0] < 100,
-            "hot partition shrank toward its median: {bounds:?}"
-        );
-        assert!(
-            s.shard_loads().iter().all(|&l| l == 0),
-            "counters reset after a round"
-        );
-        // Balanced traffic does not trigger another round.
-        for k in 1..=400u64 {
-            s.get(k);
-        }
-        assert_eq!(s.rebalance_round(), None, "balanced load must not split");
-        for k in 1..=400u64 {
-            assert_eq!(s.get(k), Some(k));
-        }
-    }
-
-    #[test]
-    fn hash_stores_never_rebalance() {
-        let s = KvStore::with_shards(4, |_| OptikSkipList2::new());
-        for k in 1..=400u64 {
-            s.put(k, k);
-        }
-        // Skewed traffic that would split a range-routed store.
-        for _ in 0..50 {
-            for k in 1..=20u64 {
-                s.get(k);
-            }
-        }
-        let before = s.snapshot();
-        assert_eq!(s.rebalance_round(), None);
-        assert_eq!(s.snapshot(), before);
-        assert!(s.partition_bounds().is_none());
     }
 
     #[test]

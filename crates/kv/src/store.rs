@@ -2,14 +2,12 @@
 //! [`ConcurrentMap`] backend, routed by hash or by contiguous key
 //! partitions (`policy.rs`).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-// Shard op counters (and, via `ttl`, the sweep cursor) are inputs to the
-// rebalancer's validation-point logic, so they use the schedulable shim
-// atomics: raw in normal builds, explorer yield points under
-// `--cfg optik_explore`.
-use synchro::shim::{AtomicU64, AtomicUsize};
+// The TTL sweep cursor is a validation point of racing sweepers, so it
+// uses the schedulable shim atomic: raw in normal builds, an explorer
+// yield point under `--cfg optik_explore`.
+use synchro::shim::AtomicUsize;
 
 use optik::{OptikLock, OptikVersioned};
 use synchro::{Backoff, CachePadded};
@@ -166,23 +164,6 @@ pub(crate) struct Shard<B> {
     /// exactly when the store was built with a clock. Same backend type
     /// as `map`: deadline reads are lock-free backend lookups.
     pub(crate) deadlines: Option<B>,
-    /// Per-shard op counter feeding the rebalancer's load heuristics.
-    /// Only maintained under range routing — hash stores never
-    /// rebalance, so their hot paths skip the counter.
-    ///
-    /// All accesses are `Relaxed`, which is sound because the counter is
-    /// advisory: no other memory is published through it, each RMW is
-    /// still atomic (no lost increments), and its only reader
-    /// (`rebalance_round` via [`KvStore::shard_loads`]) treats the values
-    /// as a heuristic sample — a reordered or stale read can at worst
-    /// pick a different shard to split, never corrupt data.
-    ///
-    /// Padded onto its own line: under dynamic routing this counter is
-    /// RMW'd by *readers* too (`read_windows`), and sharing a line with
-    /// the lock word would have every counted read invalidate the
-    /// validators' cached copy of the version — exactly the ping-pong
-    /// the OPTIK read path exists to avoid.
-    pub(crate) ops: CachePadded<AtomicU64>,
 }
 
 impl<B> Shard<B> {
@@ -387,7 +368,6 @@ impl<B: ConcurrentMap> KvStore<B> {
                         lock: CachePadded::new(OptikVersioned::new()),
                         map: make(i),
                         deadlines: clock.is_some().then(|| make(i)),
-                        ops: CachePadded::new(AtomicU64::new(0)),
                     })
                 })
                 .collect(),
@@ -417,15 +397,6 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// the only writer exclusion).
     pub fn backend(&self, i: usize) -> &B {
         &self.shards[i].map
-    }
-
-    /// Per-shard op counters (maintained under range routing; all-zero
-    /// for hash stores), feeding the rebalancer's heuristics.
-    pub fn shard_loads(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.ops.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// The current tick, when TTL-enabled.
@@ -497,7 +468,6 @@ impl<B: ConcurrentMap> KvStore<B> {
                 let shard = &self.shards[s];
                 shard.lock.lock();
                 if rp.route(key) == s {
-                    shard.ops.fetch_add(1, Ordering::Relaxed);
                     break shard;
                 }
                 shard.lock.revert();
@@ -554,8 +524,8 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// calls, leaves what it read for the others alone, and may run any
     /// number of times. `versioned: false` is for a body that is one
     /// backend lookup, linearizable by itself: only its route is validated
-    /// and no shard version is read. Under dynamic routing a completed read
-    /// counts one op on each of its shards.
+    /// and no shard version is read. The optimistic rounds write nothing
+    /// shared; only the lock fallback does.
     fn read_windows<R: AsMut<[Window]>>(
         &self,
         read: &mut R,
@@ -594,11 +564,6 @@ impl<B: ConcurrentMap> KvStore<B> {
                     }
                 }
                 if routed && broken == 0 {
-                    if let Routing::Range(_) = self.routing {
-                        for w in windows.iter() {
-                            self.shards[w.shard].ops.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
                     optik_probe::record(
                         optik_probe::HistKind::ValidationWindow,
                         optik_probe::elapsed(opened, optik_probe::now()),
@@ -924,11 +889,6 @@ impl<B: ConcurrentMap> KvStore<B> {
                 }
                 continue;
             }
-            if dynamic {
-                for &i in &ids {
-                    self.shards[i].ops.fetch_add(1, Ordering::Relaxed);
-                }
-            }
             return ids;
         }
     }
@@ -1015,9 +975,6 @@ impl<B: ConcurrentMap> KvStore<B> {
                                         self.shards[w.shard].lock.revert();
                                     }
                                     return false;
-                                }
-                                for w in windows.iter() {
-                                    self.shards[w.shard].ops.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                             for (f, &(_, w)) in fresh.iter_mut().zip(at.iter()) {
@@ -1253,9 +1210,9 @@ impl<B: OrderedMap> KvStore<B> {
     /// window intersects and concatenate their (already sorted) partition
     /// scans without a merge step. Point operations work exactly as under
     /// hash sharding — only the key→shard map differs — but load balance
-    /// now follows the key distribution: the online rebalancer
-    /// ([`KvStore::rebalance_round`], [`KvStore::shift_boundary`]) exists
-    /// to move partition boundaries when it does not.
+    /// now follows the key distribution: [`KvStore::shift_boundary`]
+    /// moves a partition boundary online when the caller decides it
+    /// should.
     ///
     /// # Panics
     ///
@@ -1441,19 +1398,6 @@ mod tests {
         );
         assert_eq!(s.remove(1), Some(10));
         assert_ne!(s.shards[0].lock.get_version(), v);
-    }
-
-    #[test]
-    fn hash_stores_skip_the_load_counters() {
-        let s = striped_store(2);
-        for k in 1..=64u64 {
-            s.put(k, k);
-            s.get(k);
-        }
-        assert!(
-            s.shard_loads().iter().all(|&c| c == 0),
-            "static routing must not pay for rebalance accounting"
-        );
     }
 
     /// Four threads churn `put`/`remove`/`get` over `keys` keys of `s`,
@@ -1678,20 +1622,87 @@ mod tests {
         assert_eq!(s.remove(1), None, "expired is a miss");
         assert_eq!(s.len(), 0, "but the physical entry is dropped");
         assert_ne!(s.shards[0].lock.get_version(), v, "under the lock");
-        // Dynamic routing: the route is only stable under the lock; a
-        // miss reverts.
-        let o: KvStore<OptikSkipList2> =
-            KvStore::with_ordered_shards(2, 100, |_| OptikSkipList2::new());
+        // Dynamic routing: the route is only stable under the lock, so a
+        // miss waits out a held shard lock, then reverts.
+        let o = Arc::new(KvStore::with_ordered_shards(2, 100, |_| {
+            OptikSkipList2::new()
+        }));
         o.put(60, 6);
-        let loads = o.shard_loads()[1];
         let v = o.shards[1].lock.get_version();
-        assert_eq!(o.remove(70), None);
-        assert_eq!(o.shards[1].lock.get_version(), v);
-        assert_eq!(
-            o.shard_loads()[1],
-            loads + 1,
-            "the locked write path counts the op"
+        o.shards[1].lock.lock();
+        let remover = {
+            let o = Arc::clone(&o);
+            std::thread::spawn(move || o.remove(70))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(
+            !remover.is_finished(),
+            "a range-routed remove miss finished while its shard lock was held"
         );
+        o.shards[1].lock.revert();
+        assert_eq!(reclaim::offline_while(|| remover.join().unwrap()), None);
+        assert_eq!(o.shards[1].lock.get_version(), v, "the miss reverts");
+    }
+
+    /// This thread holds the lock of `key`'s shard while another thread
+    /// gets `key`: without TTL a get reads no shard version (a hash-routed
+    /// one is one backend lookup, a range-routed one validates only its
+    /// route), so it must finish before the release.
+    fn get_ignores_a_held_shard_lock<B: ConcurrentMap + 'static>(s: KvStore<B>, key: Key) {
+        let s = Arc::new(s);
+        s.put(key, 7);
+        let shard = s.shard_of(key);
+        s.shards[shard].lock.lock();
+        let reader = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || s.get(key))
+        };
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !reader.is_finished() && std::time::Instant::now() < give_up {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let finished = reader.is_finished();
+        s.shards[shard].lock.revert();
+        assert!(finished, "a get waited for its shard lock");
+        assert_eq!(reclaim::offline_while(|| reader.join().unwrap()), Some(7));
+    }
+
+    #[test]
+    fn get_ignores_a_held_shard_lock_on_a_static_store() {
+        get_ignores_a_held_shard_lock(striped_store(2), 1);
+    }
+
+    #[test]
+    fn get_ignores_a_held_shard_lock_on_a_dynamic_store() {
+        let s: KvStore<OptikSkipList2> =
+            KvStore::with_ordered_shards(2, 100, |_| OptikSkipList2::new());
+        get_ignores_a_held_shard_lock(s, 70);
+    }
+
+    #[test]
+    fn range_routed_reads_leave_every_lock_word_alone() {
+        // The reads validate against the routing and shard versions and
+        // release nothing they did not take: every version reads the same
+        // after them, as `failed_remove_does_not_bump_shard_version`
+        // checks for the hash store's read-only writes.
+        let s: KvStore<OptikSkipList2> =
+            KvStore::with_ordered_shards(4, 64, |_| OptikSkipList2::new());
+        for k in (2..=64u64).step_by(2) {
+            s.put(k, k);
+        }
+        let versions = |s: &KvStore<OptikSkipList2>| {
+            let shards: Vec<_> = s.shards.iter().map(|sh| sh.lock.get_version()).collect();
+            (s.routing.version(), shards)
+        };
+        let before = versions(&s);
+        for k in 1..=66u64 {
+            assert_eq!(s.get(k), (k % 2 == 0 && k <= 64).then_some(k));
+        }
+        let keys: Vec<u64> = (1..=64).step_by(7).collect();
+        assert_eq!(s.multi_get(&keys).iter().flatten().count(), keys.len() / 2);
+        assert_eq!(s.range_scan(10, 40).len(), 16);
+        assert_eq!(s.snapshot().len(), 32);
+        assert_eq!(versions(&s), before);
     }
 
     #[test]

@@ -21,8 +21,6 @@ pub enum SpanKind {
     TtlSweep,
     /// One QSBR grace period (limbo batch seal to free).
     Grace,
-    /// One full rebalancer decision round.
-    RebalanceRound,
 }
 
 impl SpanKind {
@@ -32,14 +30,13 @@ impl SpanKind {
             SpanKind::Migration => "migration",
             SpanKind::TtlSweep => "ttl_sweep",
             SpanKind::Grace => "grace",
-            SpanKind::RebalanceRound => "rebalance_round",
         }
     }
 
     /// Trace-event `cat` (Perfetto groups by category).
     pub fn category(self) -> &'static str {
         match self {
-            SpanKind::Migration | SpanKind::RebalanceRound => "rebalance",
+            SpanKind::Migration => "rebalance",
             SpanKind::TtlSweep => "ttl",
             SpanKind::Grace => "reclaim",
         }

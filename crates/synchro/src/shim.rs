@@ -2,11 +2,11 @@
 //!
 //! Every shared word that participates in an OPTIK *validation point* —
 //! the shard version locks, the routing-table bounds, the TTL clock and
-//! sweep cursor, the per-shard op counters — is held in one of the
-//! wrapper types below instead of a raw `core::sync::atomic` type. In a
-//! normal build the wrappers are `#[repr(transparent)]` newtypes whose
-//! `#[inline]` methods compile to the identical raw atomic instruction:
-//! zero cost, no branches, nothing to measure.
+//! sweep cursor — is held in one of the wrapper types below instead of a
+//! raw `core::sync::atomic` type. In a normal build the wrappers are
+//! `#[repr(transparent)]` newtypes whose `#[inline]` methods compile to
+//! the identical raw atomic instruction: zero cost, no branches, nothing
+//! to measure.
 //!
 //! Under `--cfg optik_explore` each operation first reports itself to the
 //! **explore hook** — a per-thread trap installed by the deterministic

@@ -469,8 +469,6 @@ fn run_tier(rounds: usize) {
                 "kv/range-sl-herl-optik",
                 "kv/range-sl-herlihy",
                 "kv/range-sl-optik2",
-                "kv/rebal-sl-fraser",
-                "kv/rebal-sl-optik2",
                 "omap/sl-fraser",
                 "omap/sl-herl-optik",
                 "omap/sl-herlihy",
@@ -488,8 +486,6 @@ fn run_tier(rounds: usize) {
                 "kv/range-sl-herl-optik",
                 "kv/range-sl-herlihy",
                 "kv/range-sl-optik2",
-                "kv/rebal-sl-fraser",
-                "kv/rebal-sl-optik2",
             ],
         ),
     ];
@@ -618,15 +614,15 @@ fn ttl_stores_are_linearizable_under_the_fake_clock_full() {
 }
 
 // ---------------------------------------------------------------------------
-// Rebalance rounds: single-key histories across forced boundary migrations.
+// Forced migrations: single-key histories across boundary shifts.
 // ---------------------------------------------------------------------------
 
 /// 4 threads run the value-carrying map mix on a key that sits between
-/// two oscillating partition boundaries while a rebalancer thread forces
+/// two oscillating partition boundaries while a migrating thread forces
 /// split/merge migrations (the key changes shards continuously). The
 /// recorded history must stay linearizable against the plain `MapSpec` —
 /// migration is invisible to clients or it is broken.
-fn check_rebalance_rounds(rounds: usize, shifts_per_round: u64) {
+fn check_migration_rounds(rounds: usize, shifts_per_round: u64) {
     const KEY: u64 = 20;
     for round in 0..rounds {
         let store = Arc::new(KvStore::with_ordered_shards(4, 40, |_| {
@@ -690,7 +686,7 @@ fn check_rebalance_rounds(rounds: usize, shifts_per_round: u64) {
 
 #[test]
 fn kv_store_stays_linearizable_across_forced_rebalances() {
-    check_rebalance_rounds(3, 40);
+    check_migration_rounds(3, 40);
 }
 
 // ---------------------------------------------------------------------------
@@ -707,7 +703,7 @@ fn kv_store_stays_linearizable_across_forced_rebalances() {
 /// batch touched, no matter how the router regrouped it mid-read. A
 /// grouped read that misses a routing flip (probing a key's old shard
 /// after migration) shows up here as a non-linearizable observation.
-fn check_multiget_rebalance_rounds(rounds: usize, shifts_per_round: u64) {
+fn check_multiget_migration_rounds(rounds: usize, shifts_per_round: u64) {
     const KEYS: [u64; RANGE_KEYS] = [10, 20, 30];
     for round in 0..rounds {
         let store = Arc::new(KvStore::with_ordered_shards(4, 40, |_| {
@@ -781,17 +777,17 @@ fn check_multiget_rebalance_rounds(rounds: usize, shifts_per_round: u64) {
 
 #[test]
 fn kv_grouped_multi_get_stays_linearizable_across_rebalances() {
-    check_multiget_rebalance_rounds(3, 40);
+    check_multiget_migration_rounds(3, 40);
 }
 
 #[test]
 #[ignore = "full-strength grouped-multiget rebalance linearizability tier; run in CI via --ignored"]
 fn kv_grouped_multi_get_stays_linearizable_across_rebalances_full() {
-    check_multiget_rebalance_rounds(30, 400);
+    check_multiget_migration_rounds(30, 400);
 }
 
 #[test]
 #[ignore = "full-strength rebalance linearizability tier; run in CI via --ignored"]
 fn kv_store_stays_linearizable_across_forced_rebalances_full() {
-    check_rebalance_rounds(30, 400);
+    check_migration_rounds(30, 400);
 }
