@@ -929,7 +929,7 @@ fn kv(r: &mut Registry) {
     let about = "kv multi-get heavy: 50% 16-key multi-gets under 10% writes; \
                  the read routes once, validates one OPTIK window per \
                  involved shard, and plans without allocating (probes \
-                 key-clustered only on contiguous-partition stores)";
+                 grouped by shard and key-sorted within each)";
     let w = kv_load(
         SIZE,
         false,

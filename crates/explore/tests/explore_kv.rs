@@ -173,6 +173,10 @@ fn ttl_expiry_races_put_and_get() {
     });
     eprintln!("explore_kv::ttl_expiry_races_put_and_get: {stats}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
+    assert_eq!(
+        stats.schedules, 13,
+        "the order of shim accesses changed: {stats}"
+    );
     // The put must land on both sides of the expiry across schedules:
     // before it (sees the armed value) and after it (fresh insert).
     assert!(
@@ -238,6 +242,10 @@ fn ttl_expire_after_races_get() {
     });
     eprintln!("explore_kv::ttl_expire_after_races_get: {stats}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
+    assert_eq!(
+        stats.schedules, 23,
+        "the order of shim accesses changed: {stats}"
+    );
     // Both reads before expiry, and at least the second read after it,
     // must each occur in some schedule.
     assert!(gets.contains(&(Some(1), Some(1))), "gets seen: {gets:?}");
@@ -284,7 +292,10 @@ fn ttl_sweep_races_put() {
     });
     eprintln!("explore_kv::ttl_sweep_races_put: {stats}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
-    assert!(stats.schedules > 1, "race not explored: {stats}");
+    assert_eq!(
+        stats.schedules, 33,
+        "the order of shim accesses changed: {stats}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -348,6 +359,10 @@ fn boundary_flip_races_get_and_put() {
     });
     eprintln!("explore_kv::boundary_flip_races_get_and_put: {stats}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
+    assert_eq!(
+        stats.schedules, 206,
+        "the order of shim accesses changed: {stats}"
+    );
     // Reads and writes must stay coherent on both sides of the flip.
     assert_eq!(
         outcomes.iter().map(|&(g, _)| g).collect::<BTreeSet<_>>(),
@@ -415,6 +430,10 @@ fn range_scan_races_rebalance_and_put() {
     });
     eprintln!("explore_kv::range_scan_races_rebalance_and_put: {stats}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
+    assert_eq!(
+        stats.schedules, 238,
+        "the order of shim accesses changed: {stats}"
+    );
     // The scan must never tear: both snapshots are legal, a mixture
     // (e.g. seeing 22 but missing an untouched neighbour) is not —
     // that is what the spec check inside enforces. Here we just prove
@@ -496,6 +515,10 @@ fn remove_miss_races_put_and_multi_put() {
     });
     eprintln!("explore_kv::remove_miss_races_put_and_multi_put: {stats}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
+    assert_eq!(
+        stats.schedules, 4_764,
+        "the order of shim accesses changed: {stats}"
+    );
     // The tree must contain the lock-free miss and a locked hit on each
     // writer's value.
     assert_eq!(
@@ -530,6 +553,10 @@ fn multi_get_races_writers_on_two_shards() {
     eprintln!("explore_kv::multi_get_races_writers_on_two_shards: {stats}");
     eprintln!("  reads seen: {reads:?}; reader lookups seen: {lookups:?}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
+    assert_eq!(
+        stats.schedules, 681,
+        "the order of shim accesses changed: {stats}"
+    );
     // The read must land before every write, after the batch, and between
     // the two single-key puts; the spec check above is what rejects the
     // torn pairs (the batch's A with the B from before it, and so on).
@@ -564,6 +591,10 @@ fn range_scan_races_writers_on_two_hash_shards() {
     eprintln!("explore_kv::range_scan_races_writers_on_two_hash_shards: {stats}");
     eprintln!("  scans seen: {scans:?}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
+    assert_eq!(
+        stats.schedules, 28_068,
+        "the order of shim accesses changed: {stats}"
+    );
     // The scan must land before every write, after the batch, and between
     // the single-key writer's put and its remove; the spec check above is
     // what rejects the torn windows (shard 0 from before the writers with
@@ -652,6 +683,10 @@ fn ordered_exclusive_writer_races_get_and_range_scan() {
     eprintln!("explore_kv::ordered_exclusive_writer_races_get_and_range_scan: {stats}");
     eprintln!("  gets seen: {gets:?}; scans seen: {scans:?}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
+    assert_eq!(
+        stats.schedules, 300,
+        "the order of shim accesses changed: {stats}"
+    );
     // The get must land on both sides of the link, and the scan before
     // the link, between the link and the unlink, and after the unlink.
     assert_eq!(gets, BTreeSet::from([None, Some(2)]), "gets seen");
@@ -693,6 +728,10 @@ fn ordered_batch_walk_races_put() {
     eprintln!("explore_kv::ordered_batch_walk_races_put: {stats}");
     eprintln!("  second descents seen: {rewalks:?}; removals of the put's key: {removed:?}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
+    assert_eq!(
+        stats.schedules, 3_661,
+        "the order of shim accesses changed: {stats}"
+    );
     // The put must land on both sides of the batch removal, and between a
     // batch's walk and its locks in some schedule.
     assert_eq!(removed, BTreeSet::from([None, Some(2)]), "removals seen");

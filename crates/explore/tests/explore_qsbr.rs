@@ -39,6 +39,10 @@ fn grace_period_covers_every_finder() {
     });
     eprintln!("explore_qsbr::grace_period_covers_every_finder: {stats}");
     assert!(!stats.truncated, "{stats}");
+    assert_eq!(
+        stats.schedules, 343,
+        "the order of shim accesses changed: {stats}"
+    );
     // Reader inside its op at the seal, and not; late thread recorded and
     // waited for, and not recorded because it came online after the scan
     // (or before it, but already past the target).

@@ -15,7 +15,7 @@ use synchro::{Backoff, CachePadded};
 use optik_harness::api::{ConcurrentMap, Key, OrderedMap, Val};
 
 use crate::policy::{RangePolicy, Routing};
-use crate::ttl::{Clock, TtlState};
+use crate::ttl::{expired, Clock, TtlState};
 
 /// Optimistic attempts before a windowed read falls back to taking its
 /// shard locks, and repair rounds inside one attempt before it starts
@@ -59,37 +59,20 @@ impl Window {
 }
 
 /// Per-call scratch for the shard grouping of [`KvStore::multi_get`] and
-/// of the batch writes (`KvStore::write_batch`): the routed probes and one
-/// [`Window`] per distinct shard. Reused across optimistic attempts,
-/// repair rounds and the lock fallback — the grouped paths do no
-/// per-attempt allocation.
-///
-/// Two planning modes share this scratch. Hash-routed stores keep the
-/// probes in arrival order and only deduplicate the shard set (an
-/// epoch-stamped seen array — no sort at all: one OPTIK window per
-/// involved shard is the property that matters, and a hashed backend
-/// scatters keys regardless of probe order). Contiguous-partition
-/// stores additionally counting-sort the probes by shard and key-sort
-/// within each shard so ordered backends are walked front-to-back — and
-/// so that each shard's probes are one span, which is what a repair
-/// round re-probes.
+/// of the batch writes (`KvStore::write_batch`): the probes counting-sorted
+/// by shard and key-sorted within each shard, and one [`Window`] per
+/// distinct shard whose `span` is that shard's run of probes — what a
+/// repair round re-probes and what a batch write locks. Reused across
+/// optimistic attempts, repair rounds and the lock fallback: planning
+/// does no per-attempt allocation.
 struct ProbePlan {
-    /// `(shard, key, input index)` in shard-then-key order (grouped
-    /// mode; unused in flat mode).
+    /// `(shard, key, input index)` in shard-then-key order.
     probes: Vec<(usize, Key, u32)>,
-    /// Routed shard per input key, parallel to `keys` (flat mode; the
-    /// whole plan is this 4-byte-per-key array plus the windows).
-    flat: Vec<u32>,
-    /// Counting-sort input (grouped mode only), arrival order.
+    /// Counting-sort input, arrival order.
     routed: Vec<(usize, Key, u32)>,
-    /// Last epoch each shard was seen (flat mode) / scatter cursors
-    /// (grouped mode).
-    stamp: Vec<u64>,
-    /// Bumped per plan; `stamp[s] == epoch` means shard `s` is involved
-    /// (saves re-zeroing `stamp` on every attempt).
-    epoch: u64,
-    /// One window per distinct involved shard; in grouped mode its `span`
-    /// is the shard's run of `probes`, and the windows ascend by shard.
+    /// Probes per shard, then the scatter cursors.
+    cursors: Vec<usize>,
+    /// One window per distinct involved shard, ascending by shard.
     windows: Vec<Window>,
 }
 
@@ -97,10 +80,8 @@ impl ProbePlan {
     const fn empty() -> Self {
         ProbePlan {
             probes: Vec::new(),
-            flat: Vec::new(),
             routed: Vec::new(),
-            stamp: Vec::new(),
-            epoch: 0,
+            cursors: Vec::new(),
             windows: Vec::new(),
         }
     }
@@ -128,9 +109,9 @@ impl AsMut<[Window]> for Collected {
 
 thread_local! {
     /// Per-thread [`ProbePlan`] reused by every [`KvStore::multi_get`] and
-    /// batch write on this thread (stores may share it — the epoch stamps
-    /// keep shard sets from bleeding between calls). Steady-state planning
-    /// allocates nothing; only the result vector is fresh per call.
+    /// batch write on this thread (stores may share it: every plan starts
+    /// from cleared vectors). Steady-state planning allocates nothing;
+    /// only the result vector is fresh per call.
     static PROBE_PLAN: std::cell::RefCell<ProbePlan> =
         const { std::cell::RefCell::new(ProbePlan::empty()) };
 }
@@ -192,7 +173,7 @@ impl<B: ConcurrentMap> Shard<B> {
     fn live_get(&self, key: Key, now: Option<u64>) -> Option<Val> {
         let val = self.map.get(key);
         match (now, &self.deadlines) {
-            (Some(now), Some(dl)) => val.filter(|_| !dl.get(key).is_some_and(|d| d <= now)),
+            (Some(now), Some(dl)) => val.filter(|_| !expired(dl.get(key), now)),
             _ => val,
         }
     }
@@ -256,7 +237,7 @@ impl<B: ConcurrentMap> Shard<B> {
         let expired = self
             .deadlines
             .as_ref()
-            .is_some_and(|dl| dl.get(key).is_some_and(|d| d <= now));
+            .is_some_and(|dl| expired(dl.get(key), now));
         if expired {
             self.remove_entry(key);
         }
@@ -281,8 +262,9 @@ impl<B: ConcurrentMap> Shard<B> {
 ///
 /// - [`KvStore::get`] goes straight to the backend, lock-free — the
 ///   backends are linearizable maps on their own. Under *dynamic*
-///   (range) routing, whose partitions rebalance, the lookup additionally
-///   validates the routing version, retrying if a migration raced it;
+///   (range) routing, whose boundaries [`KvStore::shift_boundary`] moves
+///   on request, the lookup additionally validates the routing version,
+///   retrying if a migration raced it;
 ///   on TTL stores it validates the shard version around the
 ///   (value, deadline) pair and treats a passed deadline as a miss;
 /// - [`KvStore::put`] / [`KvStore::remove`] run under their shard's lock
@@ -313,8 +295,8 @@ impl<B: ConcurrentMap> Shard<B> {
 ///   read only the shards that moved again, and eventually fall back to
 ///   sorted locking. `multi_get` and `range_scan` put all their shards
 ///   into one such read and return a snapshot; `scan` takes one per shard
-///   and is per-shard-consistent. A `multi_get` over key-ordered shards
-///   looks its keys up as one batched [`ConcurrentMap::get_each`].
+///   and is per-shard-consistent. A `multi_get` groups its keys by shard
+///   and looks them up as one batched [`ConcurrentMap::get_each`].
 ///   Traversal safety under concurrent removal comes from the workspace's
 ///   QSBR domain (`reclaim`): scanning threads are registered
 ///   participants and do not announce quiescence mid-scan, so retired
@@ -322,8 +304,8 @@ impl<B: ConcurrentMap> Shard<B> {
 ///
 /// The store itself implements [`ConcurrentMap`], so a `KvStore` can be
 /// nested, benchmarked, and linearizability-checked exactly like the
-/// backends it composes. TTL, sweeping, and rebalancing live in the
-/// sibling modules (`ttl`, `rebalance`).
+/// backends it composes. TTL and sweeping live in the sibling module
+/// `ttl`, boundary migration in `rebalance`.
 pub struct KvStore<B> {
     pub(crate) shards: Box<[CachePadded<Shard<B>>]>,
     pub(crate) routing: Routing,
@@ -423,7 +405,7 @@ impl<B: ConcurrentMap> KvStore<B> {
         let mut seen = 0;
         buf.retain(|&(k, _)| {
             seen += 1;
-            seen <= from || !dl.get(k).is_some_and(|d| d <= now)
+            seen <= from || !expired(dl.get(k), now)
         });
     }
 
@@ -665,118 +647,81 @@ impl<B: ConcurrentMap> KvStore<B> {
     }
 
     /// Routes every key once and plans the batch: the distinct shard
-    /// set (one OPTIK window each) plus the probe order. Hash-routed
-    /// stores get the flat plan — probes stay in arrival order, because
-    /// a hashed backend scatters keys whatever order they arrive in,
-    /// and any sort is pure overhead (a comparison sort here measured
-    /// ~25% of end-to-end multi-get throughput at batch 16).
-    /// Contiguous-partition stores get the grouped plan — a stable
-    /// `O(keys + shards)` counting sort clusters probes by shard and
-    /// key-sorts each span, so ordered backends are walked
-    /// front-to-back (adjacent probes re-walk the warm front of the
-    /// same traversal path instead of restarting cold). The within-span
-    /// key sorts are stable, so duplicate keys keep their input order
-    /// (a batch write applies them in it), and run on tiny slices where
-    /// the sort is insertion-class.
+    /// set (one OPTIK window each) plus the probe order. A stable
+    /// `O(keys + shards)` counting sort clusters the probes by shard and
+    /// each shard's span is then key-sorted, so ordered backends are
+    /// walked front-to-back (adjacent probes re-walk the warm front of the
+    /// same traversal path instead of restarting cold). Both sorts are
+    /// stable, so duplicate keys keep their input order (a batch write
+    /// applies them in it).
     fn group_probes(&self, keys: impl Iterator<Item = Key>, plan: &mut ProbePlan) {
-        let ns = self.shards.len();
         let ProbePlan {
             probes,
-            flat,
             routed,
-            stamp,
-            epoch,
+            cursors,
             windows,
         } = plan;
-        if stamp.len() < ns {
-            stamp.resize(ns, 0);
-        }
-        windows.clear();
-        probes.clear();
-        flat.clear();
-        if let Routing::Hash { .. } = self.routing {
-            // Flat mode: probes run in arrival order, so the plan is
-            // just the routed shard per key; the epoch-stamped seen
-            // array collects the distinct shard set in the same pass.
-            *epoch += 1;
-            let e = *epoch;
-            flat.extend(keys.map(|k| {
-                let s = self.routing.route(k);
-                if stamp[s] != e {
-                    stamp[s] = e;
-                    windows.push(Window::new(s));
-                }
-                s as u32
-            }));
-            return;
-        }
-        // Grouped mode: one routing pass builds the tuples and the shard
-        // occupancy (`stamp` doubles as the counting-sort cursor array);
-        // prefix sums yield the spans, a scatter pass orders the probes
-        // by shard, and each span is key-sorted so the ordered backend
-        // is walked front-to-back.
+        // One routing pass builds the tuples and the shard occupancy;
+        // prefix sums yield the spans, and a scatter pass orders the
+        // probes by shard.
+        cursors.clear();
+        cursors.resize(self.shards.len(), 0);
         routed.clear();
-        for c in stamp[..ns].iter_mut() {
-            *c = 0;
-        }
         routed.extend(keys.enumerate().map(|(i, k)| {
             let s = self.routing.route(k);
-            stamp[s] += 1;
+            cursors[s] += 1;
             (s, k, i as u32)
         }));
-        let mut acc = 0usize;
-        for (s, c) in stamp[..ns].iter_mut().enumerate() {
-            let cnt = *c as usize;
-            if cnt > 0 {
-                windows.push(Window {
-                    span: (acc, acc + cnt),
-                    ..Window::new(s)
-                });
-            }
-            *c = acc as u64;
+        // Every shard writes a window and only an occupied one keeps it:
+        // whether a shard is in a small batch is a coin flip, which a
+        // branch would mispredict.
+        windows.clear();
+        windows.resize(cursors.len(), Window::new(0));
+        let (mut acc, mut w) = (0, 0);
+        for (s, c) in cursors.iter_mut().enumerate() {
+            let cnt = *c;
+            windows[w] = Window {
+                span: (acc, acc + cnt),
+                ..Window::new(s)
+            };
+            w += usize::from(cnt > 0);
+            *c = acc;
             acc += cnt;
         }
+        windows.truncate(w);
+        probes.clear();
         probes.resize(routed.len(), (0, 0, 0));
         for &p in routed.iter() {
-            let dst = &mut stamp[p.0];
-            probes[*dst as usize] = p;
+            let dst = &mut cursors[p.0];
+            probes[*dst] = p;
             *dst += 1;
         }
-        // The cursor values are small and could collide with a future
-        // epoch — re-zero so a later flat-mode plan through the same
-        // scratch can trust its stamps.
-        for c in stamp[..ns].iter_mut() {
-            *c = 0;
-        }
-        for w in windows.iter() {
-            probes[w.span.0..w.span.1].sort_by_key(|&(_, k, _)| k);
-        }
+        // The probes are grouped by shard already, so this sort only
+        // orders the keys inside each span. One call over them all is
+        // cheaper than one per span, whose lengths a loop branches on.
+        probes.sort_by_key(|&(s, k, _)| (s, k));
     }
 
-    /// Looks every `(map, key)` of `probes` up through
+    /// Looks every probe of `probes` up in its shard's `table` through
     /// [`ConcurrentMap::get_each`], [`PROBE_CHUNK`] at a time from a stack
-    /// array, and hands `sink` each probe's position and result.
+    /// array, and hands `sink` each probe's input index and result.
     fn get_each_chunked<'a>(
-        probes: impl Iterator<Item = (&'a B, Key)>,
+        probes: &[(usize, Key, u32)],
+        table: impl Fn(usize) -> &'a B,
         mut sink: impl FnMut(usize, Option<Val>),
     ) where
         B: 'a,
     {
-        let mut probes = probes.peekable();
-        let mut base = 0;
-        while let Some(&first) = probes.peek() {
-            let mut routed = [first; PROBE_CHUNK];
-            let mut n = 0;
-            for (slot, probe) in routed.iter_mut().zip(&mut probes) {
-                *slot = probe;
-                n += 1;
+        for chunk in probes.chunks(PROBE_CHUNK) {
+            let mut lookups = [(table(0), 0); PROBE_CHUNK];
+            for (l, &(s, k, _)) in lookups.iter_mut().zip(chunk) {
+                *l = (table(s), k);
             }
             let mut vals = [None; PROBE_CHUNK];
-            B::get_each(&routed[..n], &mut vals[..n]);
-            for (i, &val) in vals[..n].iter().enumerate() {
-                sink(base + i, val);
+            B::get_each(&lookups[..chunk.len()], &mut vals[..chunk.len()]);
+            for (&(_, _, i), &val) in chunk.iter().zip(&vals) {
+                sink(i as usize, val);
             }
-            base += n;
         }
     }
 
@@ -786,10 +731,7 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// lanes of an interleaving backend to work. TTL stores send the
     /// `deadlines` tables through the same call.
     fn probe_span(&self, probes: &[(usize, Key, u32)], now: Option<u64>, out: &mut [Option<Val>]) {
-        Self::get_each_chunked(
-            probes.iter().map(|&(s, k, _)| (&self.shards[s].map, k)),
-            |p, val| out[probes[p].2 as usize] = val,
-        );
+        Self::get_each_chunked(probes, |s| &self.shards[s].map, |i, val| out[i] = val);
         if let Some(now) = now {
             let deadlines = |s: usize| {
                 self.shards[s]
@@ -797,9 +739,9 @@ impl<B: ConcurrentMap> KvStore<B> {
                     .as_ref()
                     .expect("a clock implies deadline tables")
             };
-            Self::get_each_chunked(probes.iter().map(|&(s, k, _)| (deadlines(s), k)), |p, d| {
-                if d.is_some_and(|d| d <= now) {
-                    out[probes[p].2 as usize] = None;
+            Self::get_each_chunked(probes, deadlines, |i, d| {
+                if expired(d, now) {
+                    out[i] = None;
                 }
             });
         }
@@ -807,26 +749,9 @@ impl<B: ConcurrentMap> KvStore<B> {
 
     /// The body of [`KvStore::multi_get`]: probes the keys of the plan's
     /// stale windows (already inside their windows or under the shard
-    /// locks) — in flat arrival order when the plan is flat, else one
-    /// batched lookup per run of stale shards.
-    fn probe_plan(
-        &self,
-        keys: &[Key],
-        plan: &ProbePlan,
-        now: Option<u64>,
-        out: &mut [Option<Val>],
-    ) {
+    /// locks), one batched lookup per run of stale shards.
+    fn probe_plan(&self, plan: &ProbePlan, now: Option<u64>, out: &mut [Option<Val>]) {
         let windows = &plan.windows;
-        if !plan.flat.is_empty() {
-            let all = windows.iter().all(|w| w.stale);
-            for ((&k, &s), slot) in keys.iter().zip(&plan.flat).zip(out.iter_mut()) {
-                let s = s as usize;
-                if all || windows.iter().any(|w| w.stale && w.shard == s) {
-                    *slot = self.shards[s].live_get(k, now);
-                }
-            }
-            return;
-        }
         // Spans tile `probes` in shard order, so a run of stale shards is
         // one contiguous run of probes: one batched lookup per run (the
         // first pass is a single run over everything).
@@ -850,13 +775,12 @@ impl<B: ConcurrentMap> KvStore<B> {
     ///
     /// Locality-aware and optimistic (no locks) in the common case: keys
     /// are routed once, one shard version is read per *involved shard*,
-    /// the probes run (on contiguous-partition stores clustered by shard,
-    /// key-sorted and handed to the backend as **one batched lookup**,
-    /// [`ConcurrentMap::get_each`], so that a pointer-chasing backend
-    /// overlaps the cache misses of different keys; in arrival order on
-    /// hash-routed stores; see `group_probes`), and every shard's window
-    /// is validated after the last read. When a shard moved under the
-    /// read, only that shard's keys are looked up again.
+    /// the probes run (clustered by shard, key-sorted and handed to the
+    /// backend as **one batched lookup**, [`ConcurrentMap::get_each`], so
+    /// that a pointer-chasing backend overlaps the cache misses of
+    /// different keys; see `group_probes`), and every shard's window is
+    /// validated after the last read. When a shard moved under the read,
+    /// only that shard's keys are looked up again.
     ///
     /// Planning scratch lives in a thread-local (`PROBE_PLAN`) and the
     /// batched lookups go through a stack array, so a steady-state call
@@ -868,22 +792,22 @@ impl<B: ConcurrentMap> KvStore<B> {
                 &mut *cell.borrow_mut(),
                 true,
                 |plan| self.group_probes(keys.iter().copied(), plan),
-                |plan, now| self.probe_plan(keys, plan, now, &mut out),
+                |plan, now| self.probe_plan(plan, now, &mut out),
             );
         });
         out
     }
 
-    /// Locks every shard of `ids` ascending, re-validating the shard set
-    /// for `keys` under dynamic routing. Returns the stable shard set.
+    /// Locks every shard of `keys_of()` ascending, then re-plans and
+    /// starts over if the shard set moved meanwhile (a boundary migration;
+    /// a hash route never moves). Returns the stable shard set.
     fn lock_batch(&self, keys_of: &mut dyn FnMut() -> Vec<usize>) -> Vec<usize> {
-        let dynamic = matches!(self.routing, Routing::Range(_));
         loop {
             let ids = keys_of();
             for &i in &ids {
                 self.shards[i].lock.lock();
             }
-            if dynamic && keys_of() != ids {
+            if keys_of() != ids {
                 for &i in ids.iter().rev() {
                     self.shards[i].lock.revert();
                 }
@@ -918,9 +842,9 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// version. A shard whose version held is fresh: every critical
     /// section that modifies a shard releases with `unlock`, so nothing
     /// wrote it since the window opened, and what the walk found there is
-    /// current. Under dynamic routing `exclude` then re-checks every key's
-    /// route; a moved one reverts every lock and the batch is planned
-    /// again. On TTL stores the write is normalized in the same locked
+    /// current. `exclude` then re-checks every key's route (only a
+    /// boundary migration moves one); a moved one reverts every lock and
+    /// the batch is planned again. On TTL stores the write is normalized in the same locked
     /// section, after the apply: a binding the write found whose deadline
     /// had passed reports `None`, and the deadline goes (a put's binding
     /// lives forever, a removed key has none). Modified shards release
@@ -934,23 +858,12 @@ impl<B: ConcurrentMap> KvStore<B> {
                     PROBE_PLAN.with_borrow_mut(|plan| loop {
                         self.group_probes((0..n).map(|i| op(i).0), plan);
                         let ProbePlan {
-                            probes,
-                            flat,
-                            windows,
-                            ..
+                            probes, windows, ..
                         } = plan;
-                        windows.sort_unstable_by_key(|w| w.shard);
-                        // Input index and window of every op of the plan (a
-                        // flat plan keeps the input order).
-                        if flat.is_empty() {
-                            for (w, window) in windows.iter().enumerate() {
-                                for j in window.span.0..window.span.1 {
-                                    at[j] = (probes[j].2 as usize, w);
-                                }
-                            }
-                        } else {
-                            for (j, &s) in flat.iter().enumerate() {
-                                at[j] = (j, windows.partition_point(|w| w.shard < s as usize));
+                        // Input index and window of every op of the plan.
+                        for (w, window) in windows.iter().enumerate() {
+                            for j in window.span.0..window.span.1 {
+                                at[j] = (probes[j].2 as usize, w);
                             }
                         }
                         for w in windows.iter_mut() {
@@ -965,17 +878,15 @@ impl<B: ConcurrentMap> KvStore<B> {
                             for w in windows.iter_mut() {
                                 w.stale = !self.shards[w.shard].lock.lock_version(w.version);
                             }
-                            if let Routing::Range(rp) = &self.routing {
-                                if ops
-                                    .iter()
-                                    .zip(at.iter())
-                                    .any(|(op, &(_, w))| rp.route(op.1) != windows[w].shard)
-                                {
-                                    for w in windows.iter().rev() {
-                                        self.shards[w.shard].lock.revert();
-                                    }
-                                    return false;
+                            if ops
+                                .iter()
+                                .zip(at.iter())
+                                .any(|(op, &(_, w))| self.routing.route(op.1) != windows[w].shard)
+                            {
+                                for w in windows.iter().rev() {
+                                    self.shards[w.shard].lock.revert();
                                 }
+                                return false;
                             }
                             for (f, &(_, w)) in fresh.iter_mut().zip(at.iter()) {
                                 *f = !windows[w].stale;
@@ -1008,9 +919,7 @@ impl<B: ConcurrentMap> KvStore<B> {
                                 // deadline; if that had passed, it was absent.
                                 if let (Some(now), Some(_)) = (now, prev) {
                                     let dl = self.shards[window.shard].deadlines.as_ref();
-                                    if dl.is_some_and(|dl| {
-                                        dl.remove_exclusive(key).is_some_and(|d| d <= now)
-                                    }) {
+                                    if dl.is_some_and(|dl| expired(dl.remove_exclusive(key), now)) {
                                         out[i] = None;
                                     }
                                 }
@@ -1191,7 +1100,7 @@ impl<B: ConcurrentMap> ConcurrentMap for KvStore<B> {
         for s in self.shards.iter() {
             match (now, &s.deadlines) {
                 (Some(now), Some(dl)) => s.map.for_each(&mut |k, v| {
-                    if !dl.get(k).is_some_and(|d| d <= now) {
+                    if !expired(dl.get(k), now) {
                         f(k, v);
                     }
                 }),

@@ -42,6 +42,15 @@ use optik_harness::api::{ConcurrentMap, Key, Val};
 
 use crate::store::KvStore;
 
+/// Whether an entry with `deadline` is expired at tick `now`. Expiry is
+/// inclusive: at its deadline tick an entry is already gone. No deadline
+/// means the entry lives forever. Every expiry decision of the store goes
+/// through here.
+#[inline]
+pub(crate) fn expired(deadline: Option<u64>, now: u64) -> bool {
+    deadline.is_some_and(|d| d <= now)
+}
+
 /// A monotonic tick source for TTL deadlines. Ticks are opaque; the only
 /// contract is monotonicity (`now` never decreases) and that deadlines
 /// stay below `u64::MAX` (the store clamps, so backends that reserve
@@ -227,7 +236,7 @@ impl<B: ConcurrentMap> KvStore<B> {
             // sweep; each candidate is re-decided under the lock.
             candidates.clear();
             dl.for_each(&mut |k, d| {
-                if d <= now {
+                if expired(Some(d), now) {
                     candidates.push(k);
                 }
             });
@@ -242,7 +251,7 @@ impl<B: ConcurrentMap> KvStore<B> {
                     // A candidate may have been re-armed, re-put, swept
                     // by a racing sweeper, or migrated away since the
                     // collection pass.
-                    if dl.get(k).is_some_and(|d| d <= now) {
+                    if expired(dl.get(k), now) {
                         shard.remove_entry(k);
                         modified = true;
                         removed += 1;

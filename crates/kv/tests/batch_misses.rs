@@ -276,7 +276,7 @@ fn fill() -> impl Iterator<Item = (Key, Val)> {
     (10..=400).step_by(10).map(|k| (k, k * 10))
 }
 
-fn filled(store: Ordered, tap: &Tap) -> Arc<Ordered> {
+fn filled<B: ConcurrentMap>(store: KvStore<B>, tap: &Tap) -> Arc<KvStore<B>> {
     tap.quietly(|| {
         for (k, v) in fill() {
             store.put(k, v);
@@ -488,14 +488,39 @@ fn batched_calls_take_their_misses_overlapped_and_before_the_locks() {
     assert_eq!(log.len(), KEYS.len(), "one write per key: {log:?}");
     let (got, log, _) = tap.during(|| hashed.multi_get(&KEYS));
     assert_eq!(got, KEYS.map(|k| Some(k + 1)));
-    let arrival = KEYS.map(|k| (hashed.shard_of(k), k));
-    assert_eq!(probes(&log, false), arrival, "the flat plan: arrival order");
+    let mut planned = KEYS.map(|k| (hashed.shard_of(k), k));
+    planned.sort_unstable();
+    assert_eq!(probes(&log, false), planned, "by shard, then by key");
     let (gone, log, _) = tap.during(|| hashed.multi_remove(&KEYS));
     assert_eq!(gone, KEYS.map(|k| Some(k + 1)));
     assert!(
         probes(&log, false).is_empty(),
         "multi_remove walked: {log:?}"
     );
+
+    // (h) Case (a) on the hash-routed store: a write into one shard inside
+    // a `multi_get`'s windows re-probes that shard's span alone.
+    let tap = Arc::new(Tap::default());
+    let make = tapped(&tap, || StripedOptikHashTable::new(64, 8));
+    let hashed = filled(KvStore::with_shards(4, make), &tap);
+    let hit = KEYS[0];
+    let shard = hashed.shard_of(hit);
+    let writer = Arc::clone(&hashed);
+    tap.arm(shard, move || {
+        writer.put(hit, 7);
+    });
+    let (got, log, [repairs, retries, _, _]) = tap.during(|| hashed.multi_get(&KEYS));
+    assert_eq!(got, want(&[(hit, Some(7))]), "the snapshot after the write");
+    let mut expect = planned.to_vec();
+    expect.extend(planned.iter().filter(|&&(s, _)| s == shard));
+    assert!(expect.len() < 2 * KEYS.len(), "the keys span shards");
+    assert_eq!(
+        probes(&log, false),
+        expect,
+        "shard {shard} again, and only shard {shard}"
+    );
+    assert_count(repairs, 1, "one shard repaired");
+    assert_eq!(retries, 0, "no full retry");
 }
 
 /// The same four interferences inside a `range_scan`'s windows: every

@@ -13,6 +13,10 @@
 //!   ever *shrinks* the tuned counts, so the default tier is never
 //!   slower (or stronger) than the `--ignored` full-strength tier.
 //!
+//! A set value that is not a positive finite number panics, naming the
+//! variable, as does a set `STRESS_SEED` that is not a `u64`: a replay
+//! with a typo must fail rather than quietly run another schedule.
+//!
 //! The `--ignored` test tier always runs at the full 8-core-tuned
 //! strength regardless of core count (see the `*_full` tests in
 //! `tests/`).
@@ -28,18 +32,38 @@
 pub const BASELINE_CORES: usize = 8;
 
 /// Current scale factor (see module docs).
+///
+/// # Panics
+///
+/// Panics if `STRESS_SCALE` is set but not a positive finite number.
 pub fn scale() -> f64 {
     if let Ok(s) = std::env::var("STRESS_SCALE") {
-        if let Ok(f) = s.parse::<f64>() {
-            if f.is_finite() && f > 0.0 {
-                return f;
-            }
-        }
+        return parse_scale(&s);
     }
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(BASELINE_CORES);
     (cores as f64 / BASELINE_CORES as f64).clamp(0.125, 1.0)
+}
+
+/// A `STRESS_SCALE` value; panics naming the variable if it is not a
+/// positive finite number.
+fn parse_scale(s: &str) -> f64 {
+    match s.trim().parse::<f64>() {
+        Ok(f) if f.is_finite() && f > 0.0 => f,
+        _ => panic!("STRESS_SCALE={s:?} is not a positive finite number"),
+    }
+}
+
+/// A `STRESS_SEED` value, decimal or `0x`-prefixed hex; panics naming the
+/// variable if it is not a `u64`.
+fn parse_seed(s: &str) -> u64 {
+    let t = s.trim();
+    let parsed = match t.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => t.parse::<u64>(),
+    };
+    parsed.unwrap_or_else(|_| panic!("STRESS_SEED={s:?} is not a u64 (decimal or 0x-prefixed hex)"))
 }
 
 /// Scales an iteration count tuned for an 8-core box, with a floor of 64
@@ -53,25 +77,21 @@ pub fn ops(base: u64) -> u64 {
 /// The process-wide base seed for stress/property RNG streams.
 ///
 /// Reads `STRESS_SEED` (a decimal or `0x`-prefixed hex u64) once per
-/// process; when unset or unparsable, derives a seed from the system
-/// clock and process id so distinct runs explore distinct schedules.
+/// process; when unset, derives a seed from the system clock and process
+/// id so distinct runs explore distinct schedules.
 /// Tests must fold this into their per-thread streams (e.g.
 /// `seed().wrapping_add(thread_id)`) and print it on failure — that line
 /// is what makes a one-in-a-thousand stress failure reproducible.
+///
+/// # Panics
+///
+/// Panics if `STRESS_SEED` is set but not a `u64`.
 pub fn seed() -> u64 {
     use std::sync::OnceLock;
     static SEED: OnceLock<u64> = OnceLock::new();
     *SEED.get_or_init(|| {
         if let Ok(s) = std::env::var("STRESS_SEED") {
-            let parsed = if let Some(hex) = s.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16).ok()
-            } else {
-                s.parse::<u64>().ok()
-            };
-            if let Some(v) = parsed {
-                return v;
-            }
-            eprintln!("STRESS_SEED={s:?} is not a u64; drawing a fresh seed");
+            return parse_seed(&s);
         }
         let now = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -124,9 +144,52 @@ mod tests {
         // different times would disagree with the printed value.
         assert_eq!(seed(), seed());
         if let Ok(s) = std::env::var("STRESS_SEED") {
-            if let Ok(v) = s.parse::<u64>() {
-                assert_eq!(seed(), v);
-            }
+            assert_eq!(seed(), parse_seed(&s));
+        }
+    }
+
+    // The parse functions are tested directly: the process environment is
+    // shared by every test of the binary, so these tests do not set it.
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("no panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn seed_parses_decimal_and_hex() {
+        assert_eq!(parse_seed("42"), 42);
+        assert_eq!(parse_seed(" 0x2a\n"), 42);
+        assert_eq!(parse_seed("0xffffffffffffffff"), u64::MAX);
+    }
+
+    #[test]
+    fn malformed_seed_panics_naming_the_variable() {
+        for bad in ["4x2", "-1", "", "0x", "18446744073709551616"] {
+            let msg = panic_message(|| {
+                parse_seed(bad);
+            });
+            assert!(msg.starts_with(&format!("STRESS_SEED={bad:?} ")), "{msg}");
+        }
+    }
+
+    #[test]
+    fn scale_parses_positive_finite_numbers() {
+        assert_eq!(parse_scale("0.1"), 0.1);
+        assert_eq!(parse_scale(" 2 "), 2.0);
+    }
+
+    #[test]
+    fn malformed_scale_panics_naming_the_variable() {
+        for bad in ["0,5", "", "0", "-1", "inf", "NaN"] {
+            let msg = panic_message(|| {
+                parse_scale(bad);
+            });
+            assert!(msg.starts_with(&format!("STRESS_SCALE={bad:?} ")), "{msg}");
         }
     }
 }
