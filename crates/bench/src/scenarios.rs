@@ -29,9 +29,7 @@ use optik_hashtables::{
     ResizableStripedHashTable, StripedHashTable, StripedOptikHashTable,
 };
 use optik_kv::{KvStore, SystemClock};
-use optik_lists::{
-    GlobalLockList, HarrisList, LazyCacheList, LazyList, OptikCacheList, OptikGlList, OptikList,
-};
+use optik_lists::{GlobalLockList, HarrisList, LazyList, OptikGlList, OptikList};
 use optik_maps::{LockArrayMap, OptikArrayMap};
 use optik_queues::{MsLbQueue, MsLfQueue, OptikQueue0, OptikQueue1, OptikQueue2, VictimQueue};
 use optik_skiplists::{
@@ -269,18 +267,20 @@ fn fig7(r: &mut Registry) {
 // Figure 9: linked lists.
 // ---------------------------------------------------------------------------
 
-/// Node-caching list scenario (per-thread handles hold the cache).
+/// Node-caching list scenario: the optik list driven through per-thread
+/// handles, which hold the cache.
 fn optik_cache_scenario(name: &str, about: &str, w: Workload) -> Scenario {
-    Scenario::custom(name, about, "list/optik-cache", move |spec| {
-        let set = OptikCacheList::new();
+    Scenario::custom(name, about, "list/optik", move |spec| {
+        let set = OptikList::new();
         w.initial_fill(spec.seed, |k, v| set.insert(k, v));
         run_set_workload(spec, &w, |_| set.handle())
     })
 }
 
+/// The lazy list through node-caching handles.
 fn lazy_cache_scenario(name: &str, about: &str, w: Workload) -> Scenario {
-    Scenario::custom(name, about, "list/lazy-cache", move |spec| {
-        let set = LazyCacheList::new();
+    Scenario::custom(name, about, "list/lazy", move |spec| {
+        let set = LazyList::new();
         w.initial_fill(spec.seed, |k, v| set.insert(k, v));
         run_set_workload(spec, &w, |_| set.handle())
     })
@@ -1347,7 +1347,7 @@ fn ablate_base_lock(r: &mut Registry) {
 
 /// Handle wrapper exporting node-cache hit/miss counters on drop.
 struct CountingHandle<'a> {
-    inner: optik_lists::OptikCacheHandle<'a>,
+    inner: optik_lists::OptikListHandle<'a>,
     hits: &'a AtomicU64,
     misses: &'a AtomicU64,
 }
@@ -1389,9 +1389,9 @@ fn ablate_node_cache(r: &mut Registry) {
         r.register(Scenario::custom(
             &format!("ablate-node-cache.{size}.optik-cache"),
             about,
-            "list/optik-cache",
+            "list/optik",
             move |spec| {
-                let set = OptikCacheList::new();
+                let set = OptikList::new();
                 w.initial_fill(spec.seed, |k, v| set.insert(k, v));
                 let hits = AtomicU64::new(0);
                 let misses = AtomicU64::new(0);

@@ -33,9 +33,7 @@ use optik_hashtables::{
     ResizableStripedHashTable, StripedHashTable, StripedOptikHashTable,
 };
 use optik_kv::{KvStore, SystemClock};
-use optik_lists::{
-    GlobalLockList, HarrisList, LazyCacheList, LazyList, OptikCacheList, OptikGlList, OptikList,
-};
+use optik_lists::{GlobalLockList, HarrisList, LazyList, OptikGlList, OptikList};
 use optik_maps::{LockArrayMap, OptikArrayMap};
 use optik_queues::{MsLbQueue, MsLfQueue, OptikQueue0, OptikQueue1, OptikQueue2, VictimQueue};
 use optik_skiplists::{
@@ -202,7 +200,6 @@ pub fn table() -> Vec<(&'static str, Subject)> {
         ),
         ("list/harris", Subject::set(|_| HarrisList::new())),
         ("list/lazy", Subject::set(|_| LazyList::new())),
-        ("list/lazy-cache", Subject::set(|_| LazyCacheList::new())),
         ("list/mcs-gl-opt", Subject::set(|_| GlobalLockList::new())),
         (
             "list/optik-gl",
@@ -213,7 +210,6 @@ pub fn table() -> Vec<(&'static str, Subject)> {
             Subject::set(|_| OptikGlList::<OptikTicket>::new()),
         ),
         ("list/optik", Subject::set(|_| OptikList::new())),
-        ("list/optik-cache", Subject::set(|_| OptikCacheList::new())),
         (
             "ht/lazy-gl",
             Subject::set(|m| LazyGlHashTable::new(buckets(m, 1))),

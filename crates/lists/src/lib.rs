@@ -1,49 +1,48 @@
 //! Sorted concurrent linked lists (§4.2 and §5.1 of the OPTIK paper).
 //!
-//! The paper's Figure 9 compares seven list algorithms; all are implemented
-//! here, from scratch:
+//! The paper's Figure 9 compares seven list series; all are implemented
+//! here, from scratch, as five list types — node caching (§5.1) is a
+//! per-thread handle on the list it caches, not a list of its own:
 //!
 //! | paper name   | type                  | design |
 //! |--------------|-----------------------|--------|
 //! | `harris`     | [`HarrisList`]        | lock-free, marked next-pointers (Harris \[19\]) |
-//! | `lazy`       | [`LazyList`]          | lock-based, logical-delete flags (Heller et al. \[22\]) |
-//! | `lazy-cache` | [`LazyCacheList`]     | lazy list + node caching (§5.1) |
+//! | `lazy`       | [`LazyList`]          | lock-based, logical-delete marks (Heller et al. \[22\]) |
+//! | `lazy-cache` | [`LazyListHandle`]    | lazy list through a node-caching handle ([`LazyList::handle`]) |
 //! | `mcs-gl-opt` | [`GlobalLockList`]    | global MCS lock, non-synchronized searches |
 //! | `optik-gl`   | [`OptikGlList`]       | global OPTIK lock: infeasible updates never lock |
 //! | `optik`      | [`OptikList`]         | fine-grained OPTIK, hand-over-hand version tracking (Fig. 8) |
-//! | `optik-cache`| [`OptikCacheList`]    | fine-grained OPTIK + node caching (§5.1) |
+//! | `optik-cache`| [`OptikListHandle`]   | optik list through a node-caching handle ([`OptikList::handle`]) |
 //!
 //! All lists store `u64 → u64` with sentinel head/tail keys `0` and
 //! `u64::MAX`; user keys must lie strictly between. Memory reclamation is
 //! QSBR (the `reclaim` crate): every operation announces a quiescent point
 //! on entry, so plain library users never interact with reclamation.
-//! Node-caching lists allocate from a type-stable [`reclaim::NodePool`].
+//! Nodes come from a type-stable [`reclaim::NodePool`].
 
 #![warn(missing_docs)]
 
+mod cache;
 mod global_lock;
 mod harris;
 mod lazy;
-mod lazy_cache;
-mod optik_cache;
 mod optik_fine;
 mod optik_gl;
 mod seq;
 
 pub use global_lock::GlobalLockList;
 pub use harris::HarrisList;
-pub use lazy::{LazyList, LazyListPool};
-pub use lazy_cache::{LazyCacheHandle, LazyCacheList};
-pub use optik_cache::{OptikCacheHandle, OptikCacheList};
-pub use optik_fine::{OptikList, OptikListPool};
+pub use lazy::{LazyList, LazyListHandle, LazyListPool};
+pub use optik_fine::{OptikList, OptikListHandle, OptikListPool};
 pub use optik_gl::{OptikGlList, OptikGlListPool};
 pub use seq::SeqList;
 
 pub use optik_harness::api::{ConcurrentSet, Key, SetHandle, Val};
 
-/// Node-pool chunk size for list instances. Smaller than the pool default
-/// because bucketed hash tables build one list — hence one pool — per
-/// bucket, and each touched bucket reserves at least one chunk.
+/// Node-pool chunk size of a list built with `new()`, which owns its pool:
+/// a quarter of the pool default, so a small standalone list reserves
+/// little. Bucketed hash tables share one `*ListPool` (pool default chunk)
+/// across all buckets instead.
 pub(crate) const LIST_POOL_CHUNK: usize = 256;
 
 /// Sentinel key of the head node; user keys must be greater.
@@ -75,9 +74,7 @@ mod cross_tests {
                 Arc::new(OptikGlList::<optik::OptikVersioned>::new()),
             ),
             ("optik", Arc::new(OptikList::new())),
-            ("optik-cache", Arc::new(OptikCacheList::new())),
             ("lazy", Arc::new(LazyList::new())),
-            ("lazy-cache", Arc::new(LazyCacheList::new())),
             ("harris", Arc::new(HarrisList::new())),
         ]
     }

@@ -16,47 +16,66 @@
 //! - the linearization point of updates is the actual store to
 //!   `pred.next`.
 
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use optik::{OptikLock, OptikVersioned};
+use optik::{OptikLock, OptikVersioned, Version};
 use reclaim::NodePool;
 use synchro::Backoff;
 
-use crate::{assert_user_key, ConcurrentSet, Key, Val, LIST_POOL_CHUNK, TAIL_KEY};
+use crate::cache::{CachedNode, NodeCache};
+use crate::{assert_user_key, ConcurrentSet, Key, SetHandle, Val, LIST_POOL_CHUNK, TAIL_KEY};
 
+/// Every field is atomic: a handle's cached pointer outlives its
+/// operation, so a stale validator may read a slot while it is recycled.
+/// `key`, `val` and `next` are written `Relaxed` before the node is
+/// published by a `Release` store to its predecessor's `next` (and, in a
+/// recycled slot, before the `Release` unlock that moves its version);
+/// readers reach them through an `Acquire` load of that `next` or version.
 pub(crate) struct Node {
-    key: Key,
-    val: Val,
+    key: AtomicU64,
+    val: AtomicU64,
     lock: OptikVersioned,
     next: AtomicPtr<Node>,
 }
 
+const _: () = assert!(std::mem::size_of::<Node>() == 32);
+
 impl Node {
-    fn make(key: Key, val: Val, next: *mut Node) -> Self {
+    fn new(key: Key, val: Val, next: *mut Node) -> Self {
         Node {
-            key,
-            val,
+            key: AtomicU64::new(key),
+            val: AtomicU64::new(val),
             lock: OptikVersioned::new(),
             next: AtomicPtr::new(next),
         }
     }
 }
 
-/// The fine-grained OPTIK list (*optik* in Figure 9).
+impl CachedNode for Node {
+    fn word(&self) -> u64 {
+        self.lock.get_version()
+    }
+
+    fn key(&self) -> Key {
+        self.key.load(Ordering::Relaxed)
+    }
+}
+
+/// The fine-grained OPTIK list (*optik* in Figure 9; through
+/// [`OptikList::handle`], *optik-cache*).
 ///
-/// Nodes come from a type-stable [`NodePool`]. `(node, version)` pairs are
-/// only held *within* one operation, never across quiescent points, so a
-/// recycled slot — whose locked-forever deleted version gets replaced by a
-/// fresh unlocked lock — can have no surviving validators (the grace
-/// period outlives every operation that read the old version).
+/// Nodes come from a type-stable [`NodePool`]. A deleted node's version
+/// stays locked until its slot is recycled, and recycling *unlocks* it, so
+/// a slot's version only grows: a handle's cached `(node, version)` pair
+/// can never validate against a deleted or recycled node.
 pub struct OptikList {
     head: *mut Node,
     pool: Arc<NodePool<Node>>,
 }
 
 // SAFETY: all shared mutation goes through per-node OPTIK locks and atomic
-// next pointers; reclamation is QSBR.
+// node fields; reclamation is QSBR.
 unsafe impl Send for OptikList {}
 unsafe impl Sync for OptikList {}
 
@@ -95,26 +114,52 @@ impl OptikList {
     }
 
     fn from_pool(pool: Arc<NodePool<Node>>) -> Self {
-        let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, std::ptr::null_mut()));
-        let head = pool.alloc_init(|| Node::make(crate::HEAD_KEY, 0, tail));
+        let tail = Self::alloc_node(&pool, TAIL_KEY, 0, std::ptr::null_mut());
+        let head = Self::alloc_node(&pool, crate::HEAD_KEY, 0, tail);
         Self { head, pool }
     }
 
-    /// Traversal for deletions: returns `(pred, predv, cur, curv)` with
+    /// Per-thread session with a node cache (*optik-cache*, §5.1): each
+    /// operation may enter at the node the previous one stopped at.
+    pub fn handle(&self) -> OptikListHandle<'_> {
+        OptikListHandle {
+            list: self,
+            cache: NodeCache::default(),
+        }
+    }
+
+    /// Allocates a node. A recycled slot is re-initialized through its
+    /// atomics and unlocked from its locked-forever state, which moves its
+    /// version past every cached observation of the previous occupant.
+    fn alloc_node(pool: &NodePool<Node>, key: Key, val: Val, next: *mut Node) -> *mut Node {
+        let p = pool.alloc(|| Node::new(key, val, next));
+        if p.recycled {
+            // SAFETY: the slot is valid for the pool's lifetime.
+            let n = unsafe { &*p.ptr };
+            n.key.store(key, Ordering::Relaxed);
+            n.val.store(val, Ordering::Relaxed);
+            n.next.store(next, Ordering::Relaxed);
+            debug_assert!(n.lock.is_locked());
+            n.lock.unlock();
+        }
+        p.ptr
+    }
+
+    /// Traversal for updates: returns `(pred, predv, cur, curv)` with
     /// `pred.key < key <= cur.key`, where each version was read *on
     /// arrival* at the node — before its key or next pointer (Fig. 8(a)).
     ///
     /// # Safety
     ///
     /// Caller must be inside a QSBR-protected section (no quiescence until
-    /// the returned pointers are no longer used).
+    /// the returned pointers are no longer used); `start` is head or a
+    /// validated cache entry, read at `start_v`.
     #[inline]
     unsafe fn locate_tracking(
-        &self,
         start: *mut Node,
-        start_v: optik::Version,
+        start_v: Version,
         key: Key,
-    ) -> (*mut Node, optik::Version, *mut Node, optik::Version) {
+    ) -> (*mut Node, Version, *mut Node, Version) {
         // SAFETY: nodes reachable during this grace period stay allocated.
         unsafe {
             let mut pred;
@@ -126,48 +171,75 @@ impl OptikList {
                 predv = curv;
                 cur = (*pred).next.load(Ordering::Acquire);
                 curv = (*cur).lock.get_version();
-                if (*cur).key >= key {
+                if (*cur).key.load(Ordering::Relaxed) >= key {
                     return (pred, predv, cur, curv);
                 }
             }
         }
     }
-}
 
-impl Default for OptikList {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ConcurrentSet for OptikList {
-    fn search(&self, key: Key) -> Option<Val> {
-        assert_user_key(key);
-        reclaim::quiescent();
-        // SAFETY: past the quiescent point, every reachable node survives
-        // until our next quiescent point (QSBR grace period).
+    /// Where an update starts: the validated cached node if there is one,
+    /// else head, each with its version.
+    ///
+    /// # Safety
+    ///
+    /// As [`NodeCache::entry`].
+    #[inline]
+    unsafe fn start(&self, cache: Option<&mut NodeCache<Node>>, key: Key) -> (*mut Node, Version) {
+        // SAFETY: per contract; head is never deleted.
         unsafe {
-            let mut cur = self.head;
-            while (*cur).key < key {
-                cur = (*cur).next.load(Ordering::Acquire);
-            }
-            ((*cur).key == key).then(|| (*cur).val)
+            cache
+                .and_then(|c| c.entry(key))
+                .unwrap_or_else(|| (self.head, (*self.head).lock.get_version()))
         }
     }
 
-    fn insert(&self, key: Key, val: Val) -> bool {
+    /// The one body of `search`, as of `insert` and `delete` below:
+    /// `cache` is `None` for the [`ConcurrentSet`] ops and the handle's
+    /// cache for the [`OptikListHandle`] ops. Inlined into both, so the plain
+    /// ops carry no cache branch.
+    #[inline(always)]
+    fn search_at(&self, mut cache: Option<&mut NodeCache<Node>>, key: Key) -> Option<Val> {
+        assert_user_key(key);
+        reclaim::quiescent();
+        // SAFETY: past the quiescent point, every reachable node survives
+        // until our next quiescent point (QSBR grace period), and so does a
+        // validated cache entry.
+        unsafe {
+            // Searches are "completely oblivious to concurrency" (Fig. 8(c)).
+            let mut pred = match cache.as_deref_mut().and_then(|c| c.entry(key)) {
+                Some((node, _)) => node,
+                None => self.head,
+            };
+            let mut cur = (*pred).next.load(Ordering::Acquire);
+            while (*cur).key.load(Ordering::Relaxed) < key {
+                pred = cur;
+                cur = (*cur).next.load(Ordering::Acquire);
+            }
+            if let Some(c) = cache {
+                c.remember(pred);
+            }
+            ((*cur).key.load(Ordering::Relaxed) == key).then(|| (*cur).val.load(Ordering::Relaxed))
+        }
+    }
+
+    #[inline(always)]
+    fn insert_at(&self, mut cache: Option<&mut NodeCache<Node>>, key: Key, val: Val) -> bool {
         assert_user_key(key);
         reclaim::quiescent();
         let mut bo = Backoff::adaptive();
-        loop {
-            // SAFETY: within the QSBR grace period (no quiescence below).
-            unsafe {
+        // SAFETY: within the QSBR grace period (no quiescence below).
+        unsafe {
+            // The first attempt may enter at the cached node; retries
+            // start from head.
+            let mut first = cache.as_deref_mut();
+            let (pred, inserted) = loop {
+                let (start, start_v) = self.start(first.take(), key);
                 // Fig. 8(b): version of each node read before advancing.
-                let headv = (*self.head).lock.get_version();
-                let (pred, predv, cur, _curv) = self.locate_tracking(self.head, headv, key);
-                if (*cur).key == key {
+                let (pred, predv, cur, _curv) = Self::locate_tracking(start, start_v, key);
+                if (*cur).key.load(Ordering::Relaxed) == key {
                     // Infeasible: returns without any synchronization.
-                    return false;
+                    break (pred, false);
                 }
                 if !(*pred).lock.try_lock_version(predv) {
                     bo.backoff();
@@ -175,25 +247,31 @@ impl ConcurrentSet for OptikList {
                 }
                 // Validated: pred unmodified since we read predv, hence
                 // still linked and still pointing at cur.
-                let newnode = self.pool.alloc_init(|| Node::make(key, val, cur));
+                let newnode = Self::alloc_node(&self.pool, key, val, cur);
                 (*pred).next.store(newnode, Ordering::Release);
                 (*pred).lock.unlock();
-                return true;
+                break (pred, true);
+            };
+            if let Some(c) = cache {
+                c.remember(pred);
             }
+            inserted
         }
     }
 
-    fn delete(&self, key: Key) -> Option<Val> {
+    #[inline(always)]
+    fn delete_at(&self, mut cache: Option<&mut NodeCache<Node>>, key: Key) -> Option<Val> {
         assert_user_key(key);
         reclaim::quiescent();
         let mut bo = Backoff::adaptive();
-        loop {
-            // SAFETY: within the QSBR grace period (no quiescence below).
-            unsafe {
-                let headv = (*self.head).lock.get_version();
-                let (pred, predv, cur, curv) = self.locate_tracking(self.head, headv, key);
-                if (*cur).key != key {
-                    return None;
+        // SAFETY: within the QSBR grace period (no quiescence below).
+        unsafe {
+            let mut first = cache.as_deref_mut();
+            let (pred, deleted) = loop {
+                let (start, start_v) = self.start(first.take(), key);
+                let (pred, predv, cur, curv) = Self::locate_tracking(start, start_v, key);
+                if (*cur).key.load(Ordering::Relaxed) != key {
+                    break (pred, None);
                 }
                 if !(*pred).lock.try_lock_version(predv) {
                     bo.backoff();
@@ -206,19 +284,43 @@ impl ConcurrentSet for OptikList {
                     bo.backoff();
                     continue;
                 }
-                // cur's lock is intentionally NEVER released: a locked-
-                // forever version makes any stale validation against the
-                // deleted node fail.
+                // cur's lock is intentionally never released (until its
+                // slot is recycled): a locked-forever version makes any
+                // stale validation against the deleted node fail.
                 (*pred)
                     .next
                     .store((*cur).next.load(Ordering::Relaxed), Ordering::Release);
-                let val = (*cur).val;
+                let val = (*cur).val.load(Ordering::Relaxed);
                 (*pred).lock.unlock();
                 // SAFETY: cur is unlinked; one retire; recycled after grace.
                 reclaim::with_local(|h| self.pool.retire(cur, h));
-                return Some(val);
+                break (pred, Some(val));
+            };
+            if let Some(c) = cache {
+                c.remember(pred);
             }
+            deleted
         }
+    }
+}
+
+impl Default for OptikList {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ConcurrentSet for OptikList {
+    fn search(&self, key: Key) -> Option<Val> {
+        self.search_at(None, key)
+    }
+
+    fn insert(&self, key: Key, val: Val) -> bool {
+        self.insert_at(None, key, val)
+    }
+
+    fn delete(&self, key: Key) -> Option<Val> {
+        self.delete_at(None, key)
     }
 
     fn len(&self) -> usize {
@@ -227,12 +329,44 @@ impl ConcurrentSet for OptikList {
         unsafe {
             let mut n = 0;
             let mut cur = (*self.head).next.load(Ordering::Acquire);
-            while (*cur).key != TAIL_KEY {
+            while (*cur).key.load(Ordering::Relaxed) != TAIL_KEY {
                 n += 1;
                 cur = (*cur).next.load(Ordering::Acquire);
             }
             n
         }
+    }
+}
+
+/// Per-thread session on an [`OptikList`] holding its node cache.
+pub struct OptikListHandle<'a> {
+    list: &'a OptikList,
+    cache: NodeCache<Node>,
+}
+
+impl OptikListHandle<'_> {
+    /// Operations that entered through the cache.
+    pub fn cache_hits(&self) -> u64 {
+        self.cache.hits
+    }
+
+    /// Operations that started from head.
+    pub fn cache_misses(&self) -> u64 {
+        self.cache.misses
+    }
+}
+
+impl SetHandle for OptikListHandle<'_> {
+    fn search(&mut self, key: Key) -> Option<Val> {
+        self.list.search_at(Some(&mut self.cache), key)
+    }
+
+    fn insert(&mut self, key: Key, val: Val) -> bool {
+        self.list.insert_at(Some(&mut self.cache), key, val)
+    }
+
+    fn delete(&mut self, key: Key) -> Option<Val> {
+        self.list.delete_at(Some(&mut self.cache), key)
     }
 }
 
@@ -259,9 +393,9 @@ mod tests {
         unsafe {
             let mut cur = (*l.head).next.load(Ordering::Relaxed);
             let mut prev_key = 0;
-            while (*cur).key != TAIL_KEY {
-                assert!((*cur).key > prev_key, "sorted order violated");
-                prev_key = (*cur).key;
+            while (*cur).key() != TAIL_KEY {
+                assert!((*cur).key() > prev_key, "sorted order violated");
+                prev_key = (*cur).key();
                 cur = (*cur).next.load(Ordering::Relaxed);
             }
         }
@@ -358,5 +492,143 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn basic_roundtrip_without_cache() {
+        let l = OptikList::new();
+        assert!(l.insert(3, 30));
+        assert!(l.insert(7, 70));
+        assert!(!l.insert(3, 31));
+        assert_eq!(l.search(7), Some(70));
+        assert_eq!(l.delete(3), Some(30));
+        assert_eq!(l.len(), 1);
+    }
+
+    #[test]
+    fn handle_cache_hits_on_ascending_access() {
+        let l = OptikList::new();
+        for k in 1..=100u64 {
+            l.insert(k, k);
+        }
+        let mut h = l.handle();
+        // Ascending searches: each op's predecessor is a valid entry for
+        // the next (key grows).
+        for k in 1..=100u64 {
+            assert_eq!(h.search(k), Some(k));
+        }
+        assert!(
+            h.cache_hits() > 50,
+            "ascending scan should mostly hit: {} hits / {} misses",
+            h.cache_hits(),
+            h.cache_misses()
+        );
+    }
+
+    #[test]
+    fn cache_rejects_deleted_entry_node() {
+        let l = OptikList::new();
+        for k in [10u64, 20, 30] {
+            l.insert(k, k);
+        }
+        let mut h = l.handle();
+        // Search caches pred (node 10); delete it through another path.
+        assert_eq!(h.search(20), Some(20));
+        assert_eq!(l.delete(10), Some(10));
+        // The next op must not trust the stale entry (deleted ⇒ locked).
+        assert_eq!(h.search(30), Some(30));
+        assert_eq!(h.cache_hits(), 0);
+        assert_eq!(h.delete(20), Some(20));
+        assert_eq!(l.len(), 1);
+    }
+
+    #[test]
+    fn cache_rejects_recycled_entry_node() {
+        let l = OptikList::new();
+        l.insert(10, 100);
+        let mut h = l.handle();
+        // Search caches node 10; delete it and churn enough allocations to
+        // recycle its slot.
+        assert_eq!(h.search(15), None);
+        assert_eq!(l.delete(10), Some(100));
+        for r in 0..200u64 {
+            let k = 1000 + r;
+            l.insert(k, k);
+            l.delete(k);
+        }
+        // Handle must still work correctly whatever happened to the slot.
+        assert_eq!(h.search(10), None);
+        assert!(h.insert(10, 101));
+        assert_eq!(h.search(10), Some(101));
+    }
+
+    #[test]
+    fn pool_recycles_slots() {
+        // Recycling needs a QSBR grace period; other tests in this binary
+        // share the global domain and may briefly stall it (threads blocked
+        // in join), so churn until recycling is observed, with a generous
+        // deadline.
+        let l = OptikList::new();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            for round in 0..500u64 {
+                let k = round % 10 + 1;
+                l.insert(k, k);
+                l.delete(k);
+            }
+            reclaim::with_local(|h| {
+                h.flush();
+                h.collect();
+            });
+            assert!(l.pool.allocations() >= 500);
+            if l.pool.recycle_hits() > 0 {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "no slot was ever recycled"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn concurrent_handles_with_caches_are_consistent() {
+        let l = Arc::new(OptikList::new());
+        let mut handles = Vec::new();
+        for t in 0..8u64 {
+            let l = Arc::clone(&l);
+            handles.push(std::thread::spawn(move || {
+                let mut h = l.handle();
+                let mut net = 0i64;
+                let mut x = t.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+                for _ in 0..synchro::stress::ops(20_000) {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let k = x % 48 + 1;
+                    match x % 3 {
+                        0 => {
+                            if h.insert(k, k * 5) {
+                                net += 1;
+                            }
+                        }
+                        1 => {
+                            if h.delete(k).is_some() {
+                                net -= 1;
+                            }
+                        }
+                        _ => {
+                            if let Some(v) = h.search(k) {
+                                assert_eq!(v, k * 5, "corrupted value for {k}");
+                            }
+                        }
+                    }
+                }
+                net
+            }));
+        }
+        let net: i64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(l.len() as i64, net);
     }
 }

@@ -40,7 +40,7 @@ pub mod prelude {
         OptikGlHashTable, OptikHashTable, OptikMapHashTable, ResizableStripedHashTable,
     };
     pub use optik_kv::{Clock, FakeClock, KvStore, SystemClock};
-    pub use optik_lists::{LazyList, OptikCacheList, OptikGlList, OptikList};
+    pub use optik_lists::{LazyList, OptikGlList, OptikList};
     pub use optik_maps::{ArrayMap, OptikArrayMap};
     pub use optik_queues::{MsLfQueue, OptikQueue2, VictimQueue};
     pub use optik_skiplists::{OptikSkipList1, OptikSkipList2};

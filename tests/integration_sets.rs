@@ -2,13 +2,15 @@
 //! hash tables, skip lists, array maps, BSTs) is run through the same
 //! paper-style concurrent workload and checked against count and
 //! visibility invariants. Adding a row to `optik_bench::subjects`
-//! enrolls its structure here.
+//! enrolls its structure here. The lists with node caching (§5.1) are run
+//! once more through their per-thread handles.
 
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
 use optik_bench::subjects::{self, Subject};
-use optik_suite::harness::api::{ConcurrentSet, Key};
+use optik_suite::harness::api::{ConcurrentSet, Key, SetHandle};
+use optik_suite::lists::{LazyList, OptikList};
 
 /// The largest key any test here uses; every set is sized for it.
 const MAX_KEY: Key = 128;
@@ -148,6 +150,120 @@ fn stable_keys_remain_visible_during_churn() {
 #[ignore = "full 8-core-strength stress tier; run via --ignored"]
 fn stable_keys_remain_visible_during_churn_full() {
     stable_keys_remain_visible(30_000);
+}
+
+/// A list with node-caching handles.
+trait Caching: ConcurrentSet + Send + Sync + 'static {
+    /// Runs `f` on two fresh handles; returns its result and the handles'
+    /// cache hits.
+    fn with_handles<R>(&self, f: impl FnOnce([&mut dyn SetHandle; 2]) -> R) -> (R, u64);
+}
+
+impl Caching for OptikList {
+    fn with_handles<R>(&self, f: impl FnOnce([&mut dyn SetHandle; 2]) -> R) -> (R, u64) {
+        let (mut a, mut b) = (self.handle(), self.handle());
+        (f([&mut a, &mut b]), a.cache_hits() + b.cache_hits())
+    }
+}
+
+impl Caching for LazyList {
+    fn with_handles<R>(&self, f: impl FnOnce([&mut dyn SetHandle; 2]) -> R) -> (R, u64) {
+        let (mut a, mut b) = (self.handle(), self.handle());
+        (f([&mut a, &mut b]), a.cache_hits() + b.cache_hits())
+    }
+}
+
+/// `stable_keys_remain_visible` through node-caching handles, over a key
+/// range small enough that the nodes a handle caches are deleted, and
+/// their slots recycled, by other threads. Each churner owns its keys, so
+/// every answer it gets about them has exactly one right value, and it
+/// alternates between two handles at random: an operation that entered at
+/// a stale cached node would miss a key the other handle inserted after
+/// that node was unlinked.
+fn handles_keep_stable_keys_and_net_count<L: Caching>(name: &str, set: L, churn_iters: u64) {
+    // Stable keys are the multiples of 5; churner t owns the keys 5j + t + 1,
+    // so a key's neighbours mostly belong to other threads.
+    const CHURNERS: u64 = 4;
+    const KEYS: u64 = 40;
+    let set = Arc::new(set);
+    for k in (5..=KEYS).step_by(5) {
+        assert!(set.insert(k, k + 7), "{name}");
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut churners = Vec::new();
+    for t in 0..CHURNERS {
+        let set = Arc::clone(&set);
+        churners.push(std::thread::spawn(move || {
+            set.with_handles(|mut hs| {
+                let mut present = [false; (KEYS / 5) as usize];
+                let mut x = (t + 1).wrapping_mul(0x9E3779B97F4A7C15);
+                for _ in 0..churn_iters {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let h = &mut hs[(x >> 20) as usize % 2];
+                    let j = (x >> 8) as usize % present.len();
+                    let k = 5 * j as u64 + t + 1;
+                    let expect = present[j].then_some(k + 7);
+                    match x % 3 {
+                        0 => {
+                            assert_eq!(h.insert(k, k + 7), !present[j], "insert {k}");
+                            present[j] = true;
+                        }
+                        1 => {
+                            assert_eq!(h.delete(k), expect, "delete {k}");
+                            present[j] = false;
+                        }
+                        _ => assert_eq!(h.search(k), expect, "search {k}"),
+                    }
+                }
+                present.iter().filter(|&&p| p).count()
+            })
+        }));
+    }
+    let mut readers = Vec::new();
+    for _ in 0..2 {
+        let set = Arc::clone(&set);
+        let stop = Arc::clone(&stop);
+        readers.push(std::thread::spawn(move || {
+            set.with_handles(|[h, _]| {
+                while !stop.load(Ordering::Relaxed) {
+                    for k in (5..=KEYS).step_by(5) {
+                        assert_eq!(h.search(k), Some(k + 7), "stable key {k} lost");
+                    }
+                }
+            })
+            .1
+        }));
+    }
+    let (mut churned, mut hits) = (0, 0);
+    reclaim::offline_while(|| {
+        for c in churners {
+            let (n, h) = c.join().unwrap();
+            churned += n;
+            hits += h;
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            hits += r.join().unwrap();
+        }
+    });
+    assert!(hits > 0, "{name}: no operation entered through its cache");
+    for k in (5..=KEYS).step_by(5) {
+        assert_eq!(set.search(k), Some(k + 7), "{name}");
+    }
+    assert_eq!(
+        set.len(),
+        (KEYS / 5) as usize + churned,
+        "{name}: final size vs stable keys plus the churners' present keys"
+    );
+}
+
+#[test]
+fn caching_handles_keep_stable_keys_and_net_count() {
+    let iters = optik_suite::harness::stress::ops(200_000);
+    handles_keep_stable_keys_and_net_count("list/optik", OptikList::new(), iters);
+    handles_keep_stable_keys_and_net_count("list/lazy", LazyList::new(), iters);
 }
 
 #[test]

@@ -406,10 +406,8 @@ fn run_tier(rounds: usize) {
                 "ht/optik-map",
                 "list/harris",
                 "list/lazy",
-                "list/lazy-cache",
                 "list/mcs-gl-opt",
                 "list/optik",
-                "list/optik-cache",
                 "list/optik-gl",
                 "list/optik-gl-ticket",
                 "map/mcs",
