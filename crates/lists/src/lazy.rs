@@ -400,6 +400,21 @@ mod tests {
     }
 
     #[test]
+    fn basic_roundtrip_through_handle() {
+        let l = LazyList::new();
+        let mut h = l.handle();
+        assert!(h.insert(3, 30));
+        assert!(h.insert(9, 90));
+        assert!(!h.insert(3, 33));
+        assert_eq!(h.search(9), Some(90));
+        assert_eq!(h.delete(3), Some(30));
+        assert_eq!(h.delete(3), None);
+        assert_eq!(h.search(3), None);
+        drop(h);
+        assert_eq!(l.len(), 1);
+    }
+
+    #[test]
     fn cache_hits_on_ascending_scan() {
         let l = LazyList::new();
         for k in 1..=100u64 {
