@@ -34,7 +34,10 @@ pub type Version = u64;
 /// they are safe functions because misuse cannot break memory safety of the
 /// lock itself, but it breaks the mutual-exclusion guarantee for the data
 /// the caller protects — exactly as with any raw lock. Data structures in
-/// this workspace encapsulate the protocol internally.
+/// this workspace encapsulate the protocol internally. Implementations may
+/// rely on it: [`crate::OptikVersioned`] releases with one plain store of a
+/// value computed from the word it holds, which would overwrite another
+/// thread's write if a non-holder called it.
 pub trait OptikLock: Default + Send + Sync {
     /// Reads the current version (acquire semantics: optimistic reads that
     /// follow cannot be reordered before this load).

@@ -1,10 +1,13 @@
 //! OPTIK lock on top of a versioned lock (Figure 4 of the paper).
 //!
 //! A single 8-byte counter: even = free, odd = locked. Acquisition CASes an
-//! even value `v` to `v + 1`; `unlock` increments again (to the next even
-//! value, advancing the version), `revert` decrements (restoring the
-//! pre-acquisition version). A thread would have to sleep for 2^63
-//! acquisitions for the version to wrap into a false validation.
+//! even value `v` to `v + 1`; `unlock` stores `v + 2` (the next even value,
+//! advancing the version), `revert` stores `v` (restoring the
+//! pre-acquisition version). Both releases are plain release stores, not
+//! read-modify-writes: every acquisition CASes *from an even value*, so
+//! while the word is odd no other thread can write it, and the holder
+//! already knows the value it replaces. A thread would have to sleep for
+//! 2^63 acquisitions for the version to wrap into a false validation.
 
 use core::sync::atomic::Ordering;
 
@@ -151,17 +154,23 @@ impl OptikLock for OptikVersioned {
         }
     }
 
+    /// Stores the next even version. A release store suffices: the word
+    /// is odd while we hold it, every acquisition CASes from an even value,
+    /// so no other thread writes it until this store lands, and the odd
+    /// value we read back is our own.
     #[inline]
     fn unlock(&self) {
-        // Holder-only: value is odd; +1 makes it the next even version.
-        self.word.fetch_add(1, Ordering::Release);
+        let v = self.word.load_owned();
+        self.word.store(v.wrapping_add(1), Ordering::Release);
         optik_probe::lock_released();
     }
 
+    /// Stores the pre-acquisition version back; a release store for the
+    /// same reason as [`OptikVersioned::unlock`].
     #[inline]
     fn revert(&self) {
-        // Holder-only: value is odd; −1 restores the pre-acquisition version.
-        self.word.fetch_sub(1, Ordering::Release);
+        let v = self.word.load_owned();
+        self.word.store(v.wrapping_sub(1), Ordering::Release);
         optik_probe::lock_released();
     }
 
@@ -225,5 +234,74 @@ mod tests {
         l.unlock(); // wraps to 0
         assert_eq!(l.get_version(), 0);
         assert!(!l.is_locked());
+
+        let l = OptikVersioned::with_version(u64::MAX - 1);
+        assert!(l.try_lock_version(u64::MAX - 1));
+        assert_eq!(l.get_version(), u64::MAX);
+        l.revert();
+        assert_eq!(l.get_version(), u64::MAX - 1);
+        assert!(!l.is_locked());
+    }
+
+    /// The releases are plain stores, so a lost or doubled update of the
+    /// word would show in its final value: after any mix of critical
+    /// sections it must equal two per `unlock` (a `revert` restores).
+    /// The shared counter is bumped with a load and a store, so it counts
+    /// exactly only if the sections exclude each other.
+    #[test]
+    fn version_accounts_for_every_unlock_under_contention() {
+        use std::sync::atomic::AtomicU64 as Counter;
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 20_000;
+        let l = OptikVersioned::new();
+        let counter = Counter::new(0);
+        let bump = || {
+            let c = counter.load(Ordering::Relaxed);
+            counter.store(c + 1, Ordering::Relaxed);
+        };
+        // A revert section rewrites the counter unchanged: a concurrent
+        // bump it overlapped would be lost.
+        let touch = || {
+            let c = counter.load(Ordering::Relaxed);
+            counter.store(c, Ordering::Relaxed);
+        };
+        let unlocks: u64 = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (l, bump, touch) = (&l, &bump, &touch);
+                    s.spawn(move || {
+                        let stale = l.get_version();
+                        let mut unlocks = 0;
+                        for i in 0..ROUNDS {
+                            match (t + i) % 3 {
+                                0 => {
+                                    l.lock();
+                                    bump();
+                                    l.unlock();
+                                    unlocks += 1;
+                                }
+                                1 => {
+                                    if l.try_lock_version(l.get_version()) {
+                                        touch();
+                                        l.revert();
+                                    } else {
+                                        synchro::relax();
+                                    }
+                                }
+                                _ => {
+                                    let _ = l.lock_version(stale);
+                                    touch();
+                                    l.revert();
+                                }
+                            }
+                        }
+                        unlocks
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(l.get_version(), 2 * unlocks);
+        assert_eq!(counter.load(Ordering::Relaxed), unlocks);
     }
 }

@@ -51,6 +51,12 @@
 //! store, and requires every one to be a load — an optimistic read
 //! writes no shared word of the store.
 //!
+//! `locked_writes_release_with_one_store` records the shim accesses of
+//! uncontended `put` and `remove` calls on a hash-routed and a
+//! range-routed store: each shard or node lock word a write takes is
+//! acquired with one read-modify-write (its CAS) and released with one
+//! plain store.
+//!
 //! Every enumerated schedule replays the ops against the sequential
 //! spec with the Wing–Gong checker; a failure message always carries
 //! the schedule token, which `optik_explore::replay` re-runs
@@ -749,13 +755,27 @@ fn ordered_batch_walk_races_put() {
 // Optimistic reads write nothing: every shim word a read touches, it loads.
 // ---------------------------------------------------------------------------
 
-/// Records the kind of every shim access on the thread it is installed
-/// on, and parks nothing: no scheduler runs.
-struct RecordKinds(std::sync::Mutex<Vec<shim::AccessKind>>);
+/// Records every shim access (address and kind) on the thread it is
+/// installed on, and parks nothing: no scheduler runs.
+struct RecordAccesses(std::sync::Mutex<Vec<(usize, shim::AccessKind)>>);
 
-impl shim::ExploreHook for RecordKinds {
+impl RecordAccesses {
+    /// Installs a fresh recorder on this thread, runs `op` under it and
+    /// returns the accesses `op` trapped.
+    fn during(op: impl FnOnce()) -> Vec<(usize, shim::AccessKind)> {
+        let hook = Arc::new(RecordAccesses(std::sync::Mutex::new(Vec::new())));
+        {
+            let _g = shim::install_hook(hook.clone());
+            op();
+        }
+        let trace = std::mem::take(&mut *hook.0.lock().unwrap());
+        trace
+    }
+}
+
+impl shim::ExploreHook for RecordAccesses {
     fn yield_point(&self, access: shim::Access) {
-        self.0.lock().unwrap().push(access.kind);
+        self.0.lock().unwrap().push((access.addr, access.kind));
     }
 }
 
@@ -767,9 +787,7 @@ fn reads_trap_only_loads<B: optik_kv::OrderedMap>(name: &str, store: &KvStore<B>
     for k in (2..=64u64).step_by(2) {
         store.put(k, k);
     }
-    let hook = Arc::new(RecordKinds(std::sync::Mutex::new(Vec::new())));
-    {
-        let _g = shim::install_hook(hook.clone());
+    let trace = RecordAccesses::during(|| {
         for k in 1..=66u64 {
             assert_eq!(store.get(k), (k % 2 == 0 && k <= 64).then_some(k), "{name}");
         }
@@ -781,17 +799,16 @@ fn reads_trap_only_loads<B: optik_kv::OrderedMap>(name: &str, store: &KvStore<B>
         let mut seen = 0;
         store.scan(|_, _| seen += 1);
         assert_eq!(seen, 32, "{name}");
-    }
-    let kinds = hook.0.lock().unwrap();
-    assert!(!kinds.is_empty(), "{name}: the reads trapped nothing");
-    let writes: Vec<_> = kinds
+    });
+    assert!(!trace.is_empty(), "{name}: the reads trapped nothing");
+    let writes: Vec<_> = trace
         .iter()
-        .filter(|&&k| k != shim::AccessKind::Load)
+        .filter(|&&(_, k)| k != shim::AccessKind::Load)
         .collect();
     assert!(
         writes.is_empty(),
         "{name}: optimistic reads wrote shared words: {writes:?} among {} accesses",
-        kinds.len()
+        trace.len()
     );
 }
 
@@ -802,4 +819,69 @@ fn optimistic_reads_trap_only_loads() {
     reads_trap_only_loads("range-routed", &ranged);
     let hashed: KvStore<OptikSkipList2> = KvStore::with_shards(4, |_| OptikSkipList2::new());
     reads_trap_only_loads("hash-routed", &hashed);
+}
+
+// ---------------------------------------------------------------------------
+// Locked writes release with one store: one RMW per lock word taken.
+// ---------------------------------------------------------------------------
+
+/// Runs `op` under a recording hook and checks the lock words it wrote.
+/// A lock word is a word the op both loads and writes: every OPTIK
+/// acquisition pre-checks the word before its CAS, while the node pool's
+/// exchange epoch is a bare `fetch_add` and is not counted. Each lock word
+/// must take one RMW (the acquiring CAS) and then at most one store (the
+/// release); the op must take `rmws` of them and release all but
+/// `held` (a claimed victim's lock stays held until its slot is recycled).
+fn assert_one_store_per_release(name: &str, rmws: usize, held: usize, op: impl FnOnce()) {
+    use shim::AccessKind::{Load, Rmw, Store};
+    let trace = RecordAccesses::during(op);
+    let mut words: Vec<usize> = trace
+        .iter()
+        .filter(|&&(addr, kind)| kind != Load && trace.iter().any(|&(a, k)| a == addr && k == Load))
+        .map(|&(addr, _)| addr)
+        .collect();
+    words.sort_unstable();
+    words.dedup();
+    let mut released = 0;
+    for &w in &words {
+        let writes: Vec<_> = trace
+            .iter()
+            .filter(|&&(a, k)| a == w && k != Load)
+            .map(|&(_, k)| k)
+            .collect();
+        assert!(
+            writes == [Rmw] || writes == [Rmw, Store],
+            "{name}: lock word {w:#x} was written {writes:?}, not one RMW then at most one store"
+        );
+        released += writes.len() - 1;
+    }
+    assert_eq!(words.len(), rmws, "{name}: lock words taken in {trace:?}");
+    assert_eq!(released, rmws - held, "{name}: lock words released");
+}
+
+#[test]
+fn locked_writes_release_with_one_store() {
+    let hashed: KvStore<StripedOptikHashTable> =
+        KvStore::with_shards(2, |_| StripedOptikHashTable::new(16, 2));
+    let ordered: KvStore<OptikSkipList2> =
+        KvStore::with_ordered_shards(2, 64, |_| OptikSkipList2::new());
+    for k in (2..=64u64).step_by(2) {
+        hashed.put(k, k);
+        ordered.put(k, k);
+    }
+    assert_one_store_per_release("hash put miss", 1, 0, || assert_eq!(hashed.put(3, 3), None));
+    assert_one_store_per_release("hash put hit", 1, 0, || {
+        assert_eq!(hashed.put(4, 5), Some(4))
+    });
+    assert_one_store_per_release("hash remove hit", 1, 0, || {
+        assert_eq!(hashed.remove(6), Some(6))
+    });
+    // The shard lock and the level-0 predecessor's lock.
+    assert_one_store_per_release("ordered put miss", 2, 0, || {
+        assert_eq!(ordered.put(35, 35), None)
+    });
+    // ... and the claimed victim's, which is never released.
+    assert_one_store_per_release("ordered remove hit", 3, 1, || {
+        assert_eq!(ordered.remove(40), Some(40))
+    });
 }

@@ -410,7 +410,6 @@ mod tests {
         assert_eq!(h.delete(3), Some(30));
         assert_eq!(h.delete(3), None);
         assert_eq!(h.search(3), None);
-        drop(h);
         assert_eq!(l.len(), 1);
     }
 

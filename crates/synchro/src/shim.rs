@@ -22,6 +22,14 @@
 //! plain `cargo test` — but nothing in the workspace *calls* it outside
 //! `--cfg optik_explore` builds, so the tier-1 hot paths never pay for it.
 //!
+//! One read does not trap: [`AtomicU64::load_owned`], the owner load. A
+//! thread may use it only on a word that no other thread can change while
+//! it reads and then stores it — an OPTIK lock word held by the caller,
+//! which every other thread can only CAS from an even value. Its result is
+//! fixed whatever the other threads do, so trapping it would only add
+//! schedules that differ in nothing; the store that follows it traps as
+//! usual.
+//!
 //! Yield-point granularity: only shim-wrapped words trap. Backend map
 //! internals (node links, value cells) keep their raw atomics, so a
 //! backend operation executes atomically *between* two validation points.
@@ -239,6 +247,24 @@ shim_atomic!(
     usize
 );
 
+impl AtomicU64 {
+    /// Relaxed load of a word that only the calling thread can change,
+    /// such as an OPTIK lock word its holder reads back before releasing
+    /// it with a [`AtomicU64::store`]. Never a yield point: nothing another
+    /// thread does can change what it returns, so the explorer has no
+    /// interleaving to enumerate here. `Relaxed` suffices: the word's last
+    /// write is the caller's own, and a thread always reads back its own
+    /// latest write to a location.
+    ///
+    /// Sound only on such a word. Where another thread may write it, the
+    /// value read can be stale by the time it is used, and a store derived
+    /// from it loses that thread's write: use a read-modify-write instead.
+    #[inline]
+    pub fn load_owned(&self) -> u64 {
+        self.word.load(Ordering::Relaxed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +282,7 @@ mod tests {
         assert_eq!(a.fetch_max(100, SeqCst), 8);
         assert_eq!(a.compare_exchange(100, 3, SeqCst, SeqCst), Ok(100));
         assert_eq!(a.compare_exchange(100, 4, SeqCst, SeqCst), Err(3));
+        assert_eq!(a.load_owned(), 3);
         let mut a = a;
         assert_eq!(*a.get_mut(), 3);
     }
